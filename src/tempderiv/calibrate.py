@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, stats
 
-from .charfun import GammaTimeChange, cumulant_V
+from .charfun import UNIT_NODES, GammaTimeChange, tilted_exponent_sum
 from .cosine import CosGrid, density_from_charfun, truncation_bounds
 from .data import DailySeries
 from .errors import CalibrationError, DomainError
@@ -35,7 +35,6 @@ from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
 
 CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
 CF_WEIGHTS = np.exp(-CF_GRID**2)
-_GL_NODES = 64
 _LIKELIHOOD_FLOOR = 1e-300
 
 SEASONAL_NAMES = ("beta0", "beta1", "beta2", "beta3")
@@ -183,25 +182,19 @@ def kernel_weight(alpha: float, order: int, step: float = 1.0) -> float:
     return float((1.0 - np.exp(-order * alpha * step)) / (order * alpha))
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-_GL_S = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
-_GL_WH = 0.5 * _GL_W
-
-
 def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
-                       vol_scale: float = 1.0, theta: float = 0.0):
+                       vol_scale: float | np.ndarray = 1.0, theta: float = 0.0):
     """Charfun of the one-day innovation int_0^1 vol_scale e^{-alpha(1-s)} dV_s.
 
-    Fixed 64-node Gauss-Legendre rule (certified against the adaptive
-    integrator); vectorised over u.
+    The package's 8-node Gauss-Legendre rule on the one unit piece;
+    vectorised over u and over an array `vol_scale` (result shape
+    vol_scale.shape + u.shape).
     """
     tc = GammaTimeChange(a, b, mu1)
     u_arr = np.atleast_1d(np.asarray(u, float))
-    kern = vol_scale * np.exp(-alpha * (1.0 - _GL_S))
-    w = 1j * np.multiply.outer(kern, u_arr)
-    vals = cumulant_V(w, tc, theta)
-    out = np.exp(np.tensordot(_GL_WH, vals, axes=(0, 0)))
-    return out if np.ndim(u) else complex(out[0])
+    kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - UNIT_NODES)))
+    out = np.exp(tilted_exponent_sum(kern, u_arr, tc, theta))
+    return out if np.ndim(u) or np.ndim(vol_scale) else complex(out[0])
 
 
 def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, float]:
@@ -333,25 +326,25 @@ def _joint_refine(eps, t_eps, alpha, a0, b0, mu0, vol0: FourCoeffs, obj0):
     if len(groups) < 3:
         return a0, b0, mu0, vol0, obj0
 
+    t_groups = np.array([t_g for t_g, _ in groups])
+    emp_groups = np.array([emp for _, emp in groups])
+
     def joint_obj(x):
         la, lb, mu1 = x[0], x[1], x[2]
         c = FourCoeffs(*x[3:])
         if abs(la) > 25 or abs(lb) > 25:
             return 1e6
         a, b = math.exp(la), math.exp(lb)
-        total = 0.0
-        for t_g, emp in groups:
-            sig = float(eval_seasonal(c, t_g))
-            if sig <= 1e-6:
-                return 1e6
-            try:
-                model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
-            except DomainError:
-                return 1e6
-            mean_model = (a * mu1 / b) * sig * kernel_weight(alpha, 1)
-            centred = model * np.exp(-1j * CF_GRID * mean_model)
-            total += float(np.sum(CF_WEIGHTS * np.abs(emp - centred) ** 2))
-        return total
+        sig = eval_seasonal(c, t_groups)
+        if np.any(sig <= 1e-6):
+            return 1e6
+        try:
+            model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
+        except DomainError:
+            return 1e6
+        mean_model = (a * mu1 / b) * sig[:, None] * kernel_weight(alpha, 1)
+        centred = model * np.exp(-1j * CF_GRID * mean_model)
+        return float(np.sum(CF_WEIGHTS * np.abs(emp_groups - centred) ** 2))
 
     x0 = np.array([math.log(a0), math.log(b0), mu0, vol0.k0, vol0.k1, vol0.k2, vol0.k3])
     base = joint_obj(x0)

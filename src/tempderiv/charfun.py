@@ -18,11 +18,11 @@ Under the exponential tilt with parameter theta the exponent becomes
 l_V(w + theta) - l_V(theta); equivalently V stays in the same family with
 drift mu1 + theta and Gamma rate b * A1(theta).
 
-The kernel integrals are evaluated by a vectorised adaptive Simpson rule
-(absolute tolerance 1e-10, node budget 2^16 per call) with a branch/phase
-monitor: every Log argument must stay off the non-positive real axis, and
-the argument's phase may not jump by more than pi between adjacent
-evaluation nodes.
+The kernel integrals are evaluated by one fixed rule, 8-node Gauss-Legendre
+on each unit day piece (`UNIT_NODES`, `UNIT_WEIGHTS`, also used by the
+calibrator and the simulator), with the exponent written in real
+arithmetic (`tilted_exponent_sum`).  For real frequencies the Log argument
+has real part >= 1, so it never reaches the branch cut.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .seasonal import FourCoeffs, eval_seasonal, k1, require_positive
 
-CHARFUN_TOL = 1e-10
-CHARFUN_NODE_BUDGET = 2**16
+# the one quadrature rule of the package: 8-node Gauss-Legendre on [0, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+UNIT_NODES = 0.5 * (_GL_X + 1.0)
+UNIT_WEIGHTS = 0.5 * _GL_W
 
 
 @dataclass(frozen=True)
@@ -136,99 +138,28 @@ def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
     return out if out.ndim else complex(out)
 
 
-def _phase_monitor(arg_values: np.ndarray) -> None:
-    """Branch/phase monitor on the Log arguments of a quadrature batch.
+def tilted_exponent_sum(kern, u, tc: GammaTimeChange, theta: float = 0.0) -> np.ndarray:
+    """sum_n w_n l_V^theta(i u kern[..., n]) over the unit-rule nodes, for real u.
 
-    `arg_values` has shape (n_nodes, n_u) with nodes ordered along s.  A
-    value on the non-positive real axis, or a phase jump > pi between
-    adjacent nodes, indicates the integrand crossed the branch cut.
+    `kern` holds the kernel at the UNIT_NODES of each piece along its last
+    axis; the result has shape kern.shape[:-1] + u.shape and is the
+    piece integral divided by the piece length.  With S = b A1(theta),
+    q = (uk)^2/(2S) and p = uk(mu1+theta)/S the Log argument is
+    1 - x = 1 + q - ip, so the exponent is formed in real arithmetic.
     """
-    if np.any((arg_values.real <= 0.0) & (arg_values.imag == 0.0)):
-        raise DomainError("characteristic-function integrand hit the logarithm branch cut")
-    if arg_values.shape[0] > 1:
-        dphi = np.diff(np.angle(arg_values), axis=0)
-        dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
-        if np.any(np.abs(dphi) >= np.pi * (1.0 - 1e-9)):
-            raise DomainError("phase jump > pi between adjacent quadrature nodes")
-
-
-class _TiltedExponent:
-    """Evaluator of s -> l_V^theta(i * u * kernel(s)), batched over u."""
-
-    def __init__(self, tc: GammaTimeChange, theta: float):
-        self.tc = tc
-        self.theta = theta
-        self.a1_theta = require_admissible(tc, theta)
-
-    def __call__(self, kernel_vals: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # kernel_vals: (m,) real; u: (nu,) real -> (m, nu) complex
-        w = 1j * np.multiply.outer(kernel_vals, u)
-        x = (w * (self.tc.mu1 + self.theta) + 0.5 * w * w) / (self.tc.b * self.a1_theta)
-        _phase_monitor(1.0 - x)
-        return -self.tc.a * _log1p_complex(-x)
-
-
-def adaptive_simpson_complex(f, lo: float, hi: float, n_out: int,
-                             tol: float = CHARFUN_TOL,
-                             max_nodes: int = CHARFUN_NODE_BUDGET) -> np.ndarray:
-    """Adaptive Simpson rule for complex vector-valued integrands.
-
-    f maps an ascending (m,) array of abscissae to an (m, n_out) complex
-    array.  Segments are refined until the classic |S2-S1| <= 15*tol*len
-    criterion holds for every output component; the Richardson-corrected
-    value is accumulated.  Raises QuadratureError when the node budget is
-    exhausted.
-    """
-    if hi <= lo:
-        return np.zeros(n_out, complex)
-    length = hi - lo
-    # initial grid: 8 panels (17 points) guards against premature convergence
-    xs = np.linspace(lo, hi, 17)
-    fv = f(xs)
-    nodes = xs.size
-
-    x0, x2 = xs[:-2:2], xs[2::2]
-    f0, f1, f2 = fv[:-2:2], fv[1:-1:2], fv[2::2]
-    result = np.zeros(n_out, complex)
-
-    while x0.size:
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        new_x = np.concatenate([xl, xr])
-        order = np.argsort(new_x, kind="stable")
-        new_f = np.empty((new_x.size, n_out), complex)
-        new_f[order] = f(new_x[order])
-        nodes += new_x.size
-        if nodes > max_nodes:
-            raise QuadratureError(
-                f"adaptive Simpson exhausted its {max_nodes}-node budget on [{lo}, {hi}]"
-            )
-        fl, fr = new_f[: x0.size], new_f[x0.size:]
-
-        h = (x2 - x0)[:, None]
-        s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
-        s_left = h / 12.0 * (f0 + 4.0 * fl + f1)
-        s_right = h / 12.0 * (f1 + 4.0 * fr + f2)
-        s2 = s_left + s_right
-        err = np.max(np.abs(s2 - s1), axis=1)
-        ok = err <= 15.0 * tol * ((x2 - x0) / length)
-
-        if np.any(ok):
-            result += np.sum(s2[ok] + (s2[ok] - s1[ok]) / 15.0, axis=0)
-        bad = ~ok
-        if not np.any(bad):
-            break
-        x0, xm_b, x2 = x0[bad], xm[bad], x2[bad]
-        f0_b, f1_b, f2_b = f0[bad], f1[bad], f2[bad]
-        fl_b, fr_b = fl[bad], fr[bad]
-        x0 = np.concatenate([x0, xm_b])
-        x2 = np.concatenate([xm_b, x2])
-        f0 = np.concatenate([f0_b, f1_b])
-        f1 = np.concatenate([fl_b, fr_b])
-        f2 = np.concatenate([f1_b, f2_b])
-        # interleaving of left/right halves does not matter for the sum
-    return result
+    s_rate = tc.b * require_admissible(tc, theta)
+    u = np.asarray(u, float)
+    kern = np.asarray(kern, float)
+    log_mod = np.zeros(kern.shape[:-1] + u.shape)
+    phase = np.zeros_like(log_mod)
+    # node by node: one (pieces, n_u) array at a time
+    for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
+        p = np.multiply.outer(k_n, u * ((tc.mu1 + theta) / s_rate))
+        q = np.multiply.outer(k_n * k_n, u * u / (2.0 * s_rate))
+        # Re(1 - x) = 1 + q >= 1 for real u: the Log never reaches its branch cut
+        log_mod += 0.5 * w_n * np.log1p(q * (2.0 + q) + p * p)
+        phase += w_n * np.arctan2(-p, 1.0 + q)
+    return -tc.a * (log_mod + 1j * phase)
 
 
 def _eval_on_positive(u, compute) -> np.ndarray | complex:
@@ -254,17 +185,17 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    exponent = _TiltedExponent(p.timechange, theta)
+    tc = p.timechange
+    require_admissible(tc, theta)
     det = p.det_mean(t)
+    # unit pieces of [0, t]; the last one may be partial
+    edges = np.minimum(np.arange(np.ceil(t) + 1.0), t)
+    lengths = np.diff(edges)
+    s = edges[:-1, None] + lengths[:, None] * UNIT_NODES
+    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
 
     def compute(uu: np.ndarray) -> np.ndarray:
-        if t == 0.0:
-            integral = np.zeros(uu.size, complex)
-        else:
-            def f(s):
-                kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
-                return exponent(np.atleast_1d(kern), uu)
-            integral = adaptive_simpson_complex(f, 0.0, t, uu.size)
+        integral = lengths @ tilted_exponent_sum(kern, uu, tc, theta)
         return np.exp(1j * uu * det + integral)
 
     return _eval_on_positive(u, compute)
@@ -295,40 +226,21 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
         raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")
     if mode not in ("exact_kernel", "product"):
         raise DomainError(f"unknown charfun_cat mode {mode!r}")
-    exponent = _TiltedExponent(p.timechange, theta)
-    alpha = p.alpha
+    tc = p.timechange
+    require_admissible(tc, theta)
     det_sum = float(np.sum(_cat_daily_means(p, horizon_T)))
-    piece_tol = CHARFUN_TOL / horizon_T
 
-    em = np.exp(-alpha)
-    # tail factor of the geometric sum per day piece j: g(s) = e^{-alpha(j-s)} * tail_j
-    tails = (1.0 - np.exp(-alpha * (horizon_T - np.arange(1, horizon_T + 1) + 1.0))) / (1.0 - em)
-    gammas = horizon_T - np.arange(1, horizon_T + 1) + 1.0
-
-    def day_integrals(uu: np.ndarray) -> np.ndarray:
-        integral = np.zeros(uu.size, complex)
-        for j in range(1, horizon_T + 1):
-            if mode == "exact_kernel":
-                scale, ufac = tails[j - 1], uu
-            else:
-                scale, ufac = 1.0, gammas[j - 1] * uu
-
-            def f(s, _j=j, _scale=scale, _ufac=ufac):
-                kern = eval_seasonal(p.vol, s) * np.exp(-alpha * (_j - s)) * _scale
-                return exponent(np.atleast_1d(kern), _ufac)
-
-            integral += adaptive_simpson_complex(f, float(j - 1), float(j), uu.size,
-                                                 tol=piece_tol)
-        return integral
+    # kernel at the nodes of day piece j, s = j - 1 + x_n: sigma_s e^{-alpha(j-s)}
+    # times tail_j, the geometric sum of g(s) (exact_kernel), or gamma_j (product)
+    remaining = horizon_T - np.arange(horizon_T, dtype=float)
+    weight = (np.expm1(-p.alpha * remaining) / np.expm1(-p.alpha)
+              if mode == "exact_kernel" else remaining)
+    s = np.arange(horizon_T, dtype=float)[:, None] + UNIT_NODES
+    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * weight[:, None]
 
     def compute(uu: np.ndarray) -> np.ndarray:
-        # chunk the frequency batch: refinement depth is driven by the worst
-        # component, so grouping nearby u values avoids over-refining low ones
-        out = np.empty(uu.size, complex)
-        for start in range(0, uu.size, 32):
-            chunk = uu[start:start + 32]
-            out[start:start + 32] = np.exp(1j * chunk * det_sum + day_integrals(chunk))
-        return out
+        integral = np.sum(tilted_exponent_sum(kern, uu, tc, theta), axis=0)
+        return np.exp(1j * uu * det_sum + integral)
 
     return _eval_on_positive(u, compute)
 

@@ -7,7 +7,8 @@ configuration; files are written atomically (temp file + rename) and are
 byte-identical for identical (config, seed).
 
 Exit codes: 0 success, 2 input/configuration error, 3 fit failure,
-4 martingale-root solver found no bracket.
+4 martingale-root solver found no bracket.  Only the package's typed
+errors map to exit codes; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .calibrate import fit_alpha, fit_seasonal, fit_timechange
 from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat
 from .cosine import ContractSpec, CosGrid, density_from_charfun, price_strangle, truncation_bounds
 from .data import ingest_csv, ks_normality, summary_stats
-from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
-                     QuadratureError, TempDerivError)
+from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
 from .esscher import MarketParams, solve_theta
 from .seasonal import FourCoeffs
 from .simulate import SimConfig, mc_price_cat, simulate_paths
@@ -53,7 +53,10 @@ def _round_sig(obj):
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-tempderiv-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-tempderiv-")
+    except OSError as exc:
+        raise IngestError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -82,11 +85,19 @@ def _load_config(path: str | None) -> dict:
         raise IngestError(f"cannot read config {path}: {exc}") from exc
 
 
+def _num(value, what: str, kind=float):
+    """Convert one config field, raising IngestError when it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"{what} must be a number, got {value!r}") from exc
+
+
 def _four(values, what: str) -> FourCoeffs:
     vals = list(values)
     if len(vals) != 4:
         raise IngestError(f"{what} must have exactly 4 coefficients, got {len(vals)}")
-    return FourCoeffs(*map(float, vals))
+    return FourCoeffs(*(_num(v, what) for v in vals))
 
 
 def _model_from(cfg: dict, horizon: float, alpha_override: float | None = None) -> ModelParams:
@@ -94,12 +105,14 @@ def _model_from(cfg: dict, horizon: float, alpha_override: float | None = None) 
         m = cfg["model"]
         tcd = m["timechange"]
         return ModelParams(
-            alpha=float(alpha_override if alpha_override is not None else m["alpha"]),
-            t0=float(m["t0"]),
+            alpha=_num(alpha_override if alpha_override is not None else m["alpha"],
+                       "model.alpha"),
+            t0=_num(m["t0"], "model.t0"),
             seasonal=_four(m["seasonal"], "model.seasonal"),
             vol=_four(m["vol"], "model.vol"),
-            timechange=GammaTimeChange(float(tcd["a"]), float(tcd["b"]),
-                                       float(tcd.get("mu1", 0.0))),
+            timechange=GammaTimeChange(_num(tcd["a"], "model.timechange.a"),
+                                       _num(tcd["b"], "model.timechange.b"),
+                                       _num(tcd.get("mu1", 0.0), "model.timechange.mu1")),
             horizon=max(float(horizon), 1.0),
         )
     except (KeyError, TypeError) as exc:
@@ -110,9 +123,11 @@ def _contract_from(cfg: dict) -> ContractSpec:
     try:
         c = cfg["contract"]
         return ContractSpec(
-            horizon_T=int(c["horizon_t"]),
-            k1_strike=float(c["k1_strike"]), k2_strike=float(c["k2_strike"]),
-            d1=float(c["d1"]), d2=float(c["d2"]), rate_r=float(c["rate_r"]),
+            horizon_T=_num(c["horizon_t"], "contract.horizon_t", int),
+            k1_strike=_num(c["k1_strike"], "contract.k1_strike"),
+            k2_strike=_num(c["k2_strike"], "contract.k2_strike"),
+            d1=_num(c["d1"], "contract.d1"), d2=_num(c["d2"], "contract.d2"),
+            rate_r=_num(c["rate_r"], "contract.rate_r"),
         )
     except (KeyError, TypeError) as exc:
         raise IngestError(f"invalid contract config: missing {exc}") from exc
@@ -121,15 +136,15 @@ def _contract_from(cfg: dict) -> ContractSpec:
 def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
                terms: int | None, l_mult: float | None) -> tuple[CosGrid, dict]:
     cos_cfg = dict(cfg.get("cos", {"auto": True}))
-    n1 = int(terms if terms is not None else cos_cfg.get("n1", 256))
-    n2 = int(terms if terms is not None else cos_cfg.get("n2", 256))
+    n1 = _num(terms if terms is not None else cos_cfg.get("n1", 256), "cos.n1", int)
+    n2 = _num(terms if terms is not None else cos_cfg.get("n2", 256), "cos.n2", int)
     if cos_cfg.get("auto", "b1" not in cos_cfg):
-        lm = float(l_mult if l_mult is not None else cos_cfg.get("l_mult", 10.0))
+        lm = _num(l_mult if l_mult is not None else cos_cfg.get("l_mult", 10.0), "cos.l_mult")
         mean, var = cat_cumulants(model, theta, horizon_t)
         b1, b2 = truncation_bounds(mean, var, lm)
         info = {"auto": True, "l_mult": lm, "cat_mean": mean, "cat_variance": var}
     else:
-        b1, b2 = float(cos_cfg["b1"]), float(cos_cfg["b2"])
+        b1, b2 = _num(cos_cfg.get("b1"), "cos.b1"), _num(cos_cfg.get("b2"), "cos.b2")
         info = {"auto": False}
     grid = CosGrid(b1, b2, n1, n2)
     info.update({"b1": grid.b1, "b2": grid.b2, "n1": n1, "n2": n2})
@@ -138,7 +153,7 @@ def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
 
 def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tuple[float, dict]:
     if cfg.get("theta") is not None:
-        theta = float(cfg["theta"])
+        theta = _num(cfg["theta"], "theta")
         return theta, {"theta": theta, "source": "pinned"}
     mkt = MarketParams(r=contract.rate_r)
     sol = solve_theta(model, mkt, float(contract.horizon_T))
@@ -199,8 +214,10 @@ def cmd_price(args) -> int:
     }
     if args.mc:
         sim_cfg = dict(cfg.get("sim", {}))
-        n_paths = int(args.paths if args.paths is not None else sim_cfg.get("n_paths", 100_000))
-        seed = int(args.seed if args.seed is not None else sim_cfg.get("seed", 0))
+        n_paths = _num(args.paths if args.paths is not None else sim_cfg.get("n_paths", 100_000),
+                       "sim.n_paths", int)
+        seed = _num(args.seed if args.seed is not None else sim_cfg.get("seed", 0),
+                    "sim.seed", int)
         mc, se = mc_price_cat(contract, model, theta,
                               SimConfig(step=1.0, n_paths=n_paths, seed=seed))
         payload["mc"] = {"price": mc, "stderr": se, "n_paths": n_paths, "seed": seed,
@@ -209,12 +226,13 @@ def cmd_price(args) -> int:
     if cfg.get("alpha_sweep"):
         rows = []
         for alpha_val in cfg["alpha_sweep"]:
+            alpha_val = _num(alpha_val, "alpha_sweep")
             model_a = _model_from(cfg, horizon=float(contract.horizon_T),
-                                  alpha_override=float(alpha_val))
+                                  alpha_override=alpha_val)
             theta_a, _ = _resolve_theta(cfg, model_a, contract)
             grid_a, _ = _grid_from(cfg, model_a, theta_a, contract.horizon_T,
                                    args.terms, args.l_mult)
-            rows.append({"alpha": float(alpha_val), "theta": theta_a,
+            rows.append({"alpha": alpha_val, "theta": theta_a,
                          "price": price_strangle(contract, model_a, theta_a, grid_a)})
         payload["alpha_sweep"] = rows
     _write_json(args.out, payload)
@@ -230,18 +248,21 @@ def cmd_simulate(args) -> int:
         sim_cfg["seed"] = int(args.seed)
     if "seed" not in sim_cfg:
         raise IngestError("simulate requires a seed (config sim.seed or --seed)")
-    horizon = float(cfg.get("horizon", cfg.get("contract", {}).get("horizon_t", 365)))
+    horizon = _num(cfg.get("horizon", cfg.get("contract", {}).get("horizon_t", 365)), "horizon")
     model = _model_from(cfg, horizon=horizon)
-    run = SimConfig(step=float(sim_cfg.get("step", 1.0)),
-                    n_paths=int(sim_cfg.get("n_paths", 1)),
-                    seed=int(sim_cfg["seed"]),
+    run = SimConfig(step=_num(sim_cfg.get("step", 1.0), "sim.step"),
+                    n_paths=_num(sim_cfg.get("n_paths", 1), "sim.n_paths", int),
+                    seed=_num(sim_cfg["seed"], "sim.seed", int),
                     measure=str(sim_cfg.get("measure", "P")),
-                    theta=float(sim_cfg.get("theta", 0.0)))
+                    theta=_num(sim_cfg.get("theta", 0.0), "sim.theta"))
     times, paths = simulate_paths(model, run, horizon)
 
     start = cfg.get("start_date")
     if start is not None:
-        base = np.datetime64(str(start), "D")
+        try:
+            base = np.datetime64(str(start), "D")
+        except ValueError as exc:
+            raise IngestError(f"start_date must be an ISO date, got {start!r}") from exc
         labels = [str(base + int(round(t))) for t in times]
     else:
         labels = [_FMT.format(t) for t in times]
@@ -259,18 +280,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = _load_config(args.config)
-    horizon_t = int(cfg.get("horizon_t", cfg.get("contract", {}).get("horizon_t", 30)))
+    horizon_t = _num(cfg.get("horizon_t", cfg.get("contract", {}).get("horizon_t", 30)),
+                     "horizon_t", int)
     model = _model_from(cfg, horizon=float(horizon_t))
     measure = str(cfg.get("measure", "P")).upper()
     if measure == "P":
         theta = 0.0
     elif cfg.get("theta") is not None:
-        theta = float(cfg["theta"])
+        theta = _num(cfg["theta"], "theta")
     else:
         contract = _contract_from(cfg)
         theta, _ = _resolve_theta(cfg, model, contract)
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
-    points = int(cfg.get("points", 257))
+    points = _num(cfg.get("points", 257), "points", int)
     xs = np.linspace(grid.b1, grid.b2, points)
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")
     dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
@@ -361,7 +383,7 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, QuadratureError, TempDerivError, ValueError, OSError) as exc:
+    except TempDerivError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

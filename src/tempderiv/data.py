@@ -98,8 +98,11 @@ def ingest_csv(source) -> DailySeries:
     """
     if hasattr(source, "read"):
         return _ingest_stream(source)
-    with open(source, "r", newline="") as fh:
-        return _ingest_stream(fh)
+    try:
+        with open(source, "r", newline="") as fh:
+            return _ingest_stream(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {source}: {exc}") from exc
 
 
 def _ingest_stream(fh: io.TextIOBase) -> DailySeries:

@@ -14,6 +14,7 @@ adaptive quadrature (`quad_exp_kernel`).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ ANNUAL_OMEGA = 2.0 * np.pi / 365.0
 
 # QUADPACK subinterval cap: 21-point Gauss-Kronrod per subinterval, ~2^20 nodes total
 _QUAD_LIMIT = 2**20 // 21
+
+# below this alpha*t the closed forms of k1 lose digits to cancellation
+_SERIES_X = 1e-2
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,14 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"mean-reversion rate must be > 0, got {alpha}")
 
 
+def _series(x, shift: int):
+    """sum_{n>=0} (-x)^n / (n + shift)!, to double precision for x < _SERIES_X."""
+    out = 0.0
+    for n in reversed(range(8)):
+        out = 1.0 / math.factorial(n + shift) - x * out
+    return out
+
+
 def k1(t, alpha: float, seasonal: FourCoeffs):
     """Decaying-kernel integral int_0^t f(u) e^{-alpha(t-u)} du in closed form.
 
@@ -107,6 +119,12 @@ def k1(t, alpha: float, seasonal: FourCoeffs):
     sw, cw = np.sin(w * t), np.cos(w * t)
     i0 = (1.0 - e) / alpha
     i1 = t / alpha - (1.0 - e) / alpha**2
+    # both cancel as alpha t -> 0: Taylor series in x = alpha t below the threshold
+    x = alpha * t
+    small = x < _SERIES_X
+    if np.any(small):
+        i0 = np.where(small, t * _series(x, 1), i0)
+        i1 = np.where(small, t * t * _series(x, 2), i1)
     i_sin = (alpha * sw - w * cw + w * e) / den
     i_cos = (alpha * cw + w * sw - alpha * e) / den
     out = seasonal.k0 * i0 + seasonal.k1 * i1 + seasonal.k2 * i_sin + seasonal.k3 * i_cos

@@ -7,7 +7,8 @@ One step of size D uses the exact solution of the mean-reverting dynamics:
 
 with dR ~ Gamma(a*D, rate b'), Z standard normal, and kernel-exact noise
 scales G1_j = int_step sigma_u e^{-alpha(t+D-u)} du (closed form) and
-G2_j = int_step sigma_u^2 e^{-2 alpha(t+D-u)} du (fixed Gauss-Legendre).
+G2_j = int_step sigma_u^2 e^{-2 alpha(t+D-u)} du (the package's 8-node
+Gauss-Legendre rule, scaled to the step).
 Conditionally on dR the increment is Gaussian, its first two cumulants
 match the model exactly, and the Brownian limit reproduces the exact
 mean-reverting transition.  Under the tilted measure Q(theta) the
@@ -25,14 +26,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .charfun import GammaTimeChange, ModelParams
+from .charfun import UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, ModelParams
 from .cosine import ContractSpec
 from .errors import DomainError
 from .esscher import transformed_timechange
 from .seasonal import eval_seasonal, k1
 
 PATH_BLOCK = 4096
-_GL_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,12 @@ def _step_tables(p: ModelParams, n_steps: int, step: float):
     k1_vol = k1(times, alpha, p.vol)
     g1 = k1_vol[1:] - decay * k1_vol[:-1]
 
-    # G2 by fixed Gauss-Legendre on each step (sigma^2 is not in the
-    # linear-plus-harmonic family, so no shared closed form)
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    mid = 0.5 * (times[:-1] + times[1:])
-    nodes = mid[:, None] + 0.5 * step * x[None, :]
+    # G2 by the unit Gauss-Legendre rule scaled to each step (sigma^2 is not
+    # in the linear-plus-harmonic family, so no shared closed form)
+    nodes = times[:-1, None] + step * UNIT_NODES
     sig2 = eval_seasonal(p.vol, nodes) ** 2
     kern2 = np.exp(-2.0 * alpha * (times[1:, None] - nodes))
-    g2 = 0.5 * step * np.sum(w[None, :] * sig2 * kern2, axis=1)
+    g2 = step * ((sig2 * kern2) @ UNIT_WEIGHTS)
     return decay, drift, g1, g2
 
 

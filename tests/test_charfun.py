@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
-from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, ModelParams, a1,
-                       cat_cumulants, charfun_T, charfun_cat, cumulant_V,
+from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
+                       a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
-                       simulate_cat, simulate_paths)
-from tempderiv.charfun import adaptive_simpson_complex
-from tempderiv.errors import QuadratureError
+                       simulate_cat, simulate_paths, solve_theta, truncation_bounds)
+from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS
 from tempderiv.seasonal import eval_seasonal
 
 from conftest import random_model
@@ -87,19 +86,56 @@ class TestCumulantV:
             cumulant_V(0.1, tc, 1.5)
 
 
-class TestAdaptiveSimpson:
-    def test_oscillatory_exact(self):
-        u = np.array([0.5, 2.0, 7.0, 31.0])
-        f = lambda s: np.exp(1j * np.multiply.outer(s, u))
-        got = adaptive_simpson_complex(f, 0.0, 1.0, u.size)
-        exact = (np.exp(1j * u) - 1.0) / (1j * u)
-        assert np.max(np.abs(got - exact)) < 1e-12
+def quad_vec_cat(u, p: ModelParams, theta: float, horizon_T: int, mode: str = "exact_kernel"):
+    """Oracle CAT charfun: quad_vec on every day piece of the kernel integral at once."""
+    j = np.arange(1, horizon_T + 1, dtype=float)
+    remaining = horizon_T - j + 1.0
+    weight = ((1.0 - np.exp(-p.alpha * remaining)) / (1.0 - np.exp(-p.alpha))
+              if mode == "exact_kernel" else remaining)
 
-    def test_budget_exhaustion_reported(self):
-        # a needle the rule cannot resolve within a tiny budget
-        f = lambda s: (1.0 / (1e-12 + (s - 0.37) ** 2))[:, None].astype(complex)
-        with pytest.raises(QuadratureError):
-            adaptive_simpson_complex(f, 0.0, 1.0, 1, tol=1e-14, max_nodes=64)
+    def f(x):
+        s = j - 1.0 + x
+        kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (j - s)) * weight
+        return cumulant_V(1j * np.multiply.outer(kern, u), p.timechange, theta)
+
+    pieces, _ = quad_vec(f, 0.0, 1.0, epsabs=1e-13, epsrel=0.0)
+    det = np.sum(p.det_mean(j))
+    return np.exp(1j * u * det + pieces.sum(axis=0))
+
+
+def quad_vec_T(u, t: float, p: ModelParams, theta: float):
+    """Oracle for charfun_T: quad_vec on [0, t] with breakpoints at whole days."""
+    def f(s):
+        kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
+        return cumulant_V(1j * kern * u, p.timechange, theta)
+
+    integral, _ = quad_vec(f, 0.0, t, epsabs=1e-13, epsrel=0.0,
+                           points=np.arange(1.0, np.ceil(t)))
+    return np.exp(1j * u * p.det_mean(t) + integral)
+
+
+class TestKernelRule:
+    def test_unit_rule_exact_to_degree_15(self):
+        for k in range(16):
+            assert UNIT_WEIGHTS @ UNIT_NODES**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
+
+    def test_charfun_T_against_quad_vec(self, toronto_like_model):
+        u = np.array([0.05, 0.2, 0.5, 1.0, 2.0])
+        for t, theta in ((1.0, 0.0), (12.5, 0.3), (40.0, -0.4)):
+            got = charfun_T(u, t, toronto_like_model, theta)
+            assert np.max(np.abs(got - quad_vec_T(u, t, toronto_like_model, theta))) < 1e-12
+
+    @pytest.mark.parametrize("horizon_T", [30, 365])
+    def test_charfun_cat_against_quad_vec_at_cos_frequencies(self, toronto_like_model,
+                                                              horizon_T):
+        p = toronto_like_model
+        theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+        mean, var = cat_cumulants(p, theta, horizon_T)
+        b1, b2 = truncation_bounds(mean, var, 10.0)
+        u = np.arange(257) * np.pi / (b2 - b1)
+        for mode in ("exact_kernel", "product"):
+            got = charfun_cat(u, p, theta, horizon_T, mode)
+            assert np.max(np.abs(got - quad_vec_cat(u, p, theta, horizon_T, mode))) <= 1e-13
 
 
 class TestCharfunT:

@@ -60,6 +60,17 @@ class TestFit:
         assert payload["alpha"]["estimate"] > 0
         assert {"a", "b", "mu1"} <= payload["timechange"].keys()
 
+    def test_seasonal_fit_reference(self, fit_csv, tmp_path):
+        # frozen fit; the tolerance is the Nelder-Mead xatol (1e-6)
+        out = tmp_path / "fit.json"
+        assert main(["fit", fit_csv, "--out", str(out), "--vol-shape", "seasonal"]) == 0
+        tch = json.loads(out.read_text())["timechange"]
+        ref = {"a": 2.309121007, "b": 2.079776949, "mu1": 0.09389348793,
+               "objective": 0.4373994928,
+               "vol": [1.095420747, -6.605255761e-05, -0.03917957937, 0.03323692596]}
+        for key, want in ref.items():
+            assert tch[key] == pytest.approx(want, rel=1e-6, abs=1e-6)
+
     def test_gap_csv_exit_2(self, tmp_path, capsys):
         lines = ["date,tavg"]
         base = np.datetime64("2020-01-01")
@@ -118,6 +129,39 @@ class TestPrice:
 
     def test_missing_config_exit_2(self):
         assert main(["price"]) == 2
+
+
+class TestExitCodes:
+    def test_missing_csv_exit_2(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path / "absent.csv")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, field", [("model", "alpha"), ("contract", "k1_strike"),
+                                                 ("contract", "horizon_t")])
+    def test_non_numeric_config_field_exit_2(self, tmp_path, capsys, section, field):
+        cfg = {"model": dict(MODEL_CFG), "contract": dict(CONTRACT_CFG)}
+        cfg[section][field] = "abc"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["price", "--config", str(p)]) == 2
+        assert f"{section}.{field} must be a number" in capsys.readouterr().err
+
+    def test_non_numeric_sim_field_exit_2(self, tmp_path):
+        cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": "many", "seed": 1}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p)]) == 2
+
+    def test_unwritable_output_exit_2(self, fit_csv, tmp_path, capsys):
+        assert main(["stats", fit_csv, "--out", str(tmp_path / "absent" / "s.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_library_value_error_propagates(self, fit_csv, monkeypatch):
+        def broken(series):
+            raise ValueError("internal bug")
+        monkeypatch.setattr("tempderiv.cli.summary_stats", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["stats", fit_csv])
 
 
 class TestSimulate:

@@ -72,6 +72,14 @@ class TestK1:
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got == pytest.approx(136.64448275623494, rel=1e-12)  # frozen oracle value
 
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("t", [1.0, 30.0, 365.0])
+    def test_small_alpha_against_quadrature(self, alpha, t):
+        c = FourCoeffs(1.0, 0.5, 0.3, -0.2)
+        oracle = quad_exp_kernel(lambda u: eval_seasonal(c, u), alpha, t, "decaying")
+        assert k1(t, alpha, c) == pytest.approx(oracle, rel=1e-10)
+        assert k1(np.array([t]), alpha, c)[0] == pytest.approx(oracle, rel=1e-10)
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
             k1(1.0, 0.0, FourCoeffs(1, 0, 0, 0))
