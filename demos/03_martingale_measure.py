@@ -10,8 +10,8 @@ verify the discounted-mean identity by Monte Carlo.
 import numpy as np
 
 from tempderiv import (FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
-                       SimConfig, martingale_residual, simulate_cat, solve_theta,
-                       transformed_timechange)
+                       SimConfig, eq12_variant_theta, martingale_residual, simulate_cat,
+                       solve_theta, transformed_timechange)
 
 p = ModelParams(alpha=0.25, t0=-3.0,
                 seasonal=FourCoeffs(8.0, 0.0008, -5.9, -12.9),
@@ -30,7 +30,7 @@ for theta in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
 sol = solve_theta(p, market, horizon)
 print(f"\nSolved tilt parameter theta* = {sol.theta:.8f}")
 print(f"  residual  |g(theta*)| = {abs(sol.residual):.2e}")
-print(f"  printed-variant root (diagnostic): {sol.eq12_theta}")
+print(f"  printed-variant root (diagnostic): {eq12_variant_theta(p, market, horizon)}")
 
 tc_q = transformed_timechange(p.timechange, sol.theta)
 print(f"  tilted noise parameters: mu1' = {tc_q.mu1:.6f}, b' = {tc_q.b:.6f} (a unchanged)")

@@ -16,7 +16,7 @@ from .calibrate import (AlphaFit, FitReport, TimeChangeFit, fit_alpha, fit_seaso
                         fit_timechange, innovation_charfun, innovations,
                         log_likelihood, timechange_cumulants)
 from .charfun import (GammaTimeChange, ModelParams, a1, cat_cumulants, charfun_T,
-                      charfun_cat, cumulant_V, laplace_exponent_gamma)
+                      charfun_cat, cumulant_V, cumulant_V_prime, laplace_exponent_gamma)
 from .cosine import (ContractSpec, CosGrid, PricingWarning, cos_coefficients,
                      density_from_charfun, leg_value, payoff_cos_integrals,
                      price_strangle, truncation_bounds)
@@ -24,8 +24,8 @@ from .data import (DailySeries, KsResult, SummaryStats, ingest_csv, ks_normality
                    log_returns, summary_stats)
 from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
                      QuadratureError, TempDerivError)
-from .esscher import (MarketParams, ThetaSolution, cumulant_V_prime,
-                      martingale_residual, solve_theta, transformed_timechange)
+from .esscher import (MarketParams, ThetaSolution, eq12_variant_theta, martingale_residual,
+                      solve_theta, transformed_timechange)
 from .seasonal import FourCoeffs, eval_seasonal, k1, k2, quad_exp_kernel
 from .simulate import (SimConfig, empirical_charfun, gamma_increment, mc_price_cat,
                        simulate_cat, simulate_paths)
@@ -39,8 +39,8 @@ __all__ = [
     "QuadratureError", "SimConfig", "SummaryStats", "TempDerivError",
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
     "charfun_cat", "cos_coefficients", "cumulant_V", "cumulant_V_prime",
-    "density_from_charfun", "empirical_charfun", "eval_seasonal", "fit_alpha",
-    "fit_seasonal", "fit_timechange", "gamma_increment", "ingest_csv",
+    "density_from_charfun", "empirical_charfun", "eq12_variant_theta", "eval_seasonal",
+    "fit_alpha", "fit_seasonal", "fit_timechange", "gamma_increment", "ingest_csv",
     "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
     "laplace_exponent_gamma", "leg_value", "log_likelihood", "log_returns",
     "martingale_residual", "mc_price_cat", "payoff_cos_integrals",

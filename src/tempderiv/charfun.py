@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .seasonal import FourCoeffs, eval_seasonal, k1, require_positive
 
 # the one quadrature rule of the package: 8-node Gauss-Legendre on [0, 1]
@@ -138,6 +138,31 @@ def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
     return out if out.ndim else complex(out)
 
 
+def cumulant_V_prime(theta, tc: GammaTimeChange):
+    """Derivative of the V cumulant exponent: l_V'(theta) = a(mu1+theta)/(b A1(theta)).
+
+    (Differentiating l_V(theta) = -a log(1 - mu1 theta/b - theta^2/(2b))
+    gives mu1 + theta in the numerator; certified against central finite
+    differences of l_V at 1e-7.)
+    """
+    theta_arr = np.asarray(theta, float)
+    a1_vals = a1(theta_arr, tc)
+    if np.any(np.asarray(a1_vals) <= 0.0):
+        raise DomainError("cumulant derivative requested outside the admissible domain")
+    out = tc.a * (tc.mu1 + theta_arr) / (tc.b * a1_vals)
+    return out if np.ndim(theta) else float(out)
+
+
+def cumulant_V_second(theta: float, tc: GammaTimeChange) -> float:
+    """Second derivative l_V''(theta) = a (A1(theta) + (mu1+theta)^2/b) / (b A1(theta)^2).
+
+    It is the variance of V_1 under the theta-tilted measure, so it is
+    positive on the whole admissible interval.
+    """
+    a1_theta = require_admissible(tc, theta)
+    return tc.a * (a1_theta + (tc.mu1 + theta) ** 2 / tc.b) / (tc.b * a1_theta**2)
+
+
 def tilted_exponent_sum(kern, u, tc: GammaTimeChange, theta: float = 0.0) -> np.ndarray:
     """sum_n w_n l_V^theta(i u kern[..., n]) over the unit-rule nodes, for real u.
 
@@ -201,9 +226,24 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     return _eval_on_positive(u, compute)
 
 
-def _cat_daily_means(p: ModelParams, horizon_T: int) -> np.ndarray:
-    days = np.arange(1, horizon_T + 1, dtype=float)
-    return p.det_mean(days)
+def _cat_parts(p: ModelParams, horizon_T: int, mode: str) -> tuple[float, np.ndarray]:
+    """sum_k m_k and the CAT kernel at the unit-rule nodes of each day, shape (T, nodes).
+
+    On day piece j, s = j - 1 + x_n, the kernel is sigma_s e^{-alpha(j-s)}
+    times tail_j: the geometric sum of g(s) (exact_kernel) or gamma_j (product).
+    """
+    if horizon_T < 1:
+        raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")
+    if mode not in ("exact_kernel", "product"):
+        raise DomainError(f"unknown charfun_cat mode {mode!r}")
+    days = np.arange(horizon_T, dtype=float)
+    det_sum = float(np.sum(p.det_mean(days + 1.0)))
+    remaining = horizon_T - days
+    weight = (np.expm1(-p.alpha * remaining) / np.expm1(-p.alpha)
+              if mode == "exact_kernel" else remaining)
+    s = days[:, None] + UNIT_NODES
+    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * weight[:, None]
+    return det_sum, kern
 
 
 def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
@@ -221,22 +261,9 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     drifts conditioned on the deterministic forecast of T_{j-1}.  This is an
     approximation; its deviation from exact_kernel is a model diagnostic.
     """
-    horizon_T = int(horizon_T)
-    if horizon_T < 1:
-        raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")
-    if mode not in ("exact_kernel", "product"):
-        raise DomainError(f"unknown charfun_cat mode {mode!r}")
+    det_sum, kern = _cat_parts(p, int(horizon_T), mode)
     tc = p.timechange
     require_admissible(tc, theta)
-    det_sum = float(np.sum(_cat_daily_means(p, horizon_T)))
-
-    # kernel at the nodes of day piece j, s = j - 1 + x_n: sigma_s e^{-alpha(j-s)}
-    # times tail_j, the geometric sum of g(s) (exact_kernel), or gamma_j (product)
-    remaining = horizon_T - np.arange(horizon_T, dtype=float)
-    weight = (np.expm1(-p.alpha * remaining) / np.expm1(-p.alpha)
-              if mode == "exact_kernel" else remaining)
-    s = np.arange(horizon_T, dtype=float)[:, None] + UNIT_NODES
-    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * weight[:, None]
 
     def compute(uu: np.ndarray) -> np.ndarray:
         integral = np.sum(tilted_exponent_sum(kern, uu, tc, theta), axis=0)
@@ -245,39 +272,19 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     return _eval_on_positive(u, compute)
 
 
-def cat_cumulants(p: ModelParams, theta: float, horizon_T: int,
-                  base_step: float = 1e-5) -> tuple[float, float]:
-    """Mean and variance of the cumulated temperature, from the charfun.
+def cat_cumulants(p: ModelParams, theta: float, horizon_T: int) -> tuple[float, float]:
+    """Mean and variance of the cumulated temperature under the theta-tilted measure.
 
-    The mean comes from the phase of the exact_kernel charfun at a small
-    step (rescaled whenever the mean's magnitude would push the phase past
-    ~0.1 rad, plus a Richardson pass).  The variance uses the mean-centred
-    second difference with the step enlarged geometrically until the
-    curvature signal clears the quadrature noise floor.  A variance below
-    -1e-8 is reported as a numerical failure; small negatives clamp to 0.
+    The n-th cumulant of xi = sum_k m_k + int_0^T sigma_s g(s) dV_s is
+    l_V^(n)(theta) int_0^T (sigma g)^n ds, plus sum_k m_k for n = 1:
+
+        mean     = sum_k m_k + l_V'(theta)  int sigma g ds,
+        variance =             l_V''(theta) int (sigma g)^2 ds,
+
+    with both integrals on the unit rule over the exact_kernel nodes of
+    `charfun_cat`.
     """
-    phi = lambda h: complex(charfun_cat(h, p, theta, horizon_T, "exact_kernel"))
-
-    h = base_step
-    m0 = np.angle(phi(h)) / h
-    if abs(m0) * h > 0.1:  # rescale by the mean's magnitude
-        h = 0.1 / abs(m0)
-    m_h = np.angle(phi(h)) / h
-    m_h2 = np.angle(phi(0.5 * h)) / (0.5 * h)
-    mean = (4.0 * m_h2 - m_h) / 3.0
-
-    hv = base_step
-    q = 0.0
-    while hv <= 0.5:
-        q = 2.0 - 2.0 * (phi(hv) * np.exp(-1j * mean * hv)).real
-        if q >= 1e-5:
-            break
-        if 2.0 * hv > 0.5:
-            break
-        hv *= 2.0
-    variance = q / (hv * hv)
-    if variance < -1e-8:
-        raise QuadratureError(
-            f"negative CAT variance {variance:.3e} from finite differences (numerical failure)"
-        )
-    return float(mean), float(max(variance, 0.0))
+    det_sum, kern = _cat_parts(p, int(horizon_T), "exact_kernel")
+    mean = det_sum + cumulant_V_prime(theta, p.timechange) * np.sum(kern @ UNIT_WEIGHTS)
+    variance = cumulant_V_second(theta, p.timechange) * np.sum((kern * kern) @ UNIT_WEIGHTS)
+    return float(mean), float(variance)

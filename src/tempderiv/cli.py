@@ -26,7 +26,7 @@ from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat
 from .cosine import ContractSpec, CosGrid, density_from_charfun, price_strangle, truncation_bounds
 from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
-from .esscher import MarketParams, solve_theta
+from .esscher import MarketParams, eq12_variant_theta, solve_theta
 from .seasonal import FourCoeffs
 from .simulate import SimConfig, mc_price_cat, simulate_paths
 
@@ -157,9 +157,7 @@ def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tup
         return theta, {"theta": theta, "source": "pinned"}
     mkt = MarketParams(r=contract.rate_r)
     sol = solve_theta(model, mkt, float(contract.horizon_T))
-    info = {"theta": sol.theta, "source": "solved", "residual": sol.residual,
-            "brackets": sol.brackets, "eq12_variant_theta": sol.eq12_theta}
-    return sol.theta, info
+    return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
 
 
 def cmd_fit(args) -> int:
@@ -198,6 +196,9 @@ def cmd_price(args) -> int:
     contract = _contract_from(cfg)
     model = _model_from(cfg, horizon=float(contract.horizon_T))
     theta, theta_info = _resolve_theta(cfg, model, contract)
+    if theta_info["source"] == "solved":
+        theta_info["eq12_variant_theta"] = eq12_variant_theta(
+            model, MarketParams(r=contract.rate_r), float(contract.horizon_T))
     grid, grid_info = _grid_from(cfg, model, theta, contract.horizon_T,
                                  args.terms, args.l_mult)
     price = price_strangle(contract, model, theta, grid)

@@ -19,19 +19,17 @@ exposes that identity for exact simulation under the pricing measure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .charfun import (GammaTimeChange, ModelParams, a1, esscher_interval,
+from .charfun import (GammaTimeChange, ModelParams, a1, cumulant_V_prime, esscher_interval,
                       require_admissible)
 from .errors import DomainError, NoBracketError
 from .seasonal import k1
 
-_SCAN_NODES = 257
-_EDGE_MARGIN = 1e-6  # relative shrink of the admissible interval before scanning
+_EDGE_MARGIN = 1e-6  # relative shrink of the admissible interval at each end
 
 
 @dataclass(frozen=True)
@@ -48,37 +46,13 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class ThetaSolution:
-    """Root of the martingale condition plus solver diagnostics."""
+    """Root of the martingale condition and its residual."""
 
     theta: float
     residual: float
-    brackets: int
-    eq12_theta: float | None = None
-    note: str = ""
 
     def __float__(self) -> float:
         return self.theta
-
-
-def cumulant_V_prime(theta, tc: GammaTimeChange):
-    """Derivative of the V cumulant exponent: l_V'(theta) = a(mu1+theta)/(b A1(theta)).
-
-    (Differentiating l_V(theta) = -a log(1 - mu1 theta/b - theta^2/(2b))
-    gives mu1 + theta in the numerator; certified against central finite
-    differences of l_V at 1e-7.)
-    """
-    theta_arr = np.asarray(theta, float)
-    a1_vals = a1(theta_arr, tc)
-    if np.any(np.asarray(a1_vals) <= 0.0):
-        raise DomainError("cumulant derivative requested outside the admissible domain")
-    out = tc.a * (tc.mu1 + theta_arr) / (tc.b * a1_vals)
-    return out if np.ndim(theta) else float(out)
-
-
-def cumulant_V_second(theta: float, tc: GammaTimeChange) -> float:
-    """Second derivative l_V''(theta), used for Newton polishing."""
-    a1_theta = require_admissible(tc, theta)
-    return tc.a * (a1_theta + (tc.mu1 + theta) ** 2 / tc.b) / (tc.b * a1_theta**2)
 
 
 def transformed_timechange(tc: GammaTimeChange, theta: float) -> GammaTimeChange:
@@ -108,22 +82,49 @@ def martingale_residual(theta: float, p: ModelParams, m: MarketParams,
     return float(cumulant_V_prime(theta, p.timechange)) - _martingale_target(p, m, horizon_T)
 
 
-def _scan_brackets(fun, lo: float, hi: float) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray]:
-    grid = np.linspace(lo, hi, _SCAN_NODES)
-    with np.errstate(all="ignore"):
-        vals = np.array([fun(t) for t in grid], float)
-    finite = np.isfinite(vals)
-    brackets = []
-    for i in range(len(grid) - 1):
-        if finite[i] and finite[i + 1] and vals[i] == 0.0:
-            brackets.append((grid[i], grid[i]))
-        elif finite[i] and finite[i + 1] and vals[i] * vals[i + 1] < 0.0:
-            brackets.append((grid[i], grid[i + 1]))
-    return brackets, grid, vals
+def _shrunk_interval(tc: GammaTimeChange) -> tuple[float, float]:
+    lo, hi = esscher_interval(tc)
+    margin = _EDGE_MARGIN * (hi - lo)
+    return lo + margin, hi - margin
 
 
-def _eq12_residual(theta: float, p: ModelParams, m: MarketParams, horizon_T: float) -> float:
-    """The printed polynomial variant of the root equation (diagnostic only).
+def solve_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> ThetaSolution:
+    """Solve the martingale condition l_V'(theta) = c for the tilt parameter theta*.
+
+    The target c does not depend on theta, and l_V'(theta) =
+    a(mu1+theta)/(b A1(theta)) rises from -inf to +inf across the admissible
+    interval, so theta* is the one root there of the quadratic
+
+        (c/2) theta^2 + (a + c mu1) theta + (a mu1 - c b) = 0,
+
+    whose discriminant a^2 + c^2 (mu1^2 + 2b) is positive.  It is taken in
+    the cancellation-free form q = -(B + sign(B) sqrt(D))/2, roots C/q and
+    q/A; c = 0 gives theta* = -mu1.
+
+    Raises NoBracketError when theta* lies within a relative margin of 1e-6
+    of either end of the interval, quoting the residual at both shrunk ends
+    (the residual is increasing, so it has no sign change between them).
+    """
+    tc = p.timechange
+    c = _martingale_target(p, m, horizon_T)
+    quad_a, quad_b, quad_c = 0.5 * c, tc.a + c * tc.mu1, tc.a * tc.mu1 - c * tc.b
+    disc = tc.a * tc.a + c * c * (tc.mu1 * tc.mu1 + 2.0 * tc.b)
+    q = -0.5 * (quad_b + np.copysign(np.sqrt(disc), quad_b))
+    roots = [quad_c / q] if c == 0.0 else [quad_c / q, q / quad_a]
+    theta = float(max(roots, key=lambda t: a1(t, tc)))  # the root with A1(theta) > 0
+
+    lo, hi = _shrunk_interval(tc)
+    if not lo < theta < hi:
+        g = lambda t: martingale_residual(t, p, m, horizon_T)
+        raise NoBracketError(
+            f"martingale residual has no sign change on the admissible interval "
+            f"[{lo:.6g}, {hi:.6g}]: g(lo)={g(lo):.6g}, g(hi)={g(hi):.6g}"
+        )
+    return ThetaSolution(theta=theta, residual=martingale_residual(theta, p, m, horizon_T))
+
+
+def _eq12_residual(theta, p: ModelParams, m: MarketParams, horizon_T: float):
+    """The printed polynomial variant of the root equation; nan where A1(theta) <= 0.
 
     mu1 + theta + (b/a) e^{(alpha+r~)T} A1(theta)
         - (b/a) e^{alpha T} A1(theta)^{aT+1} / K2(alpha, T),
@@ -131,75 +132,30 @@ def _eq12_residual(theta: float, p: ModelParams, m: MarketParams, horizon_T: flo
     e^{alpha T}/K2 evaluated as 1/J.
     """
     tc = p.timechange
-    r_day = m.r / 365.0
-    a1_theta = float(a1(theta, tc))
-    if a1_theta <= 0.0:
-        return np.nan
+    a1_theta = a1(theta, tc)
     j_int = k1(horizon_T, p.alpha, p.vol)
-    with np.errstate(over="ignore"):
-        grow = np.exp((p.alpha + r_day) * horizon_T)
+    with np.errstate(all="ignore"):
+        grow = np.exp((p.alpha + m.r / 365.0) * horizon_T)
         power = np.exp((tc.a * horizon_T + 1.0) * np.log(a1_theta))
-        return float(tc.mu1 + theta + (tc.b / tc.a) * (grow * a1_theta - power / j_int))
+        val = tc.mu1 + theta + (tc.b / tc.a) * (grow * a1_theta - power / j_int)
+    return np.where(a1_theta > 0.0, val, np.nan)
 
 
-def solve_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> ThetaSolution:
-    """Solve the martingale condition for the tilt parameter theta*.
+def eq12_variant_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> float | None:
+    """Root of the printed polynomial variant of the martingale condition (diagnostic only).
 
-    Scans the admissible interval (shrunk by a relative margin of 1e-6) on
-    257 nodes for sign changes of the residual, then runs a bracketed
-    Brent/bisection solve on each bracket.  Returns the root of smallest
-    |theta| (with a warning if several brackets appear) and also reports the
-    root of the printed polynomial variant of the equation in diagnostics.
-
-    Raises NoBracketError when no sign change exists, quoting the residual
-    at both interval ends.
+    Scans the shrunk admissible interval on 257 nodes for sign changes and
+    returns the Brent root of smallest |theta|, or None when there is none.
     """
-    lo0, hi0 = esscher_interval(p.timechange)
-    width = hi0 - lo0
-    lo, hi = lo0 + _EDGE_MARGIN * width, hi0 - _EDGE_MARGIN * width
-    g = lambda t: martingale_residual(t, p, m, horizon_T)
-
-    brackets, _, vals = _scan_brackets(g, lo, hi)
-    if not brackets:
-        raise NoBracketError(
-            f"martingale residual has no sign change on the admissible interval "
-            f"[{lo:.6g}, {hi:.6g}]: g(lo)={vals[0]:.6g}, g(hi)={vals[-1]:.6g}"
-        )
-    note = ""
-    if len(brackets) > 1:
-        note = f"{len(brackets)} brackets found; returning the root of smallest |theta|"
-        warnings.warn(note)
-
+    grid = np.linspace(*_shrunk_interval(p.timechange), 257)
+    vals = _eq12_residual(grid, p, m, horizon_T)
+    h = lambda t: float(_eq12_residual(t, p, m, horizon_T))
     roots = []
-    for ta, tb in brackets:
-        if ta == tb:
-            roots.append(ta)
-        else:
-            roots.append(optimize.brentq(g, ta, tb, xtol=1e-14, rtol=8.9e-16, maxiter=200))
-    theta = min(roots, key=abs)
-
-    # Newton polish toward |g| < 1e-10
-    for _ in range(8):
-        res = g(theta)
-        if abs(res) < 1e-12:
-            break
-        step = res / cumulant_V_second(theta, p.timechange)
-        cand = theta - step
-        if not (lo0 < cand < hi0):
-            break
-        theta = cand
-    residual = g(theta)
-
-    eq12_theta = None
-    try:
-        h = lambda t: _eq12_residual(t, p, m, horizon_T)
-        b12, _, _ = _scan_brackets(h, lo, hi)
-        if b12:
-            r12 = [ta if ta == tb else optimize.brentq(h, ta, tb, xtol=1e-12)
-                   for ta, tb in b12]
-            eq12_theta = float(min(r12, key=abs))
-    except Exception:  # diagnostic only; never blocks the primary solve
-        eq12_theta = None
-
-    return ThetaSolution(theta=float(theta), residual=float(residual),
-                         brackets=len(brackets), eq12_theta=eq12_theta, note=note)
+    for i in range(grid.size - 1):
+        if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
+            continue
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(optimize.brentq(h, grid[i], grid[i + 1], xtol=1e-12))
+    return float(min(roots, key=abs)) if roots else None

@@ -149,6 +149,12 @@ def k2(T, alpha: float, vol: FourCoeffs, check_positive: bool = True):
         sw, cw = np.sin(w * T_arr), np.cos(w * T_arr)
         j0 = (g - 1.0) / alpha
         j1 = T_arr * g / alpha - (g - 1.0) / alpha**2
+        # the same cancellation as in k1: series in x = alpha T below the threshold
+        x = alpha * T_arr
+        small = x < _SERIES_X
+        if np.any(small):
+            j0 = np.where(small, g * T_arr * _series(x, 1), j0)
+            j1 = np.where(small, g * T_arr * T_arr * _series(x, 2), j1)
         j_sin = (g * (alpha * sw - w * cw) + w) / den
         j_cos = (g * (alpha * cw + w * sw) - alpha) / den
         out = vol.k0 * j0 + vol.k1 * j1 + vol.k2 * j_sin + vol.k3 * j_cos

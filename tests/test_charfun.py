@@ -3,11 +3,11 @@ import pytest
 from scipy.integrate import quad, quad_vec
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
-                       a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
+                       a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V, cumulant_V_prime,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
-from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS
-from tempderiv.seasonal import eval_seasonal
+from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS, cumulant_V_second
+from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
 
@@ -252,6 +252,28 @@ class TestCatCumulants:
         se_var = np.var(xi, ddof=1) * np.sqrt(2.0 / xi.size)
         assert abs(mean - np.mean(xi)) < 3 * se_mean
         assert abs(var - np.var(xi, ddof=1)) < 3 * se_var
+
+    @pytest.mark.parametrize("horizon_T", [1, 30, 90, 365])
+    def test_closed_form_oracles(self, horizon_T):
+        """Mean from k1 per day, variance from QUADPACK per day piece."""
+        rng = np.random.default_rng(horizon_T)
+        for _ in range(4):
+            p = random_model(rng)
+            tc = p.timechange
+            theta = solve_theta(p, MarketParams(r=rng.uniform(0.0, 0.05)),
+                                float(horizon_T)).theta
+            mean, var = cat_cumulants(p, theta, horizon_T)
+            days = range(1, horizon_T + 1)
+            want_mean = (sum(p.det_mean(k) for k in days)
+                         + cumulant_V_prime(theta, tc) * sum(k1(k, p.alpha, p.vol) for k in days))
+            assert mean == pytest.approx(want_mean, rel=1e-12)
+
+            def g(s):  # sum_{k >= ceil(s)} e^{-alpha(k - s)}, s in (j - 1, j]
+                ks = np.arange(max(np.ceil(s), 1.0), horizon_T + 1)
+                return np.sum(np.exp(-p.alpha * (ks - s)))
+            square = lambda s: (eval_seasonal(p.vol, s) * g(s)) ** 2
+            integral = sum(quad(square, j - 1, j, epsabs=0.0, epsrel=1e-13)[0] for j in days)
+            assert var == pytest.approx(cumulant_V_second(theta, tc) * integral, rel=1e-12)
 
 
 class TestRandomModelProperties:

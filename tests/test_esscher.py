@@ -88,7 +88,8 @@ class TestSolveTheta:
     def test_residual_contract(self, toronto_like_model):
         sol = solve_theta(toronto_like_model, MarketParams(r=0.02), 90.0)
         assert abs(sol.residual) < 1e-10
-        assert sol.brackets >= 1
+        lo, hi = esscher_interval(toronto_like_model.timechange)
+        assert lo < sol.theta < hi
         assert float(sol) == sol.theta
 
     def test_rate_sensitivity(self, toronto_like_model):

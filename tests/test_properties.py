@@ -1,13 +1,16 @@
-"""Exact identities of the characteristic functions as property tests.
+"""Exact identities of the model as property tests.
 
 Models are drawn from the `conftest.random_model` domain by seed; tilts
-from the interior of the admissible interval.
+from the interior of the admissible interval, or solved from a drawn rate.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
-from tempderiv import a1, charfun_T, charfun_cat, cumulant_V, innovation_charfun
+from tempderiv import (CosGrid, MarketParams, a1, cat_cumulants, charfun_T, charfun_cat,
+                       cumulant_V, cumulant_V_prime, innovation_charfun, k1, leg_value,
+                       martingale_residual, solve_theta, truncation_bounds)
 from tempderiv.charfun import UNIT_NODES, esscher_interval, tilted_exponent_sum
 
 from conftest import random_model
@@ -15,6 +18,7 @@ from conftest import random_model
 seeds = st.integers(0, 2**32 - 1)
 fractions = st.floats(0.05, 0.95)
 freqs = st.floats(1e-6, 3.0)
+rates = st.floats(0.0, 0.05)
 PROPERTY = settings(deadline=None, max_examples=30)
 
 
@@ -76,3 +80,49 @@ def test_log_argument_real_part_at_least_one(seed, frac, y):
     one_minus_x = 1.0 - (w * (tc.mu1 + theta) + 0.5 * w * w) / s_rate
     assert one_minus_x.real >= 1.0
     assert one_minus_x.real == np.float64(1.0) + y * y / (2.0 * s_rate)
+
+
+@PROPERTY
+@given(seeds, rates, st.integers(1, 365))
+def test_martingale_condition(seed, r, horizon_T):
+    """E_theta*[T_T] = det_mean(T) + l_V'(theta*) k1(T, alpha, vol) = e^{rT/365} T0."""
+    p = random_model(np.random.default_rng(seed))
+    theta = solve_theta(p, MarketParams(r=r), float(horizon_T)).theta
+    det = p.det_mean(horizon_T)
+    noise = cumulant_V_prime(theta, p.timechange) * k1(horizon_T, p.alpha, p.vol)
+    forward = np.exp(r * horizon_T / 365.0) * p.t0
+    # relative to the size of the terms, which can exceed T0 itself
+    assert abs(det + noise - forward) <= 1e-12 * (abs(det) + abs(noise) + abs(forward))
+
+
+@PROPERTY
+@given(seeds, rates, st.integers(1, 365))
+def test_tilt_root_matches_brent(seed, r, horizon_T):
+    """The closed-form root against Brent on the whole admissible interval."""
+    p = random_model(np.random.default_rng(seed))
+    mkt = MarketParams(r=r)
+    lo, hi = esscher_interval(p.timechange)
+    edge = 1e-12 * (hi - lo)
+    oracle = optimize.brentq(lambda t: martingale_residual(t, p, mkt, float(horizon_T)),
+                             lo + edge, hi - edge, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    assert abs(solve_theta(p, mkt, float(horizon_T)).theta - oracle) <= 1e-12
+
+
+@PROPERTY
+@given(seeds, rates, st.sampled_from([30, 90, 365]), st.floats(-2.0, 2.0))
+def test_put_call_parity(seed, r, horizon_T, z):
+    """call(K) - put(K) = disc (E xi - K) on the auto grid with 256 terms.
+
+    What is left is the CAT law's mass beyond 10 sd, largest for a near 0.5
+    at T = 30 (2.4e-10 sd at worst in 1500 draws).
+    """
+    p = random_model(np.random.default_rng(seed))
+    theta = solve_theta(p, MarketParams(r=r), float(horizon_T)).theta
+    mean, var = cat_cumulants(p, theta, horizon_T)
+    grid = CosGrid(*truncation_bounds(mean, var, 10.0), 256, 256)
+    strike = mean + z * np.sqrt(var)
+    disc = np.exp(-r * horizon_T / 365.0)
+    phi = lambda u: charfun_cat(u, p, theta, horizon_T)
+    call = disc * leg_value(phi, grid, strike, "call", 256)
+    put = disc * leg_value(phi, grid, strike, "put", 256)
+    assert abs(call - put - disc * (mean - strike)) <= 1e-9 * np.sqrt(var)

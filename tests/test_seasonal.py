@@ -79,6 +79,9 @@ class TestK1:
         oracle = quad_exp_kernel(lambda u: eval_seasonal(c, u), alpha, t, "decaying")
         assert k1(t, alpha, c) == pytest.approx(oracle, rel=1e-10)
         assert k1(np.array([t]), alpha, c)[0] == pytest.approx(oracle, rel=1e-10)
+        growing = quad_exp_kernel(lambda u: eval_seasonal(c, u), alpha, t, "growing")
+        assert k2(t, alpha, c) == pytest.approx(growing, rel=1e-10)
+        assert k2(np.array([t]), alpha, c)[0] == pytest.approx(growing, rel=1e-10)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
