@@ -1,8 +1,8 @@
 """Exact-law trajectory simulation.
 
 One step combines the exact mean-reverting decay, the closed-form seasonal
-drift integral, and a Gamma-clock noise increment with kernel-exact first
-two moments.  Paths are reproducible: randomness is counter-based, keyed
+drift integral, and a Gamma-clock noise increment whose mean and variance
+are the model's.  Paths are reproducible: randomness is counter-based, keyed
 by (seed, path block), so the same configuration always yields the same
 trajectories regardless of how many paths are requested.
 """

@@ -23,7 +23,8 @@ import numpy as np
 
 from .calibrate import fit_alpha, fit_seasonal, fit_timechange
 from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat
-from .cosine import ContractSpec, CosGrid, density_from_charfun, price_strangle, truncation_bounds
+from .cosine import (ContractSpec, CosGrid, _strangle_from_coefficients, cos_coefficients,
+                     density_from_charfun, price_strangle, truncation_bounds)
 from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
 from .esscher import MarketParams, eq12_variant_theta, solve_theta
@@ -201,9 +202,12 @@ def cmd_price(args) -> int:
             model, MarketParams(r=contract.rate_r), float(contract.horizon_T))
     grid, grid_info = _grid_from(cfg, model, theta, contract.horizon_T,
                                  args.terms, args.l_mult)
-    price = price_strangle(contract, model, theta, grid)
+    # the half-term check prices from a prefix of the same coefficients
+    charfun_at = lambda u: charfun_cat(u, model, theta, contract.horizon_T, "exact_kernel")
+    coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
+    price = _strangle_from_coefficients(contract, grid, coeffs)
     half_grid = CosGrid(grid.b1, grid.b2, max(grid.n1 // 2, 1), max(grid.n2 // 2, 1))
-    price_half = price_strangle(contract, model, theta, half_grid)
+    price_half = _strangle_from_coefficients(contract, half_grid, coeffs)
     denom = abs(price) if price != 0.0 else 1.0
     payload = {
         "config": cfg,
@@ -267,11 +271,14 @@ def cmd_simulate(args) -> int:
         labels = [str(base + int(round(t))) for t in times]
     else:
         labels = [_FMT.format(t) for t in times]
-    lines = ["date,path_id,temperature"]
-    for pid in range(paths.shape[0]):
-        row = paths[pid]
-        lines.extend(f"{labels[j]},{pid},{_FMT.format(row[j])}" for j in range(row.size))
-    text = "\n".join(lines) + "\n"
+    # one %-format per path over (label, value) pairs; "%.10g" is _FMT
+    chunks = ["date,path_id,temperature\n"]
+    fields = [None] * (2 * len(labels))
+    fields[0::2] = labels
+    for pid, row in enumerate(paths.tolist()):
+        fields[1::2] = row
+        chunks.append((f"%s,{pid},%.10g\n" * len(labels)) % tuple(fields))
+    text = "".join(chunks)
     if args.out:
         _atomic_write(args.out, text)
     else:

@@ -196,9 +196,18 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
     d1 e^{-rT/365} E_theta(xi - K1)_+ + d2 e^{-rT/365} E_theta(K2 - xi)_+.
     """
     charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel")
-    n_terms = max(grid.n1, grid.n2)
-    coeffs = cos_coefficients(charfun_at, grid, n_terms)
+    coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
+    return _strangle_from_coefficients(contract, grid, coeffs)
 
+
+def _strangle_from_coefficients(contract: ContractSpec, grid: CosGrid,
+                                coeffs: np.ndarray) -> float:
+    """Strangle price from A_0..A_n with n >= max(n1, n2).
+
+    The call leg uses the first n1 + 1 coefficients and the put leg the
+    first n2 + 1, so a coarser grid on the same interval prices from a
+    prefix of the same vector.
+    """
     call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
     put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")
     _tail_check(call_terms, "call leg")

@@ -3,20 +3,24 @@
 One step of size D uses the exact solution of the mean-reverting dynamics:
 
     T_{t+D} = e^{-aD} T_t + alpha * [K1(t+D) - e^{-aD} K1(t)]
-              + mu1' * (G1_j / D) * dR + sqrt(G2_j / D * dR) * Z,
+              + mu1' * (G1_j / D) * dR + sqrt(s2_j * dR) * Z,
 
-with dR ~ Gamma(a*D, rate b'), Z standard normal, and kernel-exact noise
-scales G1_j = int_step sigma_u e^{-alpha(t+D-u)} du (closed form) and
+with dR ~ Gamma(a*D, rate b'), Z standard normal, and noise scales
+G1_j = int_step sigma_u e^{-alpha(t+D-u)} du (closed form) and
 G2_j = int_step sigma_u^2 e^{-2 alpha(t+D-u)} du (the package's 8-node
-Gauss-Legendre rule, scaled to the step).
-Conditionally on dR the increment is Gaussian, its first two cumulants
-match the model exactly, and the Brownian limit reproduces the exact
-mean-reverting transition.  Under the tilted measure Q(theta) the
-transformed parameters mu1' = mu1 + theta, b' = b A1(theta) are used.
+Gauss-Legendre rule, scaled to the step).  The Gaussian part's variance
+per unit dR, s2_j = G2_j/D + mu1'^2 (G2_j - G1_j^2/D) / (b' D), makes up
+what the mean part lacks, so each step's mean and variance are the
+model's; higher cumulants are not (conditionally on dR the step is
+Gaussian).  The Brownian limit reproduces the exact mean-reverting
+transition.  Under the tilted measure Q(theta) the transformed parameters
+mu1' = mu1 + theta, b' = b A1(theta) are used.
 
 Randomness is counter-based and scheduling-independent: paths are grouped
-in fixed blocks of 4096, block ``i`` draws from Philox(key=[seed, i]), and
-a path's draws depend only on (seed, block, row) -- never on n_paths.
+in fixed blocks of 128, block ``i`` draws from Philox(key=[seed, i]) in
+chunks of at most 512 steps (a Gamma matrix, then a normal matrix, each
+(steps, 128)), and a path's draws depend only on (seed, block, row) --
+never on n_paths.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .errors import DomainError
 from .esscher import transformed_timechange
 from .seasonal import eval_seasonal, k1
 
-PATH_BLOCK = 4096
+PATH_BLOCK = 128
+CHUNK_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,9 @@ def _effective_timechange(p: ModelParams, cfg: SimConfig) -> GammaTimeChange:
     return p.timechange
 
 
-def _step_tables(p: ModelParams, n_steps: int, step: float):
-    """Per-step deterministic constants: drift increments and noise scales."""
+def _step_tables(p: ModelParams, tc: GammaTimeChange, n_steps: int, step: float):
+    """Per-step constants: drift increments, the dR coefficient of the mean
+    part and the Gaussian part's variance per unit dR."""
     alpha = p.alpha
     times = np.arange(n_steps + 1) * step
     decay = np.exp(-alpha * step)
@@ -94,42 +100,49 @@ def _step_tables(p: ModelParams, n_steps: int, step: float):
     sig2 = eval_seasonal(p.vol, nodes) ** 2
     kern2 = np.exp(-2.0 * alpha * (times[1:, None] - nodes))
     g2 = step * ((sig2 * kern2) @ UNIT_WEIGHTS)
-    return decay, drift, g1, g2
+
+    # the mean part mu1 (G1/D) dR carries mu1^2 (a/b^2) G1^2/D of variance,
+    # the model mu1^2 (a/b^2) G2; the Gaussian part adds the difference
+    # (>= 0 by Cauchy-Schwarz), so each step's variance is the model's
+    drift_scale = tc.mu1 * g1 / step
+    gauss_scale2 = g2 / step + tc.mu1 ** 2 * (g2 - g1 ** 2 / step) / (tc.b * step)
+    return drift, drift_scale, gauss_scale2
 
 
-def iter_path_blocks(p: ModelParams, cfg: SimConfig, horizon: float) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_path_index, block_paths) with block_paths of shape (rows, n_steps+1).
-
-    Full blocks of PATH_BLOCK rows are always generated so a path's draws do
-    not depend on n_paths; trailing rows beyond n_paths are discarded.
-    """
-    n_float = horizon / cfg.step
+def _n_steps(horizon: float, step: float) -> int:
+    n_float = horizon / step
     n_steps = int(round(n_float))
     if abs(n_float - n_steps) > 1e-9 or n_steps < 1:
-        raise DomainError(f"horizon {horizon} is not a positive multiple of step {cfg.step}")
-    tc = _effective_timechange(p, cfg)
-    decay, drift, g1, g2 = _step_tables(p, n_steps, cfg.step)
-    shape = tc.a * cfg.step
-    drift_scale = tc.mu1 * g1 / cfg.step
-    gauss_scale2 = g2 / cfg.step
+        raise DomainError(f"horizon {horizon} is not a positive multiple of step {step}")
+    return n_steps
 
-    n_blocks = (cfg.n_paths + PATH_BLOCK - 1) // PATH_BLOCK
-    for blk in range(n_blocks):
+
+def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Yield (paths, first_step, inc): the increments inc_j of steps
+    first_step.. for the paths in the slice, shape (steps, paths), where
+    T_{j+1} = decay T_j + inc_j.
+
+    Block ``i`` holds the PATH_BLOCK paths from PATH_BLOCK * i on and draws from
+    Philox(key=[seed, i]), one chunk of at most CHUNK_STEPS steps at a time:
+    a (steps, PATH_BLOCK) Gamma matrix, then a normal matrix of that shape.
+    Draws are always full width, so a path's draws are a pure function of
+    (seed, block, row), never of n_paths; rows beyond n_paths are dropped.
+    """
+    tc = _effective_timechange(p, cfg)
+    drift, drift_scale, gauss_scale2 = _step_tables(p, tc, n_steps, cfg.step)
+    shape = tc.a * cfg.step
+    for blk in range(-(-cfg.n_paths // PATH_BLOCK)):
         rng = block_rng(cfg.seed, blk)
-        rows = min(PATH_BLOCK, cfg.n_paths - blk * PATH_BLOCK)
-        paths = np.empty((rows, n_steps + 1))
-        cur = np.full(PATH_BLOCK, p.t0)
-        paths[:, 0] = cur[:rows]
-        # fixed call order (per step: gamma then normal) at full block width:
-        # a path's draws are a pure function of (seed, block, row), never n_paths
-        for j in range(n_steps):
-            d_r = rng.standard_gamma(shape, PATH_BLOCK) / tc.b
-            z = rng.standard_normal(PATH_BLOCK)
-            cur = (decay * cur + drift[j]
-                   + drift_scale[j] * d_r
-                   + np.sqrt(gauss_scale2[j] * d_r) * z)
-            paths[:, j + 1] = cur[:rows]
-        yield blk * PATH_BLOCK, paths
+        paths = slice(blk * PATH_BLOCK, min((blk + 1) * PATH_BLOCK, cfg.n_paths))
+        rows = paths.stop - paths.start
+        for j0 in range(0, n_steps, CHUNK_STEPS):
+            steps = slice(j0, min(j0 + CHUNK_STEPS, n_steps))
+            size = (steps.stop - j0, PATH_BLOCK)
+            d_r = rng.standard_gamma(shape, size)[:, :rows] / tc.b
+            z = rng.standard_normal(size)[:, :rows]
+            inc = (drift[steps, None] + drift_scale[steps, None] * d_r
+                   + np.sqrt(gauss_scale2[steps, None] * d_r) * z)
+            yield paths, j0, inc
 
 
 def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,29 +152,42 @@ def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.n
     t = 0) and paths of shape (n_paths, len(times)).  Bit-reproducible for
     fixed (seed, params, horizon, step).
     """
-    n_steps = int(round(horizon / cfg.step))
-    times = np.arange(n_steps + 1) * cfg.step
+    n_steps = _n_steps(horizon, cfg.step)
+    decay = np.exp(-p.alpha * cfg.step)
     out = np.empty((cfg.n_paths, n_steps + 1))
-    for start, block in iter_path_blocks(p, cfg, horizon):
-        out[start:start + block.shape[0]] = block
-    return times, out
+    out[:, 0] = p.t0
+    for paths, j0, inc in _increments(p, cfg, n_steps):
+        prev = out[paths, j0]
+        for row in inc:  # the AR(1) recursion, in place over the chunk
+            row += decay * prev
+            prev = row
+        out[paths, j0 + 1:j0 + 1 + len(inc)] = inc.T
+    return np.arange(n_steps + 1) * cfg.step, out
 
 
 def simulate_cat(p: ModelParams, cfg: SimConfig, horizon_T: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-path cumulated temperature xi = sum_{k=1}^T T_k and terminal T_T.
 
-    Requires daily steps (the CAT index sums daily values).
+    Requires daily steps (the CAT index sums daily values).  No path is
+    built: with T_k = decay^k T_0 + sum_{i<k} decay^(k-1-i) inc_i,
+
+        xi  = T_0 sum_{k=1}^T decay^k + sum_i w_i inc_i,
+              w_i = expm1(-alpha (T - i)) / expm1(-alpha),
+        T_T = T_0 decay^T + sum_i decay^(T-1-i) inc_i.
     """
     if abs(cfg.step - 1.0) > 1e-12:
         raise DomainError("CAT simulation requires step = 1 day")
-    horizon_T = int(horizon_T)
-    xi = np.empty(cfg.n_paths)
-    terminal = np.empty(cfg.n_paths)
-    for start, block in iter_path_blocks(p, cfg, float(horizon_T)):
-        rows = block.shape[0]
-        xi[start:start + rows] = block[:, 1:].sum(axis=1)
-        terminal[start:start + rows] = block[:, -1]
-    return xi, terminal
+    horizon_T = _n_steps(float(int(horizon_T)), 1.0)  # int days, >= 1
+    days = np.arange(horizon_T)
+    decay = np.exp(-p.alpha)
+    weights = np.stack([np.expm1(-p.alpha * (horizon_T - days)) / np.expm1(-p.alpha),
+                        decay ** (horizon_T - 1 - days)])
+    sums = np.empty((2, cfg.n_paths))
+    sums[0] = p.t0 * np.sum(decay ** (days + 1.0))
+    sums[1] = p.t0 * decay ** horizon_T
+    for paths, j0, inc in _increments(p, cfg, horizon_T):
+        sums[:, paths] += weights[:, j0:j0 + len(inc)] @ inc
+    return sums[0], sums[1]
 
 
 def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,

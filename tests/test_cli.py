@@ -1,12 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tempderiv import FourCoeffs, GammaTimeChange, ModelParams, SimConfig, simulate_paths
+from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
+                       ModelParams, cat_cumulants, price_strangle, solve_theta,
+                       truncation_bounds)
 from tempderiv.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 MODEL_CFG = {
     "alpha": 0.25, "t0": -3.0,
@@ -38,16 +43,12 @@ def sim_config(tmp_path):
 
 
 @pytest.fixture
-def fit_csv(tmp_path):
-    model = ModelParams(alpha=0.25, t0=-5.0, seasonal=FourCoeffs(8.0, 0.0008, -6.0, -13.0),
-                        vol=FourCoeffs(1.0, 0, 0, 0), timechange=GammaTimeChange(1.5, 1.0, 0.2),
-                        horizon=701.0)
-    _, paths = simulate_paths(model, SimConfig(step=1.0, n_paths=1, seed=2024), 700.0)
-    base = np.datetime64("2016-01-01")
-    lines = ["date,tavg"] + [f"{base + i},{v:.4f}" for i, v in enumerate(paths[0])]
-    path = tmp_path / "daily.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+def fit_csv():
+    # 700 days of the model alpha=0.25, t0=-5, seasonal (8, 0.0008, -6, -13),
+    # vol (1, 0, 0, 0), timechange (1.5, 1.0, 0.2) from 2016-01-01, as written
+    # by the simulator's earlier 4096-row-block stream (seed 2024), so the
+    # frozen fit below does not move with the random stream
+    return str(DATA / "fit_daily.csv")
 
 
 class TestFit:
@@ -105,6 +106,23 @@ class TestPrice:
         assert "price" in payload and "mc" in payload
         assert payload["mc"]["within_3_stderr"] is True
         assert payload["convergence"]["relative_change"] < 1e-6
+
+    def test_half_term_check_matches_half_grid_price(self, price_config, tmp_path):
+        """The half-term price, taken from a coefficient prefix, is the half grid's price."""
+        out = tmp_path / "report.json"
+        assert main(["price", "--config", price_config, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        model = ModelParams(alpha=0.25, t0=-3.0, seasonal=FourCoeffs(*MODEL_CFG["seasonal"]),
+                            vol=FourCoeffs(*MODEL_CFG["vol"]),
+                            timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
+        contract = ContractSpec(horizon_T=30, k1_strike=330.0, k2_strike=250.0,
+                                d1=1.0, d2=1.0, rate_r=0.02)
+        theta = solve_theta(model, MarketParams(r=0.02), 30.0).theta
+        b1, b2 = truncation_bounds(*cat_cumulants(model, theta, 30), 10.0)
+        for n, got in ((256, payload["price"]),
+                       (128, payload["convergence"]["price_half_terms"])):
+            want = price_strangle(contract, model, theta, CosGrid(b1, b2, n, n))
+            assert got == float("{:.10g}".format(want))
 
     def test_alpha_sweep_rows(self, tmp_path):
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
@@ -191,6 +209,31 @@ class TestSimulate:
                             vol=FourCoeffs(0, 0, 0, 0), timechange=GammaTimeChange(1.5, 1.0, 0.3))
         expected = model.det_mean(np.arange(11.0))
         assert np.max(np.abs(temps - expected)) < 1e-9
+
+    @pytest.mark.parametrize("start_date,step", [("2018-01-01", 1.0), (None, 0.5)])
+    def test_csv_matches_line_by_line_format(self, tmp_path, monkeypatch, start_date, step):
+        """The CSV equals one "{:.10g}" format per (path, time) of the same array."""
+        rng = np.random.default_rng(8)
+        paths = rng.normal(10.0, 8.0, (3, 9))
+        paths[0, :6] = [np.inf, -np.inf, np.nan, -0.0, 1e300, 5e-324]
+        paths[1, :5] = [1e16, 123456789012.0, 0.1, -1e-5, 2.5e-7]
+        times = np.arange(9) * step
+        monkeypatch.setattr("tempderiv.cli.simulate_paths", lambda p, cfg, horizon: (times, paths))
+        cfg = {"model": MODEL_CFG, "horizon": 8 * step,
+               "sim": {"n_paths": 3, "seed": 1, "step": step}}
+        if start_date is not None:
+            cfg["start_date"] = start_date
+            labels = [str(np.datetime64(start_date) + j) for j in range(9)]
+        else:
+            labels = ["{:.10g}".format(t) for t in times]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        lines = ["date,path_id,temperature"]
+        for pid in range(paths.shape[0]):
+            lines.extend(f"{labels[j]},{pid},{'{:.10g}'.format(paths[pid, j])}" for j in range(9))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_seed_required(self, tmp_path, capsys):
         cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": 1}}

@@ -4,7 +4,11 @@ import pytest
 from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, empirical_charfun, gamma_increment,
                        mc_price_cat, simulate_cat, simulate_paths)
-from tempderiv.simulate import block_rng
+from tempderiv.charfun import cat_cumulants, esscher_interval
+from tempderiv.esscher import transformed_timechange
+from tempderiv.simulate import PATH_BLOCK, _step_tables, block_rng
+
+from conftest import random_model
 
 
 class TestGammaIncrement:
@@ -68,6 +72,29 @@ class TestSimulatePaths:
         _, b = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4097, seed=9), 20.0)
         assert np.array_equal(a, b[:10])
 
+    def test_draws_only_one_block_width(self, toronto_like_model, monkeypatch):
+        """4 paths over 3,650 days draw one 128-row block: 2 * 128 * 3650 variates."""
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                def draw(*args):
+                    out = getattr(self._rng, name)(*args)
+                    drawn.append(np.size(out))
+                    return out
+                return draw
+
+        original = block_rng
+        monkeypatch.setattr("tempderiv.simulate.block_rng",
+                            lambda seed, blk: Counting(original(seed, blk)))
+        _, paths = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4, seed=3),
+                                  3650.0)
+        assert paths.shape == (4, 3651)
+        assert sum(drawn) == 2 * PATH_BLOCK * 3650
+
     def test_block_rng_counter_based(self):
         g1 = block_rng(7, 0).standard_normal(4)
         g2 = block_rng(7, 0).standard_normal(4)
@@ -87,6 +114,37 @@ class TestSimulateCat:
         xi, terminal = simulate_cat(toronto_like_model, cfg, 30)
         assert np.allclose(xi, paths[:, 1:].sum(axis=1))
         assert np.allclose(terminal, paths[:, -1])
+
+    def test_cat_sums_across_block_and_chunk_edges(self, toronto_like_model):
+        """300 paths span three blocks and 1,100 days three step chunks."""
+        p = ModelParams(alpha=toronto_like_model.alpha, t0=toronto_like_model.t0,
+                        seasonal=toronto_like_model.seasonal, vol=toronto_like_model.vol,
+                        timechange=toronto_like_model.timechange, horizon=1101.0)
+        for measure, theta in (("P", 0.0), ("Q", -0.2)):
+            cfg = SimConfig(step=1.0, n_paths=300, seed=12, measure=measure, theta=theta)
+            _, paths = simulate_paths(p, cfg, 1100.0)
+            xi, terminal = simulate_cat(p, cfg, 1100)
+            days = paths[:, 1:]
+            assert np.all(np.abs(xi - days.sum(axis=1)) <= 1e-10 * np.abs(days).sum(axis=1))
+            assert np.all(np.abs(terminal - paths[:, -1]) <= 1e-10 * np.abs(days).max(axis=1))
+
+    def test_step_variance_is_the_models(self):
+        """Var(xi) implied by the step tables equals the closed-form CAT variance.
+
+        Step j adds w_j (ds_j dR + sqrt(gs2_j dR) Z) to xi, dR ~ Gamma(aD, b),
+        so Var(xi) = sum_j w_j^2 (ds_j^2 aD/b^2 + gs2_j aD/b).
+        """
+        rng = np.random.default_rng(404)
+        for _ in range(12):
+            p = random_model(rng)
+            horizon = int(rng.choice([30, 90, 365]))
+            lo, hi = esscher_interval(p.timechange)
+            for theta in (0.0, rng.uniform(0.5 * lo, 0.5 * hi)):
+                tc = transformed_timechange(p.timechange, theta)
+                _, ds, gs2 = _step_tables(p, tc, horizon, 1.0)
+                w = np.expm1(-p.alpha * (horizon - np.arange(horizon))) / np.expm1(-p.alpha)
+                var = np.sum(w ** 2 * (ds ** 2 * tc.a / tc.b ** 2 + gs2 * tc.a / tc.b))
+                assert var == pytest.approx(cat_cumulants(p, theta, horizon)[1], rel=1e-12)
 
 
 class TestMcPriceCat:
