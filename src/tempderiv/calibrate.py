@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
 from .charfun import UNIT_NODES, GammaTimeChange, tilted_exponent_sum
 from .cosine import CosGrid, density_from_charfun, truncation_bounds
@@ -35,6 +35,7 @@ from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
 
 CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
 CF_WEIGHTS = np.exp(-CF_GRID**2)
+RESTARTS = 2                               # perturbed reruns after a failed first fit
 _LIKELIHOOD_FLOOR = 1e-300
 
 SEASONAL_NAMES = ("beta0", "beta1", "beta2", "beta3")
@@ -123,13 +124,13 @@ def fit_seasonal(series) -> FitReport:
     rho_c = min(max(rho1, -0.9), 0.999)
     se = se_ols * math.sqrt((1.0 + rho_c) / (1.0 - rho_c))
 
-    tcrit = stats.t.ppf(0.975, dof)
+    tcrit = special.stdtrit(dof, 0.975)  # Student t: stdtrit is the quantile, stdtr the CDF
     tstats = beta / se
     return FitReport(
         names=SEASONAL_NAMES,
         params=beta, se=se, se_ols=se_ols, tstats=tstats,
         ci_low=beta - tcrit * se, ci_high=beta + tcrit * se,
-        p_values=2.0 * stats.t.sf(np.abs(tstats), dof),
+        p_values=2.0 * special.stdtr(dof, -np.abs(tstats)),
         residuals=resid, rho1=rho1, nobs=n,
     )
 
@@ -177,9 +178,9 @@ def timechange_cumulants(a: float, b: float, mu1: float) -> tuple[float, float, 
     return k1c, k2c, k3c, k4c
 
 
-def kernel_weight(alpha: float, order: int, step: float = 1.0) -> float:
-    """int_0^step e^{-order*alpha*(step-s)} ds = (1 - e^{-order alpha step})/(order alpha)."""
-    return float((1.0 - np.exp(-order * alpha * step)) / (order * alpha))
+def kernel_weight(alpha: float, order: int) -> float:
+    """int_0^1 e^{-order*alpha*(1-s)} ds = (1 - e^{-order alpha})/(order alpha)."""
+    return float((1.0 - np.exp(-order * alpha)) / (order * alpha))
 
 
 def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
@@ -219,28 +220,43 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     return a, b, mu1
 
 
-def _cf_objective(eps_centred: np.ndarray, alpha: float):
-    emp = np.mean(np.exp(1j * np.multiply.outer(CF_GRID, eps_centred)), axis=1)
+def _empirical_charfun(x: np.ndarray) -> np.ndarray:
+    """Sample characteristic function of x on CF_GRID."""
+    return np.mean(np.exp(1j * np.multiply.outer(CF_GRID, x)), axis=1)
 
-    def objective(logs: np.ndarray) -> float:
-        la, lb, mu1 = logs
-        if abs(la) > 25 or abs(lb) > 25 or abs(mu1) > 50:
+
+def _cf_distance(emp_groups: np.ndarray, alpha: float):
+    """The fits' objective: distance(la, lb, mu1, sig) between empirical and model charfuns.
+
+    Row g of `emp_groups` is matched with the centred innovation charfun at
+    vol scale sig[g] and (a, b, mu1) = (e^la, e^lb, mu1), in the CF_WEIGHTS
+    weighted sum of squared moduli; off the search box or at sig <= 1e-6 it is 1e6.
+    """
+    mean_weight = kernel_weight(alpha, 1)
+
+    def distance(la: float, lb: float, mu1: float, sig: np.ndarray) -> float:
+        if abs(la) > 25 or abs(lb) > 25 or abs(mu1) > 50 or np.any(sig <= 1e-6):
             return 1e6
         a, b = math.exp(la), math.exp(lb)
         try:
-            model = innovation_charfun(CF_GRID, a, b, mu1, alpha)
+            model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
         except DomainError:
             return 1e6
-        mean_model = (a * mu1 / b) * kernel_weight(alpha, 1)
+        mean_model = (a * mu1 / b) * sig[:, None] * mean_weight
         centred = model * np.exp(-1j * CF_GRID * mean_model)
-        return float(np.sum(CF_WEIGHTS * np.abs(emp - centred) ** 2))
+        return float(np.sum(CF_WEIGHTS * np.abs(emp_groups - centred) ** 2))
 
-    return objective
+    return distance
+
+
+def _cf_objective(eps_centred: np.ndarray, alpha: float):
+    """Constant-volatility objective of logs = (log a, log b, mu1): one group at sigma = 1."""
+    distance = _cf_distance(_empirical_charfun(eps_centred)[None, :], alpha)
+    return lambda logs: distance(*logs, np.ones(1))
 
 
 def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float = None,
-                   vol_shape: str = "constant", times: np.ndarray | None = None,
-                   restarts: int = 2) -> TimeChangeFit:
+                   vol_shape: str = "constant") -> TimeChangeFit:
     """Estimate the Gamma time change (a, b, mu1) and the volatility shape.
 
     residuals : deseasonalized series Y (the seasonal fit's residuals)
@@ -248,6 +264,8 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     alpha : mean-reversion rate (from fit_alpha)
     vol_shape : 'constant' pins sigma = 1; 'seasonal' first fits a harmonic
         profile to squared innovations, standardizes, then refines jointly.
+    A Nelder-Mead run that succeeds from the seed ends the search; else the
+    lowest of it and RESTARTS perturbed runs is kept, and must have converged.
     """
     if alpha is None or not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
@@ -257,8 +275,7 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     if y.size - 1 < 500:
         raise CalibrationError(f"need at least 500 innovations, got {y.size - 1}")
     eps = innovations(y, alpha)
-    t_eps = (np.arange(eps.size, dtype=float) if times is None
-             else np.asarray(times, float)[: eps.size])
+    t_eps = np.arange(eps.size, dtype=float)
 
     vol = FourCoeffs(1.0, 0.0, 0.0, 0.0)
     work = eps
@@ -281,22 +298,14 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
         a0, b0, mu0 = init
     x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0])
 
-    best = None
-    used = 0
-    rng = np.random.default_rng(0)
-    for attempt in range(restarts + 1):
-        start = x0 if attempt == 0 else x0 + rng.normal(0, 0.3, 3)
-        res = optimize.minimize(objective, start, method="Nelder-Mead",
-                                options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000})
-        used = attempt + 1
-        if best is None or res.fun < best.fun:
-            best = res
-        if res.success and attempt == 0:
-            break
-    if best is None or not np.isfinite(best.fun):
-        raise CalibrationError("time-change fit did not converge within the restart budget")
-    converged = bool(best.success)
-    if not converged and used >= restarts + 1:
+    run = lambda start: optimize.minimize(objective, start, method="Nelder-Mead", options={
+        "xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000})
+    runs = [run(x0)]
+    if not runs[0].success:
+        rng = np.random.default_rng(0)
+        runs += [run(x0 + rng.normal(0, 0.3, 3)) for _ in range(RESTARTS)]
+    best = min(runs, key=lambda res: res.fun)
+    if not (best.success and np.isfinite(best.fun)):
         raise CalibrationError("time-change fit did not converge within the restart budget")
 
     a_hat, b_hat = math.exp(best.x[0]), math.exp(best.x[1])
@@ -309,48 +318,26 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
 
     return TimeChangeFit(a=a_hat, b=b_hat, mu1=mu_hat, vol=vol, objective=obj,
                          init=(float(a0), float(b0), float(mu0)),
-                         converged=converged, restarts_used=used)
+                         converged=bool(best.success), restarts_used=len(runs))
 
 
 def _joint_refine(eps, t_eps, alpha, a0, b0, mu0, vol0: FourCoeffs, obj0):
     """Joint (a, b, mu1, c0..c3) polish on a month-bucketed CF objective."""
     doy = np.mod(t_eps, 365.0)
     buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
-    groups = []
-    for g in range(12):
-        idx = buckets == g
-        if np.sum(idx) >= 30:
-            e_g = eps[idx]
-            emp = np.mean(np.exp(1j * np.multiply.outer(CF_GRID, e_g - np.mean(e_g))), axis=1)
-            groups.append((float(np.mean(doy[idx])), emp))
-    if len(groups) < 3:
-        return a0, b0, mu0, vol0, obj0
-
-    t_groups = np.array([t_g for t_g, _ in groups])
-    emp_groups = np.array([emp for _, emp in groups])
+    months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
+    t_groups = np.array([np.mean(doy[idx]) for idx in months])
+    emp_groups = np.array([_empirical_charfun(eps[idx] - np.mean(eps[idx])) for idx in months])
+    distance = _cf_distance(emp_groups, alpha)
 
     def joint_obj(x):
-        la, lb, mu1 = x[0], x[1], x[2]
-        c = FourCoeffs(*x[3:])
-        if abs(la) > 25 or abs(lb) > 25:
-            return 1e6
-        a, b = math.exp(la), math.exp(lb)
-        sig = eval_seasonal(c, t_groups)
-        if np.any(sig <= 1e-6):
-            return 1e6
-        try:
-            model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
-        except DomainError:
-            return 1e6
-        mean_model = (a * mu1 / b) * sig[:, None] * kernel_weight(alpha, 1)
-        centred = model * np.exp(-1j * CF_GRID * mean_model)
-        return float(np.sum(CF_WEIGHTS * np.abs(emp_groups - centred) ** 2))
+        return distance(x[0], x[1], x[2], eval_seasonal(FourCoeffs(*x[3:]), t_groups))
 
     x0 = np.array([math.log(a0), math.log(b0), mu0, vol0.k0, vol0.k1, vol0.k2, vol0.k3])
     base = joint_obj(x0)
     res = optimize.minimize(joint_obj, x0, method="Nelder-Mead",
                             options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000})
-    if np.isfinite(res.fun) and res.fun < base:
+    if res.fun < base:
         la, lb, mu1 = res.x[0], res.x[1], float(res.x[2])
         return math.exp(la), math.exp(lb), mu1, FourCoeffs(*map(float, res.x[3:])), float(res.fun)
     return a0, b0, mu0, vol0, obj0

@@ -161,10 +161,22 @@ def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tup
     return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
 
 
-def cmd_fit(args) -> int:
-    series = ingest_csv(args.csv)
+def _describe(series) -> dict:
+    """The `summary` and `ks` blocks of the `fit` and `stats` reports."""
     stats_r = summary_stats(series)
     ks = ks_normality(series)
+    return {
+        "summary": {"mean": stats_r.mean, "min": stats_r.minimum, "max": stats_r.maximum,
+                    "std": stats_r.std, "skewness": stats_r.skewness,
+                    "kurtosis": stats_r.kurtosis},
+        "ks": {"statistic": ks.statistic, "critical_value": ks.critical_value,
+               "p_value": ks.p_value, "statistic_standardized": ks.statistic_standardized},
+    }
+
+
+def cmd_fit(args) -> int:
+    series = ingest_csv(args.csv)
+    described = _describe(series)
     seasonal = fit_seasonal(series)
     alpha = fit_alpha(series, seasonal)
     tch = fit_timechange(seasonal.residuals, alpha=alpha.alpha,
@@ -172,11 +184,7 @@ def cmd_fit(args) -> int:
     payload = {
         "input": {"path": args.csv, "n": series.n, "repaired": series.repaired,
                   "first": str(series.dates[0]), "last": str(series.dates[-1])},
-        "summary": {"mean": stats_r.mean, "min": stats_r.minimum, "max": stats_r.maximum,
-                    "std": stats_r.std, "skewness": stats_r.skewness,
-                    "kurtosis": stats_r.kurtosis},
-        "ks": {"statistic": ks.statistic, "critical_value": ks.critical_value,
-               "p_value": ks.p_value, "statistic_standardized": ks.statistic_standardized},
+        **described,
         "seasonal": {
             "names": list(seasonal.names),
             "estimate": seasonal.params, "se": seasonal.se, "se_ols": seasonal.se_ols,
@@ -316,8 +324,7 @@ def cmd_density(args) -> int:
 
 def cmd_stats(args) -> int:
     series = ingest_csv(args.csv)
-    stats_r = summary_stats(series)
-    ks = ks_normality(series)
+    described = _describe(series)
     x = series.values
     n = x.size
     n_bins = max(1, int(np.ceil(np.log2(n))) + 1)  # Sturges
@@ -330,11 +337,7 @@ def cmd_stats(args) -> int:
     kde /= bw * np.sqrt(2.0 * np.pi)
     payload = {
         "input": {"path": args.csv, "n": n, "repaired": series.repaired},
-        "summary": {"mean": stats_r.mean, "min": stats_r.minimum, "max": stats_r.maximum,
-                    "std": stats_r.std, "skewness": stats_r.skewness,
-                    "kurtosis": stats_r.kurtosis},
-        "ks": {"statistic": ks.statistic, "critical_value": ks.critical_value,
-               "p_value": ks.p_value, "statistic_standardized": ks.statistic_standardized},
+        **described,
         "histogram": {"bin_edges": edges, "counts": counts.tolist()},
         "kde": {"bandwidth": bw, "x": grid, "density": kde},
     }
@@ -342,38 +345,40 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, help="override the RNG seed")
-    common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--mc", action="store_true", help="add a Monte Carlo cross-check")
-    common.add_argument("--paths", type=int, help="override the Monte Carlo path count")
-    common.add_argument("--terms", type=int, help="override the cosine term counts")
-    common.add_argument("--l-mult", type=float, dest="l_mult",
-                        help="override the truncation width multiplier")
+_ARGS = {
+    "csv": {"help": "input CSV (date,tmax,tmin or date,tavg)"},
+    "--config": {"help": "JSON run configuration"},
+    "--out": {"help": "output path (stdout when omitted)"},
+    "--mc": {"action": "store_true", "help": "add a Monte Carlo cross-check"},
+    "--paths": {"type": int, "help": "override the Monte Carlo path count"},
+    "--terms": {"type": int, "help": "override the cosine term counts"},
+    "--l-mult": {"type": float, "dest": "l_mult",
+                 "help": "override the truncation width multiplier"},
+    "--seed": {"type": int, "help": "override the RNG seed"},
+    "--vol-shape": {"choices": ["constant", "seasonal"], "default": "seasonal"},
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tempderiv",
                                      description="Temperature-derivative model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[common], help="calibrate from a daily CSV")
-    p_fit.add_argument("csv", help="input CSV (date,tmax,tmin or date,tavg)")
-    p_fit.add_argument("--vol-shape", choices=["constant", "seasonal"], default="seasonal")
-    p_fit.set_defaults(func=cmd_fit)
+    def command(name, func, help, *args):
+        """A subcommand taking only the arguments its cmd_* function reads."""
+        p = sub.add_parser(name, help=help)
+        for arg in args:
+            p.add_argument(arg, **_ARGS[arg])
+        p.set_defaults(func=func)
 
-    p_price = sub.add_parser("price", parents=[common], help="price a CAT strangle")
-    p_price.set_defaults(func=cmd_price)
-
-    p_sim = sub.add_parser("simulate", parents=[common], help="simulate temperature paths")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_dens = sub.add_parser("density", parents=[common], help="emit the CAT density")
-    p_dens.set_defaults(func=cmd_density)
-
-    p_stats = sub.add_parser("stats", parents=[common], help="descriptive statistics of a CSV")
-    p_stats.add_argument("csv", help="input CSV")
-    p_stats.set_defaults(func=cmd_stats)
+    command("fit", cmd_fit, "calibrate from a daily CSV", "csv", "--out", "--vol-shape")
+    command("price", cmd_price, "price a CAT strangle", "--config", "--out", "--mc",
+            "--paths", "--terms", "--l-mult", "--seed")
+    command("simulate", cmd_simulate, "simulate temperature paths",
+            "--config", "--out", "--paths", "--seed")
+    command("density", cmd_density, "emit the CAT density",
+            "--config", "--out", "--terms", "--l-mult")
+    command("stats", cmd_stats, "descriptive statistics of a CSV", "csv", "--out")
     return parser
 
 

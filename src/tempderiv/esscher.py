@@ -142,10 +142,12 @@ def _eq12_residual(theta, p: ModelParams, m: MarketParams, horizon_T: float):
 
 
 def eq12_variant_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> float | None:
-    """Root of the printed polynomial variant of the martingale condition (diagnostic only).
+    """Root of the paper's printed variant of the martingale condition (diagnostic only).
 
-    Scans the shrunk admissible interval on 257 nodes for sign changes and
-    returns the Brent root of smallest |theta|, or None when there is none.
+    Not the pricing tilt (solve_theta); often None, as the variant need not
+    have a root (README model: -1.74 against theta* = -0.074 at T = 30, None
+    from T = 60 on).  Scans the shrunk admissible interval on 257 nodes for
+    sign changes and returns the Brent root of smallest |theta|, or None.
     """
     grid = np.linspace(*_shrunk_interval(p.timechange), 257)
     vals = _eq12_residual(grid, p, m, horizon_T)

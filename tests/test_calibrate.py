@@ -2,12 +2,14 @@ import types
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad_vec
 
 from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, cumulant_V, fit_alpha, fit_seasonal,
                        fit_timechange, innovation_charfun, innovations,
                        log_likelihood, simulate_paths, timechange_cumulants)
+from tempderiv import calibrate
 from tempderiv.calibrate import _mom_init, kernel_weight, seasonal_design
 from tempderiv.seasonal import eval_seasonal
 
@@ -62,6 +64,15 @@ class TestFitSeasonal:
     def test_too_short_rejected(self):
         with pytest.raises(CalibrationError):
             fit_seasonal(np.ones(4))
+
+    @pytest.mark.parametrize("n", [5, 6, 14, 2000])
+    def test_inference_equals_scipy_stats_t(self, n):
+        fit = fit_seasonal(synthetic_series([8, 0.0008, -6, -13], n=n, seed=n))
+        dof = n - 4
+        tcrit = stats.t.ppf(0.975, dof)
+        assert np.array_equal(fit.ci_low, fit.params - tcrit * fit.se)
+        assert np.array_equal(fit.ci_high, fit.params + tcrit * fit.se)
+        assert np.array_equal(fit.p_values, 2.0 * stats.t.sf(np.abs(fit.tstats), dof))
 
 
 class TestFitAlpha:
@@ -205,6 +216,47 @@ class TestFitTimechange:
         got_sigma = eval_seasonal(tf.vol, t)
         corr = np.corrcoef(true_sigma, got_sigma)[0, 1]
         assert corr > 0.95  # shape of the seasonal profile identified
+
+
+class FakeOptimize:
+    """Stands in for scipy.optimize: run k of minimize ends at its start with runs[k]."""
+
+    def __init__(self, runs):
+        self.runs = runs  # (success, objective value) per run
+        self.starts = []
+
+    def minimize(self, fun, x0, **kwargs):
+        success, value = self.runs[len(self.starts)]
+        self.starts.append(np.array(x0))
+        return types.SimpleNamespace(x=np.array(x0), fun=value, success=success)
+
+
+class TestRestartPolicy:
+    resid = np.random.default_rng(80).standard_normal(801)
+
+    def fit(self, monkeypatch, runs):
+        fake = FakeOptimize(runs)
+        monkeypatch.setattr(calibrate, "optimize", fake)
+        try:
+            return fit_timechange(self.resid, alpha=0.25)
+        finally:
+            assert len(fake.starts) == len(runs)
+
+    def test_first_success_stops(self, monkeypatch):
+        tf = self.fit(monkeypatch, [(True, 5.0)])
+        assert tf.restarts_used == 1 and tf.converged and tf.objective == 5.0
+
+    def test_best_of_all_runs_kept(self, monkeypatch):
+        tf = self.fit(monkeypatch, [(False, 3.0), (True, 1.0), (False, 2.0)])
+        assert tf.restarts_used == 1 + calibrate.RESTARTS and tf.objective == 1.0
+
+    def test_best_run_not_converged_raises(self, monkeypatch):
+        with pytest.raises(CalibrationError, match="did not converge"):
+            self.fit(monkeypatch, [(False, 1.0), (True, 2.0), (False, 3.0)])
+
+    def test_every_run_failing_raises(self, monkeypatch):
+        with pytest.raises(CalibrationError, match="did not converge"):
+            self.fit(monkeypatch, [(False, 1.0)] * (1 + calibrate.RESTARTS))
 
 
 class TestLogLikelihood:

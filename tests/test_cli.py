@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +12,9 @@ import pytest
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
                        ModelParams, cat_cumulants, price_strangle, solve_theta,
                        truncation_bounds)
-from tempderiv.cli import main
+from tempderiv.cli import build_parser, main
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 
 MODEL_CFG = {
@@ -296,3 +300,36 @@ class TestDeterminism:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "fit" in res.stdout and "price" in res.stdout
+
+
+class TestFlags:
+    def test_subcommand_flags_match_readme_synopsis(self):
+        readme = (ROOT / "README.md").read_text()
+        start = readme.index("\ntempderiv fit") + 1
+        documented = {}
+        for line in readme[start:readme.index("```", start)].split("\n"):
+            if line.startswith("tempderiv "):
+                name = line.split()[1]
+            documented.setdefault(name, set()).update(re.findall(r"--[\w-]+", line))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {name: {opt for act in p._actions for opt in act.option_strings
+                           if opt not in ("-h", "--help")}
+                    for name, p in sub.choices.items()}
+        assert accepted == documented
+        assert sum(len(flags - {"--vol-shape"}) for flags in accepted.values()) == 17
+
+    @pytest.mark.parametrize("command, flags", [("fit", ["--mc"]), ("stats", ["--terms", "5"])])
+    def test_flag_the_command_does_not_read_exit_2(self, fit_csv, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, fit_csv, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, tempderiv.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from tempderiv import (DomainError, IngestError, ingest_csv, ks_normality,
                        log_returns, summary_stats)
@@ -134,6 +135,16 @@ class TestKsNormality:
     def test_needs_thirty(self):
         with pytest.raises(DomainError):
             ks_normality(np.ones(10))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_statistics_equal_scipy_kstest(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(4, 30 + 500 * seed) * rng.uniform(0.5, 3.0) + rng.uniform(-1.0, 1.0)
+        x[::7] = np.round(x[::7], 1)  # ties, as in data recorded to 0.1 degree
+        res = ks_normality(x)
+        z = (x - np.mean(x)) / np.std(x, ddof=1)
+        assert res.statistic == stats.kstest(x, "norm").statistic
+        assert res.statistic_standardized == stats.kstest(z, "norm").statistic
 
 
 class TestLogReturns:

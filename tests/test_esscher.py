@@ -6,6 +6,7 @@ from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams,
                        cumulant_V, cumulant_V_prime, martingale_residual,
                        simulate_cat, solve_theta, transformed_timechange)
 from tempderiv.charfun import esscher_interval
+from tempderiv.esscher import _eq12_residual, _shrunk_interval, eq12_variant_theta
 
 from conftest import random_model
 
@@ -122,6 +123,26 @@ class TestSolveTheta:
             p = random_model(rng)
             sol = solve_theta(p, MarketParams(r=rng.uniform(0.0, 0.05)), 45.0)
             assert abs(sol.residual) < 1e-10
+
+
+class TestEq12Variant:
+    # the README model: the printed variant has a root only at short horizons
+    model = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008, -5.9, -4.0),
+                        vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
+                        timechange=GammaTimeChange(a=1.5, b=1.0, mu1=0.3))
+    market = MarketParams(r=0.02)
+
+    @pytest.mark.parametrize("horizon", [30.0, 45.0])
+    def test_root_inside_interval_with_zero_residual(self, horizon):
+        root = eq12_variant_theta(self.model, self.market, horizon)
+        lo, hi = _shrunk_interval(self.model.timechange)
+        assert lo < root < hi
+        assert abs(_eq12_residual(root, self.model, self.market, horizon)) < 1e-6
+        theta = solve_theta(self.model, self.market, horizon).theta
+        assert abs(root - theta) > 1.0  # not the pricing tilt
+
+    def test_no_root_at_one_year(self):
+        assert eq12_variant_theta(self.model, self.market, 365.0) is None
 
 
 class TestMarketParams:
