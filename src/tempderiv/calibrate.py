@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .charfun import UNIT_NODES, GammaTimeChange, tilted_exponent_sum
 from .cosine import CosGrid, density_from_charfun, truncation_bounds
 from .data import DailySeries
 from .errors import CalibrationError, DomainError
 from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
+from .simulate import empirical_charfun
 
 CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
 CF_WEIGHTS = np.exp(-CF_GRID**2)
@@ -97,6 +97,8 @@ def seasonal_design(t: np.ndarray) -> np.ndarray:
 
 def fit_seasonal(series) -> FitReport:
     """OLS of daily values on [1, t, sin(2pi t/365), cos(2pi t/365)]."""
+    from scipy import special
+
     if isinstance(series, DailySeries):
         y, t = series.values, series.day_index()
     else:
@@ -220,11 +222,6 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     return a, b, mu1
 
 
-def _empirical_charfun(x: np.ndarray) -> np.ndarray:
-    """Sample characteristic function of x on CF_GRID."""
-    return np.mean(np.exp(1j * np.multiply.outer(CF_GRID, x)), axis=1)
-
-
 def _cf_distance(emp_groups: np.ndarray, alpha: float):
     """The fits' objective: distance(la, lb, mu1, sig) between empirical and model charfuns.
 
@@ -251,7 +248,7 @@ def _cf_distance(emp_groups: np.ndarray, alpha: float):
 
 def _cf_objective(eps_centred: np.ndarray, alpha: float):
     """Constant-volatility objective of logs = (log a, log b, mu1): one group at sigma = 1."""
-    distance = _cf_distance(_empirical_charfun(eps_centred)[None, :], alpha)
+    distance = _cf_distance(empirical_charfun(eps_centred, CF_GRID)[None, :], alpha)
     return lambda logs: distance(*logs, np.ones(1))
 
 
@@ -267,6 +264,8 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     A Nelder-Mead run that succeeds from the seed ends the search; else the
     lowest of it and RESTARTS perturbed runs is kept, and must have converged.
     """
+    from scipy import optimize
+
     if alpha is None or not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
     if vol_shape not in ("constant", "seasonal"):
@@ -323,11 +322,14 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
 
 def _joint_refine(eps, t_eps, alpha, a0, b0, mu0, vol0: FourCoeffs, obj0):
     """Joint (a, b, mu1, c0..c3) polish on a month-bucketed CF objective."""
+    from scipy import optimize
+
     doy = np.mod(t_eps, 365.0)
     buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
     months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
     t_groups = np.array([np.mean(doy[idx]) for idx in months])
-    emp_groups = np.array([_empirical_charfun(eps[idx] - np.mean(eps[idx])) for idx in months])
+    emp_groups = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
+                           for idx in months])
     distance = _cf_distance(emp_groups, alpha)
 
     def joint_obj(x):

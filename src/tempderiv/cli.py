@@ -331,7 +331,8 @@ def cmd_stats(args) -> int:
     counts, edges = np.histogram(x, bins=n_bins)
     sd = np.std(x, ddof=1)
     iqr = float(np.subtract(*np.percentile(x, [75, 25])))
-    bw = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2) if sd > 0 else 1.0  # Silverman
+    spread = min(sd, iqr / 1.34) or sd  # sd when over half the values tie, as R's bw.nrd0
+    bw = 0.9 * spread * n ** (-0.2) if sd > 0 else 1.0  # Silverman
     grid = np.linspace(float(np.min(x)), float(np.max(x)), 256)
     kde = np.mean(np.exp(-0.5 * ((grid[:, None] - x[None, :]) / bw) ** 2), axis=1)
     kde /= bw * np.sqrt(2.0 * np.pi)

@@ -17,7 +17,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, IngestError
 
@@ -222,6 +221,8 @@ def summary_stats(series) -> SummaryStats:
 
 def _ks_distance(x: np.ndarray) -> float:
     """sup |F_n - Phi| for the sample x: the largest gap at its order statistics."""
+    from scipy import special
+
     cdf = special.ndtr(np.sort(x))
     steps = np.arange(cdf.size + 1) / cdf.size  # F_n from 0 to 1
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
@@ -229,6 +230,8 @@ def _ks_distance(x: np.ndarray) -> float:
 
 def ks_normality(series) -> KsResult:
     """Kolmogorov-Smirnov goodness-of-fit against the normal distribution."""
+    from scipy import special
+
     x = _as_values(series)
     n = x.size
     if n < 30:

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 
@@ -169,8 +168,11 @@ def quad_exp_kernel(f, alpha: float, t: float, orientation: str = "decaying",
     orientation='growing'  computes int_0^t f(u) e^{alpha u} du.
 
     Raises QuadratureError if the refinement budget (~2^20 nodes) is
-    exhausted before reaching the absolute tolerance.
+    exhausted before reaching the absolute tolerance.  The one SciPy user
+    among the kernels: it loads `scipy.integrate` on first call.
     """
+    from scipy import integrate
+
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     if orientation not in ("decaying", "growing"):

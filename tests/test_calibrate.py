@@ -2,7 +2,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 from scipy.integrate import quad_vec
 
 from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
@@ -219,7 +219,7 @@ class TestFitTimechange:
 
 
 class FakeOptimize:
-    """Stands in for scipy.optimize: run k of minimize ends at its start with runs[k]."""
+    """Its minimize stands in for scipy.optimize.minimize: run k ends at its start with runs[k]."""
 
     def __init__(self, runs):
         self.runs = runs  # (success, objective value) per run
@@ -236,7 +236,7 @@ class TestRestartPolicy:
 
     def fit(self, monkeypatch, runs):
         fake = FakeOptimize(runs)
-        monkeypatch.setattr(calibrate, "optimize", fake)
+        monkeypatch.setattr(optimize, "minimize", fake.minimize)
         try:
             return fit_timechange(self.resid, alpha=0.25)
         finally:

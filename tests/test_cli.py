@@ -287,6 +287,21 @@ class TestStats:
         assert sum(payload["histogram"]["counts"]) == payload["input"]["n"]
         assert len(payload["kde"]["x"]) == len(payload["kde"]["density"]) == 256
 
+    def test_tied_majority_bandwidth_falls_back_to_sd(self, tmp_path):
+        """IQR = 0 (60% of days at 10.0): the bandwidth uses sd, as R's bw.nrd0 does."""
+        rng = np.random.default_rng(5)
+        values = np.where(rng.random(730) < 0.6, 10.0, np.round(rng.normal(10.0, 3.0, 730), 1))
+        base = np.datetime64("2019-01-01")
+        src = tmp_path / "tied.csv"
+        src.write_text("date,tavg\n" + "".join(f"{base + i},{v}\n" for i, v in enumerate(values)))
+        out = tmp_path / "stats.json"
+        assert main(["stats", str(src), "--out", str(out)]) == 0
+        kde = json.loads(out.read_text())["kde"]
+        assert kde["bandwidth"] > 0.0
+        density = np.array([np.nan if d is None else d for d in kde["density"]])
+        assert np.all(np.isfinite(density))
+        assert abs(np.trapezoid(density, kde["x"]) - 1.0) < 1e-2
+
 
 class TestDeterminism:
     def test_price_byte_identical(self, price_config, tmp_path):
@@ -333,3 +348,29 @@ def test_cli_import_leaves_scipy_stats_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_pricing_commands_load_no_scipy_until_fit(price_config, sim_config, fit_csv, tmp_path):
+    """price (with its printed-variant root and --mc), simulate and density run on numpy
+    alone; the first fit then loads scipy.optimize, so SciPy is deferred, not dropped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    price_out = tmp_path / "report.json"
+    runs = [["price", "--config", price_config, "--mc", "--paths", "2000",
+             "--out", str(price_out)],
+            ["simulate", "--config", sim_config, "--out", str(tmp_path / "paths.csv")],
+            ["density", "--config", price_config, "--out", str(tmp_path / "density.csv")]]
+    code = (
+        "import sys\n"
+        "from tempderiv.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+        f"assert main(['fit', {fit_csv!r}, '--out', {str(tmp_path / 'fit.json')!r}]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[:2] == ["[]", "True"]
+    # CONTRACT_CFG at T = 30 has a printed-variant root, so its solve ran
+    assert json.loads(price_out.read_text())["theta"]["eq12_variant_theta"] is not None

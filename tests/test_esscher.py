@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams,
                        ModelParams, NoBracketError, SimConfig, charfun_T,
@@ -143,6 +144,34 @@ class TestEq12Variant:
 
     def test_no_root_at_one_year(self):
         assert eq12_variant_theta(self.model, self.market, 365.0) is None
+
+
+def brent_variant_roots(p, m, horizon):
+    """The printed variant's roots by Brent on every sign change of the 257-node scan."""
+    h = lambda t: float(_eq12_residual(t, p, m, horizon))
+    grid = np.linspace(*_shrunk_interval(p.timechange), 257)
+    vals = _eq12_residual(grid, p, m, horizon)
+    return [optimize.brentq(h, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+            for lo, hi, v_lo, v_hi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
+            if v_lo * v_hi < 0.0]
+
+
+def test_eq12_variant_roots_match_brent():
+    """Every bracket solved at once gives Brent's root (or None when no bracket exists)."""
+    rng = np.random.default_rng(61)
+    found = 0
+    for _ in range(60):
+        p = random_model(rng)
+        m, horizon = MarketParams(r=rng.uniform(0.0, 0.05)), float(rng.uniform(7.0, 90.0))
+        roots = brent_variant_roots(p, m, horizon)
+        got = eq12_variant_theta(p, m, horizon)
+        if not roots:
+            assert got is None
+            continue
+        found += 1
+        oracle = min(roots, key=abs)
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
+    assert found >= 10  # both cases are exercised
 
 
 class TestMarketParams:
