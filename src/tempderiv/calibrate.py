@@ -9,14 +9,19 @@ then time-change parameters from the one-day innovations
 whose model law is int_0^1 sigma_s e^{-alpha(1-s)} dV_s.  The primary fit
 minimises a weighted distance between centred empirical and model
 characteristic functions on a fixed grid (u = 0.05..2.00 step 0.05,
-weights e^{-u^2}); a method-of-moments inversion of the V cumulants seeds
-the optimizer.  Matching is centred because deseasonalization absorbs the
-mu1 E[R] level shift into the fitted intercept: the innovation mean is not
-identifiable, while the odd shape (skewness) still identifies mu1.
+weights e^{-u^2}).  The distance is a sum of squares of real residuals
+(the real and imaginary parts of sqrt(weight) * (empirical - model)), so it
+is solved as least squares by Levenberg-Marquardt from a method-of-moments
+inversion of the V cumulants, with no restarts.  Matching is centred
+because deseasonalization absorbs the mu1 E[R] level shift into the fitted
+intercept: the innovation mean is not identifiable, while the odd shape
+(skewness) still identifies mu1.
 
 The model carries an exact scale degeneracy (sigma, a, b, mu1) ==
-(s*sigma, a, s^2 b, s*mu1); vol_shape='constant' pins sigma = 1 and lets
-the time change carry the scale.
+(s*sigma, a, s^2 b, s*mu1).  vol_shape='constant' pins sigma = 1 and lets
+the time change carry the scale; the seasonal joint refine pins the vol
+level c0 at its first-stage value, so only b / c0^2, mu1 / c0 and c_i / c0
+(with a) are identified quantities.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .simulate import empirical_charfun
 
 CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
 CF_WEIGHTS = np.exp(-CF_GRID**2)
-RESTARTS = 2                               # perturbed reruns after a failed first fit
 _LIKELIHOOD_FLOOR = 1e-300
 
 SEASONAL_NAMES = ("beta0", "beta1", "beta2", "beta3")
@@ -83,8 +87,11 @@ class TimeChangeFit:
     vol: FourCoeffs
     objective: float
     init: tuple[float, float, float]
-    converged: bool
-    restarts_used: int
+    status: tuple[int, ...]                # Levenberg-Marquardt status of each stage
+
+    @property
+    def converged(self) -> bool:
+        return all(st > 0 for st in self.status)
 
     def timechange(self) -> GammaTimeChange:
         return GammaTimeChange(self.a, self.b, self.mu1)
@@ -222,34 +229,58 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     return a, b, mu1
 
 
-def _cf_distance(emp_groups: np.ndarray, alpha: float):
-    """The fits' objective: distance(la, lb, mu1, sig) between empirical and model charfuns.
+def _cf_residuals(emp_groups: np.ndarray, alpha: float):
+    """The fits' residuals(la, lb, mu1, sig) between empirical and model charfuns.
 
     Row g of `emp_groups` is matched with the centred innovation charfun at
-    vol scale sig[g] and (a, b, mu1) = (e^la, e^lb, mu1), in the CF_WEIGHTS
-    weighted sum of squared moduli; off the search box or at sig <= 1e-6 it is 1e6.
+    vol scale sig[g] and (a, b, mu1) = (e^la, e^lb, mu1); the residuals are
+    the real and imaginary parts of sqrt(CF_WEIGHTS) * (empirical - model).
+    Off the search box or at sig <= 1e-6 they are a constant vector whose
+    sum of squares is 1e6.
     """
     mean_weight = kernel_weight(alpha, 1)
+    root_weights = np.sqrt(CF_WEIGHTS)
+    penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
 
-    def distance(la: float, lb: float, mu1: float, sig: np.ndarray) -> float:
+    def residuals(la: float, lb: float, mu1: float, sig: np.ndarray) -> np.ndarray:
         if abs(la) > 25 or abs(lb) > 25 or abs(mu1) > 50 or np.any(sig <= 1e-6):
-            return 1e6
+            return penalty
         a, b = math.exp(la), math.exp(lb)
         try:
             model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
         except DomainError:
-            return 1e6
+            return penalty
         mean_model = (a * mu1 / b) * sig[:, None] * mean_weight
-        centred = model * np.exp(-1j * CF_GRID * mean_model)
-        return float(np.sum(CF_WEIGHTS * np.abs(emp_groups - centred) ** 2))
+        diff = root_weights * (emp_groups - model * np.exp(-1j * CF_GRID * mean_model))
+        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
-    return distance
+    return residuals
+
+
+def _cf_distance(emp_groups: np.ndarray, alpha: float):
+    """The fits' objective: the sum of squares of _cf_residuals."""
+    residuals = _cf_residuals(emp_groups, alpha)
+    return lambda la, lb, mu1, sig: float(np.sum(residuals(la, lb, mu1, sig) ** 2))
 
 
 def _cf_objective(eps_centred: np.ndarray, alpha: float):
     """Constant-volatility objective of logs = (log a, log b, mu1): one group at sigma = 1."""
     distance = _cf_distance(empirical_charfun(eps_centred, CF_GRID)[None, :], alpha)
     return lambda logs: distance(*logs, np.ones(1))
+
+
+def _least_squares(residuals, x0: np.ndarray, stage: str):
+    """Levenberg-Marquardt from x0: (solution, sum of squares, status); raises unless status > 0.
+
+    ftol is 1e-12 because the default 1e-8 stops the seasonal refine about
+    1e-6 (relative) short of the optimum along its flattest direction.
+    """
+    from scipy import optimize
+
+    res = optimize.least_squares(residuals, x0, method="lm", ftol=1e-12)
+    if res.status <= 0:
+        raise CalibrationError(f"{stage} did not converge (least-squares status {res.status})")
+    return res.x, 2.0 * float(res.cost), int(res.status)
 
 
 def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float = None,
@@ -260,12 +291,12 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     init : 'method_of_moments' or an explicit (a, b, mu1) triple
     alpha : mean-reversion rate (from fit_alpha)
     vol_shape : 'constant' pins sigma = 1; 'seasonal' first fits a harmonic
-        profile to squared innovations, standardizes, then refines jointly.
-    A Nelder-Mead run that succeeds from the seed ends the search; else the
-    lowest of it and RESTARTS perturbed runs is kept, and must have converged.
+        profile to squared innovations, standardizes, then refines jointly
+        with the vol level c0 pinned at the profile's value.
+    Each stage is one Levenberg-Marquardt least-squares solve in
+    (log a, log b, mu1), to which the refine adds (c1, c2, c3); a stage that
+    does not converge raises CalibrationError.
     """
-    from scipy import optimize
-
     if alpha is None or not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
     if vol_shape not in ("constant", "seasonal"):
@@ -289,60 +320,42 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
         vol = FourCoeffs(*map(float, ccoef))
 
     work_c = work - np.mean(work)
-    objective = _cf_objective(work_c, alpha)
-
     if init == "method_of_moments":
         a0, b0, mu0 = _mom_init(work_c, alpha)
     else:
         a0, b0, mu0 = init
     x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0])
 
-    run = lambda start: optimize.minimize(objective, start, method="Nelder-Mead", options={
-        "xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000})
-    runs = [run(x0)]
-    if not runs[0].success:
-        rng = np.random.default_rng(0)
-        runs += [run(x0 + rng.normal(0, 0.3, 3)) for _ in range(RESTARTS)]
-    best = min(runs, key=lambda res: res.fun)
-    if not (best.success and np.isfinite(best.fun)):
-        raise CalibrationError("time-change fit did not converge within the restart budget")
-
-    a_hat, b_hat = math.exp(best.x[0]), math.exp(best.x[1])
-    mu_hat = float(best.x[2])
-    obj = float(best.fun)
-
+    constant = _cf_residuals(empirical_charfun(work_c, CF_GRID)[None, :], alpha)
+    x, obj, status = _least_squares(lambda x: constant(*x, np.ones(1)), x0,
+                                    "time-change fit")
+    statuses = (status,)
     if vol_shape == "seasonal":
-        a_hat, b_hat, mu_hat, vol, obj = _joint_refine(
-            eps, t_eps, alpha, a_hat, b_hat, mu_hat, vol, obj)
+        x, vol, obj, status = _joint_refine(eps, t_eps, alpha, x, vol)
+        statuses += (status,)
 
-    return TimeChangeFit(a=a_hat, b=b_hat, mu1=mu_hat, vol=vol, objective=obj,
-                         init=(float(a0), float(b0), float(mu0)),
-                         converged=bool(best.success), restarts_used=len(runs))
+    return TimeChangeFit(a=math.exp(x[0]), b=math.exp(x[1]), mu1=float(x[2]), vol=vol,
+                         objective=obj, init=(float(a0), float(b0), float(mu0)),
+                         status=statuses)
 
 
-def _joint_refine(eps, t_eps, alpha, a0, b0, mu0, vol0: FourCoeffs, obj0):
-    """Joint (a, b, mu1, c0..c3) polish on a month-bucketed CF objective."""
-    from scipy import optimize
-
+def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
+    """Joint (log a, log b, mu1, c1..c3) refine on a month-bucketed CF objective, c0 pinned."""
     doy = np.mod(t_eps, 365.0)
     buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
     months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
     t_groups = np.array([np.mean(doy[idx]) for idx in months])
     emp_groups = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
                            for idx in months])
-    distance = _cf_distance(emp_groups, alpha)
+    residuals = _cf_residuals(emp_groups, alpha)
+    c0 = vol0.k0
 
-    def joint_obj(x):
-        return distance(x[0], x[1], x[2], eval_seasonal(FourCoeffs(*x[3:]), t_groups))
+    def joint(x):
+        return residuals(x[0], x[1], x[2], eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups))
 
-    x0 = np.array([math.log(a0), math.log(b0), mu0, vol0.k0, vol0.k1, vol0.k2, vol0.k3])
-    base = joint_obj(x0)
-    res = optimize.minimize(joint_obj, x0, method="Nelder-Mead",
-                            options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000})
-    if res.fun < base:
-        la, lb, mu1 = res.x[0], res.x[1], float(res.x[2])
-        return math.exp(la), math.exp(lb), mu1, FourCoeffs(*map(float, res.x[3:])), float(res.fun)
-    return a0, b0, mu0, vol0, obj0
+    start = np.array([*x0, vol0.k1, vol0.k2, vol0.k3])
+    x, obj, status = _least_squares(joint, start, "seasonal time-change refine")
+    return x[:3], FourCoeffs(c0, *map(float, x[3:])), obj, status
 
 
 def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: float,

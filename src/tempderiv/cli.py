@@ -194,7 +194,8 @@ def cmd_fit(args) -> int:
         "alpha": {"estimate": alpha.alpha, "ar1_slope": alpha.rho, "slope_se": alpha.rho_se},
         "timechange": {"a": tch.a, "b": tch.b, "mu1": tch.mu1,
                        "vol": tch.vol.as_array(), "objective": tch.objective,
-                       "init": list(tch.init), "vol_shape": args.vol_shape},
+                       "init": list(tch.init), "vol_shape": args.vol_shape,
+                       "converged": tch.converged, "status": list(tch.status)},
     }
     _write_json(args.out, payload)
     return 0

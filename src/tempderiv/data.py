@@ -248,19 +248,3 @@ def ks_normality(series) -> KsResult:
         p_value_standardized=float(special.kolmogorov(root_n * d_std)),
         n=n,
     )
-
-
-def log_returns(series: DailySeries) -> np.ndarray:
-    """Daily log returns log(T_{j+1}/T_j); requires strictly positive values.
-
-    Temperatures crossing zero make log returns undefined; the error names
-    the first offending date.
-    """
-    x = series.values
-    bad = np.flatnonzero(x <= 0.0)
-    if bad.size:
-        date = str(series.dates[bad[0]])
-        raise DomainError(
-            f"log returns undefined: non-positive temperature {x[bad[0]]} on {date}"
-        )
-    return np.diff(np.log(x))

@@ -13,6 +13,8 @@ from tempderiv import calibrate
 from tempderiv.calibrate import _mom_init, kernel_weight, seasonal_design
 from tempderiv.seasonal import eval_seasonal
 
+from conftest import random_model
+
 
 def synthetic_series(beta, n=2000, noise_sd=3.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -218,45 +220,63 @@ class TestFitTimechange:
         assert corr > 0.95  # shape of the seasonal profile identified
 
 
-class FakeOptimize:
-    """Its minimize stands in for scipy.optimize.minimize: run k ends at its start with runs[k]."""
+class FakeLeastSquares:
+    """Stands in for scipy.optimize.least_squares: each call ends at its start with `status`."""
 
-    def __init__(self, runs):
-        self.runs = runs  # (success, objective value) per run
-        self.starts = []
+    def __init__(self, status):
+        self.status = status
+        self.calls = 0
 
-    def minimize(self, fun, x0, **kwargs):
-        success, value = self.runs[len(self.starts)]
-        self.starts.append(np.array(x0))
-        return types.SimpleNamespace(x=np.array(x0), fun=value, success=success)
+    def __call__(self, fun, x0, **kwargs):
+        self.calls += 1
+        f = fun(x0)
+        return types.SimpleNamespace(x=np.array(x0), cost=0.5 * float(f @ f), status=self.status)
 
 
-class TestRestartPolicy:
+class TestLeastSquaresStatus:
     resid = np.random.default_rng(80).standard_normal(801)
 
-    def fit(self, monkeypatch, runs):
-        fake = FakeOptimize(runs)
-        monkeypatch.setattr(optimize, "minimize", fake.minimize)
-        try:
-            return fit_timechange(self.resid, alpha=0.25)
-        finally:
-            assert len(fake.starts) == len(runs)
+    def test_not_converged_raises(self, monkeypatch):
+        for status in (0, -1):
+            monkeypatch.setattr(optimize, "least_squares", FakeLeastSquares(status))
+            with pytest.raises(CalibrationError, match="did not converge"):
+                fit_timechange(self.resid, alpha=0.25)
 
-    def test_first_success_stops(self, monkeypatch):
-        tf = self.fit(monkeypatch, [(True, 5.0)])
-        assert tf.restarts_used == 1 and tf.converged and tf.objective == 5.0
+    def test_converged_reports_status(self, monkeypatch):
+        eps = innovations(self.resid, 0.25)
+        objective = calibrate._cf_objective(eps - np.mean(eps), 0.25)
+        for status in (1, 2, 3, 4):
+            fake = FakeLeastSquares(status)
+            monkeypatch.setattr(optimize, "least_squares", fake)
+            tf = fit_timechange(self.resid, alpha=0.25)
+            assert fake.calls == 1 and tf.converged and tf.status == (status,)
+            # the reported objective is the CF distance at the solver's end point
+            start = np.array([np.log(tf.a), np.log(tf.b), tf.mu1])
+            assert tf.objective == pytest.approx(objective(start), rel=1e-12)
 
-    def test_best_of_all_runs_kept(self, monkeypatch):
-        tf = self.fit(monkeypatch, [(False, 3.0), (True, 1.0), (False, 2.0)])
-        assert tf.restarts_used == 1 + calibrate.RESTARTS and tf.objective == 1.0
+    def test_seasonal_reports_both_stages(self, monkeypatch):
+        fake = FakeLeastSquares(2)
+        monkeypatch.setattr(optimize, "least_squares", fake)
+        tf = fit_timechange(self.resid, alpha=0.25, vol_shape="seasonal")
+        assert fake.calls == 2 and tf.converged and tf.status == (2, 2)
 
-    def test_best_run_not_converged_raises(self, monkeypatch):
-        with pytest.raises(CalibrationError, match="did not converge"):
-            self.fit(monkeypatch, [(False, 1.0), (True, 2.0), (False, 3.0)])
 
-    def test_every_run_failing_raises(self, monkeypatch):
-        with pytest.raises(CalibrationError, match="did not converge"):
-            self.fit(monkeypatch, [(False, 1.0)] * (1 + calibrate.RESTARTS))
+class TestScaleDegeneracy:
+    def test_distance_invariant_under_scale(self):
+        """(sigma, a, b, mu1) == (s sigma, a, s^2 b, s mu1): why the seasonal refine pins c0."""
+        rng = np.random.default_rng(90)
+        t_groups = np.arange(12) * 365.0 / 12.0 + 15.0
+        for _ in range(10):
+            p = random_model(rng)
+            tc = p.timechange
+            sig = eval_seasonal(p.vol, t_groups)
+            emp = np.exp(1j * rng.normal(0.0, 0.1, (12, calibrate.CF_GRID.size)))
+            distance = calibrate._cf_distance(emp, p.alpha)
+            la, lb = np.log(tc.a), np.log(tc.b)
+            base = distance(la, lb, tc.mu1, sig)
+            for s in rng.uniform(0.2, 5.0, 3):
+                scaled = distance(la, lb + 2.0 * np.log(s), s * tc.mu1, s * sig)
+                assert scaled == pytest.approx(base, rel=1e-13)
 
 
 class TestLogLikelihood:

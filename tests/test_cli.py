@@ -64,17 +64,29 @@ class TestFit:
         assert len(payload["seasonal"]["estimate"]) == 4
         assert payload["alpha"]["estimate"] > 0
         assert {"a", "b", "mu1"} <= payload["timechange"].keys()
+        assert payload["timechange"]["converged"] is True
+        assert len(payload["timechange"]["status"]) == 1
 
     def test_seasonal_fit_reference(self, fit_csv, tmp_path):
-        # frozen fit; the tolerance is the Nelder-Mead xatol (1e-6)
+        # frozen fit, compared on what the data identifies: the fit pins the vol level
+        # c0, and (b, mu1, vol) enter only as b/c0^2, mu1/c0 and c_i/c0 (exact scale
+        # degeneracy, see tempderiv.calibrate); 1e-6 is the reference fit's own precision
         out = tmp_path / "fit.json"
         assert main(["fit", fit_csv, "--out", str(out), "--vol-shape", "seasonal"]) == 0
         tch = json.loads(out.read_text())["timechange"]
         ref = {"a": 2.309121007, "b": 2.079776949, "mu1": 0.09389348793,
                "objective": 0.4373994928,
                "vol": [1.095420747, -6.605255761e-05, -0.03917957937, 0.03323692596]}
-        for key, want in ref.items():
-            assert tch[key] == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+        def identified(fit):
+            c0 = fit["vol"][0]
+            return {"a": fit["a"], "objective": fit["objective"], "b/c0^2": fit["b"] / c0**2,
+                    "mu1/c0": fit["mu1"] / c0, "c/c0": [c / c0 for c in fit["vol"][1:]]}
+
+        got = identified(tch)
+        for key, want in identified(ref).items():
+            assert got[key] == pytest.approx(want, rel=1e-6, abs=1e-6)
+        assert tch["converged"] is True and len(tch["status"]) == 2
 
     def test_gap_csv_exit_2(self, tmp_path, capsys):
         lines = ["date,tavg"]

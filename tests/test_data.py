@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from tempderiv import (DomainError, IngestError, ingest_csv, ks_normality,
-                       log_returns, summary_stats)
+                       summary_stats)
 
 
 def csv_from(rows, header="date,tavg"):
@@ -145,21 +145,3 @@ class TestKsNormality:
         z = (x - np.mean(x)) / np.std(x, ddof=1)
         assert res.statistic == stats.kstest(x, "norm").statistic
         assert res.statistic_standardized == stats.kstest(z, "norm").statistic
-
-
-class TestLogReturns:
-    def make_series(self, values):
-        rows = date_range_rows(len(values), [str(v) for v in values])
-        return ingest_csv(csv_from(rows))
-
-    def test_constant_positive(self):
-        assert np.allclose(log_returns(self.make_series([4.0] * 6)), 0.0)
-
-    def test_negative_value_names_date(self):
-        s = self.make_series([3.0, 2.0, -5.0, 4.0])
-        with pytest.raises(DomainError, match="2020-01-03"):
-            log_returns(s)
-
-    def test_geometric_series(self):
-        s = self.make_series([1.0, np.e, np.e**2])
-        assert np.allclose(log_returns(s), [1.0, 1.0])
