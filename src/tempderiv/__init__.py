@@ -16,7 +16,7 @@ from .calibrate import (AlphaFit, FitReport, TimeChangeFit, fit_alpha, fit_seaso
                         fit_timechange, innovation_charfun, innovations,
                         log_likelihood, timechange_cumulants)
 from .charfun import (GammaTimeChange, ModelParams, a1, cat_cumulants, charfun_T,
-                      charfun_cat, cumulant_V, cumulant_V_prime)
+                      charfun_cat, cumulant_V, cumulant_V_prime, laplace_exponent_gamma)
 from .cosine import (ContractSpec, CosGrid, PricingWarning, cos_coefficients,
                      density_from_charfun, leg_value, payoff_cos_integrals,
                      price_strangle, truncation_bounds)
@@ -26,7 +26,8 @@ from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
 from .esscher import (MarketParams, ThetaSolution, eq12_variant_theta, martingale_residual,
                       solve_theta, transformed_timechange)
 from .seasonal import FourCoeffs, eval_seasonal, k1, k2, quad_exp_kernel
-from .simulate import SimConfig, empirical_charfun, mc_price_cat, simulate_cat, simulate_paths
+from .simulate import (SimConfig, empirical_charfun, gamma_increment, mc_price_cat,
+                       simulate_cat, simulate_paths)
 
 __version__ = "0.1.0"
 
@@ -38,9 +39,9 @@ __all__ = [
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
     "charfun_cat", "cos_coefficients", "cumulant_V", "cumulant_V_prime",
     "density_from_charfun", "empirical_charfun", "eq12_variant_theta", "eval_seasonal",
-    "fit_alpha", "fit_seasonal", "fit_timechange", "ingest_csv",
+    "fit_alpha", "fit_seasonal", "fit_timechange", "gamma_increment", "ingest_csv",
     "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
-    "leg_value", "log_likelihood",
+    "laplace_exponent_gamma", "leg_value", "log_likelihood",
     "martingale_residual", "mc_price_cat", "payoff_cos_integrals",
     "price_strangle", "quad_exp_kernel", "simulate_cat", "simulate_paths",
     "solve_theta", "summary_stats", "transformed_timechange", "truncation_bounds",

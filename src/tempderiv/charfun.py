@@ -117,6 +117,13 @@ def _log1p_complex(z: np.ndarray) -> np.ndarray:
     return np.where(den == 0, z, z * np.log(w) / safe)
 
 
+def laplace_exponent_gamma(u, tc: GammaTimeChange):
+    """Gamma-subordinator cumulant exponent l_R(u) = -a Log(1 - u/b)."""
+    u = np.asarray(u, complex)
+    out = -tc.a * _log1p_complex(-u / tc.b)
+    return out if out.ndim else complex(out)
+
+
 def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
     """Cumulant exponent of V under the theta-tilted measure.
 

@@ -59,6 +59,18 @@ class SimConfig:
             raise DomainError(f"measure must be 'P' or 'Q', got {self.measure!r}")
 
 
+def gamma_increment(rng: np.random.Generator, shape: float, rate: float, size=None):
+    """Gamma subordinator increment(s): Gamma(shape, rate) draws.
+
+    Deterministic given the generator state; strictly positive (numpy may
+    return exact 0.0 in the shape -> 0 degenerate limit, which is the
+    correct limiting law).
+    """
+    if not (shape > 0.0 and rate > 0.0):
+        raise DomainError(f"need shape > 0 and rate > 0, got {shape}, {rate}")
+    return rng.gamma(shape, 1.0 / rate, size)
+
+
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based generator for one path block."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)

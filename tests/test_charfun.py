@@ -4,7 +4,7 @@ from scipy.integrate import quad, quad_vec
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
                        a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V, cumulant_V_prime,
-                       empirical_charfun, SimConfig,
+                       empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
 from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS, cumulant_V_second
 from tempderiv.seasonal import eval_seasonal, k1
@@ -15,6 +15,30 @@ from conftest import random_model
 def deterministic_model(base: ModelParams) -> ModelParams:
     return ModelParams(alpha=base.alpha, t0=base.t0, seasonal=base.seasonal,
                        vol=FourCoeffs(0, 0, 0, 0), timechange=base.timechange)
+
+
+class TestLaplaceExponentGamma:
+    def test_zero(self):
+        tc = GammaTimeChange(2.0, 3.0, 0.1)
+        assert laplace_exponent_gamma(0.0, tc) == 0.0
+
+    def test_direct_value(self):
+        tc = GammaTimeChange(1.0, 2.0, 0.0)
+        assert laplace_exponent_gamma(1.0, tc) == pytest.approx(np.log(2.0), rel=1e-12)
+
+    def test_derivative_at_zero_is_mean_rate(self):
+        # E[R_1] = a/b
+        tc = GammaTimeChange(2.5, 4.0, 0.0)
+        h = 1e-6
+        fd = (laplace_exponent_gamma(h, tc) - laplace_exponent_gamma(-h, tc)) / (2 * h)
+        assert fd.real == pytest.approx(tc.a / tc.b, abs=1e-6)
+
+    def test_branch_cut_rejected(self):
+        tc = GammaTimeChange(1.0, 2.0, 0.0)
+        with pytest.raises(DomainError):
+            laplace_exponent_gamma(2.0, tc)  # u = b: argument 0
+        with pytest.raises(DomainError):
+            laplace_exponent_gamma(5.0, tc)  # u > b: negative real axis
 
 
 class TestA1:
