@@ -35,7 +35,7 @@ print("\nReconstructed CAT density (under the pricing measure):")
 for x, d in zip(xs, dens):
     print(f"  f({x:8.2f}) = {d:.6f}")
 
-price = price_strangle(contract, p, theta, grid)
+price = price_strangle(contract, p, theta, grid).price
 mc, se = mc_price_cat(contract, p, theta, SimConfig(step=1.0, n_paths=100_000, seed=21))
 print(f"\nStrangle price (COS, 256 terms): {price:.6f}")
 print(f"Monte Carlo cross-check:         {mc:.6f} +/- {se:.6f}")
@@ -43,5 +43,5 @@ print(f"|difference| / stderr = {abs(price - mc) / se:.2f}")
 
 print("\nSpectral convergence in the term count:")
 for n in (16, 32, 64, 128, 256):
-    pn = price_strangle(contract, p, theta, CosGrid(b1, b2, n, n))
+    pn = price_strangle(contract, p, theta, CosGrid(b1, b2, n, n)).price
     print(f"  N = {n:3d}: price = {pn:.10f}")

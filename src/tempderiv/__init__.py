@@ -13,18 +13,18 @@ Library layout:
 """
 
 from .calibrate import (AlphaFit, FitReport, TimeChangeFit, fit_alpha, fit_seasonal,
-                        fit_timechange, innovation_charfun, innovations,
-                        log_likelihood, timechange_cumulants)
+                        fit_timechange, innovation_charfun, innovations, log_likelihood)
 from .charfun import (GammaTimeChange, ModelParams, a1, cat_cumulants, charfun_T,
-                      charfun_cat, cumulant_V, cumulant_V_prime, laplace_exponent_gamma)
-from .cosine import (ContractSpec, CosGrid, PricingWarning, cos_coefficients,
+                      charfun_cat, cumulant_V, laplace_exponent_gamma, transformed_timechange,
+                      v_cumulants)
+from .cosine import (ContractSpec, CosGrid, PricingWarning, StrangleQuote, cos_coefficients,
                      density_from_charfun, leg_value, payoff_cos_integrals,
                      price_strangle, truncation_bounds)
 from .data import DailySeries, KsResult, SummaryStats, ingest_csv, ks_normality, summary_stats
 from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
                      QuadratureError, TempDerivError)
 from .esscher import (MarketParams, ThetaSolution, eq12_variant_theta, martingale_residual,
-                      solve_theta, transformed_timechange)
+                      solve_theta)
 from .seasonal import FourCoeffs, eval_seasonal, k1, k2, quad_exp_kernel
 from .simulate import (SimConfig, empirical_charfun, gamma_increment, mc_price_cat,
                        simulate_cat, simulate_paths)
@@ -35,9 +35,9 @@ __all__ = [
     "AlphaFit", "CalibrationError", "ContractSpec", "CosGrid", "DailySeries",
     "DomainError", "FitReport", "FourCoeffs", "GammaTimeChange", "IngestError",
     "KsResult", "MarketParams", "ModelParams", "NoBracketError", "PricingWarning",
-    "QuadratureError", "SimConfig", "SummaryStats", "TempDerivError",
+    "QuadratureError", "SimConfig", "StrangleQuote", "SummaryStats", "TempDerivError",
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
-    "charfun_cat", "cos_coefficients", "cumulant_V", "cumulant_V_prime",
+    "charfun_cat", "cos_coefficients", "cumulant_V",
     "density_from_charfun", "empirical_charfun", "eq12_variant_theta", "eval_seasonal",
     "fit_alpha", "fit_seasonal", "fit_timechange", "gamma_increment", "ingest_csv",
     "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
@@ -45,4 +45,5 @@ __all__ = [
     "martingale_residual", "mc_price_cat", "payoff_cos_integrals",
     "price_strangle", "quad_exp_kernel", "simulate_cat", "simulate_paths",
     "solve_theta", "summary_stats", "transformed_timechange", "truncation_bounds",
+    "v_cumulants",
 ]

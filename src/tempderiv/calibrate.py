@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import UNIT_NODES, GammaTimeChange, tilted_exponent_sum
+from .charfun import (UNIT_NODES, GammaTimeChange, tilted_exponent_sum,
+                      transformed_timechange, v_cumulants)
 from .cosine import CosGrid, density_from_charfun, truncation_bounds
 from .data import DailySeries
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError
 from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
 from .simulate import empirical_charfun
 
@@ -174,19 +175,6 @@ def innovations(residuals: np.ndarray, alpha: float) -> np.ndarray:
     return y[1:] - np.exp(-alpha) * y[:-1]
 
 
-def timechange_cumulants(a: float, b: float, mu1: float) -> tuple[float, float, float, float]:
-    """First four cumulants of V_1 = B_{R_1} + mu1 R_1 (unit time).
-
-    Derived from l_V(w) = -a log(1 - (mu1 w + w^2/2)/b); certified against
-    finite differences of cumulant_V in the tests.
-    """
-    k1c = a * mu1 / b
-    k2c = a / b + a * mu1**2 / b**2
-    k3c = 3.0 * a * mu1 / b**2 + 2.0 * a * mu1**3 / b**3
-    k4c = 3.0 * a / b**2 + 12.0 * a * mu1**2 / b**3 + 6.0 * a * mu1**4 / b**4
-    return k1c, k2c, k3c, k4c
-
-
 def kernel_weight(alpha: float, order: int) -> float:
     """int_0^1 e^{-order*alpha*(1-s)} ds = (1 - e^{-order alpha})/(order alpha)."""
     return float((1.0 - np.exp(-order * alpha)) / (order * alpha))
@@ -200,15 +188,20 @@ def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
     vectorised over u and over an array `vol_scale` (result shape
     vol_scale.shape + u.shape).
     """
-    tc = GammaTimeChange(a, b, mu1)
+    tc = transformed_timechange(GammaTimeChange(a, b, mu1), theta)
     u_arr = np.atleast_1d(np.asarray(u, float))
     kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - UNIT_NODES)))
-    out = np.exp(tilted_exponent_sum(kern, u_arr, tc, theta))
+    out = np.exp(tilted_exponent_sum(kern, u_arr, tc))
     return out if np.ndim(u) or np.ndim(vol_scale) else complex(out[0])
 
 
 def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, float]:
-    """Method-of-moments seed: invert the V cumulants from sample moments."""
+    """Method-of-moments seed: invert the V cumulants from sample moments.
+
+    The fixed-point inversion diverges for a near-Gaussian sample; a seed
+    off the search box is replaced by the symmetric member (mu1 = 0) with
+    the sample's second and fourth cumulants, a = 3 k2^2 / k4, b = a / k2.
+    """
     m2 = float(np.mean(eps_centred**2))
     m3 = float(np.mean(eps_centred**3))
     m4 = float(np.mean(eps_centred**4))
@@ -226,7 +219,15 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
         a = max(b * k2s / (1.0 + x), 1e-8)
         mu1 = k3s * b * b / (a * (3.0 + 2.0 * x))
         x = min(mu1 * mu1 / b, 1e3)
+    if not _in_box(math.log(a), math.log(b), mu1):
+        a = 3.0 * k2s * k2s / k4s
+        return a, a / k2s, 0.0
     return a, b, mu1
+
+
+def _in_box(la: float, lb: float, mu1: float) -> bool:
+    """Whether (log a, log b, mu1) lies in the time-change fits' search box."""
+    return abs(la) <= 25 and abs(lb) <= 25 and abs(mu1) <= 50
 
 
 def _cf_residuals(emp_groups: np.ndarray, alpha: float):
@@ -243,30 +244,15 @@ def _cf_residuals(emp_groups: np.ndarray, alpha: float):
     penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
 
     def residuals(la: float, lb: float, mu1: float, sig: np.ndarray) -> np.ndarray:
-        if abs(la) > 25 or abs(lb) > 25 or abs(mu1) > 50 or np.any(sig <= 1e-6):
+        if not _in_box(la, lb, mu1) or np.any(sig <= 1e-6):
             return penalty
         a, b = math.exp(la), math.exp(lb)
-        try:
-            model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
-        except DomainError:
-            return penalty
+        model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
         mean_model = (a * mu1 / b) * sig[:, None] * mean_weight
         diff = root_weights * (emp_groups - model * np.exp(-1j * CF_GRID * mean_model))
         return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
     return residuals
-
-
-def _cf_distance(emp_groups: np.ndarray, alpha: float):
-    """The fits' objective: the sum of squares of _cf_residuals."""
-    residuals = _cf_residuals(emp_groups, alpha)
-    return lambda la, lb, mu1, sig: float(np.sum(residuals(la, lb, mu1, sig) ** 2))
-
-
-def _cf_objective(eps_centred: np.ndarray, alpha: float):
-    """Constant-volatility objective of logs = (log a, log b, mu1): one group at sigma = 1."""
-    distance = _cf_distance(empirical_charfun(eps_centred, CF_GRID)[None, :], alpha)
-    return lambda logs: distance(*logs, np.ones(1))
 
 
 def _least_squares(residuals, x0: np.ndarray, stage: str):
@@ -369,9 +355,9 @@ def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: flo
     x = np.asarray(innov, float)
     charfun_at = lambda u: innovation_charfun(u, a, b, mu1, alpha)
     if grid is None:
-        k1c, k2c, _, _ = timechange_cumulants(a, b, mu1)
-        mean = k1c * kernel_weight(alpha, 1)
-        var = k2c * kernel_weight(alpha, 2)
+        kappa = v_cumulants(GammaTimeChange(a, b, mu1))
+        mean = kappa[0] * kernel_weight(alpha, 1)
+        var = kappa[1] * kernel_weight(alpha, 2)
         b1, b2 = truncation_bounds(mean, var, 10.0)
         grid = CosGrid(b1, b2, terms, terms)
     inside = (x >= grid.b1) & (x <= grid.b2)

@@ -16,7 +16,9 @@ exponent along a deterministic kernel:
 
 Under the exponential tilt with parameter theta the exponent becomes
 l_V(w + theta) - l_V(theta); equivalently V stays in the same family with
-drift mu1 + theta and Gamma rate b * A1(theta).
+drift mu1 + theta and Gamma rate b * A1(theta).  Every function that takes
+a tilt applies it once, as that change of parameters
+(`transformed_timechange`), and then works on the physical-measure formulas.
 
 The kernel integrals are evaluated by one fixed rule, 8-node Gauss-Legendre
 on each unit day piece (`UNIT_NODES`, `UNIT_WEIGHTS`, also used by the
@@ -87,14 +89,20 @@ def a1(u, tc: GammaTimeChange):
     return out if out.ndim else out[()]
 
 
-def require_admissible(tc: GammaTimeChange, theta: float) -> float:
-    """Validate the tilt parameter (A1(theta) > 0) and return A1(theta)."""
-    a1_theta = float(a1(float(theta), tc))
+def transformed_timechange(tc: GammaTimeChange, theta: float) -> GammaTimeChange:
+    """Time-change parameters of V under the theta-tilted measure.
+
+    l_V^theta(u) = -a Log(1 - (u(mu1+theta) + u^2/2)/(b A1(theta))): the same
+    family with mu1' = mu1 + theta and b' = b A1(theta).  This is the one
+    place where a tilt is checked: A1(theta) must be positive.
+    """
+    theta = float(theta)
+    a1_theta = float(a1(theta, tc))
     if not a1_theta > 0.0:
         raise DomainError(
             f"theta={theta} outside the admissible tilt domain (A1(theta)={a1_theta:.6g} <= 0)"
         )
-    return a1_theta
+    return GammaTimeChange(a=tc.a, b=tc.b * a1_theta, mu1=tc.mu1 + theta)
 
 
 def esscher_interval(tc: GammaTimeChange) -> tuple[float, float]:
@@ -128,59 +136,50 @@ def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
     """Cumulant exponent of V under the theta-tilted measure.
 
     theta = 0 gives l_V(u) = -a Log A1(u); otherwise
-    l_V^theta(u) = l_V(u + theta) - l_V(theta) = -a Log(A1(u+theta)/A1(theta)).
+    l_V^theta(u) = l_V(u + theta) - l_V(theta), which is l_V(u) of the
+    transformed time change.
     """
-    a1_theta = require_admissible(tc, theta)
+    tc = transformed_timechange(tc, theta)
     u = np.asarray(u, complex)
-    # A1(u+theta)/A1(theta) = 1 - (u(mu1+theta) + u^2/2) / (b A1(theta))
-    x = (u * (tc.mu1 + theta) + 0.5 * u * u) / (tc.b * a1_theta)
-    out = -tc.a * _log1p_complex(-x)
+    out = -tc.a * _log1p_complex(-(u * tc.mu1 + 0.5 * u * u) / tc.b)
     return out if out.ndim else complex(out)
 
 
-def cumulant_V_prime(theta, tc: GammaTimeChange):
-    """Derivative of the V cumulant exponent: l_V'(theta) = a(mu1+theta)/(b A1(theta)).
+def v_cumulants(tc: GammaTimeChange) -> tuple[float, float, float, float]:
+    """Cumulants kappa_1..kappa_4 of V_1 = B_{R_1} + mu1 R_1.
 
-    (Differentiating l_V(theta) = -a log(1 - mu1 theta/b - theta^2/(2b))
-    gives mu1 + theta in the numerator; certified against central finite
-    differences of l_V at 1e-7.)
+    The derivatives of l_V at 0; with x = mu1^2 / b,
+
+        kappa_1 = a mu1 / b,              kappa_2 = a (1 + x) / b,
+        kappa_3 = a mu1 (3 + 2x) / b^2,   kappa_4 = 3a (1 + 4x + 2x^2) / b^2.
+
+    Under the theta-tilted measure they are l_V^(n)(theta), the cumulants
+    of `transformed_timechange(tc, theta)`.
     """
-    theta_arr = np.asarray(theta, float)
-    a1_vals = a1(theta_arr, tc)
-    if np.any(np.asarray(a1_vals) <= 0.0):
-        raise DomainError("cumulant derivative requested outside the admissible domain")
-    out = tc.a * (tc.mu1 + theta_arr) / (tc.b * a1_vals)
-    return out if np.ndim(theta) else float(out)
+    a, b, mu1 = tc.a, tc.b, tc.mu1
+    x = mu1 * mu1 / b
+    return (a * mu1 / b, a * (1.0 + x) / b, a * mu1 * (3.0 + 2.0 * x) / (b * b),
+            3.0 * a * (1.0 + 4.0 * x + 2.0 * x * x) / (b * b))
 
 
-def cumulant_V_second(theta: float, tc: GammaTimeChange) -> float:
-    """Second derivative l_V''(theta) = a (A1(theta) + (mu1+theta)^2/b) / (b A1(theta)^2).
-
-    It is the variance of V_1 under the theta-tilted measure, so it is
-    positive on the whole admissible interval.
-    """
-    a1_theta = require_admissible(tc, theta)
-    return tc.a * (a1_theta + (tc.mu1 + theta) ** 2 / tc.b) / (tc.b * a1_theta**2)
-
-
-def tilted_exponent_sum(kern, u, tc: GammaTimeChange, theta: float = 0.0) -> np.ndarray:
-    """sum_n w_n l_V^theta(i u kern[..., n]) over the unit-rule nodes, for real u.
+def tilted_exponent_sum(kern, u, tc: GammaTimeChange) -> np.ndarray:
+    """sum_n w_n l_V(i u kern[..., n]) over the unit-rule nodes, for real u.
 
     `kern` holds the kernel at the UNIT_NODES of each piece along its last
     axis; the result has shape kern.shape[:-1] + u.shape and is the
-    piece integral divided by the piece length.  With S = b A1(theta),
-    q = (uk)^2/(2S) and p = uk(mu1+theta)/S the Log argument is
-    1 - x = 1 + q - ip, so the exponent is formed in real arithmetic.
+    piece integral divided by the piece length.  A tilt enters through
+    `tc` (see `transformed_timechange`).  With q = (uk)^2/(2b) and
+    p = uk mu1/b the Log argument is 1 - x = 1 + q - ip, so the exponent
+    is formed in real arithmetic.
     """
-    s_rate = tc.b * require_admissible(tc, theta)
     u = np.asarray(u, float)
     kern = np.asarray(kern, float)
     log_mod = np.zeros(kern.shape[:-1] + u.shape)
     phase = np.zeros_like(log_mod)
     # node by node: one (pieces, n_u) array at a time
     for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
-        p = np.multiply.outer(k_n, u * ((tc.mu1 + theta) / s_rate))
-        q = np.multiply.outer(k_n * k_n, u * u / (2.0 * s_rate))
+        p = np.multiply.outer(k_n, u * (tc.mu1 / tc.b))
+        q = np.multiply.outer(k_n * k_n, u * u / (2.0 * tc.b))
         # Re(1 - x) = 1 + q >= 1 for real u: the Log never reaches its branch cut
         log_mod += 0.5 * w_n * np.log1p(q * (2.0 + q) + p * p)
         phase += w_n * np.arctan2(-p, 1.0 + q)
@@ -210,8 +209,7 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    tc = p.timechange
-    require_admissible(tc, theta)
+    tc = transformed_timechange(p.timechange, theta)
     det = p.det_mean(t)
     # unit pieces of [0, t]; the last one may be partial
     edges = np.minimum(np.arange(np.ceil(t) + 1.0), t)
@@ -220,7 +218,7 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
 
     def compute(uu: np.ndarray) -> np.ndarray:
-        integral = lengths @ tilted_exponent_sum(kern, uu, tc, theta)
+        integral = lengths @ tilted_exponent_sum(kern, uu, tc)
         return np.exp(1j * uu * det + integral)
 
     return _eval_on_positive(u, compute)
@@ -261,12 +259,11 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     drifts conditioned on the deterministic forecast of T_{j-1}.  This is an
     approximation; its deviation from exact_kernel is a model diagnostic.
     """
+    tc = transformed_timechange(p.timechange, theta)
     det_sum, kern = _cat_parts(p, int(horizon_T), mode)
-    tc = p.timechange
-    require_admissible(tc, theta)
 
     def compute(uu: np.ndarray) -> np.ndarray:
-        integral = np.sum(tilted_exponent_sum(kern, uu, tc, theta), axis=0)
+        integral = np.sum(tilted_exponent_sum(kern, uu, tc), axis=0)
         return np.exp(1j * uu * det_sum + integral)
 
     return _eval_on_positive(u, compute)
@@ -281,10 +278,12 @@ def cat_cumulants(p: ModelParams, theta: float, horizon_T: int) -> tuple[float, 
         mean     = sum_k m_k + l_V'(theta)  int sigma g ds,
         variance =             l_V''(theta) int (sigma g)^2 ds,
 
-    with both integrals on the unit rule over the exact_kernel nodes of
+    with l_V^(n)(theta) from `v_cumulants` of the transformed time change
+    and both integrals on the unit rule over the exact_kernel nodes of
     `charfun_cat`.
     """
+    kappa = v_cumulants(transformed_timechange(p.timechange, theta))
     det_sum, kern = _cat_parts(p, int(horizon_T), "exact_kernel")
-    mean = det_sum + cumulant_V_prime(theta, p.timechange) * np.sum(kern @ UNIT_WEIGHTS)
-    variance = cumulant_V_second(theta, p.timechange) * np.sum((kern * kern) @ UNIT_WEIGHTS)
+    mean = det_sum + kappa[0] * np.sum(kern @ UNIT_WEIGHTS)
+    variance = kappa[1] * np.sum((kern * kern) @ UNIT_WEIGHTS)
     return float(mean), float(variance)

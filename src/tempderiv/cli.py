@@ -23,8 +23,8 @@ import numpy as np
 
 from .calibrate import fit_alpha, fit_seasonal, fit_timechange
 from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat
-from .cosine import (ContractSpec, CosGrid, _strangle_from_coefficients, cos_coefficients,
-                     density_from_charfun, price_strangle, truncation_bounds)
+from .cosine import (ContractSpec, CosGrid, density_from_charfun, price_strangle,
+                     truncation_bounds)
 from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
 from .esscher import MarketParams, eq12_variant_theta, solve_theta
@@ -211,20 +211,15 @@ def cmd_price(args) -> int:
             model, MarketParams(r=contract.rate_r), float(contract.horizon_T))
     grid, grid_info = _grid_from(cfg, model, theta, contract.horizon_T,
                                  args.terms, args.l_mult)
-    # the half-term check prices from a prefix of the same coefficients
-    charfun_at = lambda u: charfun_cat(u, model, theta, contract.horizon_T, "exact_kernel")
-    coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
-    price = _strangle_from_coefficients(contract, grid, coeffs)
-    half_grid = CosGrid(grid.b1, grid.b2, max(grid.n1 // 2, 1), max(grid.n2 // 2, 1))
-    price_half = _strangle_from_coefficients(contract, half_grid, coeffs)
-    denom = abs(price) if price != 0.0 else 1.0
+    quote = price_strangle(contract, model, theta, grid)
+    price = quote.price
     payload = {
         "config": cfg,
         "theta": theta_info,
         "grid": grid_info,
         "price": price,
-        "convergence": {"price_half_terms": price_half,
-                        "relative_change": abs(price - price_half) / denom},
+        "convergence": {"price_half_terms": quote.price_half_terms,
+                        "relative_change": quote.relative_change},
     }
     if args.mc:
         sim_cfg = dict(cfg.get("sim", {}))
@@ -247,7 +242,7 @@ def cmd_price(args) -> int:
             grid_a, _ = _grid_from(cfg, model_a, theta_a, contract.horizon_T,
                                    args.terms, args.l_mult)
             rows.append({"alpha": alpha_val, "theta": theta_a,
-                         "price": price_strangle(contract, model_a, theta_a, grid_a)})
+                         "price": price_strangle(contract, model_a, theta_a, grid_a).price})
         payload["alpha_sweep"] = rows
     _write_json(args.out, payload)
     return 0

@@ -189,32 +189,43 @@ def _tail_check(term_values: np.ndarray, label: str) -> None:
         )
 
 
+@dataclass(frozen=True)
+class StrangleQuote:
+    """A strangle price and its term-halving check, from one coefficient vector.
+
+    `price_half_terms` prices with n1 // 2 and n2 // 2 terms (at least 1)
+    on the same interval; `relative_change` is |price - price_half_terms|
+    over |price| (over 1 when the price is 0).
+    """
+
+    price: float
+    price_half_terms: float
+    relative_change: float
+
+
 def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
-                   grid: CosGrid) -> float:
+                   grid: CosGrid) -> StrangleQuote:
     """Discounted strangle price from the exact-kernel CAT charfun.
 
     d1 e^{-rT/365} E_theta(xi - K1)_+ + d2 e^{-rT/365} E_theta(K2 - xi)_+.
+    The charfun is evaluated once; the call leg uses the first n1 + 1
+    coefficients and the put leg the first n2 + 1, and the half-term price
+    sums a prefix of each leg's terms.
     """
     charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel")
     coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
-    return _strangle_from_coefficients(contract, grid, coeffs)
-
-
-def _strangle_from_coefficients(contract: ContractSpec, grid: CosGrid,
-                                coeffs: np.ndarray) -> float:
-    """Strangle price from A_0..A_n with n >= max(n1, n2).
-
-    The call leg uses the first n1 + 1 coefficients and the put leg the
-    first n2 + 1, so a coarser grid on the same interval prices from a
-    prefix of the same vector.
-    """
     call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
     put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")
     _tail_check(call_terms, "call leg")
     _tail_check(put_terms, "put leg")
 
-    disc = contract.discount
-    return float(disc * (contract.d1 * np.sum(call_terms) + contract.d2 * np.sum(put_terms)))
+    def value(n1: int, n2: int) -> float:
+        call, put = np.sum(call_terms[: n1 + 1]), np.sum(put_terms[: n2 + 1])
+        return float(contract.discount * (contract.d1 * call + contract.d2 * put))
+
+    price = value(grid.n1, grid.n2)
+    half = value(max(grid.n1 // 2, 1), max(grid.n2 // 2, 1))
+    return StrangleQuote(price, half, abs(price - half) / (abs(price) if price != 0.0 else 1.0))
 
 
 def density_from_charfun(charfun_at, grid: CosGrid, x, terms: int):

@@ -13,8 +13,9 @@ the equivalent overflow-free form e^{r~ T}(T0 - D(T)) / J with
 J = int_0^T sigma_u e^{-alpha(T-u)} du = e^{-alpha T} K2.
 
 Under the tilted measure the noise stays in the Gamma-time-changed family
-with drift mu1 + theta and Gamma rate b * A1(theta); `transformed_timechange`
-exposes that identity for exact simulation under the pricing measure.
+with drift mu1 + theta and Gamma rate b * A1(theta): `transformed_timechange`
+(defined in `charfun`, re-exported here), so l_V'(theta) is the first
+cumulant of the transformed time change.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import (GammaTimeChange, ModelParams, a1, cumulant_V_prime, esscher_interval,
-                      require_admissible)
+from .charfun import (GammaTimeChange, ModelParams, a1, esscher_interval,
+                      transformed_timechange, v_cumulants)
 from .errors import DomainError, NoBracketError
 from .seasonal import k1
 
@@ -34,10 +35,9 @@ _ROOT_ITER = 100     # cap on the printed-variant root iterations (7 typical, 20
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Market inputs: yearly interest rate and (once solved) the tilt parameter."""
+    """Market inputs: the yearly interest rate."""
 
     r: float
-    theta: float | None = None
 
     def __post_init__(self):
         if self.r < 0.0:
@@ -55,16 +55,6 @@ class ThetaSolution:
         return self.theta
 
 
-def transformed_timechange(tc: GammaTimeChange, theta: float) -> GammaTimeChange:
-    """Time-change parameters of V under the theta-tilted measure.
-
-    l_V^theta(u) = -a log(1 - (u(mu1+theta) + u^2/2)/(b A1(theta))): the same
-    family with mu1' = mu1 + theta and b' = b A1(theta).
-    """
-    a1_theta = require_admissible(tc, theta)
-    return GammaTimeChange(a=tc.a, b=tc.b * a1_theta, mu1=tc.mu1 + theta)
-
-
 def _martingale_target(p: ModelParams, m: MarketParams, horizon_T: float) -> float:
     r_day = m.r / 365.0
     disc_T = np.exp(-r_day * horizon_T) * p.det_mean(horizon_T)
@@ -79,7 +69,8 @@ def martingale_residual(theta: float, p: ModelParams, m: MarketParams,
     """Residual g(theta) of the martingale condition; g(theta*) = 0."""
     if not horizon_T > 0:
         raise DomainError(f"horizon_T must be > 0, got {horizon_T}")
-    return float(cumulant_V_prime(theta, p.timechange)) - _martingale_target(p, m, horizon_T)
+    l_prime = v_cumulants(transformed_timechange(p.timechange, theta))[0]
+    return l_prime - _martingale_target(p, m, horizon_T)
 
 
 def _shrunk_interval(tc: GammaTimeChange) -> tuple[float, float]:
@@ -144,11 +135,6 @@ def _eq12_variant(p: ModelParams, m: MarketParams, horizon_T: float):
             val = tc.mu1 + theta + (tc.b / tc.a) * (grow * a1_theta - power / j_int)
         return np.where(a1_theta > 0.0, val, np.nan)
     return h
-
-
-def _eq12_residual(theta, p: ModelParams, m: MarketParams, horizon_T: float):
-    """The printed variant h(theta) at one horizon (see _eq12_variant)."""
-    return _eq12_variant(p, m, horizon_T)(theta)
 
 
 def _illinois(h, lo, hi, h_lo, h_hi):

@@ -130,7 +130,7 @@ def k1(t, alpha: float, seasonal: FourCoeffs):
     return out if out.ndim else float(out)
 
 
-def k2(T, alpha: float, vol: FourCoeffs, check_positive: bool = True):
+def k2(T, alpha: float, vol: FourCoeffs):
     """Growing-kernel integral int_0^T f(u) e^{alpha u} du in closed form.
 
     Overflows to inf for alpha*T beyond the float64 range (~709); the
@@ -139,8 +139,7 @@ def k2(T, alpha: float, vol: FourCoeffs, check_positive: bool = True):
     """
     _check_alpha(alpha)
     T_arr = np.asarray(T, float)
-    if check_positive:
-        require_positive(vol, float(np.max(T_arr)))
+    require_positive(vol, float(np.max(T_arr)))
     w = ANNUAL_OMEGA
     with np.errstate(over="ignore"):
         g = np.exp(alpha * T_arr)

@@ -30,10 +30,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .charfun import UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, ModelParams
+from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, ModelParams,
+                      transformed_timechange)
 from .cosine import ContractSpec
 from .errors import DomainError
-from .esscher import transformed_timechange
 from .seasonal import eval_seasonal, k1
 
 PATH_BLOCK = 128

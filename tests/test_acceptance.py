@@ -17,11 +17,12 @@ from scipy.integrate import quad
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
                        MarketParams, ModelParams, SimConfig, cat_cumulants,
                        charfun_T, charfun_cat, cumulant_V,
-                       cumulant_V_prime, density_from_charfun, eval_seasonal,
+                       density_from_charfun, eval_seasonal,
                        fit_alpha, fit_seasonal, fit_timechange, ingest_csv,
                        k1, k2, ks_normality, mc_price_cat, price_strangle,
                        quad_exp_kernel, simulate_cat, simulate_paths, solve_theta,
-                       summary_stats, transformed_timechange, truncation_bounds)
+                       summary_stats, transformed_timechange, truncation_bounds,
+                       v_cumulants)
 from tempderiv.calibrate import seasonal_design
 from tempderiv.charfun import a1
 from tempderiv.cli import main as cli_main
@@ -147,7 +148,7 @@ def test_criterion_04_esscher_identity_and_martingale(toronto_like_model):
     for _ in range(40):
         th = rng.uniform(-0.8, 0.8)
         fd = (cumulant_V(th + h, tc).real - cumulant_V(th - h, tc).real) / (2 * h)
-        err_fd = max(err_fd, abs(cumulant_V_prime(th, tc) - fd))
+        err_fd = max(err_fd, abs(v_cumulants(transformed_timechange(tc, th))[0] - fd))
         printed = tc.a * (tc.mu1 + 0.5 * th) / (tc.b * float(a1(th, tc)))
         err_printed = max(err_printed, abs(printed - fd))
 
@@ -209,7 +210,7 @@ def test_criterion_05_cos_vs_monte_carlo(pricing_pairs):
     for i, (p, contract, theta, mean, var) in enumerate(pricing_pairs):
         start = time.time()
         b1, b2 = truncation_bounds(mean, var, 10.0)
-        cos_price = price_strangle(contract, p, theta, CosGrid(b1, b2, 256, 256))
+        cos_price = price_strangle(contract, p, theta, CosGrid(b1, b2, 256, 256)).price
         mc, se = mc_price_cat(contract, p, theta,
                               SimConfig(step=1.0, n_paths=100_000, seed=2000 + i))
         elapsed = time.time() - start
@@ -225,10 +226,10 @@ def test_criterion_06_spectral_convergence(pricing_pairs):
     worst_terms, worst_width = 0.0, 0.0
     for p, contract, theta, mean, var in pricing_pairs:
         b1, b2 = truncation_bounds(mean, var, 10.0)
-        p256 = price_strangle(contract, p, theta, CosGrid(b1, b2, 256, 256))
-        p512 = price_strangle(contract, p, theta, CosGrid(b1, b2, 512, 512))
+        p256 = price_strangle(contract, p, theta, CosGrid(b1, b2, 256, 256)).price
+        p512 = price_strangle(contract, p, theta, CosGrid(b1, b2, 512, 512)).price
         w1, w2 = truncation_bounds(mean, var, 12.0)
-        p_wide = price_strangle(contract, p, theta, CosGrid(w1, w2, 256, 256))
+        p_wide = price_strangle(contract, p, theta, CosGrid(w1, w2, 256, 256)).price
         scale = max(abs(p256), 1e-12)
         worst_terms = max(worst_terms, abs(p512 - p256) / scale)
         worst_width = max(worst_width, abs(p_wide - p256) / scale)

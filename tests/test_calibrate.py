@@ -6,9 +6,10 @@ from scipy import optimize, stats
 from scipy.integrate import quad_vec
 
 from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
-                       ModelParams, SimConfig, cumulant_V, fit_alpha, fit_seasonal,
+                       ModelParams, SimConfig, cumulant_V, empirical_charfun, fit_alpha,
+                       fit_seasonal,
                        fit_timechange, innovation_charfun, innovations,
-                       log_likelihood, simulate_paths, timechange_cumulants)
+                       log_likelihood, simulate_paths, v_cumulants)
 from tempderiv import calibrate
 from tempderiv.calibrate import _mom_init, kernel_weight, seasonal_design
 from tempderiv.seasonal import eval_seasonal
@@ -110,7 +111,7 @@ class TestCumulantsAndCharfun:
             a, b = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
             mu1 = rng.uniform(-0.6, 0.6)
             tc = GammaTimeChange(a, b, mu1)
-            k = timechange_cumulants(a, b, mu1)
+            k = v_cumulants(tc)
             h = 1e-2
             grid = np.array([-2 * h, -h, 0.0, h, 2 * h])
             lv = np.array([cumulant_V(complex(g), tc).real for g in grid])
@@ -154,6 +155,21 @@ class TestCumulantsAndCharfun:
         assert b0 == pytest.approx(b, rel=0.3)
         assert mu0 == pytest.approx(mu1, rel=0.4)
 
+    def test_mom_init_gaussian_series_seeds_inside_the_box(self):
+        """Seasonal sine plus N(0, 2) noise: the inversion diverges, so the seed is
+        the symmetric member, and the constant fit ends below the 1e6 penalty."""
+        rng = np.random.default_rng(99)
+        days = np.arange(700)
+        fit = fit_seasonal(8 + 6 * np.sin(2 * np.pi * days / 365) + rng.normal(0, 2, 700))
+        alpha = fit_alpha(None, fit).alpha
+        tf = fit_timechange(fit.residuals, alpha=alpha, vol_shape="constant")
+        a0, b0, mu0 = tf.init
+        assert mu0 == 0.0 and abs(np.log(a0)) <= 25 and abs(np.log(b0)) <= 25
+        eps = innovations(fit.residuals, alpha)
+        k2 = np.var(eps) / kernel_weight(alpha, 2)
+        assert a0 / b0 == pytest.approx(k2, rel=1e-12)  # the sample variance kept
+        assert tf.converged and tf.objective < 1.0
+
 
 @pytest.fixture(scope="module")
 def recovery_runs():
@@ -180,10 +196,10 @@ class TestFitTimechange:
     def test_objective_not_worse_than_truth(self, recovery_runs):
         resid, alpha = recovery_runs[5]
         tf = fit_timechange(resid, alpha=alpha, vol_shape="constant")
-        from tempderiv.calibrate import _cf_objective
         eps = innovations(resid, alpha)
-        obj = _cf_objective(eps - np.mean(eps), alpha)
-        truth = obj(np.array([np.log(1.5), np.log(1.0), 0.2]))
+        emp = empirical_charfun(eps - np.mean(eps), calibrate.CF_GRID)[None, :]
+        residuals = calibrate._cf_residuals(emp, alpha)
+        truth = float(np.sum(residuals(np.log(1.5), np.log(1.0), 0.2, np.ones(1)) ** 2))
         assert tf.objective <= truth + 1e-8
 
     def test_mu1_sign_flip(self, recovery_runs):
@@ -244,7 +260,8 @@ class TestLeastSquaresStatus:
 
     def test_converged_reports_status(self, monkeypatch):
         eps = innovations(self.resid, 0.25)
-        objective = calibrate._cf_objective(eps - np.mean(eps), 0.25)
+        emp = empirical_charfun(eps - np.mean(eps), calibrate.CF_GRID)[None, :]
+        residuals = calibrate._cf_residuals(emp, 0.25)
         for status in (1, 2, 3, 4):
             fake = FakeLeastSquares(status)
             monkeypatch.setattr(optimize, "least_squares", fake)
@@ -252,7 +269,8 @@ class TestLeastSquaresStatus:
             assert fake.calls == 1 and tf.converged and tf.status == (status,)
             # the reported objective is the CF distance at the solver's end point
             start = np.array([np.log(tf.a), np.log(tf.b), tf.mu1])
-            assert tf.objective == pytest.approx(objective(start), rel=1e-12)
+            objective = float(np.sum(residuals(*start, np.ones(1)) ** 2))
+            assert tf.objective == pytest.approx(objective, rel=1e-12)
 
     def test_seasonal_reports_both_stages(self, monkeypatch):
         fake = FakeLeastSquares(2)
@@ -271,7 +289,8 @@ class TestScaleDegeneracy:
             tc = p.timechange
             sig = eval_seasonal(p.vol, t_groups)
             emp = np.exp(1j * rng.normal(0.0, 0.1, (12, calibrate.CF_GRID.size)))
-            distance = calibrate._cf_distance(emp, p.alpha)
+            residuals = calibrate._cf_residuals(emp, p.alpha)
+            distance = lambda *args: float(np.sum(residuals(*args) ** 2))
             la, lb = np.log(tc.a), np.log(tc.b)
             base = distance(la, lb, tc.mu1, sig)
             for s in rng.uniform(0.2, 5.0, 3):

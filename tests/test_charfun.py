@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import quad, quad_vec
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
-                       a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V, cumulant_V_prime,
+                       a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
-from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS, cumulant_V_second
+from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS
 from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
@@ -256,7 +256,11 @@ class TestCatCumulants:
 
     @pytest.mark.parametrize("horizon_T", [1, 30, 90, 365])
     def test_closed_form_oracles(self, horizon_T):
-        """Mean from k1 per day, variance from QUADPACK per day piece."""
+        """Mean from k1 per day, variance from QUADPACK per day piece.
+
+        l_V'(theta) = a(mu1+theta)/(b A1) and
+        l_V''(theta) = a(A1 + (mu1+theta)^2/b)/(b A1^2), A1 = A1(theta).
+        """
         rng = np.random.default_rng(horizon_T)
         for _ in range(4):
             p = random_model(rng)
@@ -264,9 +268,12 @@ class TestCatCumulants:
             theta = solve_theta(p, MarketParams(r=rng.uniform(0.0, 0.05)),
                                 float(horizon_T)).theta
             mean, var = cat_cumulants(p, theta, horizon_T)
+            a1_theta = float(a1(theta, tc))
+            l_prime = tc.a * (tc.mu1 + theta) / (tc.b * a1_theta)
+            l_second = tc.a * (a1_theta + (tc.mu1 + theta) ** 2 / tc.b) / (tc.b * a1_theta**2)
             days = range(1, horizon_T + 1)
             want_mean = (sum(p.det_mean(k) for k in days)
-                         + cumulant_V_prime(theta, tc) * sum(k1(k, p.alpha, p.vol) for k in days))
+                         + l_prime * sum(k1(k, p.alpha, p.vol) for k in days))
             assert mean == pytest.approx(want_mean, rel=1e-12)
 
             def g(s):  # sum_{k >= ceil(s)} e^{-alpha(k - s)}, s in (j - 1, j]
@@ -274,7 +281,7 @@ class TestCatCumulants:
                 return np.sum(np.exp(-p.alpha * (ks - s)))
             square = lambda s: (eval_seasonal(p.vol, s) * g(s)) ** 2
             integral = sum(quad(square, j - 1, j, epsabs=0.0, epsrel=1e-13)[0] for j in days)
-            assert var == pytest.approx(cumulant_V_second(theta, tc) * integral, rel=1e-12)
+            assert var == pytest.approx(l_second * integral, rel=1e-12)
 
 
 class TestRandomModelProperties:

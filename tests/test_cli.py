@@ -137,7 +137,7 @@ class TestPrice:
         b1, b2 = truncation_bounds(*cat_cumulants(model, theta, 30), 10.0)
         for n, got in ((256, payload["price"]),
                        (128, payload["convergence"]["price_half_terms"])):
-            want = price_strangle(contract, model, theta, CosGrid(b1, b2, n, n))
+            want = price_strangle(contract, model, theta, CosGrid(b1, b2, n, n)).price
             assert got == float("{:.10g}".format(want))
 
     def test_alpha_sweep_rows(self, tmp_path):

@@ -147,7 +147,7 @@ class TestPriceStrangle:
         c = ContractSpec(horizon_T=60, k1_strike=500.0, k2_strike=380.0,
                          d1=0.0, d2=0.0, rate_r=0.02)
         grid = auto_grid(toronto_like_model, 0.0, 60)
-        assert price_strangle(c, toronto_like_model, 0.0, grid) == 0.0
+        assert price_strangle(c, toronto_like_model, 0.0, grid).price == 0.0
 
     def test_monotone_in_strikes(self, toronto_like_model):
         p = toronto_like_model
@@ -156,9 +156,9 @@ class TestPriceStrangle:
         far_call = mean + 8.0 * np.sqrt(var)  # inside the grid: call leg ~ 0, no clamp
         strikes = mean + np.linspace(-100, 100, 9)
         assert np.all(strikes > 0)
-        calls = [price_strangle(ContractSpec(60, k, 1e-6, 1.0, 0.0, 0.02), p, 0.0, grid)
+        calls = [price_strangle(ContractSpec(60, k, 1e-6, 1.0, 0.0, 0.02), p, 0.0, grid).price
                  for k in strikes]
-        puts = [price_strangle(ContractSpec(60, far_call, k, 0.0, 1.0, 0.02), p, 0.0, grid)
+        puts = [price_strangle(ContractSpec(60, far_call, k, 0.0, 1.0, 0.02), p, 0.0, grid).price
                 for k in strikes]
         assert np.all(np.diff(calls) <= 1e-8)
         assert np.all(np.diff(puts) >= -1e-8)
@@ -170,7 +170,7 @@ class TestPriceStrangle:
         k = mean + 20.0
         c = ContractSpec(horizon_T=30, k1_strike=k, k2_strike=k, d1=1.0, d2=1.0, rate_r=0.0)
         grid = auto_grid(p, 0.0, 30)
-        cos_price = price_strangle(c, p, 0.0, grid)
+        cos_price = price_strangle(c, p, 0.0, grid).price
         mc, se = mc_price_cat(c, p, 0.0, SimConfig(step=1.0, n_paths=40_000, seed=77))
         assert abs(cos_price - mc) < 3 * se
 
@@ -179,9 +179,19 @@ class TestPriceStrangle:
         theta = solve_theta(p, MarketParams(r=contract.rate_r), 60.0).theta
         g256 = auto_grid(p, theta, 60, n=256)
         g512 = auto_grid(p, theta, 60, n=512)
-        p256 = price_strangle(contract, p, theta, g256)
-        p512 = price_strangle(contract, p, theta, g512)
+        p256 = price_strangle(contract, p, theta, g256).price
+        p512 = price_strangle(contract, p, theta, g512).price
         assert abs(p512 - p256) / abs(p256) < 1e-6
+
+    def test_half_term_quote_is_the_half_grid_price(self, toronto_like_model, contract):
+        """One charfun evaluation gives the price and the n // 2-term check."""
+        p = toronto_like_model
+        theta = solve_theta(p, MarketParams(r=contract.rate_r), 60.0).theta
+        grid = auto_grid(p, theta, 60)
+        quote = price_strangle(contract, p, theta, grid)
+        half = price_strangle(contract, p, theta, CosGrid(grid.b1, grid.b2, 128, 128))
+        assert quote.price_half_terms == half.price
+        assert quote.relative_change == abs(quote.price - half.price) / abs(quote.price)
 
     def test_under_resolved_expansion_warns(self, toronto_like_model, contract):
         p = toronto_like_model
@@ -192,8 +202,8 @@ class TestPriceStrangle:
     def test_interval_widening_stable(self, toronto_like_model, contract):
         p = toronto_like_model
         theta = solve_theta(p, MarketParams(r=contract.rate_r), 60.0).theta
-        p10 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=10.0))
-        p12 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=12.0))
+        p10 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=10.0)).price
+        p12 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=12.0)).price
         assert abs(p12 - p10) / abs(p10) < 1e-6
 
 

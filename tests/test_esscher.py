@@ -4,21 +4,26 @@ from scipy import optimize
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams,
                        ModelParams, NoBracketError, SimConfig, charfun_T,
-                       cumulant_V, cumulant_V_prime, martingale_residual,
-                       simulate_cat, solve_theta, transformed_timechange)
+                       cumulant_V, martingale_residual, simulate_cat, solve_theta,
+                       transformed_timechange, v_cumulants)
 from tempderiv.charfun import esscher_interval
-from tempderiv.esscher import _eq12_residual, _shrunk_interval, eq12_variant_theta
+from tempderiv.esscher import _eq12_variant, _shrunk_interval, eq12_variant_theta
 
 from conftest import random_model
+
+
+def l_prime(theta, tc):
+    """l_V'(theta): the first cumulant of the tilted time change."""
+    return v_cumulants(transformed_timechange(tc, theta))[0]
 
 
 class TestCumulantVPrime:
     def test_at_zero(self):
         tc = GammaTimeChange(2.0, 5.0, 0.7)
-        assert cumulant_V_prime(0.0, tc) == pytest.approx(tc.a * tc.mu1 / tc.b, rel=1e-14)
+        assert l_prime(0.0, tc) == pytest.approx(tc.a * tc.mu1 / tc.b, rel=1e-14)
 
     def test_symmetric_zero(self):
-        assert cumulant_V_prime(0.0, GammaTimeChange(2.0, 5.0, 0.0)) == 0.0
+        assert l_prime(0.0, GammaTimeChange(2.0, 5.0, 0.0)) == 0.0
 
     def test_finite_difference_certification(self):
         """The mu1 + theta numerator against central differences of l_V."""
@@ -30,12 +35,18 @@ class TestCumulantVPrime:
             lo, hi = esscher_interval(tc)
             theta = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
             fd = (cumulant_V(theta + h, tc).real - cumulant_V(theta - h, tc).real) / (2 * h)
-            assert cumulant_V_prime(theta, tc) == pytest.approx(fd, abs=1e-7)
+            assert l_prime(theta, tc) == pytest.approx(fd, abs=1e-7)
 
     def test_outside_domain_rejected(self):
         tc = GammaTimeChange(1.0, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            cumulant_V_prime(2.0, tc)
+        with pytest.raises(DomainError, match="admissible"):
+            transformed_timechange(tc, 2.0)
+        with pytest.raises(DomainError, match="admissible"):
+            martingale_residual(2.0, ModelParams(alpha=0.25, t0=12.0,
+                                                 seasonal=FourCoeffs(12.0, 0.0, 0.0, 0.0),
+                                                 vol=FourCoeffs(3.0, 0.0, 0.0, 0.0),
+                                                 timechange=tc),
+                                MarketParams(r=0.02), 30.0)
 
 
 class TestTransformedTimechange:
@@ -138,7 +149,7 @@ class TestEq12Variant:
         root = eq12_variant_theta(self.model, self.market, horizon)
         lo, hi = _shrunk_interval(self.model.timechange)
         assert lo < root < hi
-        assert abs(_eq12_residual(root, self.model, self.market, horizon)) < 1e-6
+        assert abs(_eq12_variant(self.model, self.market, horizon)(root)) < 1e-6
         theta = solve_theta(self.model, self.market, horizon).theta
         assert abs(root - theta) > 1.0  # not the pricing tilt
 
@@ -148,9 +159,10 @@ class TestEq12Variant:
 
 def brent_variant_roots(p, m, horizon):
     """The printed variant's roots by Brent on every sign change of the 257-node scan."""
-    h = lambda t: float(_eq12_residual(t, p, m, horizon))
+    variant = _eq12_variant(p, m, horizon)
+    h = lambda t: float(variant(t))
     grid = np.linspace(*_shrunk_interval(p.timechange), 257)
-    vals = _eq12_residual(grid, p, m, horizon)
+    vals = variant(grid)
     return [optimize.brentq(h, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
             for lo, hi, v_lo, v_hi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
             if v_lo * v_hi < 0.0]

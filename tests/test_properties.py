@@ -4,13 +4,16 @@ Models are drawn from the `conftest.random_model` domain by seed; tilts
 from the interior of the admissible interval, or solved from a drawn rate.
 """
 
+from dataclasses import replace
+from math import factorial
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from tempderiv import (CosGrid, MarketParams, a1, cat_cumulants, charfun_T, charfun_cat,
-                       cumulant_V, cumulant_V_prime, innovation_charfun, k1, leg_value,
-                       martingale_residual, solve_theta, truncation_bounds)
+                       cumulant_V, innovation_charfun, k1, leg_value, martingale_residual,
+                       solve_theta, transformed_timechange, truncation_bounds, v_cumulants)
 from tempderiv.charfun import UNIT_NODES, esscher_interval, tilted_exponent_sum
 
 from conftest import random_model
@@ -64,9 +67,46 @@ def test_innovation_charfun_identities(seed, frac, u, vol_scale):
 def test_real_exponent_equals_cumulant_V(seed, frac, u, k):
     p, theta = draw(seed, frac)
     kern = np.full((1, UNIT_NODES.size), k)
-    got = tilted_exponent_sum(kern, np.array([u, -u]), p.timechange, theta)[0]
+    tc_q = transformed_timechange(p.timechange, theta)
+    got = tilted_exponent_sum(kern, np.array([u, -u]), tc_q)[0]
     want = cumulant_V(1j * np.array([u, -u]) * k, p.timechange, theta)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@PROPERTY
+@given(seeds, fractions, freqs, st.integers(1, 60), st.floats(0.0, 60.0), st.floats(0.1, 3.0))
+def test_tilt_is_a_change_of_parameters(seed, frac, u, horizon_T, t, vol_scale):
+    """Each charfun at theta is its theta = 0 value on the transformed model, exactly."""
+    p, theta = draw(seed, frac)
+    tc, tc_q = p.timechange, transformed_timechange(p.timechange, theta)
+    p_q = replace(p, timechange=tc_q)
+    uu = np.array([0.0, u, -u])
+    assert np.all(charfun_cat(uu, p, theta, horizon_T) == charfun_cat(uu, p_q, 0.0, horizon_T))
+    assert np.all(charfun_T(uu, t, p, theta) == charfun_T(uu, t, p_q, 0.0))
+    assert np.all(innovation_charfun(uu, tc.a, tc.b, tc.mu1, p.alpha, vol_scale, theta)
+                  == innovation_charfun(uu, tc_q.a, tc_q.b, tc_q.mu1, p.alpha, vol_scale))
+
+
+@PROPERTY
+@given(seeds, fractions)
+def test_v_cumulants_are_derivatives_of_cumulant_V(seed, frac):
+    """l_V^(n)(theta) = v_cumulants(transformed_timechange(tc, theta))[n-1], n = 1..4,
+    against central differences of l_V with steps of 1% of the distance d to the
+    nearer end of the admissible interval; l_V^(n) is of order a (n-1)!/d^n."""
+    p, theta = draw(seed, frac)
+    tc = p.timechange
+    lo, hi = esscher_interval(tc)
+    d = min(theta - lo, hi - theta)
+    h = 0.01 * d
+    lv = np.array([cumulant_V(theta + j * h, tc).real for j in (-2, -1, 0, 1, 2)])
+    fd = ((lv[3] - lv[1]) / (2 * h),
+          (lv[3] - 2 * lv[2] + lv[1]) / h**2,
+          (lv[4] - 2 * lv[3] + 2 * lv[1] - lv[0]) / (2 * h**3),
+          (lv[4] - 4 * lv[3] + 6 * lv[2] - 4 * lv[1] + lv[0]) / h**4)
+    kappa = v_cumulants(transformed_timechange(tc, theta))
+    for n in range(1, 5):
+        scale = tc.a * factorial(n - 1) / d**n
+        assert abs(kappa[n - 1] - fd[n - 1]) <= 2e-3 * scale
 
 
 @PROPERTY
@@ -89,7 +129,8 @@ def test_martingale_condition(seed, r, horizon_T):
     p = random_model(np.random.default_rng(seed))
     theta = solve_theta(p, MarketParams(r=r), float(horizon_T)).theta
     det = p.det_mean(horizon_T)
-    noise = cumulant_V_prime(theta, p.timechange) * k1(horizon_T, p.alpha, p.vol)
+    l_prime = v_cumulants(transformed_timechange(p.timechange, theta))[0]
+    noise = l_prime * k1(horizon_T, p.alpha, p.vol)
     forward = np.exp(r * horizon_T / 365.0) * p.t0
     # relative to the size of the terms, which can exceed T0 itself
     assert abs(det + noise - forward) <= 1e-12 * (abs(det) + abs(noise) + abs(forward))
