@@ -203,6 +203,9 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     the sample's second and fourth cumulants, a = 3 k2^2 / k4, b = a / k2.
     """
     m2 = float(np.mean(eps_centred**2))
+    if not m2 * m2 > 0.0:  # the seed divides by the fourth cumulant, floored at 1e-4 m2^2
+        raise CalibrationError("the method-of-moments seed needs innovations with "
+                               f"positive variance, got {m2}")
     m3 = float(np.mean(eps_centred**3))
     m4 = float(np.mean(eps_centred**4))
     i2, i3, i4 = (kernel_weight(alpha, j) for j in (2, 3, 4))

@@ -231,6 +231,7 @@ def cmd_price(args) -> int:
                               SimConfig(step=1.0, n_paths=n_paths, seed=seed))
         payload["mc"] = {"price": mc, "stderr": se, "n_paths": n_paths, "seed": seed,
                          "abs_diff": abs(price - mc),
+                         "z": (mc - price) / se if se > 0.0 else None,
                          "within_3_stderr": bool(abs(price - mc) <= 3.0 * se)}
     if cfg.get("alpha_sweep"):
         rows = []

@@ -21,10 +21,18 @@ in fixed blocks of 128, block ``i`` draws from Philox(key=[seed, i]) in
 chunks of at most 512 steps (a Gamma matrix, then a normal matrix, each
 (steps, 128)), and a path's draws depend only on (seed, block, row) --
 never on n_paths.
+
+The Monte Carlo strangle price `mc_price_cat` is a conditional
+(Rao-Blackwellised) estimator: given a path's Gamma clock the CAT index is
+Gaussian, so each path contributes the closed-form (Bachelier) expectation
+of the payoff -- the Gamma mixture of Gaussians of Madan, Carr & Chang
+(1998), used as conditional Monte Carlo (Glasserman 2003, section 4.7).  It
+draws only the Gamma matrices, the same ones `simulate_cat` draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,6 +46,7 @@ from .seasonal import eval_seasonal, k1
 
 PATH_BLOCK = 128
 CHUNK_STEPS = 512
+D_CAP = 40.0
 
 
 @dataclass(frozen=True)
@@ -117,19 +126,18 @@ def _n_steps(horizon: float, step: float) -> int:
     return n_steps
 
 
-def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, int, np.ndarray]]:
-    """Yield (paths, first_step, inc): the increments inc_j of steps
-    first_step.. for the paths in the slice, shape (steps, paths), where
-    T_{j+1} = decay T_j + inc_j.
+def _clock_chunks(tc: GammaTimeChange, cfg: SimConfig,
+                  n_steps: int) -> Iterator[tuple[np.random.Generator, slice, slice, np.ndarray]]:
+    """Yield (rng, paths, steps, d_r): the Gamma clock increments d_r of the
+    steps in `steps` for the paths in `paths`, shape (steps, paths).
 
     Block ``i`` holds the PATH_BLOCK paths from PATH_BLOCK * i on and draws from
-    Philox(key=[seed, i]), one chunk of at most CHUNK_STEPS steps at a time:
-    a (steps, PATH_BLOCK) Gamma matrix, then a normal matrix of that shape.
-    Draws are always full width, so a path's draws are a pure function of
-    (seed, block, row), never of n_paths; rows beyond n_paths are dropped.
+    rng = Philox(key=[seed, i]), one chunk of at most CHUNK_STEPS steps at a
+    time, a (steps, PATH_BLOCK) Gamma matrix first.  Draws are always full
+    width, so a path's draws are a pure function of (seed, block, row), never
+    of n_paths; rows beyond n_paths are dropped.  A caller that draws more
+    per chunk does so from `rng` before asking for the next chunk.
     """
-    tc = _effective_timechange(p, cfg)
-    drift, drift_scale, gauss_scale2 = _step_tables(p, tc, n_steps, cfg.step)
     shape = tc.a * cfg.step
     for blk in range(-(-cfg.n_paths // PATH_BLOCK)):
         rng = block_rng(cfg.seed, blk)
@@ -137,12 +145,25 @@ def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[
         rows = paths.stop - paths.start
         for j0 in range(0, n_steps, CHUNK_STEPS):
             steps = slice(j0, min(j0 + CHUNK_STEPS, n_steps))
-            size = (steps.stop - j0, PATH_BLOCK)
-            d_r = rng.standard_gamma(shape, size)[:, :rows] / tc.b
-            z = rng.standard_normal(size)[:, :rows]
-            inc = (drift[steps, None] + drift_scale[steps, None] * d_r
-                   + np.sqrt(gauss_scale2[steps, None] * d_r) * z)
-            yield paths, j0, inc
+            d_r = rng.standard_gamma(shape, (steps.stop - j0, PATH_BLOCK))[:, :rows] / tc.b
+            yield rng, paths, steps, d_r
+
+
+def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Yield (paths, first_step, inc): the increments inc_j of steps
+    first_step.. for the paths in the slice, shape (steps, paths), where
+    T_{j+1} = decay T_j + inc_j.
+
+    Each chunk draws its Gamma clock (`_clock_chunks`), then a normal matrix
+    of the same (steps, PATH_BLOCK) shape.
+    """
+    tc = _effective_timechange(p, cfg)
+    drift, drift_scale, gauss_scale2 = _step_tables(p, tc, n_steps, cfg.step)
+    for rng, paths, steps, d_r in _clock_chunks(tc, cfg, n_steps):
+        z = rng.standard_normal((len(d_r), PATH_BLOCK))[:, :d_r.shape[1]]
+        inc = (drift[steps, None] + drift_scale[steps, None] * d_r
+               + np.sqrt(gauss_scale2[steps, None] * d_r) * z)
+        yield paths, steps.start, inc
 
 
 def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,42 +186,88 @@ def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.n
     return np.arange(n_steps + 1) * cfg.step, out
 
 
-def simulate_cat(p: ModelParams, cfg: SimConfig, horizon_T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path cumulated temperature xi = sum_{k=1}^T T_k and terminal T_T.
+def _cat_weights(p: ModelParams, cfg: SimConfig, horizon_T: int):
+    """(T, base, weights) of the CAT reduction at daily steps: with
+    T_k = decay^k T_0 + sum_{i<k} decay^(k-1-i) inc_i,
 
-    Requires daily steps (the CAT index sums daily values).  No path is
-    built: with T_k = decay^k T_0 + sum_{i<k} decay^(k-1-i) inc_i,
-
-        xi  = T_0 sum_{k=1}^T decay^k + sum_i w_i inc_i,
-              w_i = expm1(-alpha (T - i)) / expm1(-alpha),
-        T_T = T_0 decay^T + sum_i decay^(T-1-i) inc_i.
+        xi  = base[0] + weights[0] @ inc,  base[0] = T_0 sum_{k=1}^T decay^k,
+              weights[0]_i = expm1(-alpha (T - i)) / expm1(-alpha),
+        T_T = base[1] + weights[1] @ inc,  base[1] = T_0 decay^T,
+              weights[1]_i = decay^(T-1-i).
     """
     if abs(cfg.step - 1.0) > 1e-12:
         raise DomainError("CAT simulation requires step = 1 day")
     horizon_T = _n_steps(float(int(horizon_T)), 1.0)  # int days, >= 1
     days = np.arange(horizon_T)
     decay = np.exp(-p.alpha)
+    base = np.array([p.t0 * np.sum(decay ** (days + 1.0)), p.t0 * decay ** horizon_T])
     weights = np.stack([np.expm1(-p.alpha * (horizon_T - days)) / np.expm1(-p.alpha),
                         decay ** (horizon_T - 1 - days)])
+    return horizon_T, base, weights
+
+
+def simulate_cat(p: ModelParams, cfg: SimConfig, horizon_T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path cumulated temperature xi = sum_{k=1}^T T_k and terminal T_T.
+
+    Requires daily steps (the CAT index sums daily values).  No path is
+    built: each chunk's increments are reduced by their closed-form
+    weights (`_cat_weights`).
+    """
+    horizon_T, base, weights = _cat_weights(p, cfg, horizon_T)
     sums = np.empty((2, cfg.n_paths))
-    sums[0] = p.t0 * np.sum(decay ** (days + 1.0))
-    sums[1] = p.t0 * decay ** horizon_T
+    sums[:] = base[:, None]
     for paths, j0, inc in _increments(p, cfg, horizon_T):
         sums[:, paths] += weights[:, j0:j0 + len(inc)] @ inc
     return sums[0], sums[1]
 
 
+def _norm_cdf(d: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, through math.erfc (numpy has none)."""
+    z = np.ravel(d) * -np.sqrt(0.5)
+    return 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, z.size).reshape(np.shape(d))
+
+
+def _gaussian_call(m: np.ndarray, s: np.ndarray, strike: float) -> np.ndarray:
+    """Bachelier call E[(X - strike)^+] for X ~ N(m, s^2), elementwise:
+    (m - K) Phi(d) + s phi(d), d = (m - K)/s.  Where s = 0 it pays the
+    intrinsic value.  |d| is capped at D_CAP, beyond which Phi(d) is 0 or 1
+    and phi(d) is 0 in double precision, so the cap changes no value."""
+    x = m - strike
+    d = np.clip(np.divide(x, s, out=np.sign(x) * D_CAP, where=s > 0.0), -D_CAP, D_CAP)
+    return x * _norm_cdf(d) + s * np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi)
+
+
 def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,
                  cfg: SimConfig) -> tuple[float, float]:
-    """Monte Carlo strangle price under the theta-tilted measure.
+    """Conditional (Rao-Blackwellised) Monte Carlo strangle price under the
+    theta-tilted measure.
+
+    Given a path's Gamma clock increments dR, the simulator's CAT index is
+    exactly Gaussian with mean m = base + sum_i w_i (drift_i + drift_scale_i dR_i)
+    and variance s^2 = sum_i w_i^2 gauss_scale2_i dR_i (w: the CAT weights,
+    the rest from `_step_tables`), so the strangle pays
+    d1 C(m, s, K1) + d2 P(m, s, K2) in expectation, C and P the Bachelier
+    legs.  The estimator averages that over paths: only the clock is drawn
+    (the Gamma stream `simulate_cat` draws, no normals), and its variance is
+    that of the conditional payoff, never more than the plain payoff's.
 
     Returns (price, standard error of the mean).
     """
     run_cfg = SimConfig(step=cfg.step, n_paths=cfg.n_paths, seed=cfg.seed,
                         measure="Q", theta=theta)
-    xi, _ = simulate_cat(p, run_cfg, contract.horizon_T)
-    payoff = (contract.d1 * np.maximum(xi - contract.k1_strike, 0.0)
-              + contract.d2 * np.maximum(contract.k2_strike - xi, 0.0))
+    horizon_T, base, weights = _cat_weights(p, run_cfg, contract.horizon_T)
+    tc = _effective_timechange(p, run_cfg)
+    drift, drift_scale, gauss_scale2 = _step_tables(p, tc, horizon_T, 1.0)
+    w = weights[0]
+    coef = np.stack([w * drift_scale, w * w * gauss_scale2])
+    moments = np.zeros((2, cfg.n_paths))
+    for _, paths, steps, d_r in _clock_chunks(tc, run_cfg, horizon_T):
+        moments[:, paths] += coef[:, steps] @ d_r
+    m = base[0] + w @ drift + moments[0]
+    s = np.sqrt(moments[1])
+    # the put leg E[(K2 - X)^+] is the call on -X ~ N(-m, s^2) struck at -K2
+    payoff = (contract.d1 * _gaussian_call(m, s, contract.k1_strike)
+              + contract.d2 * _gaussian_call(-m, s, -contract.k2_strike))
     disc = contract.discount
     n = payoff.size
     price = disc * float(np.mean(payoff))

@@ -221,6 +221,12 @@ class TestFitTimechange:
         with pytest.raises(CalibrationError):
             fit_timechange(np.ones(1000))
 
+    @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
+    def test_constant_series_rejected(self, vol_shape):
+        """Zero innovations leave the moment seed undefined: a typed error, not a division."""
+        with pytest.raises(CalibrationError, match="positive variance"):
+            fit_timechange(np.zeros(1000), alpha=0.2, vol_shape=vol_shape)
+
     def test_seasonal_vol_profile_recovered(self):
         p = ModelParams(alpha=0.25, t0=-5.0, seasonal=FourCoeffs(8.0, 0.0008, -6.0, -13.0),
                         vol=FourCoeffs(2.0, 0.0, 0.4, 0.8),

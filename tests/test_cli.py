@@ -108,9 +108,11 @@ class TestPrice:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         out = tmp_path / "price.json"
-        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+        assert main(["price", "--config", str(p), "--out", str(out), "--mc",
+                     "--paths", "500"]) == 0
         payload = json.loads(out.read_text())
         assert payload["price"] == 0.0
+        assert payload["mc"]["stderr"] == 0.0 and payload["mc"]["z"] is None
 
     def test_price_with_mc_flag(self, price_config, tmp_path):
         out = tmp_path / "report.json"
@@ -120,7 +122,11 @@ class TestPrice:
         payload = json.loads(out.read_text())
         assert payload["theta"]["source"] == "solved"
         assert "price" in payload and "mc" in payload
-        assert payload["mc"]["within_3_stderr"] is True
+        mc = payload["mc"]
+        assert mc["within_3_stderr"] is True
+        # each field is rounded to 10 significant digits, and mc - price cancels
+        assert mc["z"] == pytest.approx((mc["price"] - payload["price"]) / mc["stderr"],
+                                        rel=1e-6)
         assert payload["convergence"]["relative_change"] < 1e-6
 
     def test_half_term_check_matches_half_grid_price(self, price_config, tmp_path):

@@ -1,14 +1,44 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, empirical_charfun, gamma_increment,
                        mc_price_cat, simulate_cat, simulate_paths)
 from tempderiv.charfun import cat_cumulants, esscher_interval
 from tempderiv.esscher import transformed_timechange
-from tempderiv.simulate import PATH_BLOCK, _step_tables, block_rng
+from tempderiv.simulate import PATH_BLOCK, _gaussian_call, _step_tables, block_rng
 
 from conftest import random_model
+
+
+README_MODEL = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008, -5.9, -4.0),
+                           vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
+                           timechange=GammaTimeChange(1.5, 1.0, 0.3))
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """(method, variates) of every draw from the block generators, in order."""
+    draws = []
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            def draw(*args):
+                out = getattr(self._rng, name)(*args)
+                draws.append((name, np.size(out)))
+                return out
+            return draw
+
+    original = block_rng
+    monkeypatch.setattr("tempderiv.simulate.block_rng",
+                        lambda seed, blk: Counting(original(seed, blk)))
+    return draws
 
 
 class TestGammaIncrement:
@@ -72,28 +102,12 @@ class TestSimulatePaths:
         _, b = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4097, seed=9), 20.0)
         assert np.array_equal(a, b[:10])
 
-    def test_draws_only_one_block_width(self, toronto_like_model, monkeypatch):
+    def test_draws_only_one_block_width(self, toronto_like_model, drawn):
         """4 paths over 3,650 days draw one 128-row block: 2 * 128 * 3650 variates."""
-        drawn = []
-
-        class Counting:
-            def __init__(self, rng):
-                self._rng = rng
-
-            def __getattr__(self, name):
-                def draw(*args):
-                    out = getattr(self._rng, name)(*args)
-                    drawn.append(np.size(out))
-                    return out
-                return draw
-
-        original = block_rng
-        monkeypatch.setattr("tempderiv.simulate.block_rng",
-                            lambda seed, blk: Counting(original(seed, blk)))
         _, paths = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4, seed=3),
                                   3650.0)
         assert paths.shape == (4, 3651)
-        assert sum(drawn) == 2 * PATH_BLOCK * 3650
+        assert sum(size for _, size in drawn) == 2 * PATH_BLOCK * 3650
 
     def test_block_rng_counter_based(self):
         g1 = block_rng(7, 0).standard_normal(4)
@@ -163,6 +177,81 @@ class TestMcPriceCat:
             _, se4 = mc_price_cat(c, toronto_like_model, 0.0, SimConfig(n_paths=16000, seed=seed))
             ratios.append(se4 / se1)
         assert 0.4 < float(np.mean(ratios)) < 0.6
+
+    def test_conditional_price_agrees_with_payoff_average(self):
+        """Same seeds, README model, T = 30: the conditional estimate lies within
+        3 standard errors of the average of simulate_cat's payoffs, with at
+        most a fifth of their standard error."""
+        theta = -0.07
+        mean, var = cat_cumulants(README_MODEL, theta, 30)
+        c = ContractSpec(horizon_T=30, k1_strike=mean + 0.5 * np.sqrt(var),
+                         k2_strike=mean - 0.5 * np.sqrt(var), d1=1.0, d2=2.0, rate_r=0.02)
+        for seed in range(3):
+            cfg = SimConfig(n_paths=20_000, seed=seed)
+            price, se = mc_price_cat(c, README_MODEL, theta, cfg)
+            xi, _ = simulate_cat(README_MODEL, SimConfig(n_paths=20_000, seed=seed,
+                                                         measure="Q", theta=theta), 30)
+            payoff = c.discount * (c.d1 * np.maximum(xi - c.k1_strike, 0.0)
+                                   + c.d2 * np.maximum(c.k2_strike - xi, 0.0))
+            plain_se = np.std(payoff, ddof=1) / np.sqrt(xi.size)
+            assert abs(price - np.mean(payoff)) <= 3.0 * plain_se
+            assert se <= plain_se / 5.0
+
+    def test_draws_only_the_gamma_clock(self, drawn):
+        """300 paths (3 blocks) over 600 days (2 chunks): 3 * 128 * 600 Gamma
+        variates, the ones simulate_cat draws first in each chunk, and no normals."""
+        c = ContractSpec(horizon_T=600, k1_strike=7000.0, k2_strike=6000.0,
+                         d1=1.0, d2=1.0, rate_r=0.02)
+        mc_price_cat(c, README_MODEL, 0.0, SimConfig(n_paths=300, seed=4))
+        assert {name for name, _ in drawn} == {"standard_gamma"}
+        assert sum(size for _, size in drawn) == 3 * PATH_BLOCK * 600
+        clock = list(drawn)
+        drawn.clear()
+        simulate_cat(README_MODEL, SimConfig(n_paths=300, seed=4, measure="Q"), 600)
+        assert drawn[::2] == clock
+
+    def test_zero_clock_pays_intrinsic(self):
+        """a = 1e-3 over one day: many clock draws are exactly 0, so s = 0 on
+        those paths; the price is finite, warns of nothing and agrees with the
+        payoff average."""
+        assert np.any(block_rng(11, 0).standard_gamma(1e-3, (1, PATH_BLOCK)) == 0.0)
+        p = ModelParams(alpha=0.25, t0=12.0, seasonal=README_MODEL.seasonal,
+                        vol=README_MODEL.vol, timechange=GammaTimeChange(1e-3, 1.0, 0.3))
+        mean, var = cat_cumulants(p, 0.0, 1)
+        c = ContractSpec(horizon_T=1, k1_strike=mean + 0.1, k2_strike=mean + 0.1,
+                         d1=1.0, d2=1.0, rate_r=0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            price, se = mc_price_cat(c, p, 0.0, SimConfig(n_paths=1000, seed=11))
+        xi, _ = simulate_cat(p, SimConfig(n_paths=1000, seed=11), 1)
+        payoff = c.discount * (np.maximum(xi - c.k1_strike, 0.0)
+                               + np.maximum(c.k2_strike - xi, 0.0))
+        assert np.isfinite(price) and se > 0.0
+        assert abs(price - np.mean(payoff)) <= 3.0 * np.std(payoff, ddof=1) / np.sqrt(xi.size)
+
+    def test_gaussian_call_zero_variance_is_intrinsic(self):
+        m = np.array([3.0, 1.0, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gaussian_call(m, np.zeros(3), 1.0)
+        assert np.array_equal(got, np.maximum(m - 1.0, 0.0))
+
+    @pytest.mark.parametrize("m, s, strike", [(0.0, 1.0, 0.0), (5.0, 2.0, 3.0),
+                                               (-1.0, 0.5, 0.2), (300.0, 25.0, 340.0),
+                                               (300.0, 25.0, 230.0), (1.0, 1e-3, 1.0005)])
+    def test_gaussian_call_against_quadrature(self, m, s, strike):
+        """Both legs against quad of the Gaussian payoff, to 1e-12 relative."""
+        def integral(payoff, lo, hi):
+            return quad(lambda x: payoff(x) * np.exp(-0.5 * ((x - m) / s) ** 2)
+                        / (s * np.sqrt(2.0 * np.pi)), lo, hi, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
+
+        call = integral(lambda x: x - strike, strike, m + 40.0 * s)
+        put = integral(lambda x: strike - x, m - 40.0 * s, strike)
+        got_call, got_put = _gaussian_call(np.array([m, -m]), np.array([s, s]),
+                                           np.array([strike, -strike]))
+        assert got_call == pytest.approx(call, rel=1e-12)
+        assert got_put == pytest.approx(put, rel=1e-12)
 
 
 class TestEmpiricalCharfun:
