@@ -12,10 +12,13 @@ characteristic functions on a fixed grid (u = 0.05..2.00 step 0.05,
 weights e^{-u^2}).  The distance is a sum of squares of real residuals
 (the real and imaginary parts of sqrt(weight) * (empirical - model)), so it
 is solved as least squares by Levenberg-Marquardt from a method-of-moments
-inversion of the V cumulants, with no restarts.  Matching is centred
-because deseasonalization absorbs the mu1 E[R] level shift into the fitted
-intercept: the innovation mean is not identifiable, while the odd shape
-(skewness) still identifies mu1.
+inversion of the V cumulants, with no restarts.  The model charfun is
+exp(sum_n w_n l_V(i u k_n)) with l_V(z) = -a Log A, so its derivatives in
+(log a, log b, mu1) and in the vol scale are closed forms in 1/A
+(|A| >= 1): the solver takes that Jacobian, not finite differences.
+Matching is centred because deseasonalization absorbs the mu1 E[R] level
+shift into the fitted intercept: the innovation mean is not identifiable,
+while the odd shape (skewness) still identifies mu1.
 
 The model carries an exact scale degeneracy (sigma, a, b, mu1) ==
 (s*sigma, a, s^2 b, s*mu1).  vol_shape='constant' pins sigma = 1 and lets
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import (UNIT_NODES, GammaTimeChange, tilted_exponent_sum,
+from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, tilted_exponent_sum,
                       transformed_timechange, v_cumulants)
 from .cosine import CosGrid, density_from_charfun, truncation_bounds
 from .data import DailySeries
@@ -42,6 +45,7 @@ from .simulate import empirical_charfun
 CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
 CF_WEIGHTS = np.exp(-CF_GRID**2)
 _LIKELIHOOD_FLOOR = 1e-300
+SEARCH_BOX = (("log a", 25.0), ("log b", 25.0), ("mu1", 50.0))  # |x| <= limit
 
 SEASONAL_NAMES = ("beta0", "beta1", "beta2", "beta3")
 
@@ -82,17 +86,32 @@ class AlphaFit:
 
 @dataclass(frozen=True)
 class TimeChangeFit:
+    """Time-change fit with, per Levenberg-Marquardt stage, its status and counts.
+
+    `converged` is the solver's verdict (every status > 0); `at_bound` names
+    the parameters that end on the search box's wall, where the distance
+    still falls outward and the fit is no interior optimum.
+    """
+
     a: float
     b: float
     mu1: float
     vol: FourCoeffs
     objective: float
     init: tuple[float, float, float]
-    status: tuple[int, ...]                # Levenberg-Marquardt status of each stage
+    status: tuple[int, ...]
+    nfev: tuple[int, ...]                  # residual evaluations
+    njev: tuple[int, ...]                  # Jacobian evaluations
 
     @property
     def converged(self) -> bool:
         return all(st > 0 for st in self.status)
+
+    @property
+    def at_bound(self) -> list[str]:
+        """Those of log a, log b and mu1 within 1e-3 of their search-box limit."""
+        x = (math.log(self.a), math.log(self.b), self.mu1)
+        return [name for v, (name, limit) in zip(x, SEARCH_BOX) if limit - abs(v) < 1e-3]
 
     def timechange(self) -> GammaTimeChange:
         return GammaTimeChange(self.a, self.b, self.mu1)
@@ -203,9 +222,6 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     the sample's second and fourth cumulants, a = 3 k2^2 / k4, b = a / k2.
     """
     m2 = float(np.mean(eps_centred**2))
-    if not m2 * m2 > 0.0:  # the seed divides by the fourth cumulant, floored at 1e-4 m2^2
-        raise CalibrationError("the method-of-moments seed needs innovations with "
-                               f"positive variance, got {m2}")
     m3 = float(np.mean(eps_centred**3))
     m4 = float(np.mean(eps_centred**4))
     i2, i3, i4 = (kernel_weight(alpha, j) for j in (2, 3, 4))
@@ -230,7 +246,12 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
 
 def _in_box(la: float, lb: float, mu1: float) -> bool:
     """Whether (log a, log b, mu1) lies in the time-change fits' search box."""
-    return abs(la) <= 25 and abs(lb) <= 25 and abs(mu1) <= 50
+    return all(abs(x) <= limit for x, (_, limit) in zip((la, lb, mu1), SEARCH_BOX))
+
+
+def _penalised(la: float, lb: float, mu1: float, sig: np.ndarray) -> bool:
+    """Whether the fits' residuals are the constant penalty: off the box or sig <= 1e-6."""
+    return not _in_box(la, lb, mu1) or bool(np.any(sig <= 1e-6))
 
 
 def _cf_residuals(emp_groups: np.ndarray, alpha: float):
@@ -247,7 +268,7 @@ def _cf_residuals(emp_groups: np.ndarray, alpha: float):
     penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
 
     def residuals(la: float, lb: float, mu1: float, sig: np.ndarray) -> np.ndarray:
-        if not _in_box(la, lb, mu1) or np.any(sig <= 1e-6):
+        if _penalised(la, lb, mu1, sig):
             return penalty
         a, b = math.exp(la), math.exp(lb)
         model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
@@ -258,18 +279,76 @@ def _cf_residuals(emp_groups: np.ndarray, alpha: float):
     return residuals
 
 
-def _least_squares(residuals, x0: np.ndarray, stage: str):
-    """Levenberg-Marquardt from x0: (solution, sum of squares, status); raises unless status > 0.
+def _cf_jacobian(alpha: float):
+    """Closed-form jacobian(la, lb, mu1, sig) of `_cf_residuals`' residuals.
 
-    ftol is 1e-12 because the default 1e-8 stops the seasonal refine about
-    1e-6 (relative) short of the optimum along its flattest direction.
+    Rows are the residuals'; the columns are d/d(la, lb, mu1) and, last,
+    d/d sig[g] of each row's own group g.  At node s_n of the unit rule
+    (weight W_n), with E_n = e^{-alpha(1 - s_n)}, w = i u sig E_n and
+    A = 1 + q - ip = 1 + x as in `tilted_exponent_sum` (|A| >= 1), the
+    centred model is M = e^{S - iu m} with S = sum_n W_n (-a Log A),
+    m = (a mu1/b) sig I1 and I1 = kernel_weight(alpha, 1).  Each column is
+    -sqrt(CF_WEIGHTS) M D, with D the derivative of S - iu m:
+        la:  S - iu m
+        lb:  a sum_n W_n x/A + iu m
+        mu1: (a/b) (sum_n W_n w/A - iu sig I1)
+        sig: (a/b) iu (sum_n W_n E_n (mu1 + w)/A - mu1 I1)
+    Where the residuals are the constant penalty the Jacobian is zero.
+    """
+    mean_weight = kernel_weight(alpha, 1)
+    root_weights = np.sqrt(CF_WEIGHTS)
+    decay = np.exp(-alpha * (1.0 - UNIT_NODES))
+    iu = 1j * CF_GRID
+
+    def jacobian(la: float, lb: float, mu1: float, sig: np.ndarray) -> np.ndarray:
+        if _penalised(la, lb, mu1, sig):
+            return np.zeros((2 * sig.size * CF_GRID.size, 4))
+        a, b = math.exp(la), math.exp(lb)
+        uk = np.multiply.outer(np.multiply.outer(sig, decay), CF_GRID)  # (group, node, u)
+        p, q = uk * (mu1 / b), uk * uk / (2.0 * b)
+        x = q - 1j * p
+        inv_a = 1.0 / (1.0 + x)
+        log_a = 0.5 * np.log1p(q * (2.0 + q) + p * p) + 1j * np.arctan2(-p, 1.0 + q)
+        iu_m = iu * ((a * mu1 / b) * mean_weight) * sig[:, None]
+        s = -a * (UNIT_WEIGHTS @ log_a)
+        d = np.stack([
+            s - iu_m,
+            a * (UNIT_WEIGHTS @ (x * inv_a)) + iu_m,
+            (a / b) * (UNIT_WEIGHTS @ (1j * uk * inv_a) - iu * sig[:, None] * mean_weight),
+            (a / b) * iu * ((UNIT_WEIGHTS * decay) @ ((mu1 + 1j * uk) * inv_a)
+                            - mu1 * mean_weight),
+        ])
+        cols = -root_weights * np.exp(s - iu_m) * d
+        return np.concatenate([cols.real.reshape(4, -1), cols.imag.reshape(4, -1)], axis=1).T
+
+    return jacobian
+
+
+def _least_squares(residuals, jacobian, x0: np.ndarray, stage: str):
+    """Levenberg-Marquardt from x0 with the closed-form Jacobian.
+
+    Returns (solution, sum of squares, (status, residual calls, Jacobian
+    calls)) and raises CalibrationError unless status > 0.  The calls are
+    counted here: SciPy's `njev` leaves out the Jacobian it takes at the
+    solution for its gradient norm.  ftol is 1e-12 because the default 1e-8
+    stops the seasonal refine about 1e-6 (relative) short of the optimum
+    along its flattest direction.
     """
     from scipy import optimize
 
-    res = optimize.least_squares(residuals, x0, method="lm", ftol=1e-12)
+    calls = [0, 0]
+
+    def counted(i, f):
+        def call(x):
+            calls[i] += 1
+            return f(x)
+        return call
+
+    res = optimize.least_squares(counted(0, residuals), x0, jac=counted(1, jacobian),
+                                 method="lm", ftol=1e-12)
     if res.status <= 0:
         raise CalibrationError(f"{stage} did not converge (least-squares status {res.status})")
-    return res.x, 2.0 * float(res.cost), int(res.status)
+    return res.x, 2.0 * float(res.cost), (int(res.status), *calls)
 
 
 def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float = None,
@@ -282,9 +361,10 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     vol_shape : 'constant' pins sigma = 1; 'seasonal' first fits a harmonic
         profile to squared innovations, standardizes, then refines jointly
         with the vol level c0 pinned at the profile's value.
-    Each stage is one Levenberg-Marquardt least-squares solve in
-    (log a, log b, mu1), to which the refine adds (c1, c2, c3); a stage that
-    does not converge raises CalibrationError.
+    Each stage is one Levenberg-Marquardt least-squares solve, with the
+    closed-form Jacobian, in (log a, log b, mu1), to which the refine adds
+    (c1, c2, c3).  CalibrationError is raised for innovations without
+    variance (whatever the seed) and for a stage that does not converge.
     """
     if alpha is None or not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
@@ -309,23 +389,58 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
         vol = FourCoeffs(*map(float, ccoef))
 
     work_c = work - np.mean(work)
+    m2 = float(np.mean(work_c**2))
+    if not m2 * m2 > 0.0:  # the moment seed divides by the fourth cumulant, floored at 1e-4 m2^2
+        raise CalibrationError("the time-change fit needs innovations with "
+                               f"positive variance, got {m2}")
     if init == "method_of_moments":
         a0, b0, mu0 = _mom_init(work_c, alpha)
     else:
         a0, b0, mu0 = init
     x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0])
 
-    constant = _cf_residuals(empirical_charfun(work_c, CF_GRID)[None, :], alpha)
-    x, obj, status = _least_squares(lambda x: constant(*x, np.ones(1)), x0,
-                                    "time-change fit")
-    statuses = (status,)
+    emp = empirical_charfun(work_c, CF_GRID)[None, :]
+    x, obj, stage = _least_squares(*_constant_functions(emp, alpha), x0, "time-change fit")
+    stages = [stage]
     if vol_shape == "seasonal":
-        x, vol, obj, status = _joint_refine(eps, t_eps, alpha, x, vol)
-        statuses += (status,)
+        x, vol, obj, stage = _joint_refine(eps, t_eps, alpha, x, vol)
+        stages.append(stage)
+    status, nfev, njev = zip(*stages)
 
     return TimeChangeFit(a=math.exp(x[0]), b=math.exp(x[1]), mu1=float(x[2]), vol=vol,
                          objective=obj, init=(float(a0), float(b0), float(mu0)),
-                         status=statuses)
+                         status=status, nfev=nfev, njev=njev)
+
+
+def _constant_functions(emp: np.ndarray, alpha: float):
+    """Residuals and Jacobian of the constant fit in x = (log a, log b, mu1), sig = 1."""
+    residuals, jacobian = _cf_residuals(emp, alpha), _cf_jacobian(alpha)
+    one = np.ones(1)
+    return (lambda x: residuals(*x, one)), (lambda x: jacobian(*x, one)[:, :3])
+
+
+def _refine_functions(emp_groups: np.ndarray, alpha: float, c0: float, t_groups: np.ndarray):
+    """Residuals and Jacobian of the refine in x = (log a, log b, mu1, c1, c2, c3).
+
+    Group g's vol scale is sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t)
+    at t = t_g, so its rows' columns for c1..c3 are d/d sig_g times
+    (t_g, sin(omega t_g), cos(omega t_g)).
+    """
+    residuals, jacobian = _cf_residuals(emp_groups, alpha), _cf_jacobian(alpha)
+    # rows run over (real/imaginary part, group, u)
+    dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:], CF_GRID.size, axis=0), (2, 1))
+
+    def sig(x):
+        return eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups)
+
+    def joint(x):
+        return residuals(*x[:3], sig(x))
+
+    def joint_jacobian(x):
+        jac = jacobian(*x[:3], sig(x))
+        return np.hstack([jac[:, :3], jac[:, 3:] * dsig_dc])
+
+    return joint, joint_jacobian
 
 
 def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
@@ -336,15 +451,11 @@ def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
     t_groups = np.array([np.mean(doy[idx]) for idx in months])
     emp_groups = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
                            for idx in months])
-    residuals = _cf_residuals(emp_groups, alpha)
     c0 = vol0.k0
-
-    def joint(x):
-        return residuals(x[0], x[1], x[2], eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups))
-
     start = np.array([*x0, vol0.k1, vol0.k2, vol0.k3])
-    x, obj, status = _least_squares(joint, start, "seasonal time-change refine")
-    return x[:3], FourCoeffs(c0, *map(float, x[3:])), obj, status
+    x, obj, stage = _least_squares(*_refine_functions(emp_groups, alpha, c0, t_groups), start,
+                                   "seasonal time-change refine")
+    return x[:3], FourCoeffs(c0, *map(float, x[3:])), obj, stage
 
 
 def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: float,

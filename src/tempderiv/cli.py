@@ -195,7 +195,9 @@ def cmd_fit(args) -> int:
         "timechange": {"a": tch.a, "b": tch.b, "mu1": tch.mu1,
                        "vol": tch.vol.as_array(), "objective": tch.objective,
                        "init": list(tch.init), "vol_shape": args.vol_shape,
-                       "converged": tch.converged, "status": list(tch.status)},
+                       "converged": tch.converged and not tch.at_bound,
+                       "at_bound": tch.at_bound, "status": list(tch.status),
+                       "nfev": list(tch.nfev), "njev": list(tch.njev)},
     }
     _write_json(args.out, payload)
     return 0

@@ -227,6 +227,13 @@ class TestFitTimechange:
         with pytest.raises(CalibrationError, match="positive variance"):
             fit_timechange(np.zeros(1000), alpha=0.2, vol_shape=vol_shape)
 
+    @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
+    def test_constant_series_rejected_with_explicit_seed(self, vol_shape):
+        """An explicit seed skips the moment seed; the series still has no clock to fit."""
+        with pytest.raises(CalibrationError, match="positive variance"):
+            fit_timechange(np.zeros(1000), alpha=0.2, init=(1.5, 1.0, 0.3),
+                           vol_shape=vol_shape)
+
     def test_seasonal_vol_profile_recovered(self):
         p = ModelParams(alpha=0.25, t0=-5.0, seasonal=FourCoeffs(8.0, 0.0008, -6.0, -13.0),
                         vol=FourCoeffs(2.0, 0.0, 0.4, 0.8),
@@ -283,6 +290,105 @@ class TestLeastSquaresStatus:
         monkeypatch.setattr(optimize, "least_squares", fake)
         tf = fit_timechange(self.resid, alpha=0.25, vol_shape="seasonal")
         assert fake.calls == 2 and tf.converged and tf.status == (2, 2)
+
+
+def richardson(fun, x, i, h):
+    """Richardson-extrapolated central difference of fun along coordinate i (error O(h^4))."""
+    def central(h):
+        step = np.zeros_like(x)
+        step[i] = h
+        return (fun(x + step) - fun(x - step)) / (2.0 * h)
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def fd_least_squares(residuals, jacobian, x0, stage):
+    """The Levenberg-Marquardt stage with a forward-difference Jacobian instead."""
+    res = optimize.least_squares(residuals, x0, method="lm", ftol=1e-12)
+    assert res.status > 0
+    return res.x, 2.0 * float(res.cost), (int(res.status), int(res.nfev), 0)
+
+
+class TestJacobian:
+    T_GROUPS = np.arange(12) * 365.0 / 12.0 + 15.0
+
+    def draws(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            p = random_model(rng)
+            tc = p.timechange
+            x = np.array([np.log(tc.a), np.log(tc.b), tc.mu1])
+            emp = np.exp(1j * rng.normal(0.0, 0.1, (12, calibrate.CF_GRID.size)))
+            yield p, x, emp
+
+    @staticmethod
+    def assert_columns_match(fun, jac, x, steps):
+        got = jac(x)
+        assert got.shape == (fun(x).size, x.size)
+        for i, h in enumerate(steps):
+            want = richardson(fun, x, i, h)
+            assert np.linalg.norm(got[:, i] - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_constant_stage_against_richardson(self):
+        for p, x, emp in self.draws(95):
+            self.assert_columns_match(*calibrate._constant_functions(emp[:1], p.alpha), x,
+                                      (1e-3,) * 3)
+
+    def test_refine_stage_against_richardson(self):
+        for p, x, emp in self.draws(96):
+            vol = p.vol
+            fun, jac = calibrate._refine_functions(emp, p.alpha, vol.k0, self.T_GROUPS)
+            # c1 multiplies t_g (up to 350 days): a step of 1e-3 would move sig by 0.35
+            self.assert_columns_match(fun, jac, np.array([*x, vol.k1, vol.k2, vol.k3]),
+                                      (1e-3,) * 3 + (1e-6, 1e-3, 1e-3))
+
+    def test_zero_where_the_residuals_are_the_penalty(self):
+        jacobian = calibrate._cf_jacobian(0.25)
+        sig = np.full(12, 1.5)
+        for args in [(25.5, 0.0, 0.1, sig), (0.0, -26.0, 0.1, sig), (0.0, 0.0, 50.5, sig),
+                     (0.0, 0.0, 0.1, np.where(np.arange(12) == 4, 1e-6, 1.5)),
+                     (0.0, 0.0, 0.1, np.full(1, -0.3))]:
+            jac = jacobian(*args)
+            assert jac.shape == (2 * args[3].size * calibrate.CF_GRID.size, 4)
+            assert not np.any(jac)
+
+    def test_objective_not_above_finite_difference_fit(self, recovery_runs, monkeypatch):
+        """The closed form changes the path, not the optimum, of each stage."""
+        fits = [(resid, alpha, shape) for resid, alpha in recovery_runs[:4]
+                for shape in ("constant", "seasonal")]
+        analytic = [fit_timechange(r, alpha=a, vol_shape=s).objective for r, a, s in fits]
+        monkeypatch.setattr(calibrate, "_least_squares", fd_least_squares)
+        for (resid, alpha, shape), objective in zip(fits, analytic):
+            fd = fit_timechange(resid, alpha=alpha, vol_shape=shape).objective
+            assert objective <= fd * (1.0 + 1e-10)
+
+    def test_counts_are_the_calls(self, monkeypatch):
+        """nfev and njev count every call of each stage's residuals and Jacobian."""
+        calls = []
+
+        def counting(factory, kind):
+            def make(*args):
+                f, record = factory(*args), {"kind": kind, "calls": 0}
+                calls.append(record)
+
+                def call(*x):
+                    record["calls"] += 1
+                    return f(*x)
+                return call
+            return make
+
+        monkeypatch.setattr(calibrate, "_cf_residuals",
+                            counting(calibrate._cf_residuals, "residuals"))
+        monkeypatch.setattr(calibrate, "_cf_jacobian",
+                            counting(calibrate._cf_jacobian, "jacobian"))
+        resid = TestLeastSquaresStatus.resid
+        for shape, stages in (("constant", 1), ("seasonal", 2)):
+            calls.clear()
+            tf = fit_timechange(resid, alpha=0.25, vol_shape=shape)
+            counted = {kind: tuple(r["calls"] for r in calls if r["kind"] == kind)
+                       for kind in ("residuals", "jacobian")}
+            assert len(tf.nfev) == len(tf.njev) == stages
+            assert tf.nfev == counted["residuals"] and tf.njev == counted["jacobian"]
+            assert all(0 < n <= 10 for n in tf.nfev + tf.njev)
 
 
 class TestScaleDegeneracy:

@@ -88,6 +88,32 @@ class TestFit:
             assert got[key] == pytest.approx(want, rel=1e-6, abs=1e-6)
         assert tch["converged"] is True and len(tch["status"]) == 2
 
+    @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
+    def test_interior_fit_reports_counts(self, fit_csv, tmp_path, vol_shape):
+        out = tmp_path / "fit.json"
+        assert main(["fit", fit_csv, "--out", str(out), "--vol-shape", vol_shape]) == 0
+        tch = json.loads(out.read_text())["timechange"]
+        assert tch["at_bound"] == [] and tch["converged"] is True
+        stages = len(tch["status"])
+        assert len(tch["nfev"]) == len(tch["njev"]) == stages
+        assert all(isinstance(n, int) and 0 < n <= 10 for n in tch["nfev"] + tch["njev"])
+
+    @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
+    def test_fit_ending_on_the_box_wall_is_not_converged(self, tmp_path, vol_shape):
+        """Criterion 10's near-Gaussian series: mu1 is not identified and LM walks to
+        |mu1| = 50; the solver stops normally, but the fit is no interior optimum."""
+        rng = np.random.default_rng(99)
+        vals = 8 + 6 * np.sin(2 * np.pi * np.arange(700) / 365) + rng.normal(0, 2, 700)
+        base = np.datetime64("2016-01-01")
+        csv = tmp_path / "series.csv"
+        csv.write_text("date,tavg\n" + "\n".join(
+            f"{base + i},{v:.4f}" for i, v in enumerate(vals)) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv), "--out", str(out), "--vol-shape", vol_shape]) == 0
+        tch = json.loads(out.read_text())["timechange"]
+        assert tch["at_bound"] == ["mu1"] and abs(tch["mu1"]) > 50 - 1e-3
+        assert tch["converged"] is False and all(st > 0 for st in tch["status"])
+
     def test_gap_csv_exit_2(self, tmp_path, capsys):
         lines = ["date,tavg"]
         base = np.datetime64("2020-01-01")
