@@ -6,7 +6,7 @@ Library layout:
 - `charfun`   : cumulant exponents and characteristic functions (spot and CAT)
 - `esscher`   : martingale-measure selection by exponential tilting
 - `cosine`    : Fourier-cosine density recovery and strangle pricing
-- `simulate`  : exact-law path simulation and Monte Carlo oracles
+- `simulate`  : moment-matched path simulation and Monte Carlo oracles
 - `data`      : CSV ingestion, repair, descriptive statistics
 - `calibrate` : seasonal OLS, mean-reversion and time-change estimation
 - `cli`       : batch command line (fit / price / simulate / density / stats)

@@ -267,15 +267,19 @@ def cmd_simulate(args) -> int:
                     seed=_num(sim_cfg["seed"], "sim.seed", int),
                     measure=str(sim_cfg.get("measure", "P")),
                     theta=_num(sim_cfg.get("theta", 0.0), "sim.theta"))
-    times, paths = simulate_paths(model, run, horizon)
-
     start = cfg.get("start_date")
     if start is not None:
         try:
             base = np.datetime64(str(start), "D")
         except ValueError as exc:
             raise IngestError(f"start_date must be an ISO date, got {start!r}") from exc
-        labels = [str(base + int(round(t))) for t in times]
+        if run.step != int(run.step):
+            raise IngestError(f"start_date needs a whole number of days per step, "
+                              f"got sim.step {run.step}")
+    times, paths = simulate_paths(model, run, horizon)
+
+    if start is not None:
+        labels = (base + np.rint(times).astype(np.int64)).astype(str).tolist()
     else:
         labels = [_FMT.format(t) for t in times]
     # one %-format per path over (label, value) pairs; "%.10g" is _FMT

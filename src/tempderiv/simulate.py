@@ -17,17 +17,20 @@ transition.  Under the tilted measure Q(theta) the transformed parameters
 mu1' = mu1 + theta, b' = b A1(theta) are used.
 
 Randomness is counter-based and scheduling-independent: paths are grouped
-in fixed blocks of 128, block ``i`` draws from Philox(key=[seed, i]) in
-chunks of at most 512 steps (a Gamma matrix, then a normal matrix, each
-(steps, 128)), and a path's draws depend only on (seed, block, row) --
-never on n_paths.
+in fixed blocks of 128, and block ``i`` has two SFC64 streams seeded by
+SeedSequence([seed, i, stream]), stream 0 for the Gamma clock and stream 1
+for the normals.  Draws are path-major: a block draws (rows, n_steps)
+matrices for the rows asked for and no others, split by rows so that one
+draw holds at most CHUNK_STEPS * PATH_BLOCK variates.  Numpy fills an array
+in sequence, so a path's draws depend only on (seed, block, row) -- never
+on n_paths.
 
 The Monte Carlo strangle price `mc_price_cat` is a conditional
 (Rao-Blackwellised) estimator: given a path's Gamma clock the CAT index is
 Gaussian, so each path contributes the closed-form (Bachelier) expectation
 of the payoff -- the Gamma mixture of Gaussians of Madan, Carr & Chang
 (1998), used as conditional Monte Carlo (Glasserman 2003, section 4.7).  It
-draws only the Gamma matrices, the same ones `simulate_cat` draws.
+draws only the Gamma clock (stream 0), the same one `simulate_cat` draws.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import DomainError
 from .seasonal import eval_seasonal, k1
 
 PATH_BLOCK = 128
-CHUNK_STEPS = 512
+CHUNK_STEPS = 512  # one draw holds at most CHUNK_STEPS * PATH_BLOCK variates
 D_CAP = 40.0
 
 
@@ -80,10 +83,12 @@ def gamma_increment(rng: np.random.Generator, shape: float, rate: float, size=No
     return rng.gamma(shape, 1.0 / rate, size)
 
 
-def block_rng(seed: int, block: int) -> np.random.Generator:
-    """Counter-based generator for one path block."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
+    """SFC64 generator of one stream of one path block, seeded by
+    SeedSequence([seed, block, stream]): stream 0 draws the Gamma clock,
+    stream 1 the normals."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, block, stream])))
 
 
 def _effective_timechange(p: ModelParams, cfg: SimConfig) -> GammaTimeChange:
@@ -126,44 +131,39 @@ def _n_steps(horizon: float, step: float) -> int:
     return n_steps
 
 
-def _clock_chunks(tc: GammaTimeChange, cfg: SimConfig,
-                  n_steps: int) -> Iterator[tuple[np.random.Generator, slice, slice, np.ndarray]]:
-    """Yield (rng, paths, steps, d_r): the Gamma clock increments d_r of the
-    steps in `steps` for the paths in `paths`, shape (steps, paths).
+def _clock_chunks(tc: GammaTimeChange, cfg: SimConfig, n_steps: int,
+                  normals: bool = False) -> Iterator[tuple[slice, np.ndarray, np.ndarray | None]]:
+    """Yield (paths, d_r, z): the Gamma clock increments d_r of all n_steps
+    steps for the paths in `paths`, shape (paths, n_steps), and with
+    `normals` the normal matrix z of the same shape (else None).
 
-    Block ``i`` holds the PATH_BLOCK paths from PATH_BLOCK * i on and draws from
-    rng = Philox(key=[seed, i]), one chunk of at most CHUNK_STEPS steps at a
-    time, a (steps, PATH_BLOCK) Gamma matrix first.  Draws are always full
-    width, so a path's draws are a pure function of (seed, block, row), never
-    of n_paths; rows beyond n_paths are dropped.  A caller that draws more
-    per chunk does so from `rng` before asking for the next chunk.
+    Block ``i`` holds the PATH_BLOCK paths from PATH_BLOCK * i on and draws
+    d_r from its stream 0 and z from its stream 1 (`block_rng`), in runs of
+    at most CHUNK_STEPS * PATH_BLOCK // n_steps rows (at least one).  Each
+    stream is drawn in row order, so a path's draws are a pure function of
+    (seed, block, row), never of n_paths or of the row split.
     """
     shape = tc.a * cfg.step
-    for blk in range(-(-cfg.n_paths // PATH_BLOCK)):
-        rng = block_rng(cfg.seed, blk)
-        paths = slice(blk * PATH_BLOCK, min((blk + 1) * PATH_BLOCK, cfg.n_paths))
-        rows = paths.stop - paths.start
-        for j0 in range(0, n_steps, CHUNK_STEPS):
-            steps = slice(j0, min(j0 + CHUNK_STEPS, n_steps))
-            d_r = rng.standard_gamma(shape, (steps.stop - j0, PATH_BLOCK))[:, :rows] / tc.b
-            yield rng, paths, steps, d_r
+    run = max(1, CHUNK_STEPS * PATH_BLOCK // n_steps)
+    for start in range(0, cfg.n_paths, PATH_BLOCK):
+        blk = start // PATH_BLOCK
+        clock = block_rng(cfg.seed, blk, 0)
+        noise = block_rng(cfg.seed, blk, 1) if normals else None
+        stop = min(start + PATH_BLOCK, cfg.n_paths)
+        for row in range(start, stop, run):
+            paths = slice(row, min(row + run, stop))
+            size = (paths.stop - row, n_steps)
+            d_r = clock.standard_gamma(shape, size) / tc.b
+            yield paths, d_r, (noise.standard_normal(size) if normals else None)
 
 
-def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, int, np.ndarray]]:
-    """Yield (paths, first_step, inc): the increments inc_j of steps
-    first_step.. for the paths in the slice, shape (steps, paths), where
-    T_{j+1} = decay T_j + inc_j.
-
-    Each chunk draws its Gamma clock (`_clock_chunks`), then a normal matrix
-    of the same (steps, PATH_BLOCK) shape.
-    """
+def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (paths, inc): the increments inc_j of all steps for the paths in
+    the slice, shape (paths, n_steps), where T_{j+1} = decay T_j + inc_j."""
     tc = _effective_timechange(p, cfg)
     drift, drift_scale, gauss_scale2 = _step_tables(p, tc, n_steps, cfg.step)
-    for rng, paths, steps, d_r in _clock_chunks(tc, cfg, n_steps):
-        z = rng.standard_normal((len(d_r), PATH_BLOCK))[:, :d_r.shape[1]]
-        inc = (drift[steps, None] + drift_scale[steps, None] * d_r
-               + np.sqrt(gauss_scale2[steps, None] * d_r) * z)
-        yield paths, steps.start, inc
+    for paths, d_r, z in _clock_chunks(tc, cfg, n_steps, normals=True):
+        yield paths, drift + drift_scale * d_r + np.sqrt(gauss_scale2 * d_r) * z
 
 
 def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,12 +177,11 @@ def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.n
     decay = np.exp(-p.alpha * cfg.step)
     out = np.empty((cfg.n_paths, n_steps + 1))
     out[:, 0] = p.t0
-    for paths, j0, inc in _increments(p, cfg, n_steps):
-        prev = out[paths, j0]
-        for row in inc:  # the AR(1) recursion, in place over the chunk
-            row += decay * prev
-            prev = row
-        out[paths, j0 + 1:j0 + 1 + len(inc)] = inc.T
+    for paths, inc in _increments(p, cfg, n_steps):
+        rows = out[paths]  # a view: the AR(1) recursion runs in place
+        rows[:, 1:] = inc
+        for j in range(1, n_steps + 1):
+            rows[:, j] += decay * rows[:, j - 1]
     return np.arange(n_steps + 1) * cfg.step, out
 
 
@@ -210,14 +209,14 @@ def simulate_cat(p: ModelParams, cfg: SimConfig, horizon_T: int) -> tuple[np.nda
     """Per-path cumulated temperature xi = sum_{k=1}^T T_k and terminal T_T.
 
     Requires daily steps (the CAT index sums daily values).  No path is
-    built: each chunk's increments are reduced by their closed-form
-    weights (`_cat_weights`).
+    built: each run's increments are reduced by their closed-form weights
+    (`_cat_weights`).
     """
     horizon_T, base, weights = _cat_weights(p, cfg, horizon_T)
     sums = np.empty((2, cfg.n_paths))
     sums[:] = base[:, None]
-    for paths, j0, inc in _increments(p, cfg, horizon_T):
-        sums[:, paths] += weights[:, j0:j0 + len(inc)] @ inc
+    for paths, inc in _increments(p, cfg, horizon_T):
+        sums[:, paths] += weights @ inc.T
     return sums[0], sums[1]
 
 
@@ -248,8 +247,9 @@ def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,
     the rest from `_step_tables`), so the strangle pays
     d1 C(m, s, K1) + d2 P(m, s, K2) in expectation, C and P the Bachelier
     legs.  The estimator averages that over paths: only the clock is drawn
-    (the Gamma stream `simulate_cat` draws, no normals), and its variance is
-    that of the conditional payoff, never more than the plain payoff's.
+    (the Gamma stream `simulate_cat` draws; the normal stream is never
+    seeded), and its variance is that of the conditional payoff, never more
+    than the plain payoff's.
 
     Returns (price, standard error of the mean).
     """
@@ -261,8 +261,8 @@ def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,
     w = weights[0]
     coef = np.stack([w * drift_scale, w * w * gauss_scale2])
     moments = np.zeros((2, cfg.n_paths))
-    for _, paths, steps, d_r in _clock_chunks(tc, run_cfg, horizon_T):
-        moments[:, paths] += coef[:, steps] @ d_r
+    for paths, d_r, _ in _clock_chunks(tc, run_cfg, horizon_T):
+        moments[:, paths] += coef @ d_r.T
     m = base[0] + w @ drift + moments[0]
     s = np.sqrt(moments[1])
     # the put leg E[(K2 - X)^+] is the call on -X ~ N(-m, s^2) struck at -K2

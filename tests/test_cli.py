@@ -283,6 +283,31 @@ class TestSimulate:
             lines.extend(f"{labels[j]},{pid},{'{:.10g}'.format(paths[pid, j])}" for j in range(9))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize("step", [1.0, 2.0])
+    def test_date_labels_across_leap_day(self, tmp_path, step):
+        """A 400-day run from 2019-12-01 spans 2020-02-29; each label is
+        str(base + int(round(t))) of its time."""
+        cfg = {"model": MODEL_CFG, "horizon": 400, "start_date": "2019-12-01",
+               "sim": {"n_paths": 2, "seed": 5, "step": step}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        labels = [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]]
+        base = np.datetime64("2019-12-01")
+        expected = [str(base + int(round(t))) for t in np.arange(int(400 / step) + 1) * step]
+        assert labels == 2 * expected
+        assert "2020-02-29" in labels
+
+    def test_fractional_step_with_start_date_exit_2(self, tmp_path, capsys):
+        """Half-day steps would label several rows with the same date."""
+        cfg = {"model": MODEL_CFG, "horizon": 3, "start_date": "2018-01-01",
+               "sim": {"n_paths": 1, "seed": 1, "step": 0.5}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert "whole number of days" in capsys.readouterr().err
+
     def test_seed_required(self, tmp_path, capsys):
         cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": 1}}
         p = tmp_path / "cfg.json"

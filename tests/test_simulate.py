@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def drawn(monkeypatch):
 
     original = block_rng
     monkeypatch.setattr("tempderiv.simulate.block_rng",
-                        lambda seed, blk: Counting(original(seed, blk)))
+                        lambda seed, blk, stream: Counting(original(seed, blk, stream)))
     return draws
 
 
@@ -103,11 +104,21 @@ class TestSimulatePaths:
         assert np.array_equal(a, b[:10])
 
     def test_draws_only_one_block_width(self, toronto_like_model, drawn):
-        """4 paths over 3,650 days draw one 128-row block: 2 * 128 * 3650 variates."""
+        """4 paths over 3,650 days draw only their own rows: 2 * 4 * 3650 variates."""
         _, paths = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4, seed=3),
                                   3650.0)
         assert paths.shape == (4, 3651)
-        assert sum(size for _, size in drawn) == 2 * PATH_BLOCK * 3650
+        assert sum(size for _, size in drawn) == 2 * 4 * 3650
+
+    def test_paths_independent_of_count_across_row_runs(self, toronto_like_model):
+        """1,100 days draw each block in runs of 59 rows: a path is the same
+        whether its run or its block is cut short or followed by more."""
+        p = replace(toronto_like_model, horizon=1101.0)
+        cfg = lambda n: SimConfig(step=1.0, n_paths=n, seed=21, measure="Q", theta=-0.1)
+        _, full = simulate_paths(p, cfg(300), 1100.0)
+        for n in (1, 58, 59, 60, 127, 128, 129, 188):
+            _, part = simulate_paths(p, cfg(n), 1100.0)
+            assert np.array_equal(part, full[:n])
 
     def test_block_rng_counter_based(self):
         g1 = block_rng(7, 0).standard_normal(4)
@@ -115,6 +126,12 @@ class TestSimulatePaths:
         g3 = block_rng(7, 1).standard_normal(4)
         assert np.array_equal(g1, g2)
         assert not np.array_equal(g1, g3)
+
+    def test_block_streams_differ(self):
+        clock = block_rng(7, 0, 0).standard_normal(4)
+        noise = block_rng(7, 0, 1).standard_normal(4)
+        assert np.array_equal(clock, block_rng(7, 0).standard_normal(4))
+        assert not np.array_equal(clock, noise)
 
 
 class TestSimulateCat:
@@ -130,7 +147,7 @@ class TestSimulateCat:
         assert np.allclose(terminal, paths[:, -1])
 
     def test_cat_sums_across_block_and_chunk_edges(self, toronto_like_model):
-        """300 paths span three blocks and 1,100 days three step chunks."""
+        """300 paths span three blocks, each drawn in runs of 59 rows over 1,100 days."""
         p = ModelParams(alpha=toronto_like_model.alpha, t0=toronto_like_model.t0,
                         seasonal=toronto_like_model.seasonal, vol=toronto_like_model.vol,
                         timechange=toronto_like_model.timechange, horizon=1101.0)
@@ -198,13 +215,13 @@ class TestMcPriceCat:
             assert se <= plain_se / 5.0
 
     def test_draws_only_the_gamma_clock(self, drawn):
-        """300 paths (3 blocks) over 600 days (2 chunks): 3 * 128 * 600 Gamma
-        variates, the ones simulate_cat draws first in each chunk, and no normals."""
+        """300 paths (3 blocks, runs of 109 rows) over 600 days: 300 * 600 Gamma
+        variates, the ones simulate_cat draws first in each run, and no normals."""
         c = ContractSpec(horizon_T=600, k1_strike=7000.0, k2_strike=6000.0,
                          d1=1.0, d2=1.0, rate_r=0.02)
         mc_price_cat(c, README_MODEL, 0.0, SimConfig(n_paths=300, seed=4))
         assert {name for name, _ in drawn} == {"standard_gamma"}
-        assert sum(size for _, size in drawn) == 3 * PATH_BLOCK * 600
+        assert sum(size for _, size in drawn) == 300 * 600
         clock = list(drawn)
         drawn.clear()
         simulate_cat(README_MODEL, SimConfig(n_paths=300, seed=4, measure="Q"), 600)
