@@ -273,7 +273,7 @@ def cmd_simulate(args) -> int:
             base = np.datetime64(str(start), "D")
         except ValueError as exc:
             raise IngestError(f"start_date must be an ISO date, got {start!r}") from exc
-        if run.step != int(run.step):
+        if not float(run.step).is_integer():
             raise IngestError(f"start_date needs a whole number of days per step, "
                               f"got sim.step {run.step}")
     times, paths = simulate_paths(model, run, horizon)

@@ -18,12 +18,13 @@ mu1' = mu1 + theta, b' = b A1(theta) are used.
 
 Randomness is counter-based and scheduling-independent: paths are grouped
 in fixed blocks of 128, and block ``i`` has two SFC64 streams seeded by
-SeedSequence([seed, i, stream]), stream 0 for the Gamma clock and stream 1
-for the normals.  Draws are path-major: a block draws (rows, n_steps)
-matrices for the rows asked for and no others, split by rows so that one
-draw holds at most CHUNK_STEPS * PATH_BLOCK variates.  Numpy fills an array
-in sequence, so a path's draws depend only on (seed, block, row) -- never
-on n_paths.
+SeedSequence([seed, i, stream]) (fixed width, see `block_rng`), stream 0 for
+the Gamma clock and stream 1 for the normals.  Draws are path-major: a
+block draws (rows, n_steps) matrices for the rows asked for and no others,
+split by rows so that one draw holds at most CHUNK_STEPS * PATH_BLOCK
+variates.  Numpy fills an array in sequence, so a path's draws depend only
+on (seed, block, row) -- never on n_paths.  The AR(1) recursion of
+`simulate_paths` then runs once over all paths.
 
 The Monte Carlo strangle price `mc_price_cat` is a conditional
 (Rao-Blackwellised) estimator: given a path's Gamma clock the CAT index is
@@ -86,9 +87,17 @@ def gamma_increment(rng: np.random.Generator, shape: float, rate: float, size=No
 def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     """SFC64 generator of one stream of one path block, seeded by
     SeedSequence([seed, block, stream]): stream 0 draws the Gamma clock,
-    stream 1 the normals."""
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, block, stream])))
+    stream 1 the normals.
+
+    The seed is taken modulo 2**64 and the entropy is always the four
+    32-bit words [seed low, block, stream, seed high]: a fixed width, so no
+    two (seed, block, stream) share a stream (SeedSequence pads short
+    entropy with zeros, which would let [2**32, 0, 0] equal [0, 1, 0]).
+    Below 2**32 the high word is the zero padding, so those seeds draw what
+    SeedSequence([seed, block, stream]) draws."""
+    seed &= 0xFFFFFFFFFFFFFFFF
+    words = np.array([seed & 0xFFFFFFFF, block, stream, seed >> 32], dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 def _effective_timechange(p: ModelParams, cfg: SimConfig) -> GammaTimeChange:
@@ -178,10 +187,9 @@ def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.n
     out = np.empty((cfg.n_paths, n_steps + 1))
     out[:, 0] = p.t0
     for paths, inc in _increments(p, cfg, n_steps):
-        rows = out[paths]  # a view: the AR(1) recursion runs in place
-        rows[:, 1:] = inc
-        for j in range(1, n_steps + 1):
-            rows[:, j] += decay * rows[:, j - 1]
+        out[paths, 1:] = inc
+    for j in range(1, n_steps + 1):  # the AR(1) recursion, once over all paths
+        out[:, j] += decay * out[:, j - 1]
     return np.arange(n_steps + 1) * cfg.step, out
 
 

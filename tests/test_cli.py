@@ -299,10 +299,12 @@ class TestSimulate:
         assert labels == 2 * expected
         assert "2020-02-29" in labels
 
-    def test_fractional_step_with_start_date_exit_2(self, tmp_path, capsys):
-        """Half-day steps would label several rows with the same date."""
+    @pytest.mark.parametrize("step", [0.5, float("inf")])
+    def test_fractional_step_with_start_date_exit_2(self, tmp_path, capsys, step):
+        """Half-day steps would label several rows with the same date; an
+        infinite step is no whole number of days either."""
         cfg = {"model": MODEL_CFG, "horizon": 3, "start_date": "2018-01-01",
-               "sim": {"n_paths": 1, "seed": 1, "step": 0.5}}
+               "sim": {"n_paths": 1, "seed": 1, "step": step}}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(p)]) == 2

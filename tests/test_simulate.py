@@ -133,6 +133,17 @@ class TestSimulatePaths:
         assert np.array_equal(clock, block_rng(7, 0).standard_normal(4))
         assert not np.array_equal(clock, noise)
 
+    @pytest.mark.parametrize("a, b", [((2 ** 32, 0, 0), (0, 1, 0)),
+                                      ((2 ** 32, 1, 0), (0, 1, 1)),
+                                      ((2 ** 33, 0, 0), (0, 2, 0))])
+    def test_large_seeds_share_no_stream(self, a, b):
+        """Zero-padded entropy would make these (seed, block, stream) equal."""
+        assert not np.array_equal(block_rng(*a).random(4), block_rng(*b).random(4))
+
+    def test_small_seed_entropy_is_seed_block_stream(self):
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, 3, 1])))
+        assert np.array_equal(block_rng(7, 3, 1).random(4), expected.random(4))
+
 
 class TestSimulateCat:
     def test_requires_daily_step(self, toronto_like_model):
