@@ -162,28 +162,60 @@ def v_cumulants(tc: GammaTimeChange) -> tuple[float, float, float, float]:
             3.0 * a * (1.0 + 4.0 * x + 2.0 * x * x) / (b * b))
 
 
-def tilted_exponent_sum(kern, u, tc: GammaTimeChange) -> np.ndarray:
+def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces=None) -> np.ndarray:
     """sum_n w_n l_V(i u kern[..., n]) over the unit-rule nodes, for real u.
 
     `kern` holds the kernel at the UNIT_NODES of each piece along its last
     axis; the result has shape kern.shape[:-1] + u.shape and is the
-    piece integral divided by the piece length.  A tilt enters through
-    `tc` (see `transformed_timechange`).  With q = (uk)^2/(2b) and
-    p = uk mu1/b the Log argument is 1 - x = 1 + q - ip, so the exponent
-    is formed in real arithmetic.
+    piece integral divided by the piece length.  With `pieces`, a weight
+    per entry of the first axis (the piece lengths), that axis is summed
+    with those weights and the result has shape kern.shape[1:-1] + u.shape.
+    A tilt enters through `tc` (see `transformed_timechange`).
+
+    With r = u/b the Log argument is A = 1 + q - ip, q = k^2 u r/2 and
+    p = k mu1 r, so in real arithmetic
+
+        log|A|^2 = log1p(k^2 c2 + k^4 c4),  c2 = u r + (mu1 r)^2,  c4 = (u r/2)^2,
+        arg A    = atan2(-k mu1 r, 1 + k^2 u r/2),
+
+    and each argument is one (k^2, k^4) or (1, k^2) matrix product with a
+    (2, n_u) coefficient matrix.  Re A = 1 + q >= 1: the Log never reaches
+    its branch cut.  Without `pieces` all nodes are formed in one
+    (..., node, u) array, which is fastest for small kernels; with it the
+    nodes are taken one (pieces, u) array at a time and each is reduced at
+    once by a matrix-vector product, as large kernels are memory-bound.
     """
     u = np.asarray(u, float)
     kern = np.asarray(kern, float)
-    log_mod = np.zeros(kern.shape[:-1] + u.shape)
-    phase = np.zeros_like(log_mod)
-    # node by node: one (pieces, n_u) array at a time
-    for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
-        p = np.multiply.outer(k_n, u * (tc.mu1 / tc.b))
-        q = np.multiply.outer(k_n * k_n, u * u / (2.0 * tc.b))
-        # Re(1 - x) = 1 + q >= 1 for real u: the Log never reaches its branch cut
-        log_mod += 0.5 * w_n * np.log1p(q * (2.0 + q) + p * p)
-        phase += w_n * np.arctan2(-p, 1.0 + q)
-    return -tc.a * (log_mod + 1j * phase)
+    r = u.ravel() / tc.b
+    ur = u.ravel() * r
+    mod_coef = np.stack([ur + (tc.mu1 * r) ** 2, 0.25 * ur * ur])
+    den_coef = np.stack([np.ones_like(ur), 0.5 * ur])
+    num_coef = -tc.mu1 * r
+
+    def log_parts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log|A|^2 and arg A at the kernel values k (1-D), each (k.size, n_u)."""
+        k2 = k * k
+        log_mod2 = np.log1p(np.stack([k2, k2 * k2], axis=1) @ mod_coef)
+        phase = np.arctan2(np.multiply.outer(k, num_coef),
+                           np.stack([np.ones_like(k2), k2], axis=1) @ den_coef)
+        return log_mod2, phase
+
+    if pieces is None:
+        shape = kern.shape[:-1]
+        log_mod2, phase = (UNIT_WEIGHTS @ x.reshape(kern.shape + r.shape)
+                           for x in log_parts(kern.ravel()))
+    else:
+        pieces = np.asarray(pieces, float)
+        shape = kern.shape[1:-1]
+        log_mod2 = np.zeros(np.prod(shape, dtype=int) * r.size)
+        phase = np.zeros_like(log_mod2)
+        for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
+            node_mod2, node_phase = log_parts(k_n.ravel())
+            weights = w_n * pieces
+            log_mod2 += weights @ node_mod2.reshape(pieces.size, log_mod2.size)
+            phase += weights @ node_phase.reshape(pieces.size, phase.size)
+    return (-tc.a * (0.5 * log_mod2 + 1j * phase)).reshape(shape + u.shape)
 
 
 def _eval_on_positive(u, compute) -> np.ndarray | complex:
@@ -218,7 +250,7 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
 
     def compute(uu: np.ndarray) -> np.ndarray:
-        integral = lengths @ tilted_exponent_sum(kern, uu, tc)
+        integral = tilted_exponent_sum(kern, uu, tc, pieces=lengths)
         return np.exp(1j * uu * det + integral)
 
     return _eval_on_positive(u, compute)
@@ -263,7 +295,7 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     det_sum, kern = _cat_parts(p, int(horizon_T), mode)
 
     def compute(uu: np.ndarray) -> np.ndarray:
-        integral = np.sum(tilted_exponent_sum(kern, uu, tc), axis=0)
+        integral = tilted_exponent_sum(kern, uu, tc, pieces=np.ones(len(kern)))
         return np.exp(1j * uu * det_sum + integral)
 
     return _eval_on_positive(u, compute)

@@ -303,6 +303,11 @@ def cmd_density(args) -> int:
                      "horizon_t", int)
     model = _model_from(cfg, horizon=float(horizon_t))
     measure = str(cfg.get("measure", "P")).upper()
+    if measure not in ("P", "Q"):
+        raise IngestError(f"measure must be P or Q, got {cfg['measure']!r}")
+    points = _num(cfg.get("points", 257), "points")
+    if not (points >= 1 and points.is_integer()):
+        raise IngestError(f"points must be a positive integer, got {cfg['points']!r}")
     if measure == "P":
         theta = 0.0
     elif cfg.get("theta") is not None:
@@ -311,8 +316,7 @@ def cmd_density(args) -> int:
         contract = _contract_from(cfg)
         theta, _ = _resolve_theta(cfg, model, contract)
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
-    points = _num(cfg.get("points", 257), "points", int)
-    xs = np.linspace(grid.b1, grid.b2, points)
+    xs = np.linspace(grid.b1, grid.b2, int(points))
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")
     dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
     lines = ["x,density"]

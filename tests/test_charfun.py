@@ -6,7 +6,8 @@ from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, M
                        a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
-from tempderiv.charfun import UNIT_NODES, UNIT_WEIGHTS
+from tempderiv.charfun import (UNIT_NODES, UNIT_WEIGHTS, _cat_parts, esscher_interval,
+                               tilted_exponent_sum, transformed_timechange)
 from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
@@ -137,6 +138,71 @@ class TestKernelRule:
         for mode in ("exact_kernel", "product"):
             got = charfun_cat(u, p, theta, horizon_T, mode)
             assert np.max(np.abs(got - quad_vec_cat(u, p, theta, horizon_T, mode))) <= 1e-13
+
+
+def log_argument_oracle(kern, u, tc: GammaTimeChange):
+    """-a sum_n w_n Log(1 + q - ip) in complex arithmetic on one (..., node, u) array."""
+    uk = np.multiply.outer(kern, u)
+    return -tc.a * (UNIT_WEIGHTS @ np.log(1.0 + uk * uk / (2.0 * tc.b) - 1j * uk * tc.mu1 / tc.b))
+
+
+def kernel_cases():
+    """(kern, u, tc): random_model CAT kernels, mu1 of both signs and 0, tilts at the interval
+    ends and inside, negative u and |u k| from 1e-4 to 1e3."""
+    for seed in range(6):
+        p = random_model(np.random.default_rng(seed))
+        _, kern = _cat_parts(p, 30, "exact_kernel")
+        mag = np.logspace(-4.0, 3.0, 29) / kern.max()
+        u = np.concatenate([-mag[::-1], mag])
+        for mu1 in (p.timechange.mu1, 0.0, -abs(p.timechange.mu1) - 0.1):
+            tc = GammaTimeChange(p.timechange.a, p.timechange.b, mu1)
+            lo, hi = esscher_interval(tc)
+            for theta in (0.0, lo + 5e-4, 0.5 * (lo + hi), hi - 5e-4):
+                yield kern, u, transformed_timechange(tc, theta)
+
+
+class TestTiltedExponentSum:
+    def test_one_array_layout_against_complex_log(self):
+        for kern, u, tc in kernel_cases():
+            np.testing.assert_allclose(tilted_exponent_sum(kern, u, tc),
+                                       log_argument_oracle(kern, u, tc),
+                                       rtol=1e-13, atol=1e-15 * tc.a)
+
+    def test_node_loop_layout_against_complex_log(self):
+        for kern, u, tc in kernel_cases():
+            lengths = np.linspace(0.2, 1.0, len(kern))
+            np.testing.assert_allclose(tilted_exponent_sum(kern, u, tc, pieces=lengths),
+                                       lengths @ log_argument_oracle(kern, u, tc),
+                                       rtol=1e-13, atol=1e-15 * tc.a * lengths.sum())
+
+    def test_piece_sum_equals_reduced_one_array_form(self):
+        for kern, u, tc in kernel_cases():
+            lengths = np.linspace(0.2, 1.0, len(kern))
+            np.testing.assert_allclose(tilted_exponent_sum(kern, u, tc, pieces=lengths),
+                                       lengths @ tilted_exponent_sum(kern, u, tc), rtol=1e-14)
+
+    def test_shapes(self, toronto_like_model):
+        _, kern = _cat_parts(toronto_like_model, 5, "exact_kernel")
+        tc = toronto_like_model.timechange
+        u = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
+        stacked = np.stack([kern, 2.0 * kern])  # (2, pieces, node)
+        assert tilted_exponent_sum(kern, u, tc).shape == (5, 2, 3)
+        assert tilted_exponent_sum(kern, u, tc, pieces=np.ones(5)).shape == (2, 3)
+        assert tilted_exponent_sum(stacked, u, tc).shape == (2, 5, 2, 3)
+        assert tilted_exponent_sum(stacked, u, tc, pieces=np.ones(2)).shape == (5, 2, 3)
+        np.testing.assert_allclose(tilted_exponent_sum(stacked, u, tc, pieces=np.ones(2)),
+                                   tilted_exponent_sum(stacked, u, tc).sum(axis=0), rtol=1e-14)
+        assert np.all(tilted_exponent_sum(kern[:0], u, tc, pieces=np.ones(0)) == 0.0)
+
+    @pytest.mark.parametrize("t", [0.4, 7.3, 29.9])
+    def test_charfun_T_partial_last_piece(self, t):
+        """A non-integer t ends on a partial piece, weighted by its length."""
+        u = np.array([0.05, 0.3, 1.0, 2.5])
+        for seed in range(3):
+            p = random_model(np.random.default_rng(seed))
+            lo, hi = esscher_interval(p.timechange)
+            theta = lo + 0.3 * (hi - lo)
+            assert np.max(np.abs(charfun_T(u, t, p, theta) - quad_vec_T(u, t, p, theta))) < 1e-12
 
 
 class TestCharfunT:

@@ -338,6 +338,41 @@ class TestDensity:
         assert main(["density", "--config", str(p), "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 130
 
+    @pytest.mark.parametrize("measure", ["X", "", "PQ"])
+    def test_unknown_measure_exit_2(self, tmp_path, capsys, measure):
+        """Only P and Q (any case) name a measure; anything else used to price under Q."""
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,
+               "measure": measure}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "density.csv"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 2
+        assert "measure must be P or Q" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measure", ["p", "q"])
+    def test_measure_any_case(self, tmp_path, measure):
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,
+               "measure": measure, "points": 5}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / f"density_{measure}.csv"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+        upper = tmp_path / f"density_{measure.upper()}.csv"
+        p.write_text(json.dumps({**cfg, "measure": measure.upper()}))
+        assert main(["density", "--config", str(p), "--out", str(upper)]) == 0
+        assert out.read_bytes() == upper.read_bytes()
+
+    @pytest.mark.parametrize("points", [-1, 0, 2.5, "many"])
+    def test_points_not_a_positive_integer_exit_2(self, tmp_path, capsys, points):
+        cfg = {"model": MODEL_CFG, "horizon_t": 30, "measure": "P", "points": points}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "density.csv"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 2
+        assert "points must be a" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
     def test_constant_file(self, tmp_path):
