@@ -9,7 +9,10 @@ This demo evaluates the closed forms and certifies them against adaptive
 quadrature.
 """
 
-from tempderiv import FourCoeffs, eval_seasonal, k1, k2, quad_exp_kernel
+import numpy as np
+from scipy.integrate import quad
+
+from tempderiv import FourCoeffs, eval_seasonal, k1, k2
 
 seasonal = FourCoeffs(7.9733, 0.0008223, -5.8796, -12.866)  # Toronto-like fit
 vol = FourCoeffs(3.5, 0.0, 0.5, 1.0)
@@ -23,14 +26,16 @@ for day in (0, 91, 182, 274, 364):
 print("\nDecaying-kernel integral K1(t) vs adaptive quadrature:")
 for t in (10.0, 90.0, 365.0):
     closed = k1(t, alpha, seasonal)
-    oracle = quad_exp_kernel(lambda u: eval_seasonal(seasonal, u), alpha, t, "decaying")
+    oracle = quad(lambda u: eval_seasonal(seasonal, u) * np.exp(-alpha * (t - u)), 0.0, t,
+                  epsabs=1e-12, epsrel=1e-11, limit=200)[0]
     print(f"  t={t:6.1f}: closed={closed:14.8f}  quadrature={oracle:14.8f}"
           f"  rel err={abs(closed-oracle)/abs(oracle):.2e}")
 
 print("\nGrowing-kernel integral K2(T) vs adaptive quadrature:")
 for t in (10.0, 90.0):
     closed = k2(t, alpha, vol)
-    oracle = quad_exp_kernel(lambda u: eval_seasonal(vol, u), alpha, t, "growing")
+    oracle = quad(lambda u: eval_seasonal(vol, u) * np.exp(alpha * u), 0.0, t,
+                  epsabs=1e-12, epsrel=1e-11, limit=200)[0]
     print(f"  T={t:6.1f}: closed={closed:16.6f}  quadrature={oracle:16.6f}"
           f"  rel err={abs(closed-oracle)/abs(oracle):.2e}")
 

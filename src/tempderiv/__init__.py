@@ -13,19 +13,18 @@ Library layout:
 """
 
 from .calibrate import (AlphaFit, FitReport, TimeChangeFit, fit_alpha, fit_seasonal,
-                        fit_timechange, innovation_charfun, innovations, log_likelihood)
+                        fit_timechange, innovation_charfun, innovations)
 from .charfun import (GammaTimeChange, ModelParams, a1, cat_cumulants, charfun_T,
                       charfun_cat, cumulant_V, laplace_exponent_gamma, transformed_timechange,
                       v_cumulants)
 from .cosine import (ContractSpec, CosGrid, PricingWarning, StrangleQuote, cos_coefficients,
-                     density_from_charfun, leg_value, payoff_cos_integrals,
-                     price_strangle, truncation_bounds)
+                     density_from_charfun, price_strangle, truncation_bounds)
 from .data import DailySeries, KsResult, SummaryStats, ingest_csv, ks_normality, summary_stats
 from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
-                     QuadratureError, TempDerivError)
+                     TempDerivError)
 from .esscher import (MarketParams, ThetaSolution, eq12_variant_theta, martingale_residual,
                       solve_theta)
-from .seasonal import FourCoeffs, eval_seasonal, k1, k2, quad_exp_kernel
+from .seasonal import FourCoeffs, eval_seasonal, k1, k2
 from .simulate import (SimConfig, empirical_charfun, gamma_increment, mc_price_cat,
                        simulate_cat, simulate_paths)
 
@@ -35,15 +34,14 @@ __all__ = [
     "AlphaFit", "CalibrationError", "ContractSpec", "CosGrid", "DailySeries",
     "DomainError", "FitReport", "FourCoeffs", "GammaTimeChange", "IngestError",
     "KsResult", "MarketParams", "ModelParams", "NoBracketError", "PricingWarning",
-    "QuadratureError", "SimConfig", "StrangleQuote", "SummaryStats", "TempDerivError",
+    "SimConfig", "StrangleQuote", "SummaryStats", "TempDerivError",
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
     "charfun_cat", "cos_coefficients", "cumulant_V",
     "density_from_charfun", "empirical_charfun", "eq12_variant_theta", "eval_seasonal",
     "fit_alpha", "fit_seasonal", "fit_timechange", "gamma_increment", "ingest_csv",
     "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
-    "laplace_exponent_gamma", "leg_value", "log_likelihood",
-    "martingale_residual", "mc_price_cat", "payoff_cos_integrals",
-    "price_strangle", "quad_exp_kernel", "simulate_cat", "simulate_paths",
+    "laplace_exponent_gamma", "martingale_residual", "mc_price_cat",
+    "price_strangle", "simulate_cat", "simulate_paths",
     "solve_theta", "summary_stats", "transformed_timechange", "truncation_bounds",
     "v_cumulants",
 ]

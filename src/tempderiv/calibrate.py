@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, tilted_exponent_sum,
-                      transformed_timechange, v_cumulants)
-from .cosine import CosGrid, density_from_charfun, truncation_bounds
+                      transformed_timechange)
 from .data import DailySeries
 from .errors import CalibrationError
 from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
@@ -44,7 +43,6 @@ from .simulate import empirical_charfun
 
 CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
 CF_WEIGHTS = np.exp(-CF_GRID**2)
-_LIKELIHOOD_FLOOR = 1e-300
 SEARCH_BOX = (("log a", 25.0), ("log b", 25.0), ("mu1", 50.0))  # |x| <= limit
 
 SEASONAL_NAMES = ("beta0", "beta1", "beta2", "beta3")
@@ -195,8 +193,9 @@ def innovations(residuals: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def kernel_weight(alpha: float, order: int) -> float:
-    """int_0^1 e^{-order*alpha*(1-s)} ds = (1 - e^{-order alpha})/(order alpha)."""
-    return float((1.0 - np.exp(-order * alpha)) / (order * alpha))
+    """int_0^1 e^{-order*alpha*(1-s)} ds = -expm1(-order alpha)/(order alpha)."""
+    x = order * alpha
+    return float(-np.expm1(-x) / x)
 
 
 def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
@@ -456,27 +455,3 @@ def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
     x, obj, stage = _least_squares(*_refine_functions(emp_groups, alpha, c0, t_groups), start,
                                    "seasonal time-change refine")
     return x[:3], FourCoeffs(c0, *map(float, x[3:])), obj, stage
-
-
-def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: float,
-                   grid: CosGrid | None = None, terms: int = 256) -> float:
-    """Log likelihood of one-day innovations via the cosine density.
-
-    The innovation density has no closed form; it is reconstructed from the
-    characteristic function on `grid` (auto-chosen from the first two
-    innovation cumulants when omitted) and floored at 1e-300.
-    """
-    x = np.asarray(innov, float)
-    charfun_at = lambda u: innovation_charfun(u, a, b, mu1, alpha)
-    if grid is None:
-        kappa = v_cumulants(GammaTimeChange(a, b, mu1))
-        mean = kappa[0] * kernel_weight(alpha, 1)
-        var = kappa[1] * kernel_weight(alpha, 2)
-        b1, b2 = truncation_bounds(mean, var, 10.0)
-        grid = CosGrid(b1, b2, terms, terms)
-    inside = (x >= grid.b1) & (x <= grid.b2)
-    dens = np.full(x.shape, _LIKELIHOOD_FLOOR)
-    if np.any(inside):
-        vals = density_from_charfun(charfun_at, grid, x[inside], terms)
-        dens[inside] = np.maximum(vals, _LIKELIHOOD_FLOOR)
-    return float(np.sum(np.log(dens)))

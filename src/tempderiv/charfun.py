@@ -141,8 +141,7 @@ def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
     """
     tc = transformed_timechange(tc, theta)
     u = np.asarray(u, complex)
-    out = -tc.a * _log1p_complex(-(u * tc.mu1 + 0.5 * u * u) / tc.b)
-    return out if out.ndim else complex(out)
+    return laplace_exponent_gamma(u * tc.mu1 + 0.5 * u * u, tc)
 
 
 def v_cumulants(tc: GammaTimeChange) -> tuple[float, float, float, float]:
@@ -256,6 +255,12 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     return _eval_on_positive(u, compute)
 
 
+def cat_day_weights(alpha: float, horizon_T: int) -> np.ndarray:
+    """Weight of day i = 0..T-1 in the CAT index, sum_{k=i+1}^T e^{-alpha(k-i-1)}:
+    the closed geometric sum expm1(-alpha (T - i)) / expm1(-alpha)."""
+    return np.expm1(-alpha * (horizon_T - np.arange(horizon_T))) / np.expm1(-alpha)
+
+
 def _cat_parts(p: ModelParams, horizon_T: int, mode: str) -> tuple[float, np.ndarray]:
     """sum_k m_k and the CAT kernel at the unit-rule nodes of each day, shape (T, nodes).
 
@@ -268,9 +273,7 @@ def _cat_parts(p: ModelParams, horizon_T: int, mode: str) -> tuple[float, np.nda
         raise DomainError(f"unknown charfun_cat mode {mode!r}")
     days = np.arange(horizon_T, dtype=float)
     det_sum = float(np.sum(p.det_mean(days + 1.0)))
-    remaining = horizon_T - days
-    weight = (np.expm1(-p.alpha * remaining) / np.expm1(-p.alpha)
-              if mode == "exact_kernel" else remaining)
+    weight = cat_day_weights(p.alpha, horizon_T) if mode == "exact_kernel" else horizon_T - days
     s = days[:, None] + UNIT_NODES
     kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * weight[:, None]
     return det_sum, kern

@@ -87,11 +87,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _num(value, what: str, kind=float):
-    """Convert one config field, raising IngestError when it is not a number."""
+    """Convert one config field, raising IngestError when it is not a number
+    or, for kind=int, not a whole one (30 and 30.0 parse, 30.7 does not)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"{what} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise IngestError(f"{what} must be a whole number, got {value!r}")
+    return number
 
 
 def _four(values, what: str) -> FourCoeffs:
@@ -305,8 +309,8 @@ def cmd_density(args) -> int:
     measure = str(cfg.get("measure", "P")).upper()
     if measure not in ("P", "Q"):
         raise IngestError(f"measure must be P or Q, got {cfg['measure']!r}")
-    points = _num(cfg.get("points", 257), "points")
-    if not (points >= 1 and points.is_integer()):
+    points = _num(cfg.get("points", 257), "points", int)
+    if points < 1:
         raise IngestError(f"points must be a positive integer, got {cfg['points']!r}")
     if measure == "P":
         theta = 0.0
@@ -316,7 +320,7 @@ def cmd_density(args) -> int:
         contract = _contract_from(cfg)
         theta, _ = _resolve_theta(cfg, model, contract)
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
-    xs = np.linspace(grid.b1, grid.b2, int(points))
+    xs = np.linspace(grid.b1, grid.b2, points)
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")
     dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
     lines = ["x,density"]

@@ -103,27 +103,12 @@ def cos_coefficients(charfun_at, grid: CosGrid, count: int) -> np.ndarray:
     return (2.0 / width) * (np.exp(-1j * k * np.pi * grid.b1 / width) * phi).real
 
 
-def payoff_cos_integrals(k, grid: CosGrid, lower: float, upper: float):
-    """Closed-form cosine integrals over [lower, upper] within [b1, b2].
+def _psi_chi(k: np.ndarray, grid: CosGrid, lower: float, upper: float):
+    """Closed-form cosine integrals over [lower, upper], b1 <= lower <= upper <= b2:
 
     psi_k = int cos(k pi (x-b1)/(b2-b1)) dx,
     chi_k = int x cos(k pi (x-b1)/(b2-b1)) dx.
-
-    Valid for any b1 <= lower <= upper <= b2 (the upper = b2 specialisation
-    recovers the usual (-1)^k forms since sin(k pi) = 0, cos(k pi) = (-1)^k).
     """
-    if lower > upper:
-        raise DomainError(f"need lower <= upper, got [{lower}, {upper}]")
-    if lower < grid.b1 - 1e-12 * max(1.0, abs(grid.b1)) or upper > grid.b2 + 1e-12 * max(1.0, abs(grid.b2)):
-        raise DomainError(f"[{lower}, {upper}] not inside the truncation interval")
-    k_arr = np.asarray(k)
-    psi, chi = _psi_chi(k_arr, grid, lower, upper)
-    if k_arr.ndim:
-        return psi, chi
-    return float(psi), float(chi)
-
-
-def _psi_chi(k: np.ndarray, grid: CosGrid, lower: float, upper: float):
     k = np.asarray(k, float)
     psi = np.empty_like(k)
     chi = np.empty_like(k)
@@ -169,14 +154,6 @@ def _leg_terms(coeffs: np.ndarray, grid: CosGrid, strike: float, kind: str) -> n
     terms = coeffs * u_k
     terms[0] *= 0.5
     return terms
-
-
-def leg_value(charfun_at, grid: CosGrid, strike: float, kind: str, terms: int) -> float:
-    """Undiscounted expectation of one payoff leg via the cosine expansion."""
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    coeffs = cos_coefficients(charfun_at, grid, terms)
-    return float(np.sum(_leg_terms(coeffs, grid, strike, kind)))
 
 
 def _tail_check(term_values: np.ndarray, label: str) -> None:

@@ -190,7 +190,7 @@ def _fill_missing(values: np.ndarray) -> np.ndarray:
                 values[i] = float(np.mean(avail))
                 progressed = True
         if not progressed:
-            raise IngestError("missing-value repair made no progress")  # pragma: no cover
+            raise IngestError("missing-value repair made no progress")
     return values
 
 

@@ -9,10 +9,6 @@ class DomainError(TempDerivError, ValueError):
     """Argument outside the mathematical domain (branch cut, inadmissible parameter)."""
 
 
-class QuadratureError(TempDerivError, RuntimeError):
-    """Adaptive quadrature failed to converge within its node budget."""
-
-
 class NoBracketError(TempDerivError, RuntimeError):
     """Root finding found no sign change on the admissible interval."""
 

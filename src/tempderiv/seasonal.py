@@ -7,25 +7,21 @@ harmonic functions of time (in days),
 
 and the model repeatedly needs their integrals against exponential kernels:
 the decaying integral K1(t, alpha) = int_0^t f(u) e^{-alpha(t-u)} du and the
-growing integral K2(alpha, T) = int_0^T f(u) e^{alpha u} du.  Closed forms
-are derived from the four elementary integrals and certified against
-adaptive quadrature (`quad_exp_kernel`).
+growing integral K2(alpha, T) = int_0^T f(u) e^{alpha u} du, which is
+e^{alpha T} K1(T, alpha).  K1 is closed form, derived from the four
+elementary integrals; the tests certify both against adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 ANNUAL_OMEGA = 2.0 * np.pi / 365.0
-
-# QUADPACK subinterval cap: 21-point Gauss-Kronrod per subinterval, ~2^20 nodes total
-_QUAD_LIMIT = 2**20 // 21
 
 # below this alpha*t the closed forms of k1 lose digits to cancellation
 _SERIES_X = 1e-2
@@ -107,7 +103,7 @@ def k1(t, alpha: float, seasonal: FourCoeffs):
     seasonal : FourCoeffs of the integrand f
 
     Derived from the four elementary integrals (constant, linear, sine and
-    cosine against the decaying kernel); agrees with `quad_exp_kernel` to
+    cosine against the decaying kernel); agrees with adaptive quadrature to
     better than 1e-10 relative.
     """
     _check_alpha(alpha)
@@ -131,7 +127,7 @@ def k1(t, alpha: float, seasonal: FourCoeffs):
 
 
 def k2(T, alpha: float, vol: FourCoeffs):
-    """Growing-kernel integral int_0^T f(u) e^{alpha u} du in closed form.
+    """Growing-kernel integral int_0^T f(u) e^{alpha u} du = e^{alpha T} K1(T, alpha).
 
     Overflows to inf for alpha*T beyond the float64 range (~709); the
     quantities the pricing code actually needs are formed from the decayed
@@ -140,57 +136,6 @@ def k2(T, alpha: float, vol: FourCoeffs):
     _check_alpha(alpha)
     T_arr = np.asarray(T, float)
     require_positive(vol, float(np.max(T_arr)))
-    w = ANNUAL_OMEGA
     with np.errstate(over="ignore"):
-        g = np.exp(alpha * T_arr)
-        den = alpha * alpha + w * w
-        sw, cw = np.sin(w * T_arr), np.cos(w * T_arr)
-        j0 = (g - 1.0) / alpha
-        j1 = T_arr * g / alpha - (g - 1.0) / alpha**2
-        # the same cancellation as in k1: series in x = alpha T below the threshold
-        x = alpha * T_arr
-        small = x < _SERIES_X
-        if np.any(small):
-            j0 = np.where(small, g * T_arr * _series(x, 1), j0)
-            j1 = np.where(small, g * T_arr * T_arr * _series(x, 2), j1)
-        j_sin = (g * (alpha * sw - w * cw) + w) / den
-        j_cos = (g * (alpha * cw + w * sw) - alpha) / den
-        out = vol.k0 * j0 + vol.k1 * j1 + vol.k2 * j_sin + vol.k3 * j_cos
+        out = np.exp(alpha * T_arr) * k1(T_arr, alpha, vol)
     return out if out.ndim else float(out)
-
-
-def quad_exp_kernel(f, alpha: float, t: float, orientation: str = "decaying",
-                    tol: float = 1e-12) -> float:
-    """Adaptive quadrature oracle for the exponential-kernel integrals.
-
-    orientation='decaying' computes int_0^t f(u) e^{-alpha(t-u)} du,
-    orientation='growing'  computes int_0^t f(u) e^{alpha u} du.
-
-    Raises QuadratureError if the refinement budget (~2^20 nodes) is
-    exhausted before reaching the absolute tolerance.  The one SciPy user
-    among the kernels: it loads `scipy.integrate` on first call.
-    """
-    from scipy import integrate
-
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if orientation not in ("decaying", "growing"):
-        raise DomainError(f"unknown orientation {orientation!r}")
-    if t == 0.0:
-        return 0.0
-
-    if orientation == "decaying":
-        integrand = lambda u: f(u) * np.exp(-alpha * (t - u))
-    else:
-        integrand = lambda u: f(u) * np.exp(alpha * u)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, _ = integrate.quad(integrand, 0.0, t, epsabs=tol, epsrel=1e-11,
-                                    limit=_QUAD_LIMIT)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(
-                f"exponential-kernel quadrature did not converge on [0, {t}]: {exc}"
-            ) from exc
-    return val

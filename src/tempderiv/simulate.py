@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, ModelParams,
-                      transformed_timechange)
+                      cat_day_weights, transformed_timechange)
 from .cosine import ContractSpec
 from .errors import DomainError
 from .seasonal import eval_seasonal, k1
@@ -198,7 +198,7 @@ def _cat_weights(p: ModelParams, cfg: SimConfig, horizon_T: int):
     T_k = decay^k T_0 + sum_{i<k} decay^(k-1-i) inc_i,
 
         xi  = base[0] + weights[0] @ inc,  base[0] = T_0 sum_{k=1}^T decay^k,
-              weights[0]_i = expm1(-alpha (T - i)) / expm1(-alpha),
+              weights[0]_i = expm1(-alpha (T - i)) / expm1(-alpha) (`cat_day_weights`),
         T_T = base[1] + weights[1] @ inc,  base[1] = T_0 decay^T,
               weights[1]_i = decay^(T-1-i).
     """
@@ -208,8 +208,7 @@ def _cat_weights(p: ModelParams, cfg: SimConfig, horizon_T: int):
     days = np.arange(horizon_T)
     decay = np.exp(-p.alpha)
     base = np.array([p.t0 * np.sum(decay ** (days + 1.0)), p.t0 * decay ** horizon_T])
-    weights = np.stack([np.expm1(-p.alpha * (horizon_T - days)) / np.expm1(-p.alpha),
-                        decay ** (horizon_T - 1 - days)])
+    weights = np.stack([cat_day_weights(p.alpha, horizon_T), decay ** (horizon_T - 1 - days)])
     return horizon_T, base, weights
 
 

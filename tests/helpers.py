@@ -1,0 +1,92 @@
+"""Reference computations the tests check the library against.
+
+- `quad_exp_kernel`: adaptive quadrature of the exponential-kernel
+  integrals, the oracle of the closed forms `k1` and `k2`;
+- `log_likelihood`: the innovations' log likelihood from the cosine density;
+- `leg_value`: one cosine-expanded payoff leg, from the coefficients and
+  per-term leg contributions that `price_strangle` sums.
+"""
+
+import warnings
+
+import numpy as np
+from scipy import integrate
+
+from tempderiv import (CosGrid, DomainError, GammaTimeChange, cos_coefficients,
+                       density_from_charfun, innovation_charfun, truncation_bounds,
+                       v_cumulants)
+from tempderiv.calibrate import kernel_weight
+from tempderiv.cosine import _leg_terms
+
+# QUADPACK subinterval cap: 21-point Gauss-Kronrod per subinterval, ~2^20 nodes total
+_QUAD_LIMIT = 2**20 // 21
+_LIKELIHOOD_FLOOR = 1e-300
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to converge within its node budget."""
+
+
+def quad_exp_kernel(f, alpha: float, t: float, orientation: str = "decaying",
+                    tol: float = 1e-12) -> float:
+    """Adaptive quadrature oracle for the exponential-kernel integrals.
+
+    orientation='decaying' computes int_0^t f(u) e^{-alpha(t-u)} du,
+    orientation='growing'  computes int_0^t f(u) e^{alpha u} du.
+
+    Raises QuadratureError if the refinement budget (~2^20 nodes) is
+    exhausted before reaching the absolute tolerance.
+    """
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    if orientation not in ("decaying", "growing"):
+        raise DomainError(f"unknown orientation {orientation!r}")
+    if t == 0.0:
+        return 0.0
+
+    if orientation == "decaying":
+        integrand = lambda u: f(u) * np.exp(-alpha * (t - u))
+    else:
+        integrand = lambda u: f(u) * np.exp(alpha * u)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            val, _ = integrate.quad(integrand, 0.0, t, epsabs=tol, epsrel=1e-11,
+                                    limit=_QUAD_LIMIT)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureError(
+                f"exponential-kernel quadrature did not converge on [0, {t}]: {exc}"
+            ) from exc
+    return val
+
+
+def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: float,
+                   grid: CosGrid | None = None, terms: int = 256) -> float:
+    """Log likelihood of one-day innovations via the cosine density.
+
+    The innovation density has no closed form; it is reconstructed from the
+    characteristic function on `grid` (auto-chosen from the first two
+    innovation cumulants when omitted) and floored at 1e-300.
+    """
+    x = np.asarray(innov, float)
+    charfun_at = lambda u: innovation_charfun(u, a, b, mu1, alpha)
+    if grid is None:
+        kappa = v_cumulants(GammaTimeChange(a, b, mu1))
+        mean = kappa[0] * kernel_weight(alpha, 1)
+        var = kappa[1] * kernel_weight(alpha, 2)
+        b1, b2 = truncation_bounds(mean, var, 10.0)
+        grid = CosGrid(b1, b2, terms, terms)
+    inside = (x >= grid.b1) & (x <= grid.b2)
+    dens = np.full(x.shape, _LIKELIHOOD_FLOOR)
+    if np.any(inside):
+        vals = density_from_charfun(charfun_at, grid, x[inside], terms)
+        dens[inside] = np.maximum(vals, _LIKELIHOOD_FLOOR)
+    return float(np.sum(np.log(dens)))
+
+
+def leg_value(charfun_at, grid: CosGrid, strike: float, kind: str, terms: int) -> float:
+    """Undiscounted expectation of one payoff leg ('call' or 'put') from
+    `terms` + 1 cosine coefficients."""
+    coeffs = cos_coefficients(charfun_at, grid, terms)
+    return float(np.sum(_leg_terms(coeffs, grid, strike, kind)))

@@ -20,13 +20,15 @@ from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
                        density_from_charfun, eval_seasonal,
                        fit_alpha, fit_seasonal, fit_timechange, ingest_csv,
                        k1, k2, ks_normality, mc_price_cat, price_strangle,
-                       quad_exp_kernel, simulate_cat, simulate_paths, solve_theta,
+                       simulate_cat, simulate_paths, solve_theta,
                        summary_stats, transformed_timechange, truncation_bounds,
                        v_cumulants)
 from tempderiv.calibrate import seasonal_design
 from tempderiv.charfun import a1
 from tempderiv.cli import main as cli_main
 from tempderiv.seasonal import k1 as k1_integral
+
+from helpers import quad_exp_kernel
 
 
 def report(num: int, desc: str, passed: bool, detail: str = "") -> None:

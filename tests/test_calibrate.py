@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -9,12 +10,13 @@ from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, cumulant_V, empirical_charfun, fit_alpha,
                        fit_seasonal,
                        fit_timechange, innovation_charfun, innovations,
-                       log_likelihood, simulate_paths, v_cumulants)
+                       simulate_paths, v_cumulants)
 from tempderiv import calibrate
 from tempderiv.calibrate import _mom_init, kernel_weight, seasonal_design
 from tempderiv.seasonal import eval_seasonal
 
 from conftest import random_model
+from helpers import log_likelihood
 
 
 def synthetic_series(beta, n=2000, noise_sd=3.0, seed=0):
@@ -142,6 +144,14 @@ class TestCumulantsAndCharfun:
 
     def test_kernel_weight_closed_form(self):
         assert kernel_weight(0.3, 2) == pytest.approx((1 - np.exp(-0.6)) / 0.6, rel=1e-14)
+
+    def test_kernel_weight_small_alpha_against_series(self):
+        # (1 - e^{-x})/x = sum_n (-x)^n/(n+1)!; six terms are exact in double for x <= 4e-4
+        for alpha in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for order in (1, 2, 3, 4):
+                x = order * alpha
+                series = sum((-x) ** n / math.factorial(n + 1) for n in range(6))
+                assert kernel_weight(alpha, order) == pytest.approx(series, rel=1e-14)
 
     def test_mom_init_ballpark(self):
         rng = np.random.default_rng(61)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -25,6 +26,10 @@ MODEL_CFG = {
 }
 CONTRACT_CFG = {"horizon_t": 30, "k1_strike": 330.0, "k2_strike": 250.0,
                 "d1": 1.0, "d2": 1.0, "rate_r": 0.02}
+# every whole-number field of the price, density and simulate configs
+WHOLE_NUMBER_CFG = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,
+                    "points": 5, "cos": {"auto": True, "n1": 64, "n2": 64}, "horizon": 10,
+                    "sim": {"n_paths": 2, "seed": 1}}
 
 
 @pytest.fixture
@@ -126,6 +131,13 @@ class TestFit:
         assert rc == 2
         assert "gap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "stats"])
+    def test_csv_without_values_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("date,tavg\n2020-01-01,\n2020-01-02,\n2020-01-03,\n")
+        assert main([command, str(path)]) == 2
+        assert "missing-value repair made no progress" in capsys.readouterr().err
+
 
 class TestPrice:
     def test_zero_ticks_price_zero(self, tmp_path):
@@ -211,6 +223,40 @@ class TestExitCodes:
         p.write_text(json.dumps(cfg))
         assert main(["price", "--config", str(p)]) == 2
         assert f"{section}.{field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, field", [
+        ("density", None, "horizon_t"), ("price", "contract", "horizon_t"),
+        ("price", "cos", "n1"), ("price", "cos", "n2"),
+        ("simulate", "sim", "n_paths"), ("simulate", "sim", "seed")])
+    def test_fractional_whole_number_field_exit_2(self, tmp_path, capsys, command, section,
+                                                  field):
+        cfg = json.loads(json.dumps(WHOLE_NUMBER_CFG))
+        target = cfg[section] if section else cfg
+        target[field] += 0.7
+        p, out = tmp_path / "cfg.json", tmp_path / "out"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        name = f"{section}.{field}" if section else field
+        assert f"{name} must be a whole number, got" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["density", "price", "simulate"])
+    def test_whole_number_fields_written_as_floats_parse(self, tmp_path, command):
+        as_float = json.loads(json.dumps(WHOLE_NUMBER_CFG))
+        for target, field in [(as_float, "horizon_t"), (as_float["contract"], "horizon_t"),
+                              (as_float["cos"], "n1"), (as_float["cos"], "n2"),
+                              (as_float["sim"], "n_paths"), (as_float["sim"], "seed")]:
+            target[field] = float(target[field])
+        outputs = []
+        for i, cfg in enumerate((WHOLE_NUMBER_CFG, as_float)):
+            p, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+            p.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(p), "--out", str(out)]) == 0
+            result = out.read_text()
+            if command == "price":  # the report echoes its config as written
+                result = {k: v for k, v in json.loads(result).items() if k != "config"}
+            outputs.append(result)
+        assert outputs[0] == outputs[1]
 
     def test_non_numeric_sim_field_exit_2(self, tmp_path):
         cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": "many", "seed": 1}}
@@ -445,6 +491,23 @@ class TestFlags:
             main([command, fit_csv, *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_library_never_imports_scipy_integrate():
+    """scipy.integrate serves only the tests' quadrature oracles: no module of the
+    package imports it, at module level or inside a function body."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "tempderiv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+    assert offenders == []
 
 
 def test_cli_import_leaves_scipy_stats_out():

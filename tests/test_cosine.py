@@ -5,8 +5,10 @@ from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, CosGrid, DomainError, MarketParams, PricingWarning,
                        SimConfig, cat_cumulants, cos_coefficients, density_from_charfun,
-                       leg_value, mc_price_cat, payoff_cos_integrals, price_strangle,
-                       solve_theta, truncation_bounds)
+                       mc_price_cat, price_strangle, solve_theta, truncation_bounds)
+from tempderiv.cosine import _psi_chi
+
+from helpers import leg_value
 
 GAUSS_GRID = CosGrid(-10.0, 10.0, 256, 256)
 gauss_cf = lambda u: np.exp(-0.5 * np.asarray(u) ** 2)
@@ -55,12 +57,12 @@ class TestCosCoefficients:
 
 class TestPayoffCosIntegrals:
     def test_empty_interval(self):
-        psi, chi = payoff_cos_integrals(3, GAUSS_GRID, 1.0, 1.0)
-        assert psi == 0.0 and chi == 0.0
+        psi, chi = _psi_chi(np.array([3]), GAUSS_GRID, 1.0, 1.0)
+        assert psi[0] == 0.0 and chi[0] == 0.0
 
     def test_k0_unit_interval(self):
-        psi, chi = payoff_cos_integrals(0, GAUSS_GRID, 0.0, 1.0)
-        assert psi == pytest.approx(1.0) and chi == pytest.approx(0.5)
+        psi, chi = _psi_chi(np.array([0]), GAUSS_GRID, 0.0, 1.0)
+        assert psi[0] == pytest.approx(1.0) and chi[0] == pytest.approx(0.5)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(5)
@@ -68,20 +70,12 @@ class TestPayoffCosIntegrals:
             k = int(rng.integers(1, 9))
             lo = rng.uniform(-9, 8)
             hi = rng.uniform(lo, 9)
-            psi, chi = payoff_cos_integrals(k, GAUSS_GRID, lo, hi)
+            psi, chi = _psi_chi(np.array([k]), GAUSS_GRID, lo, hi)
             w = k * np.pi / GAUSS_GRID.width
             psi_q = quad(lambda x: np.cos(w * (x - GAUSS_GRID.b1)), lo, hi, epsabs=1e-14)[0]
             chi_q = quad(lambda x: x * np.cos(w * (x - GAUSS_GRID.b1)), lo, hi, epsabs=1e-14)[0]
-            assert psi == pytest.approx(psi_q, abs=1e-12)
-            assert chi == pytest.approx(chi_q, abs=1e-12)
-
-    def test_rejects_reversed_interval(self):
-        with pytest.raises(DomainError):
-            payoff_cos_integrals(1, GAUSS_GRID, 2.0, 1.0)
-
-    def test_rejects_outside_truncation(self):
-        with pytest.raises(DomainError):
-            payoff_cos_integrals(1, GAUSS_GRID, -11.0, 0.0)
+            assert psi[0] == pytest.approx(psi_q, abs=1e-12)
+            assert chi[0] == pytest.approx(chi_q, abs=1e-12)
 
 
 class TestLegValue:

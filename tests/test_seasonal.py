@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from tempderiv import DomainError, FourCoeffs, eval_seasonal, k1, k2, quad_exp_kernel
+from tempderiv import DomainError, FourCoeffs, eval_seasonal, k1, k2
 from tempderiv.seasonal import require_positive
+
+from helpers import QuadratureError, quad_exp_kernel
 
 
 class TestEvalSeasonal:
@@ -50,7 +52,6 @@ class TestQuadExpKernel:
             quad_exp_kernel(lambda u: u, 1.0, 1.0, "sideways")
 
     def test_nonconvergence_reported(self):
-        from tempderiv import QuadratureError
         # non-integrable pole inside the interval: refinement cannot converge
         with pytest.raises(QuadratureError):
             quad_exp_kernel(lambda u: 1.0 / (u - 0.537) ** 2, 1.0, 1.0, "decaying")
