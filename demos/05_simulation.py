@@ -2,9 +2,10 @@
 
 One step combines the exact mean-reverting decay, the closed-form seasonal
 drift integral, and a Gamma-clock noise increment whose mean and variance
-are the model's.  Paths are reproducible: randomness is counter-based, keyed
-by (seed, path block), so the same configuration always yields the same
-trajectories regardless of how many paths are requested.
+are the model's.  Paths are reproducible: a run draws its Gamma clock and
+its normals from two streams keyed by the seed, one path after another, so
+the same configuration always yields the same trajectories regardless of
+how many paths are requested.
 """
 
 import numpy as np

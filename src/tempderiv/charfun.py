@@ -217,19 +217,6 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces=None) -> np.ndarray
     return (-tc.a * (0.5 * log_mod2 + 1j * phase)).reshape(shape + u.shape)
 
 
-def _eval_on_positive(u, compute) -> np.ndarray | complex:
-    """Evaluate a Hermitian charfun: compute at |u| > 0, conjugate negatives."""
-    u_arr = np.atleast_1d(np.asarray(u, float))
-    out = np.ones(u_arr.shape, complex)
-    pos = np.abs(u_arr) > 0.0
-    if np.any(pos):
-        uu = np.abs(u_arr[pos])
-        uniq, inv = np.unique(uu, return_inverse=True)
-        vals = compute(uniq)[inv]
-        out[pos] = np.where(u_arr[pos] < 0, np.conj(vals), vals)
-    return out if np.ndim(u) else complex(out[0])
-
-
 def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     """Characteristic function of T_t under the theta-tilted measure.
 
@@ -247,12 +234,9 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     lengths = np.diff(edges)
     s = edges[:-1, None] + lengths[:, None] * UNIT_NODES
     kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
-
-    def compute(uu: np.ndarray) -> np.ndarray:
-        integral = tilted_exponent_sum(kern, uu, tc, pieces=lengths)
-        return np.exp(1j * uu * det + integral)
-
-    return _eval_on_positive(u, compute)
+    u = np.asarray(u, float)
+    out = np.exp(1j * u * det + tilted_exponent_sum(kern, u, tc, pieces=lengths))
+    return out if out.ndim else complex(out)
 
 
 def cat_day_weights(alpha: float, horizon_T: int) -> np.ndarray:
@@ -296,12 +280,9 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     """
     tc = transformed_timechange(p.timechange, theta)
     det_sum, kern = _cat_parts(p, int(horizon_T), mode)
-
-    def compute(uu: np.ndarray) -> np.ndarray:
-        integral = tilted_exponent_sum(kern, uu, tc, pieces=np.ones(len(kern)))
-        return np.exp(1j * uu * det_sum + integral)
-
-    return _eval_on_positive(u, compute)
+    u = np.asarray(u, float)
+    out = np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=np.ones(len(kern))))
+    return out if out.ndim else complex(out)
 
 
 def cat_cumulants(p: ModelParams, theta: float, horizon_T: int) -> tuple[float, float]:

@@ -120,8 +120,10 @@ def _model_from(cfg: dict, horizon: float, alpha_override: float | None = None) 
                                        _num(tcd.get("mu1", 0.0), "model.timechange.mu1")),
             horizon=max(float(horizon), 1.0),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise IngestError(f"invalid model config: missing {exc}") from exc
+    except TypeError as exc:
+        raise IngestError(f"invalid model config: wrong type ({exc})") from exc
 
 
 def _contract_from(cfg: dict) -> ContractSpec:
@@ -134,8 +136,10 @@ def _contract_from(cfg: dict) -> ContractSpec:
             d1=_num(c["d1"], "contract.d1"), d2=_num(c["d2"], "contract.d2"),
             rate_r=_num(c["rate_r"], "contract.rate_r"),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise IngestError(f"invalid contract config: missing {exc}") from exc
+    except TypeError as exc:
+        raise IngestError(f"invalid contract config: wrong type ({exc})") from exc
 
 
 def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
@@ -163,6 +167,19 @@ def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tup
     mkt = MarketParams(r=contract.rate_r)
     sol = solve_theta(model, mkt, float(contract.horizon_T))
     return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
+
+
+def _measure_theta(cfg: dict, measure, model: ModelParams) -> tuple[str, float]:
+    """(P or Q, tilt) of a `measure` field, in any case: P is theta 0; Q
+    takes the top-level `theta` if pinned, else theta* solved from `contract`."""
+    name = str(measure).upper()
+    if name not in ("P", "Q"):
+        raise IngestError(f"measure must be P or Q, got {measure!r}")
+    if name == "P":
+        return name, 0.0
+    if cfg.get("theta") is not None:
+        return name, _num(cfg["theta"], "theta")
+    return name, _resolve_theta(cfg, model, _contract_from(cfg))[0]
 
 
 def _describe(series) -> dict:
@@ -266,11 +283,11 @@ def cmd_simulate(args) -> int:
         raise IngestError("simulate requires a seed (config sim.seed or --seed)")
     horizon = _num(cfg.get("horizon", cfg.get("contract", {}).get("horizon_t", 365)), "horizon")
     model = _model_from(cfg, horizon=horizon)
+    measure, theta = _measure_theta(cfg, sim_cfg.get("measure", "P"), model)
     run = SimConfig(step=_num(sim_cfg.get("step", 1.0), "sim.step"),
                     n_paths=_num(sim_cfg.get("n_paths", 1), "sim.n_paths", int),
                     seed=_num(sim_cfg["seed"], "sim.seed", int),
-                    measure=str(sim_cfg.get("measure", "P")),
-                    theta=_num(sim_cfg.get("theta", 0.0), "sim.theta"))
+                    measure=measure, theta=theta)
     start = cfg.get("start_date")
     if start is not None:
         try:
@@ -306,19 +323,10 @@ def cmd_density(args) -> int:
     horizon_t = _num(cfg.get("horizon_t", cfg.get("contract", {}).get("horizon_t", 30)),
                      "horizon_t", int)
     model = _model_from(cfg, horizon=float(horizon_t))
-    measure = str(cfg.get("measure", "P")).upper()
-    if measure not in ("P", "Q"):
-        raise IngestError(f"measure must be P or Q, got {cfg['measure']!r}")
     points = _num(cfg.get("points", 257), "points", int)
     if points < 1:
         raise IngestError(f"points must be a positive integer, got {cfg['points']!r}")
-    if measure == "P":
-        theta = 0.0
-    elif cfg.get("theta") is not None:
-        theta = _num(cfg["theta"], "theta")
-    else:
-        contract = _contract_from(cfg)
-        theta, _ = _resolve_theta(cfg, model, contract)
+    _, theta = _measure_theta(cfg, cfg.get("measure", "P"), model)
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
     xs = np.linspace(grid.b1, grid.b2, points)
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")

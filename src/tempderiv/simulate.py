@@ -16,15 +16,14 @@ Gaussian).  The Brownian limit reproduces the exact mean-reverting
 transition.  Under the tilted measure Q(theta) the transformed parameters
 mu1' = mu1 + theta, b' = b A1(theta) are used.
 
-Randomness is counter-based and scheduling-independent: paths are grouped
-in fixed blocks of 128, and block ``i`` has two SFC64 streams seeded by
-SeedSequence([seed, i, stream]) (fixed width, see `block_rng`), stream 0 for
-the Gamma clock and stream 1 for the normals.  Draws are path-major: a
-block draws (rows, n_steps) matrices for the rows asked for and no others,
-split by rows so that one draw holds at most CHUNK_STEPS * PATH_BLOCK
-variates.  Numpy fills an array in sequence, so a path's draws depend only
-on (seed, block, row) -- never on n_paths.  The AR(1) recursion of
-`simulate_paths` then runs once over all paths.
+Randomness is one SFC64 stream per kind of variate per call: stream 0
+draws the Gamma clock and stream 1 the normals, seeded by (seed, stream)
+(fixed width, see `block_rng`).  Draws are path-major: each stream draws
+(rows, n_steps) matrices in row order, for the rows asked for and no
+others, in runs of rows that hold at most DRAW_SIZE variates.  Numpy fills an array
+in sequence, so a path's draws depend only on (seed, row) -- never on
+n_paths or on the run edges.  The AR(1) recursion of `simulate_paths` then
+runs once over all paths.
 
 The Monte Carlo strangle price `mc_price_cat` is a conditional
 (Rao-Blackwellised) estimator: given a path's Gamma clock the CAT index is
@@ -48,8 +47,7 @@ from .cosine import ContractSpec
 from .errors import DomainError
 from .seasonal import eval_seasonal, k1
 
-PATH_BLOCK = 128
-CHUNK_STEPS = 512  # one draw holds at most CHUNK_STEPS * PATH_BLOCK variates
+DRAW_SIZE = 65_536  # one draw holds at most this many variates (or one path)
 D_CAP = 40.0
 
 
@@ -84,26 +82,16 @@ def gamma_increment(rng: np.random.Generator, shape: float, rate: float, size=No
     return rng.gamma(shape, 1.0 / rate, size)
 
 
-def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
-    """SFC64 generator of one stream of one path block, seeded by
-    SeedSequence([seed, block, stream]): stream 0 draws the Gamma clock,
-    stream 1 the normals.
+def block_rng(seed: int, stream: int) -> np.random.Generator:
+    """SFC64 generator of one stream of a seed, seeded by
+    SeedSequence(seed mod 2**64, spawn_key=(stream,)): stream 0 draws the
+    Gamma clock, stream 1 the normals.
 
-    The seed is taken modulo 2**64 and the entropy is always the four
-    32-bit words [seed low, block, stream, seed high]: a fixed width, so no
-    two (seed, block, stream) share a stream (SeedSequence pads short
-    entropy with zeros, which would let [2**32, 0, 0] equal [0, 1, 0]).
-    Below 2**32 the high word is the zero padding, so those seeds draw what
-    SeedSequence([seed, block, stream]) draws."""
-    seed &= 0xFFFFFFFFFFFFFFFF
-    words = np.array([seed & 0xFFFFFFFF, block, stream, seed >> 32], dtype=np.uint32)
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
-
-
-def _effective_timechange(p: ModelParams, cfg: SimConfig) -> GammaTimeChange:
-    if cfg.measure == "Q":
-        return transformed_timechange(p.timechange, cfg.theta)
-    return p.timechange
+    With a spawn key SeedSequence pads the entropy to its four-word pool
+    before appending the key, so the entropy has a fixed width and no two
+    (seed mod 2**64, stream) pairs share a stream."""
+    entropy = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(stream,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def _step_tables(p: ModelParams, tc: GammaTimeChange, n_steps: int, step: float):
@@ -140,38 +128,31 @@ def _n_steps(horizon: float, step: float) -> int:
     return n_steps
 
 
-def _clock_chunks(tc: GammaTimeChange, cfg: SimConfig, n_steps: int,
-                  normals: bool = False) -> Iterator[tuple[slice, np.ndarray, np.ndarray | None]]:
-    """Yield (paths, d_r, z): the Gamma clock increments d_r of all n_steps
-    steps for the paths in `paths`, shape (paths, n_steps), and with
-    `normals` the normal matrix z of the same shape (else None).
+def _clock_chunks(tc: GammaTimeChange, cfg: SimConfig,
+                  n_steps: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (paths, d_r): the Gamma clock increments d_r of all n_steps
+    steps for the paths in `paths`, shape (paths, n_steps).
 
-    Block ``i`` holds the PATH_BLOCK paths from PATH_BLOCK * i on and draws
-    d_r from its stream 0 and z from its stream 1 (`block_rng`), in runs of
-    at most CHUNK_STEPS * PATH_BLOCK // n_steps rows (at least one).  Each
-    stream is drawn in row order, so a path's draws are a pure function of
-    (seed, block, row), never of n_paths or of the row split.
+    Stream 0 of the seed (`block_rng`) draws them in row order, in runs of
+    DRAW_SIZE // n_steps rows (at least one), so a path's draws are a pure
+    function of (seed, row), never of n_paths or of the row split.
     """
-    shape = tc.a * cfg.step
-    run = max(1, CHUNK_STEPS * PATH_BLOCK // n_steps)
-    for start in range(0, cfg.n_paths, PATH_BLOCK):
-        blk = start // PATH_BLOCK
-        clock = block_rng(cfg.seed, blk, 0)
-        noise = block_rng(cfg.seed, blk, 1) if normals else None
-        stop = min(start + PATH_BLOCK, cfg.n_paths)
-        for row in range(start, stop, run):
-            paths = slice(row, min(row + run, stop))
-            size = (paths.stop - row, n_steps)
-            d_r = clock.standard_gamma(shape, size) / tc.b
-            yield paths, d_r, (noise.standard_normal(size) if normals else None)
+    clock = block_rng(cfg.seed, 0)
+    run = max(1, DRAW_SIZE // n_steps)
+    for row in range(0, cfg.n_paths, run):
+        paths = slice(row, min(row + run, cfg.n_paths))
+        yield paths, clock.standard_gamma(tc.a * cfg.step, (paths.stop - row, n_steps)) / tc.b
 
 
 def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (paths, inc): the increments inc_j of all steps for the paths in
-    the slice, shape (paths, n_steps), where T_{j+1} = decay T_j + inc_j."""
-    tc = _effective_timechange(p, cfg)
+    the slice, shape (paths, n_steps), where T_{j+1} = decay T_j + inc_j.
+    The normals z come from stream 1, drawn in the clock's run shapes."""
+    tc = transformed_timechange(p.timechange, cfg.theta) if cfg.measure == "Q" else p.timechange
     drift, drift_scale, gauss_scale2 = _step_tables(p, tc, n_steps, cfg.step)
-    for paths, d_r, z in _clock_chunks(tc, cfg, n_steps, normals=True):
+    noise = block_rng(cfg.seed, 1)
+    for paths, d_r in _clock_chunks(tc, cfg, n_steps):
+        z = noise.standard_normal(d_r.shape)
         yield paths, drift + drift_scale * d_r + np.sqrt(gauss_scale2 * d_r) * z
 
 
@@ -256,19 +237,18 @@ def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,
     legs.  The estimator averages that over paths: only the clock is drawn
     (the Gamma stream `simulate_cat` draws; the normal stream is never
     seeded), and its variance is that of the conditional payoff, never more
-    than the plain payoff's.
+    than the plain payoff's.  The tilt is `theta`; `cfg` gives the path
+    count, seed and (daily) step, and its measure and theta are not read.
 
     Returns (price, standard error of the mean).
     """
-    run_cfg = SimConfig(step=cfg.step, n_paths=cfg.n_paths, seed=cfg.seed,
-                        measure="Q", theta=theta)
-    horizon_T, base, weights = _cat_weights(p, run_cfg, contract.horizon_T)
-    tc = _effective_timechange(p, run_cfg)
+    horizon_T, base, weights = _cat_weights(p, cfg, contract.horizon_T)
+    tc = transformed_timechange(p.timechange, theta)
     drift, drift_scale, gauss_scale2 = _step_tables(p, tc, horizon_T, 1.0)
     w = weights[0]
     coef = np.stack([w * drift_scale, w * w * gauss_scale2])
     moments = np.zeros((2, cfg.n_paths))
-    for paths, d_r, _ in _clock_chunks(tc, run_cfg, horizon_T):
+    for paths, d_r in _clock_chunks(tc, cfg, horizon_T):
         moments[:, paths] += coef @ d_r.T
     m = base[0] + w @ drift + moments[0]
     s = np.sqrt(moments[1])

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
-                       ModelParams, cat_cumulants, price_strangle, solve_theta,
-                       truncation_bounds)
+                       ModelParams, SimConfig, cat_cumulants, price_strangle, simulate_paths,
+                       solve_theta, truncation_bounds)
 from tempderiv.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
@@ -55,8 +55,8 @@ def sim_config(tmp_path):
 def fit_csv():
     # 700 days of the model alpha=0.25, t0=-5, seasonal (8, 0.0008, -6, -13),
     # vol (1, 0, 0, 0), timechange (1.5, 1.0, 0.2) from 2016-01-01, as written
-    # by the simulator's earlier 4096-row-block stream (seed 2024), so the
-    # frozen fit below does not move with the random stream
+    # by an earlier version of the simulator (seed 2024) and kept as a file, so
+    # the frozen fit below does not move when the random streams change
     return str(DATA / "fit_daily.csv")
 
 
@@ -258,6 +258,31 @@ class TestExitCodes:
             outputs.append(result)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("model", "seasonal", 5), ("model", "timechange", [1.5, 1.0]),
+        ("contract", None, [30, 330.0])])
+    def test_wrongly_typed_config_field_exit_2(self, tmp_path, capsys, section, field, value):
+        """A field of the wrong type is reported as such, not as missing."""
+        cfg = {"model": dict(MODEL_CFG), "contract": dict(CONTRACT_CFG)}
+        if field is None:
+            cfg[section] = value
+        else:
+            cfg[section][field] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["price", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid {section} config: wrong type" in err and "missing" not in err
+
+    @pytest.mark.parametrize("section, field", [("model", "seasonal"), ("contract", "d2")])
+    def test_missing_config_field_exit_2(self, tmp_path, capsys, section, field):
+        cfg = {"model": dict(MODEL_CFG), "contract": dict(CONTRACT_CFG)}
+        del cfg[section][field]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["price", "--config", str(p)]) == 2
+        assert f"invalid {section} config: missing '{field}'" in capsys.readouterr().err
+
     def test_non_numeric_sim_field_exit_2(self, tmp_path):
         cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": "many", "seed": 1}}
         p = tmp_path / "cfg.json"
@@ -361,6 +386,47 @@ class TestSimulate:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(p)]) == 2
+
+    @staticmethod
+    def _run(tmp_path, name, sim, **top):
+        cfg = {"model": MODEL_CFG, "horizon": 30, "sim": {"n_paths": 3, "seed": 1, **sim},
+               **top}
+        p, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_q_measure_is_tilted(self, tmp_path):
+        """Under Q the paths use theta* solved from the contract, and a pinned
+        top-level theta wins; lower case names the same measure."""
+        p_run = self._run(tmp_path, "p", sim={"measure": "P"}, contract=CONTRACT_CFG)
+        q_run = self._run(tmp_path, "q", sim={"measure": "Q"}, contract=CONTRACT_CFG)
+        assert q_run != p_run
+        assert self._run(tmp_path, "lower", sim={"measure": "q"}, contract=CONTRACT_CFG) == q_run
+        pinned = self._run(tmp_path, "pinned", sim={"measure": "Q"}, theta=-0.2,
+                           contract=CONTRACT_CFG)
+        assert pinned != q_run
+
+    def test_q_measure_pinned_theta_matches_library(self, tmp_path):
+        out = self._run(tmp_path, "pinned", sim={"measure": "Q"}, theta=-0.2)
+        temps = np.array([float(line.split(",")[2])
+                          for line in out.decode().strip().split("\n")[1:]])
+        model = ModelParams(alpha=0.25, t0=-3.0, seasonal=FourCoeffs(*MODEL_CFG["seasonal"]),
+                            vol=FourCoeffs(*MODEL_CFG["vol"]),
+                            timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
+        _, paths = simulate_paths(model, SimConfig(n_paths=3, seed=1, measure="Q", theta=-0.2),
+                                  30.0)
+        assert np.array_equal(temps, [float("{:.10g}".format(x)) for x in paths.ravel()])
+
+    @pytest.mark.parametrize("sim, message", [({"measure": "Q"}, "missing 'contract'"),
+                                              ({"measure": "X"}, "measure must be P or Q")])
+    def test_measure_errors_exit_2(self, tmp_path, capsys, sim, message):
+        """Q needs a pinned theta or a contract to solve it from; only P and Q are measures."""
+        cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": 1, "seed": 1, **sim}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDensity:

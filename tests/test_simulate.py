@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
                        mc_price_cat, simulate_cat, simulate_paths)
 from tempderiv.charfun import cat_cumulants, esscher_interval
 from tempderiv.esscher import transformed_timechange
-from tempderiv.simulate import PATH_BLOCK, _gaussian_call, _step_tables, block_rng
+from tempderiv.simulate import _gaussian_call, _step_tables, block_rng
 
 from conftest import random_model
 
@@ -22,8 +23,9 @@ README_MODEL = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """(method, variates) of every draw from the block generators, in order."""
-    draws = []
+    """Record of the stream generators: `streams` lists the stream of each
+    generator seeded, `draws` the (method, variates) of every draw, in order."""
+    record = SimpleNamespace(streams=[], draws=[])
 
     class Counting:
         def __init__(self, rng):
@@ -32,14 +34,16 @@ def drawn(monkeypatch):
         def __getattr__(self, name):
             def draw(*args):
                 out = getattr(self._rng, name)(*args)
-                draws.append((name, np.size(out)))
+                record.draws.append((name, np.size(out)))
                 return out
             return draw
 
-    original = block_rng
-    monkeypatch.setattr("tempderiv.simulate.block_rng",
-                        lambda seed, blk, stream: Counting(original(seed, blk, stream)))
-    return draws
+    def seeded(seed, stream):
+        record.streams.append(stream)
+        return Counting(block_rng(seed, stream))
+
+    monkeypatch.setattr("tempderiv.simulate.block_rng", seeded)
+    return record
 
 
 class TestGammaIncrement:
@@ -98,51 +102,72 @@ class TestSimulatePaths:
         assert np.array_equal(a, b)
 
     def test_paths_independent_of_total_count(self, toronto_like_model):
-        """A path's draws depend only on (seed, block, row), never on n_paths."""
+        """A path's draws depend only on (seed, row), never on n_paths."""
         _, a = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=10, seed=9), 20.0)
         _, b = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4097, seed=9), 20.0)
         assert np.array_equal(a, b[:10])
 
-    def test_draws_only_one_block_width(self, toronto_like_model, drawn):
+    def test_draws_only_the_rows_asked_for(self, toronto_like_model, drawn):
         """4 paths over 3,650 days draw only their own rows: 2 * 4 * 3650 variates."""
         _, paths = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=4, seed=3),
                                   3650.0)
         assert paths.shape == (4, 3651)
-        assert sum(size for _, size in drawn) == 2 * 4 * 3650
+        assert sum(size for _, size in drawn.draws) == 2 * 4 * 3650
 
     def test_paths_independent_of_count_across_row_runs(self, toronto_like_model):
-        """1,100 days draw each block in runs of 59 rows: a path is the same
-        whether its run or its block is cut short or followed by more."""
+        """1,100 days draw each stream in runs of 59 rows: a path is the same
+        whether its run is cut short or followed by more."""
         p = replace(toronto_like_model, horizon=1101.0)
         cfg = lambda n: SimConfig(step=1.0, n_paths=n, seed=21, measure="Q", theta=-0.1)
         _, full = simulate_paths(p, cfg(300), 1100.0)
-        for n in (1, 58, 59, 60, 127, 128, 129, 188):
+        for n in (1, 58, 59, 60, 117, 118, 119, 177, 178):
             _, part = simulate_paths(p, cfg(n), 1100.0)
             assert np.array_equal(part, full[:n])
 
     def test_block_rng_counter_based(self):
         g1 = block_rng(7, 0).standard_normal(4)
         g2 = block_rng(7, 0).standard_normal(4)
-        g3 = block_rng(7, 1).standard_normal(4)
+        g3 = block_rng(8, 0).standard_normal(4)
         assert np.array_equal(g1, g2)
         assert not np.array_equal(g1, g3)
 
     def test_block_streams_differ(self):
-        clock = block_rng(7, 0, 0).standard_normal(4)
-        noise = block_rng(7, 0, 1).standard_normal(4)
-        assert np.array_equal(clock, block_rng(7, 0).standard_normal(4))
+        clock = block_rng(7, 0).standard_normal(4)
+        noise = block_rng(7, 1).standard_normal(4)
         assert not np.array_equal(clock, noise)
 
-    @pytest.mark.parametrize("a, b", [((2 ** 32, 0, 0), (0, 1, 0)),
-                                      ((2 ** 32, 1, 0), (0, 1, 1)),
-                                      ((2 ** 33, 0, 0), (0, 2, 0))])
+    @pytest.mark.parametrize("a, b", [((2 ** 32, 0), (0, 1)),
+                                      ((2 ** 32 + 1, 0), (1, 1)),
+                                      ((2 ** 33, 0), (0, 2))])
     def test_large_seeds_share_no_stream(self, a, b):
-        """Zero-padded entropy would make these (seed, block, stream) equal."""
+        """Zero-padded entropy [seed words, stream] would make these (seed, stream) equal."""
         assert not np.array_equal(block_rng(*a).random(4), block_rng(*b).random(4))
 
-    def test_small_seed_entropy_is_seed_block_stream(self):
-        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, 3, 1])))
-        assert np.array_equal(block_rng(7, 3, 1).random(4), expected.random(4))
+    def test_seed_stream_pairs_are_distinct_modulo_2_64(self):
+        """Distinct (seed mod 2**64, stream) pairs draw distinct streams; -1 is 2**64 - 1."""
+        seeds = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 1)
+        first = {(seed, stream): tuple(block_rng(seed, stream).random(2))
+                 for seed in seeds for stream in (0, 1)}
+        assert len(set(first.values())) == len(first)
+        for stream in (0, 1):
+            assert tuple(block_rng(-1, stream).random(2)) == first[2 ** 64 - 1, stream]
+
+    def test_stream_entropy_is_seed_and_spawn_key(self):
+        expected = np.random.SeedSequence(7, spawn_key=(1,))
+        assert np.array_equal(block_rng(7, 1).random(4),
+                              np.random.Generator(np.random.SFC64(expected)).random(4))
+
+    @pytest.mark.parametrize("n_paths", [1, 59, 60, 300])
+    def test_one_generator_per_stream_per_run(self, drawn, n_paths):
+        """simulate_paths seeds stream 0 and stream 1 once each, and
+        mc_price_cat only stream 0, whatever the path count."""
+        simulate_paths(README_MODEL, SimConfig(n_paths=n_paths, seed=5), 1100.0)
+        assert sorted(drawn.streams) == [0, 1]
+        drawn.streams.clear()
+        c = ContractSpec(horizon_T=1100, k1_strike=1.5e4, k2_strike=1.4e4,
+                         d1=1.0, d2=1.0, rate_r=0.02)
+        mc_price_cat(c, README_MODEL, 0.0, SimConfig(n_paths=n_paths, seed=5))
+        assert drawn.streams == [0]
 
 
 class TestSimulateCat:
@@ -158,7 +183,7 @@ class TestSimulateCat:
         assert np.allclose(terminal, paths[:, -1])
 
     def test_cat_sums_across_block_and_chunk_edges(self, toronto_like_model):
-        """300 paths span three blocks, each drawn in runs of 59 rows over 1,100 days."""
+        """300 paths over 1,100 days are drawn in six runs of up to 59 rows."""
         p = ModelParams(alpha=toronto_like_model.alpha, t0=toronto_like_model.t0,
                         seasonal=toronto_like_model.seasonal, vol=toronto_like_model.vol,
                         timechange=toronto_like_model.timechange, horizon=1101.0)
@@ -226,23 +251,23 @@ class TestMcPriceCat:
             assert se <= plain_se / 5.0
 
     def test_draws_only_the_gamma_clock(self, drawn):
-        """300 paths (3 blocks, runs of 109 rows) over 600 days: 300 * 600 Gamma
-        variates, the ones simulate_cat draws first in each run, and no normals."""
+        """300 paths (runs of 109 rows) over 600 days: 300 * 600 Gamma
+        variates, the clock draws of simulate_cat, and no normals."""
         c = ContractSpec(horizon_T=600, k1_strike=7000.0, k2_strike=6000.0,
                          d1=1.0, d2=1.0, rate_r=0.02)
         mc_price_cat(c, README_MODEL, 0.0, SimConfig(n_paths=300, seed=4))
-        assert {name for name, _ in drawn} == {"standard_gamma"}
-        assert sum(size for _, size in drawn) == 300 * 600
-        clock = list(drawn)
-        drawn.clear()
+        assert {name for name, _ in drawn.draws} == {"standard_gamma"}
+        assert sum(size for _, size in drawn.draws) == 300 * 600
+        clock = list(drawn.draws)
+        drawn.draws.clear()
         simulate_cat(README_MODEL, SimConfig(n_paths=300, seed=4, measure="Q"), 600)
-        assert drawn[::2] == clock
+        assert drawn.draws[::2] == clock
 
     def test_zero_clock_pays_intrinsic(self):
         """a = 1e-3 over one day: many clock draws are exactly 0, so s = 0 on
         those paths; the price is finite, warns of nothing and agrees with the
         payoff average."""
-        assert np.any(block_rng(11, 0).standard_gamma(1e-3, (1, PATH_BLOCK)) == 0.0)
+        assert np.any(block_rng(11, 0).standard_gamma(1e-3, (1000, 1)) == 0.0)
         p = ModelParams(alpha=0.25, t0=12.0, seasonal=README_MODEL.seasonal,
                         vol=README_MODEL.vol, timechange=GammaTimeChange(1e-3, 1.0, 0.3))
         mean, var = cat_cumulants(p, 0.0, 1)
