@@ -4,7 +4,8 @@ The tilt parameter theta* makes the discounted temperature a martingale
 over the contract window.  Under the tilted measure the Gamma-time-changed
 noise stays in the same family with drift mu1 + theta and rate b*A1(theta),
 which allows exact simulation under the pricing measure -- used here to
-verify the discounted-mean identity by Monte Carlo.
+verify the discounted-mean identity by Monte Carlo, with theta* passed to
+`simulate_cat` as its tilt argument.
 """
 
 import numpy as np
@@ -35,8 +36,8 @@ print(f"  printed-variant root (diagnostic): {eq12_variant_theta(p, market, hori
 tc_q = transformed_timechange(p.timechange, sol.theta)
 print(f"  tilted noise parameters: mu1' = {tc_q.mu1:.6f}, b' = {tc_q.b:.6f} (a unchanged)")
 
-cfg = SimConfig(step=1.0, n_paths=100_000, seed=5, measure="Q", theta=sol.theta)
-_, terminal = simulate_cat(p, cfg, int(horizon))
+cfg = SimConfig(step=1.0, n_paths=100_000, seed=5)
+_, terminal = simulate_cat(p, cfg, int(horizon), sol.theta)
 disc = np.exp(-market.r / 365.0 * horizon) * terminal
 se = np.std(disc, ddof=1) / np.sqrt(disc.size)
 print(f"\nMonte Carlo check of E[e^(-rT/365) T_T] under the tilted measure:")

@@ -70,9 +70,6 @@ class FitReport:
     rho1: float
     nobs: int
 
-    def coeffs(self) -> FourCoeffs:
-        return FourCoeffs(*map(float, self.params))
-
 
 @dataclass(frozen=True)
 class AlphaFit:
@@ -253,20 +250,40 @@ def _penalised(la: float, lb: float, mu1: float, sig: np.ndarray) -> bool:
     return not _in_box(la, lb, mu1) or bool(np.any(sig <= 1e-6))
 
 
-def _cf_residuals(emp_groups: np.ndarray, alpha: float):
-    """The fits' residuals(la, lb, mu1, sig) between empirical and model charfuns.
+def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndarray):
+    """(residuals(x), jacobian(x)) of one time-change stage in
+    x = (log a, log b, mu1, free vol coefficients).
 
     Row g of `emp_groups` is matched with the centred innovation charfun at
-    vol scale sig[g] and (a, b, mu1) = (e^la, e^lb, mu1); the residuals are
-    the real and imaginary parts of sqrt(CF_WEIGHTS) * (empirical - model).
-    Off the search box or at sig <= 1e-6 they are a constant vector whose
-    sum of squares is 1e6.
+    vol scale sig_of(x)[g] and (a, b, mu1) = (e^x0, e^x1, x2); the residuals
+    are the real and imaginary parts of sqrt(CF_WEIGHTS) * (empirical - model).
+    `dsig_dc` is d sig / d x[3:] on the residual rows, which run over (real
+    or imaginary part, group, u): shape (rows, 0) when the vol is pinned.
+    Off the search box or at sig <= 1e-6 the residuals are a constant vector
+    whose sum of squares is 1e6, and the Jacobian is zero.
+
+    The Jacobian is closed-form.  At node s_n of the unit rule (weight W_n),
+    with E_n = e^{-alpha(1 - s_n)}, w = i u sig E_n and A = 1 + q - ip = 1 + z
+    as in `tilted_exponent_sum` (|A| >= 1), the centred model is
+    M = e^{S - iu m} with S = sum_n W_n (-a Log A), m = (a mu1/b) sig I1 and
+    I1 = kernel_weight(alpha, 1).  Each column is -sqrt(CF_WEIGHTS) M D, with
+    D the derivative of S - iu m:
+        la:  S - iu m
+        lb:  a sum_n W_n z/A + iu m
+        mu1: (a/b) (sum_n W_n w/A - iu sig I1)
+        sig: (a/b) iu (sum_n W_n E_n (mu1 + w)/A - mu1 I1)
+    and the sig column of group g's rows, times `dsig_dc`, gives the vol
+    coefficients' columns.
     """
     mean_weight = kernel_weight(alpha, 1)
     root_weights = np.sqrt(CF_WEIGHTS)
+    decay = np.exp(-alpha * (1.0 - UNIT_NODES))
+    iu = 1j * CF_GRID
     penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
 
-    def residuals(la: float, lb: float, mu1: float, sig: np.ndarray) -> np.ndarray:
+    def residuals(x: np.ndarray) -> np.ndarray:
+        la, lb, mu1 = x[:3]
+        sig = sig_of(x)
         if _penalised(la, lb, mu1, sig):
             return penalty
         a, b = math.exp(la), math.exp(lb)
@@ -275,52 +292,31 @@ def _cf_residuals(emp_groups: np.ndarray, alpha: float):
         diff = root_weights * (emp_groups - model * np.exp(-1j * CF_GRID * mean_model))
         return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
-    return residuals
-
-
-def _cf_jacobian(alpha: float):
-    """Closed-form jacobian(la, lb, mu1, sig) of `_cf_residuals`' residuals.
-
-    Rows are the residuals'; the columns are d/d(la, lb, mu1) and, last,
-    d/d sig[g] of each row's own group g.  At node s_n of the unit rule
-    (weight W_n), with E_n = e^{-alpha(1 - s_n)}, w = i u sig E_n and
-    A = 1 + q - ip = 1 + x as in `tilted_exponent_sum` (|A| >= 1), the
-    centred model is M = e^{S - iu m} with S = sum_n W_n (-a Log A),
-    m = (a mu1/b) sig I1 and I1 = kernel_weight(alpha, 1).  Each column is
-    -sqrt(CF_WEIGHTS) M D, with D the derivative of S - iu m:
-        la:  S - iu m
-        lb:  a sum_n W_n x/A + iu m
-        mu1: (a/b) (sum_n W_n w/A - iu sig I1)
-        sig: (a/b) iu (sum_n W_n E_n (mu1 + w)/A - mu1 I1)
-    Where the residuals are the constant penalty the Jacobian is zero.
-    """
-    mean_weight = kernel_weight(alpha, 1)
-    root_weights = np.sqrt(CF_WEIGHTS)
-    decay = np.exp(-alpha * (1.0 - UNIT_NODES))
-    iu = 1j * CF_GRID
-
-    def jacobian(la: float, lb: float, mu1: float, sig: np.ndarray) -> np.ndarray:
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        la, lb, mu1 = x[:3]
+        sig = sig_of(x)
         if _penalised(la, lb, mu1, sig):
-            return np.zeros((2 * sig.size * CF_GRID.size, 4))
+            return np.zeros((penalty.size, x.size))
         a, b = math.exp(la), math.exp(lb)
         uk = np.multiply.outer(np.multiply.outer(sig, decay), CF_GRID)  # (group, node, u)
         p, q = uk * (mu1 / b), uk * uk / (2.0 * b)
-        x = q - 1j * p
-        inv_a = 1.0 / (1.0 + x)
+        z = q - 1j * p
+        inv_a = 1.0 / (1.0 + z)
         log_a = 0.5 * np.log1p(q * (2.0 + q) + p * p) + 1j * np.arctan2(-p, 1.0 + q)
         iu_m = iu * ((a * mu1 / b) * mean_weight) * sig[:, None]
         s = -a * (UNIT_WEIGHTS @ log_a)
         d = np.stack([
             s - iu_m,
-            a * (UNIT_WEIGHTS @ (x * inv_a)) + iu_m,
+            a * (UNIT_WEIGHTS @ (z * inv_a)) + iu_m,
             (a / b) * (UNIT_WEIGHTS @ (1j * uk * inv_a) - iu * sig[:, None] * mean_weight),
             (a / b) * iu * ((UNIT_WEIGHTS * decay) @ ((mu1 + 1j * uk) * inv_a)
                             - mu1 * mean_weight),
         ])
         cols = -root_weights * np.exp(s - iu_m) * d
-        return np.concatenate([cols.real.reshape(4, -1), cols.imag.reshape(4, -1)], axis=1).T
+        jac = np.concatenate([cols.real.reshape(4, -1), cols.imag.reshape(4, -1)], axis=1).T
+        return np.hstack([jac[:, :3], jac[:, 3:] * dsig_dc])
 
-    return jacobian
+    return residuals, jacobian
 
 
 def _least_squares(residuals, jacobian, x0: np.ndarray, stage: str):
@@ -399,7 +395,9 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0])
 
     emp = empirical_charfun(work_c, CF_GRID)[None, :]
-    x, obj, stage = _least_squares(*_constant_functions(emp, alpha), x0, "time-change fit")
+    one = np.ones(1)  # sigma = 1: no free vol coefficient
+    functions = _cf_functions(emp, alpha, lambda x: one, np.empty((2 * emp.size, 0)))
+    x, obj, stage = _least_squares(*functions, x0, "time-change fit")
     stages = [stage]
     if vol_shape == "seasonal":
         x, vol, obj, stage = _joint_refine(eps, t_eps, alpha, x, vol)
@@ -411,37 +409,6 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
                          status=status, nfev=nfev, njev=njev)
 
 
-def _constant_functions(emp: np.ndarray, alpha: float):
-    """Residuals and Jacobian of the constant fit in x = (log a, log b, mu1), sig = 1."""
-    residuals, jacobian = _cf_residuals(emp, alpha), _cf_jacobian(alpha)
-    one = np.ones(1)
-    return (lambda x: residuals(*x, one)), (lambda x: jacobian(*x, one)[:, :3])
-
-
-def _refine_functions(emp_groups: np.ndarray, alpha: float, c0: float, t_groups: np.ndarray):
-    """Residuals and Jacobian of the refine in x = (log a, log b, mu1, c1, c2, c3).
-
-    Group g's vol scale is sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t)
-    at t = t_g, so its rows' columns for c1..c3 are d/d sig_g times
-    (t_g, sin(omega t_g), cos(omega t_g)).
-    """
-    residuals, jacobian = _cf_residuals(emp_groups, alpha), _cf_jacobian(alpha)
-    # rows run over (real/imaginary part, group, u)
-    dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:], CF_GRID.size, axis=0), (2, 1))
-
-    def sig(x):
-        return eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups)
-
-    def joint(x):
-        return residuals(*x[:3], sig(x))
-
-    def joint_jacobian(x):
-        jac = jacobian(*x[:3], sig(x))
-        return np.hstack([jac[:, :3], jac[:, 3:] * dsig_dc])
-
-    return joint, joint_jacobian
-
-
 def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
     """Joint (log a, log b, mu1, c1..c3) refine on a month-bucketed CF objective, c0 pinned."""
     doy = np.mod(t_eps, 365.0)
@@ -451,7 +418,11 @@ def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
     emp_groups = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
                            for idx in months])
     c0 = vol0.k0
+    # sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t) at t = t_g, so
+    # d sig / d(c1, c2, c3) on group g's rows is (t_g, sin(omega t_g), cos(omega t_g))
+    dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:], CF_GRID.size, axis=0), (2, 1))
+    sig_of = lambda x: eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups)
     start = np.array([*x0, vol0.k1, vol0.k2, vol0.k3])
-    x, obj, stage = _least_squares(*_refine_functions(emp_groups, alpha, c0, t_groups), start,
-                                   "seasonal time-change refine")
+    functions = _cf_functions(emp_groups, alpha, sig_of, dsig_dc)
+    x, obj, stage = _least_squares(*functions, start, "seasonal time-change refine")
     return x[:3], FourCoeffs(c0, *map(float, x[3:])), obj, stage

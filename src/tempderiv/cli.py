@@ -14,6 +14,7 @@ errors map to exit codes; any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -81,9 +82,20 @@ def _load_config(path: str | None) -> dict:
         raise IngestError("--config is required for this command")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise IngestError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The config section `name`: {} when absent, IngestError unless an object."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise IngestError(f"{name} must be a JSON object, got {section!r}")
+    return section
 
 
 def _num(value, what: str, kind=float):
@@ -105,13 +117,12 @@ def _four(values, what: str) -> FourCoeffs:
     return FourCoeffs(*(_num(v, what) for v in vals))
 
 
-def _model_from(cfg: dict, horizon: float, alpha_override: float | None = None) -> ModelParams:
+def _model_from(cfg: dict, horizon: float) -> ModelParams:
     try:
         m = cfg["model"]
         tcd = m["timechange"]
         return ModelParams(
-            alpha=_num(alpha_override if alpha_override is not None else m["alpha"],
-                       "model.alpha"),
+            alpha=_num(m["alpha"], "model.alpha"),
             t0=_num(m["t0"], "model.t0"),
             seasonal=_four(m["seasonal"], "model.seasonal"),
             vol=_four(m["vol"], "model.vol"),
@@ -144,7 +155,7 @@ def _contract_from(cfg: dict) -> ContractSpec:
 
 def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
                terms: int | None, l_mult: float | None) -> tuple[CosGrid, dict]:
-    cos_cfg = dict(cfg.get("cos", {"auto": True}))
+    cos_cfg = _section(cfg, "cos")
     n1 = _num(terms if terms is not None else cos_cfg.get("n1", 256), "cos.n1", int)
     n2 = _num(terms if terms is not None else cos_cfg.get("n2", 256), "cos.n2", int)
     if cos_cfg.get("auto", "b1" not in cos_cfg):
@@ -169,17 +180,17 @@ def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tup
     return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
 
 
-def _measure_theta(cfg: dict, measure, model: ModelParams) -> tuple[str, float]:
-    """(P or Q, tilt) of a `measure` field, in any case: P is theta 0; Q
+def _measure_theta(cfg: dict, measure, model: ModelParams) -> float:
+    """The tilt of a `measure` field, P or Q in any case: P is theta 0; Q
     takes the top-level `theta` if pinned, else theta* solved from `contract`."""
     name = str(measure).upper()
     if name not in ("P", "Q"):
         raise IngestError(f"measure must be P or Q, got {measure!r}")
     if name == "P":
-        return name, 0.0
+        return 0.0
     if cfg.get("theta") is not None:
-        return name, _num(cfg["theta"], "theta")
-    return name, _resolve_theta(cfg, model, _contract_from(cfg))[0]
+        return _num(cfg["theta"], "theta")
+    return _resolve_theta(cfg, model, _contract_from(cfg))[0]
 
 
 def _describe(series) -> dict:
@@ -245,7 +256,7 @@ def cmd_price(args) -> int:
                         "relative_change": quote.relative_change},
     }
     if args.mc:
-        sim_cfg = dict(cfg.get("sim", {}))
+        sim_cfg = _section(cfg, "sim")
         n_paths = _num(args.paths if args.paths is not None else sim_cfg.get("n_paths", 100_000),
                        "sim.n_paths", int)
         seed = _num(args.seed if args.seed is not None else sim_cfg.get("seed", 0),
@@ -256,12 +267,14 @@ def cmd_price(args) -> int:
                          "abs_diff": abs(price - mc),
                          "z": (mc - price) / se if se > 0.0 else None,
                          "within_3_stderr": bool(abs(price - mc) <= 3.0 * se)}
-    if cfg.get("alpha_sweep"):
+    sweep = cfg.get("alpha_sweep")
+    if sweep is not None and not isinstance(sweep, list):
+        raise IngestError(f"alpha_sweep must be a list, got {sweep!r}")
+    if sweep:
         rows = []
-        for alpha_val in cfg["alpha_sweep"]:
+        for alpha_val in sweep:
             alpha_val = _num(alpha_val, "alpha_sweep")
-            model_a = _model_from(cfg, horizon=float(contract.horizon_T),
-                                  alpha_override=alpha_val)
+            model_a = dataclasses.replace(model, alpha=alpha_val)
             theta_a, _ = _resolve_theta(cfg, model_a, contract)
             grid_a, _ = _grid_from(cfg, model_a, theta_a, contract.horizon_T,
                                    args.terms, args.l_mult)
@@ -274,20 +287,17 @@ def cmd_price(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    sim_cfg = dict(cfg.get("sim", {}))
-    if args.paths is not None:
-        sim_cfg["n_paths"] = int(args.paths)
-    if args.seed is not None:
-        sim_cfg["seed"] = int(args.seed)
-    if "seed" not in sim_cfg:
+    sim_cfg = _section(cfg, "sim")
+    n_paths = _num(args.paths if args.paths is not None else sim_cfg.get("n_paths", 1),
+                   "sim.n_paths", int)
+    seed = args.seed if args.seed is not None else sim_cfg.get("seed")
+    if seed is None:
         raise IngestError("simulate requires a seed (config sim.seed or --seed)")
-    horizon = _num(cfg.get("horizon", cfg.get("contract", {}).get("horizon_t", 365)), "horizon")
+    horizon = _num(cfg.get("horizon", _section(cfg, "contract").get("horizon_t", 365)), "horizon")
     model = _model_from(cfg, horizon=horizon)
-    measure, theta = _measure_theta(cfg, sim_cfg.get("measure", "P"), model)
-    run = SimConfig(step=_num(sim_cfg.get("step", 1.0), "sim.step"),
-                    n_paths=_num(sim_cfg.get("n_paths", 1), "sim.n_paths", int),
-                    seed=_num(sim_cfg["seed"], "sim.seed", int),
-                    measure=measure, theta=theta)
+    theta = _measure_theta(cfg, sim_cfg.get("measure", "P"), model)
+    run = SimConfig(step=_num(sim_cfg.get("step", 1.0), "sim.step"), n_paths=n_paths,
+                    seed=_num(seed, "sim.seed", int))
     start = cfg.get("start_date")
     if start is not None:
         try:
@@ -297,7 +307,7 @@ def cmd_simulate(args) -> int:
         if not float(run.step).is_integer():
             raise IngestError(f"start_date needs a whole number of days per step, "
                               f"got sim.step {run.step}")
-    times, paths = simulate_paths(model, run, horizon)
+    times, paths = simulate_paths(model, run, horizon, theta)
 
     if start is not None:
         labels = (base + np.rint(times).astype(np.int64)).astype(str).tolist()
@@ -320,13 +330,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = _load_config(args.config)
-    horizon_t = _num(cfg.get("horizon_t", cfg.get("contract", {}).get("horizon_t", 30)),
+    horizon_t = _num(cfg.get("horizon_t", _section(cfg, "contract").get("horizon_t", 30)),
                      "horizon_t", int)
     model = _model_from(cfg, horizon=float(horizon_t))
     points = _num(cfg.get("points", 257), "points", int)
     if points < 1:
         raise IngestError(f"points must be a positive integer, got {cfg['points']!r}")
-    _, theta = _measure_theta(cfg, cfg.get("measure", "P"), model)
+    theta = _measure_theta(cfg, cfg.get("measure", "P"), model)
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
     xs = np.linspace(grid.b1, grid.b2, points)
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")

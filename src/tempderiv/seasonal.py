@@ -40,9 +40,6 @@ class FourCoeffs:
     k2: float
     k3: float
 
-    def __call__(self, t):
-        return eval_seasonal(self, t)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.k0, self.k1, self.k2, self.k3], float)
 

@@ -13,8 +13,9 @@ per unit dR, s2_j = G2_j/D + mu1'^2 (G2_j - G1_j^2/D) / (b' D), makes up
 what the mean part lacks, so each step's mean and variance are the
 model's; higher cumulants are not (conditionally on dR the step is
 Gaussian).  The Brownian limit reproduces the exact mean-reverting
-transition.  Under the tilted measure Q(theta) the transformed parameters
-mu1' = mu1 + theta, b' = b A1(theta) are used.
+transition.  Each simulator takes the tilt theta as an argument (0, the
+default, is P) and applies it once at its top: under Q(theta) the
+transformed parameters mu1' = mu1 + theta, b' = b A1(theta) are used.
 
 Randomness is one SFC64 stream per kind of variate per call: stream 0
 draws the Gamma clock and stream 1 the normals, seeded by (seed, stream)
@@ -53,21 +54,17 @@ D_CAP = 40.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings: step size (days), path count, seed and measure."""
+    """Simulation settings: step size (days), path count and seed."""
 
     step: float = 1.0
     n_paths: int = 10_000
     seed: int = 0
-    measure: str = "P"
-    theta: float = 0.0
 
     def __post_init__(self):
         if not self.step > 0.0:
             raise DomainError(f"step must be > 0, got {self.step}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.measure not in ("P", "Q"):
-            raise DomainError(f"measure must be 'P' or 'Q', got {self.measure!r}")
 
 
 def gamma_increment(rng: np.random.Generator, shape: float, rate: float, size=None):
@@ -144,11 +141,12 @@ def _clock_chunks(tc: GammaTimeChange, cfg: SimConfig,
         yield paths, clock.standard_gamma(tc.a * cfg.step, (paths.stop - row, n_steps)) / tc.b
 
 
-def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[slice, np.ndarray]]:
+def _increments(p: ModelParams, tc: GammaTimeChange, cfg: SimConfig,
+                n_steps: int) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (paths, inc): the increments inc_j of all steps for the paths in
-    the slice, shape (paths, n_steps), where T_{j+1} = decay T_j + inc_j.
-    The normals z come from stream 1, drawn in the clock's run shapes."""
-    tc = transformed_timechange(p.timechange, cfg.theta) if cfg.measure == "Q" else p.timechange
+    the slice, shape (paths, n_steps), where T_{j+1} = decay T_j + inc_j, on
+    the (tilted) time change tc.  The normals z come from stream 1, drawn in
+    the clock's run shapes."""
     drift, drift_scale, gauss_scale2 = _step_tables(p, tc, n_steps, cfg.step)
     noise = block_rng(cfg.seed, 1)
     for paths, d_r in _clock_chunks(tc, cfg, n_steps):
@@ -156,18 +154,21 @@ def _increments(p: ModelParams, cfg: SimConfig, n_steps: int) -> Iterator[tuple[
         yield paths, drift + drift_scale * d_r + np.sqrt(gauss_scale2 * d_r) * z
 
 
-def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate cfg.n_paths trajectories on [0, horizon].
+def simulate_paths(p: ModelParams, cfg: SimConfig, horizon: float,
+                   theta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate cfg.n_paths trajectories on [0, horizon] under the
+    theta-tilted measure (theta = 0 is P).
 
     Returns (times, paths) with times of length horizon/step + 1 (including
     t = 0) and paths of shape (n_paths, len(times)).  Bit-reproducible for
-    fixed (seed, params, horizon, step).
+    fixed (seed, params, theta, horizon, step).
     """
+    tc = transformed_timechange(p.timechange, theta)
     n_steps = _n_steps(horizon, cfg.step)
     decay = np.exp(-p.alpha * cfg.step)
     out = np.empty((cfg.n_paths, n_steps + 1))
     out[:, 0] = p.t0
-    for paths, inc in _increments(p, cfg, n_steps):
+    for paths, inc in _increments(p, tc, cfg, n_steps):
         out[paths, 1:] = inc
     for j in range(1, n_steps + 1):  # the AR(1) recursion, once over all paths
         out[:, j] += decay * out[:, j - 1]
@@ -193,17 +194,20 @@ def _cat_weights(p: ModelParams, cfg: SimConfig, horizon_T: int):
     return horizon_T, base, weights
 
 
-def simulate_cat(p: ModelParams, cfg: SimConfig, horizon_T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path cumulated temperature xi = sum_{k=1}^T T_k and terminal T_T.
+def simulate_cat(p: ModelParams, cfg: SimConfig, horizon_T: int,
+                 theta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path cumulated temperature xi = sum_{k=1}^T T_k and terminal T_T,
+    under the theta-tilted measure (theta = 0 is P).
 
     Requires daily steps (the CAT index sums daily values).  No path is
     built: each run's increments are reduced by their closed-form weights
     (`_cat_weights`).
     """
+    tc = transformed_timechange(p.timechange, theta)
     horizon_T, base, weights = _cat_weights(p, cfg, horizon_T)
     sums = np.empty((2, cfg.n_paths))
     sums[:] = base[:, None]
-    for paths, inc in _increments(p, cfg, horizon_T):
+    for paths, inc in _increments(p, tc, cfg, horizon_T):
         sums[:, paths] += weights @ inc.T
     return sums[0], sums[1]
 
@@ -237,13 +241,13 @@ def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,
     legs.  The estimator averages that over paths: only the clock is drawn
     (the Gamma stream `simulate_cat` draws; the normal stream is never
     seeded), and its variance is that of the conditional payoff, never more
-    than the plain payoff's.  The tilt is `theta`; `cfg` gives the path
-    count, seed and (daily) step, and its measure and theta are not read.
+    than the plain payoff's.  `cfg` gives the path count, seed and (daily)
+    step.
 
     Returns (price, standard error of the mean).
     """
-    horizon_T, base, weights = _cat_weights(p, cfg, contract.horizon_T)
     tc = transformed_timechange(p.timechange, theta)
+    horizon_T, base, weights = _cat_weights(p, cfg, contract.horizon_T)
     drift, drift_scale, gauss_scale2 = _step_tables(p, tc, horizon_T, 1.0)
     w = weights[0]
     coef = np.stack([w * drift_scale, w * w * gauss_scale2])

@@ -157,8 +157,8 @@ def test_criterion_04_esscher_identity_and_martingale(toronto_like_model):
     r = 0.02
     horizon = 90
     sol = solve_theta(p, MarketParams(r=r), float(horizon))
-    cfg = SimConfig(step=1.0, n_paths=100_000, seed=44, measure="Q", theta=sol.theta)
-    _, terminal = simulate_cat(p, cfg, horizon)
+    cfg = SimConfig(step=1.0, n_paths=100_000, seed=44)
+    _, terminal = simulate_cat(p, cfg, horizon, sol.theta)
     disc = np.exp(-r / 365.0 * horizon) * terminal
     se = float(np.std(disc, ddof=1) / np.sqrt(disc.size))
     mart_err = abs(float(np.mean(disc)) - p.t0)

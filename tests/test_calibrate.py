@@ -13,7 +13,7 @@ from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
                        simulate_paths, v_cumulants)
 from tempderiv import calibrate
 from tempderiv.calibrate import _mom_init, kernel_weight, seasonal_design
-from tempderiv.seasonal import eval_seasonal
+from tempderiv.seasonal import ANNUAL_OMEGA, eval_seasonal
 
 from conftest import random_model
 from helpers import log_likelihood
@@ -24,6 +24,30 @@ def synthetic_series(beta, n=2000, noise_sd=3.0, seed=0):
     t = np.arange(n, dtype=float)
     clean = seasonal_design(t) @ np.asarray(beta)
     return clean + (rng.standard_normal(n) * noise_sd if noise_sd else 0.0)
+
+
+def constant_functions(emp, alpha):
+    """The constant stage's (residuals, jacobian) in x = (log a, log b, mu1), sigma = 1."""
+    one = np.ones(1)
+    return calibrate._cf_functions(emp, alpha, lambda x: one, np.empty((2 * emp.size, 0)))
+
+
+def group_functions(emp_groups, alpha):
+    """(residuals, jacobian) in x = (log a, log b, mu1, sig_1, ..., sig_G): each
+    group's vol scale is a free coefficient, on its own rows."""
+    rows = np.repeat(np.eye(emp_groups.shape[0]), calibrate.CF_GRID.size, axis=0)
+    return calibrate._cf_functions(emp_groups, alpha, lambda x: x[3:], np.tile(rows, (2, 1)))
+
+
+def seasonal_functions(emp_groups, alpha, c0, t_groups):
+    """The seasonal refine's (residuals, jacobian) in x = (log a, log b, mu1, c1, c2, c3),
+    c0 pinned, with d sig_g / d(c1, c2, c3) written row by row."""
+    n_u = calibrate.CF_GRID.size
+    group = np.arange(2 * emp_groups.size) // n_u % emp_groups.shape[0]
+    t = t_groups[group]
+    dsig_dc = np.column_stack([t, np.sin(ANNUAL_OMEGA * t), np.cos(ANNUAL_OMEGA * t)])
+    sig_of = lambda x: eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups)
+    return calibrate._cf_functions(emp_groups, alpha, sig_of, dsig_dc)
 
 
 RECOVERY_MODEL = ModelParams(
@@ -208,8 +232,8 @@ class TestFitTimechange:
         tf = fit_timechange(resid, alpha=alpha, vol_shape="constant")
         eps = innovations(resid, alpha)
         emp = empirical_charfun(eps - np.mean(eps), calibrate.CF_GRID)[None, :]
-        residuals = calibrate._cf_residuals(emp, alpha)
-        truth = float(np.sum(residuals(np.log(1.5), np.log(1.0), 0.2, np.ones(1)) ** 2))
+        residuals, _ = constant_functions(emp, alpha)
+        truth = float(np.sum(residuals(np.array([np.log(1.5), np.log(1.0), 0.2])) ** 2))
         assert tf.objective <= truth + 1e-8
 
     def test_mu1_sign_flip(self, recovery_runs):
@@ -284,7 +308,7 @@ class TestLeastSquaresStatus:
     def test_converged_reports_status(self, monkeypatch):
         eps = innovations(self.resid, 0.25)
         emp = empirical_charfun(eps - np.mean(eps), calibrate.CF_GRID)[None, :]
-        residuals = calibrate._cf_residuals(emp, 0.25)
+        residuals, _ = constant_functions(emp, 0.25)
         for status in (1, 2, 3, 4):
             fake = FakeLeastSquares(status)
             monkeypatch.setattr(optimize, "least_squares", fake)
@@ -292,7 +316,7 @@ class TestLeastSquaresStatus:
             assert fake.calls == 1 and tf.converged and tf.status == (status,)
             # the reported objective is the CF distance at the solver's end point
             start = np.array([np.log(tf.a), np.log(tf.b), tf.mu1])
-            objective = float(np.sum(residuals(*start, np.ones(1)) ** 2))
+            objective = float(np.sum(residuals(start) ** 2))
             assert tf.objective == pytest.approx(objective, rel=1e-12)
 
     def test_seasonal_reports_both_stages(self, monkeypatch):
@@ -340,26 +364,40 @@ class TestJacobian:
 
     def test_constant_stage_against_richardson(self):
         for p, x, emp in self.draws(95):
-            self.assert_columns_match(*calibrate._constant_functions(emp[:1], p.alpha), x,
-                                      (1e-3,) * 3)
+            self.assert_columns_match(*constant_functions(emp[:1], p.alpha), x, (1e-3,) * 3)
 
     def test_refine_stage_against_richardson(self):
         for p, x, emp in self.draws(96):
             vol = p.vol
-            fun, jac = calibrate._refine_functions(emp, p.alpha, vol.k0, self.T_GROUPS)
+            fun, jac = seasonal_functions(emp, p.alpha, vol.k0, self.T_GROUPS)
             # c1 multiplies t_g (up to 350 days): a step of 1e-3 would move sig by 0.35
             self.assert_columns_match(fun, jac, np.array([*x, vol.k1, vol.k2, vol.k3]),
                                       (1e-3,) * 3 + (1e-6, 1e-3, 1e-3))
 
     def test_zero_where_the_residuals_are_the_penalty(self):
-        jacobian = calibrate._cf_jacobian(0.25)
         sig = np.full(12, 1.5)
         for args in [(25.5, 0.0, 0.1, sig), (0.0, -26.0, 0.1, sig), (0.0, 0.0, 50.5, sig),
                      (0.0, 0.0, 0.1, np.where(np.arange(12) == 4, 1e-6, 1.5)),
                      (0.0, 0.0, 0.1, np.full(1, -0.3))]:
-            jac = jacobian(*args)
-            assert jac.shape == (2 * args[3].size * calibrate.CF_GRID.size, 4)
+            emp = np.ones((args[3].size, calibrate.CF_GRID.size), complex)
+            _, jacobian = group_functions(emp, 0.25)
+            x = np.array([*args[:3], *args[3]])
+            jac = jacobian(x)
+            assert jac.shape == (2 * args[3].size * calibrate.CF_GRID.size, x.size)
             assert not np.any(jac)
+
+    def test_refine_of_a_fit_against_richardson(self, monkeypatch):
+        """The refine's own vol chain rule, at the start of a station-like fit's refine."""
+        stages, solve = [], calibrate._least_squares
+
+        def capture(residuals, jacobian, x0, stage):
+            stages.append((residuals, jacobian, np.array(x0)))
+            return solve(residuals, jacobian, x0, stage)
+
+        monkeypatch.setattr(calibrate, "_least_squares", capture)
+        fit_timechange(TestLeastSquaresStatus.resid, alpha=0.25, vol_shape="seasonal")
+        fun, jac, x = stages[1]
+        self.assert_columns_match(fun, jac, x, (1e-3,) * 3 + (1e-6, 1e-3, 1e-3))
 
     def test_objective_not_above_finite_difference_fit(self, recovery_runs, monkeypatch):
         """The closed form changes the path, not the optimum, of each stage."""
@@ -375,27 +413,26 @@ class TestJacobian:
         """nfev and njev count every call of each stage's residuals and Jacobian."""
         calls = []
 
-        def counting(factory, kind):
+        def counting(factory):
             def make(*args):
-                f, record = factory(*args), {"kind": kind, "calls": 0}
+                record = {"residuals": 0, "jacobian": 0}
                 calls.append(record)
 
-                def call(*x):
-                    record["calls"] += 1
-                    return f(*x)
-                return call
+                def counted(kind, f):
+                    def call(x):
+                        record[kind] += 1
+                        return f(x)
+                    return call
+                residuals, jacobian = factory(*args)
+                return counted("residuals", residuals), counted("jacobian", jacobian)
             return make
 
-        monkeypatch.setattr(calibrate, "_cf_residuals",
-                            counting(calibrate._cf_residuals, "residuals"))
-        monkeypatch.setattr(calibrate, "_cf_jacobian",
-                            counting(calibrate._cf_jacobian, "jacobian"))
+        monkeypatch.setattr(calibrate, "_cf_functions", counting(calibrate._cf_functions))
         resid = TestLeastSquaresStatus.resid
         for shape, stages in (("constant", 1), ("seasonal", 2)):
             calls.clear()
             tf = fit_timechange(resid, alpha=0.25, vol_shape=shape)
-            counted = {kind: tuple(r["calls"] for r in calls if r["kind"] == kind)
-                       for kind in ("residuals", "jacobian")}
+            counted = {kind: tuple(r[kind] for r in calls) for kind in ("residuals", "jacobian")}
             assert len(tf.nfev) == len(tf.njev) == stages
             assert tf.nfev == counted["residuals"] and tf.njev == counted["jacobian"]
             assert all(0 < n <= 10 for n in tf.nfev + tf.njev)
@@ -411,8 +448,8 @@ class TestScaleDegeneracy:
             tc = p.timechange
             sig = eval_seasonal(p.vol, t_groups)
             emp = np.exp(1j * rng.normal(0.0, 0.1, (12, calibrate.CF_GRID.size)))
-            residuals = calibrate._cf_residuals(emp, p.alpha)
-            distance = lambda *args: float(np.sum(residuals(*args) ** 2))
+            residuals, _ = group_functions(emp, p.alpha)
+            distance = lambda *args: float(np.sum(residuals(np.array([*args[:3], *args[3]])) ** 2))
             la, lb = np.log(tc.a), np.log(tc.b)
             base = distance(la, lb, tc.mu1, sig)
             for s in rng.uniform(0.2, 5.0, 3):

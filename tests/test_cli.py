@@ -196,6 +196,24 @@ class TestPrice:
         assert alphas == [0.15, 0.25, 0.35] and alphas == sorted(alphas)
         assert all("price" in row and "theta" in row for row in payload["alpha_sweep"])
 
+    def test_explicit_cos_bounds(self, tmp_path):
+        """cos {b1, b2, n1, n2} prices on exactly that grid, with no automatic bounds."""
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "theta": -0.18,
+               "cos": {"b1": -1200.0, "b2": 1100.0, "n1": 192, "n2": 160}}
+        p, out = tmp_path / "cfg.json", tmp_path / "price.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["grid"] == {"auto": False, "b1": -1200.0, "b2": 1100.0, "n1": 192,
+                                   "n2": 160}
+        model = ModelParams(alpha=0.25, t0=-3.0, seasonal=FourCoeffs(*MODEL_CFG["seasonal"]),
+                            vol=FourCoeffs(*MODEL_CFG["vol"]),
+                            timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
+        contract = ContractSpec(horizon_T=30, k1_strike=330.0, k2_strike=250.0,
+                                d1=1.0, d2=1.0, rate_r=0.02)
+        want = price_strangle(contract, model, -0.18, CosGrid(-1200.0, 1100.0, 192, 160)).price
+        assert payload["price"] == float("{:.10g}".format(want))
+
     def test_no_bracket_exit_4(self, tmp_path, capsys):
         cfg = {"model": dict(MODEL_CFG, t0=3000.0, vol=[1e-6, 0, 0, 0],
                              seasonal=[0.0, 0, 0, 0], timechange={"a": 1.0, "b": 1.0, "mu1": 0.0}),
@@ -283,6 +301,32 @@ class TestExitCodes:
         assert main(["price", "--config", str(p)]) == 2
         assert f"invalid {section} config: missing '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, cfg, message", [
+        ("simulate", [], {"model": MODEL_CFG, "horizon": 10, "sim": 5},
+         "sim must be a JSON object"),
+        ("price", ["--mc"], {"model": MODEL_CFG, "contract": CONTRACT_CFG, "sim": [1]},
+         "sim must be a JSON object"),
+        ("simulate", [], {"model": MODEL_CFG, "contract": [1, 2], "sim": {"seed": 1}},
+         "contract must be a JSON object"),
+        ("density", [], {"model": MODEL_CFG, "contract": [1, 2]},
+         "contract must be a JSON object"),
+        ("price", [], {"model": MODEL_CFG, "contract": CONTRACT_CFG, "cos": 5},
+         "cos must be a JSON object"),
+        ("price", [], {"model": MODEL_CFG, "contract": CONTRACT_CFG, "cos": "ab"},
+         "cos must be a JSON object"),
+        ("price", [], {"model": MODEL_CFG, "contract": CONTRACT_CFG, "alpha_sweep": 5},
+         "alpha_sweep must be a list"),
+        ("simulate", [], [MODEL_CFG], "must be a JSON object, got list"),
+    ], ids=["sim-number", "sim-list-mc", "contract-list-simulate", "contract-list-density",
+            "cos-number", "cos-string", "alpha_sweep-number", "root-list"])
+    def test_config_section_of_the_wrong_type_exit_2(self, tmp_path, capsys, command, flags,
+                                                     cfg, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
     def test_non_numeric_sim_field_exit_2(self, tmp_path):
         cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": "many", "seed": 1}}
         p = tmp_path / "cfg.json"
@@ -337,7 +381,7 @@ class TestSimulate:
         paths[0, :6] = [np.inf, -np.inf, np.nan, -0.0, 1e300, 5e-324]
         paths[1, :5] = [1e16, 123456789012.0, 0.1, -1e-5, 2.5e-7]
         times = np.arange(9) * step
-        monkeypatch.setattr("tempderiv.cli.simulate_paths", lambda p, cfg, horizon: (times, paths))
+        monkeypatch.setattr("tempderiv.cli.simulate_paths", lambda p, cfg, horizon, theta: (times, paths))
         cfg = {"model": MODEL_CFG, "horizon": 8 * step,
                "sim": {"n_paths": 3, "seed": 1, "step": step}}
         if start_date is not None:
@@ -414,8 +458,7 @@ class TestSimulate:
         model = ModelParams(alpha=0.25, t0=-3.0, seasonal=FourCoeffs(*MODEL_CFG["seasonal"]),
                             vol=FourCoeffs(*MODEL_CFG["vol"]),
                             timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
-        _, paths = simulate_paths(model, SimConfig(n_paths=3, seed=1, measure="Q", theta=-0.2),
-                                  30.0)
+        _, paths = simulate_paths(model, SimConfig(n_paths=3, seed=1), 30.0, -0.2)
         assert np.array_equal(temps, [float("{:.10g}".format(x)) for x in paths.ravel()])
 
     @pytest.mark.parametrize("sim, message", [({"measure": "Q"}, "missing 'contract'"),

@@ -123,8 +123,8 @@ class TestSolveTheta:
         r = 0.02
         horizon = 60
         sol = solve_theta(p, MarketParams(r=r), float(horizon))
-        cfg = SimConfig(step=1.0, n_paths=40_000, seed=3, measure="Q", theta=sol.theta)
-        _, terminal = simulate_cat(p, cfg, horizon)
+        cfg = SimConfig(step=1.0, n_paths=40_000, seed=3)
+        _, terminal = simulate_cat(p, cfg, horizon, sol.theta)
         disc = np.exp(-r / 365.0 * horizon) * terminal
         se = np.std(disc, ddof=1) / np.sqrt(disc.size)
         assert abs(np.mean(disc) - p.t0) < 3 * se

@@ -118,11 +118,29 @@ class TestSimulatePaths:
         """1,100 days draw each stream in runs of 59 rows: a path is the same
         whether its run is cut short or followed by more."""
         p = replace(toronto_like_model, horizon=1101.0)
-        cfg = lambda n: SimConfig(step=1.0, n_paths=n, seed=21, measure="Q", theta=-0.1)
-        _, full = simulate_paths(p, cfg(300), 1100.0)
+        cfg = lambda n: SimConfig(step=1.0, n_paths=n, seed=21)
+        _, full = simulate_paths(p, cfg(300), 1100.0, -0.1)
         for n in (1, 58, 59, 60, 117, 118, 119, 177, 178):
-            _, part = simulate_paths(p, cfg(n), 1100.0)
+            _, part = simulate_paths(p, cfg(n), 1100.0, -0.1)
             assert np.array_equal(part, full[:n])
+
+    def test_tilt_is_the_transformed_time_change(self, toronto_like_model):
+        """theta tilts by the change of Gamma parameters alone: the paths under
+        Q(theta) are, bit for bit, the P paths of the transformed time change."""
+        p = toronto_like_model
+        cfg = SimConfig(step=1.0, n_paths=20, seed=6)
+        q = replace(p, timechange=transformed_timechange(p.timechange, -0.2))
+        assert np.array_equal(simulate_paths(p, cfg, 60.0, -0.2)[1],
+                              simulate_paths(q, cfg, 60.0)[1])
+        assert np.array_equal(simulate_cat(p, cfg, 60, -0.2)[0], simulate_cat(q, cfg, 60)[0])
+        outside = esscher_interval(p.timechange)[1] + 0.1
+        with pytest.raises(DomainError, match="admissible"):
+            simulate_paths(p, cfg, 60.0, outside)
+
+    def test_config_has_no_measure(self):
+        """The tilt is an argument of the simulators, not a setting."""
+        with pytest.raises(TypeError):
+            SimConfig(measure="Q")
 
     def test_block_rng_counter_based(self):
         g1 = block_rng(7, 0).standard_normal(4)
@@ -187,10 +205,10 @@ class TestSimulateCat:
         p = ModelParams(alpha=toronto_like_model.alpha, t0=toronto_like_model.t0,
                         seasonal=toronto_like_model.seasonal, vol=toronto_like_model.vol,
                         timechange=toronto_like_model.timechange, horizon=1101.0)
-        for measure, theta in (("P", 0.0), ("Q", -0.2)):
-            cfg = SimConfig(step=1.0, n_paths=300, seed=12, measure=measure, theta=theta)
-            _, paths = simulate_paths(p, cfg, 1100.0)
-            xi, terminal = simulate_cat(p, cfg, 1100)
+        cfg = SimConfig(step=1.0, n_paths=300, seed=12)
+        for theta in (0.0, -0.2):
+            _, paths = simulate_paths(p, cfg, 1100.0, theta)
+            xi, terminal = simulate_cat(p, cfg, 1100, theta)
             days = paths[:, 1:]
             assert np.all(np.abs(xi - days.sum(axis=1)) <= 1e-10 * np.abs(days).sum(axis=1))
             assert np.all(np.abs(terminal - paths[:, -1]) <= 1e-10 * np.abs(days).max(axis=1))
@@ -242,8 +260,7 @@ class TestMcPriceCat:
         for seed in range(3):
             cfg = SimConfig(n_paths=20_000, seed=seed)
             price, se = mc_price_cat(c, README_MODEL, theta, cfg)
-            xi, _ = simulate_cat(README_MODEL, SimConfig(n_paths=20_000, seed=seed,
-                                                         measure="Q", theta=theta), 30)
+            xi, _ = simulate_cat(README_MODEL, cfg, 30, theta)
             payoff = c.discount * (c.d1 * np.maximum(xi - c.k1_strike, 0.0)
                                    + c.d2 * np.maximum(c.k2_strike - xi, 0.0))
             plain_se = np.std(payoff, ddof=1) / np.sqrt(xi.size)
@@ -260,7 +277,7 @@ class TestMcPriceCat:
         assert sum(size for _, size in drawn.draws) == 300 * 600
         clock = list(drawn.draws)
         drawn.draws.clear()
-        simulate_cat(README_MODEL, SimConfig(n_paths=300, seed=4, measure="Q"), 600)
+        simulate_cat(README_MODEL, SimConfig(n_paths=300, seed=4), 600)
         assert drawn.draws[::2] == clock
 
     def test_zero_clock_pays_intrinsic(self):
