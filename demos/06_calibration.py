@@ -4,8 +4,8 @@ Simulate ten thousand days from known parameters, then run the estimation
 pipeline: seasonal OLS (with autocorrelation-adjusted intervals), the
 autoregression for the mean-reversion rate, and the characteristic-function
 distance fit of the Gamma time change seeded by method of moments.  Each
-Levenberg-Marquardt stage reports its status and how many residual and
-closed-form Jacobian evaluations it took.
+fit is one Levenberg-Marquardt solve and reports its status and how many
+residual and closed-form Jacobian evaluations it took.
 """
 
 import numpy as np
@@ -44,19 +44,17 @@ print(f"  seed from moments: a0={tch.init[0]:.3f}, b0={tch.init[1]:.3f}, mu0={tc
 print(f"  objective at optimum: {tch.objective:.3e}")
 
 
-def print_stages(fit):
-    for stage, status, nfev, njev in zip(("constant", "seasonal refine"), fit.status,
-                                         fit.nfev, fit.njev):
-        print(f"  {stage} stage: status {status}, {nfev} residual and "
-              f"{njev} Jacobian evaluations")
+def print_solve(fit):
+    print(f"  solve: status {fit.status}, {fit.nfev} residual and "
+          f"{fit.njev} Jacobian evaluations")
     print(f"  at the search-box wall: {', '.join(fit.at_bound) or 'none'}")
 
 
-print_stages(tch)
+print_solve(tch)
 
 seasonal_tch = fit_timechange(seasonal.residuals, alpha=alpha_fit.alpha, vol_shape="seasonal")
 c0 = seasonal_tch.vol.k0
-print("\nWith a seasonal volatility profile (vol level c0 pinned after the first stage):")
+print("\nWith a seasonal volatility profile (vol level c0 pinned at the profile's value):")
 print(f"  a = {seasonal_tch.a:.4f}, b/c0^2 = {seasonal_tch.b / c0**2:.4f}, "
       f"mu1/c0 = {seasonal_tch.mu1 / c0:.4f}")
-print_stages(seasonal_tch)
+print_solve(seasonal_tch)

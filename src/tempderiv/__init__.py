@@ -25,8 +25,8 @@ from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
 from .esscher import (MarketParams, ThetaSolution, eq12_variant_theta, martingale_residual,
                       solve_theta)
 from .seasonal import FourCoeffs, eval_seasonal, k1, k2
-from .simulate import (SimConfig, empirical_charfun, gamma_increment, mc_price_cat,
-                       simulate_cat, simulate_paths)
+from .simulate import (SimConfig, empirical_charfun, mc_price_cat, simulate_cat,
+                       simulate_paths)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
     "charfun_cat", "cos_coefficients", "cumulant_V",
     "density_from_charfun", "empirical_charfun", "eq12_variant_theta", "eval_seasonal",
-    "fit_alpha", "fit_seasonal", "fit_timechange", "gamma_increment", "ingest_csv",
+    "fit_alpha", "fit_seasonal", "fit_timechange", "ingest_csv",
     "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
     "laplace_exponent_gamma", "martingale_residual", "mc_price_cat",
     "price_strangle", "simulate_cat", "simulate_paths",

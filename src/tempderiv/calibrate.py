@@ -11,20 +11,21 @@ minimises a weighted distance between centred empirical and model
 characteristic functions on a fixed grid (u = 0.05..2.00 step 0.05,
 weights e^{-u^2}).  The distance is a sum of squares of real residuals
 (the real and imaginary parts of sqrt(weight) * (empirical - model)), so it
-is solved as least squares by Levenberg-Marquardt from a method-of-moments
-inversion of the V cumulants, with no restarts.  The model charfun is
-exp(sum_n w_n l_V(i u k_n)) with l_V(z) = -a Log A, so its derivatives in
-(log a, log b, mu1) and in the vol scale are closed forms in 1/A
-(|A| >= 1): the solver takes that Jacobian, not finite differences.
+is solved as least squares by one Levenberg-Marquardt run from a
+method-of-moments inversion of the V cumulants, with no restarts.  The
+model charfun is exp(sum_n w_n l_V(i u k_n)) with l_V(z) = -a Log A, so
+its derivatives in (log a, log b, mu1) and in the vol scale are closed
+forms in 1/A (|A| >= 1): the solver takes that Jacobian, not finite
+differences.
 Matching is centred because deseasonalization absorbs the mu1 E[R] level
 shift into the fitted intercept: the innovation mean is not identifiable,
 while the odd shape (skewness) still identifies mu1.
 
 The model carries an exact scale degeneracy (sigma, a, b, mu1) ==
 (s*sigma, a, s^2 b, s*mu1).  vol_shape='constant' pins sigma = 1 and lets
-the time change carry the scale; the seasonal joint refine pins the vol
-level c0 at its first-stage value, so only b / c0^2, mu1 / c0 and c_i / c0
-(with a) are identified quantities.
+the time change carry the scale; vol_shape='seasonal' matches month groups
+with the vol level c0 pinned at the squared-innovation profile's value, so
+only b / c0^2, mu1 / c0 and c_i / c0 (with a) are identified quantities.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class AlphaFit:
 
 @dataclass(frozen=True)
 class TimeChangeFit:
-    """Time-change fit with, per Levenberg-Marquardt stage, its status and counts.
+    """Time-change fit with its Levenberg-Marquardt status and call counts.
 
-    `converged` is the solver's verdict (every status > 0); `at_bound` names
+    `converged` is the solver's verdict (status > 0); `at_bound` names
     the parameters that end on the search box's wall, where the distance
     still falls outward and the fit is no interior optimum.
     """
@@ -94,13 +95,13 @@ class TimeChangeFit:
     vol: FourCoeffs
     objective: float
     init: tuple[float, float, float]
-    status: tuple[int, ...]
-    nfev: tuple[int, ...]                  # residual evaluations
-    njev: tuple[int, ...]                  # Jacobian evaluations
+    status: int
+    nfev: int                              # residual evaluations
+    njev: int                              # Jacobian evaluations
 
     @property
     def converged(self) -> bool:
-        return all(st > 0 for st in self.status)
+        return self.status > 0
 
     @property
     def at_bound(self) -> list[str]:
@@ -251,7 +252,7 @@ def _penalised(la: float, lb: float, mu1: float, sig: np.ndarray) -> bool:
 
 
 def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndarray):
-    """(residuals(x), jacobian(x)) of one time-change stage in
+    """(residuals(x), jacobian(x)) of the time-change fit in
     x = (log a, log b, mu1, free vol coefficients).
 
     Row g of `emp_groups` is matched with the centred innovation charfun at
@@ -319,14 +320,14 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndar
     return residuals, jacobian
 
 
-def _least_squares(residuals, jacobian, x0: np.ndarray, stage: str):
+def _least_squares(residuals, jacobian, x0: np.ndarray):
     """Levenberg-Marquardt from x0 with the closed-form Jacobian.
 
     Returns (solution, sum of squares, (status, residual calls, Jacobian
     calls)) and raises CalibrationError unless status > 0.  The calls are
     counted here: SciPy's `njev` leaves out the Jacobian it takes at the
     solution for its gradient norm.  ftol is 1e-12 because the default 1e-8
-    stops the seasonal refine about 1e-6 (relative) short of the optimum
+    stops the seasonal fit about 1e-6 (relative) short of the optimum
     along its flattest direction.
     """
     from scipy import optimize
@@ -342,24 +343,27 @@ def _least_squares(residuals, jacobian, x0: np.ndarray, stage: str):
     res = optimize.least_squares(counted(0, residuals), x0, jac=counted(1, jacobian),
                                  method="lm", ftol=1e-12)
     if res.status <= 0:
-        raise CalibrationError(f"{stage} did not converge (least-squares status {res.status})")
+        raise CalibrationError(f"time-change fit did not converge "
+                               f"(least-squares status {res.status})")
     return res.x, 2.0 * float(res.cost), (int(res.status), *calls)
 
 
 def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float = None,
                    vol_shape: str = "constant") -> TimeChangeFit:
-    """Estimate the Gamma time change (a, b, mu1) and the volatility shape.
+    """Estimate the Gamma time change (a, b, mu1) and the volatility shape
+    in one Levenberg-Marquardt solve with the closed-form Jacobian.
 
     residuals : deseasonalized series Y (the seasonal fit's residuals)
     init : 'method_of_moments' or an explicit (a, b, mu1) triple
     alpha : mean-reversion rate (from fit_alpha)
-    vol_shape : 'constant' pins sigma = 1; 'seasonal' first fits a harmonic
-        profile to squared innovations, standardizes, then refines jointly
-        with the vol level c0 pinned at the profile's value.
-    Each stage is one Levenberg-Marquardt least-squares solve, with the
-    closed-form Jacobian, in (log a, log b, mu1), to which the refine adds
-    (c1, c2, c3).  CalibrationError is raised for innovations without
-    variance (whatever the seed) and for a stage that does not converge.
+    vol_shape : 'constant' pins sigma = 1 and matches the CF of all the
+        centred innovations from the moment seed; 'seasonal' fits a harmonic
+        vol profile c0..c3 to the squared innovations, seeds from the
+        innovations standardized by it, and matches twelve month groups' CFs
+        in (log a, log b, mu1, c1..c3) from (seed, profile c1..c3), with c0
+        pinned at the profile's value.
+    CalibrationError is raised for innovations without variance (whatever
+    the seed) and for a solve that does not converge.
     """
     if alpha is None or not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
@@ -369,60 +373,48 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     if y.size - 1 < 500:
         raise CalibrationError(f"need at least 500 innovations, got {y.size - 1}")
     eps = innovations(y, alpha)
-    t_eps = np.arange(eps.size, dtype=float)
 
-    vol = FourCoeffs(1.0, 0.0, 0.0, 0.0)
-    work = eps
-    if vol_shape == "seasonal":
+    if vol_shape == "constant":
+        work, free = eps - np.mean(eps), []
+        emp = empirical_charfun(work, CF_GRID)[None, :]
+        one = np.ones(1)  # sigma = 1: no free vol coefficient
+        sig_of, dsig_dc = (lambda x: one), np.empty((2 * emp.size, 0))
+        vol_of = lambda x: FourCoeffs(1.0, 0.0, 0.0, 0.0)
+    else:
+        t_eps = np.arange(eps.size, dtype=float)
         design = seasonal_design(t_eps)
         vcoef, _, _, _ = np.linalg.lstsq(design, eps**2, rcond=None)
         profile = design @ vcoef
         floor = max(1e-8, 0.05 * float(np.median(profile)))
         scale = np.sqrt(np.maximum(profile, floor))
         work = eps / scale
+        work = work - np.mean(work)
         ccoef, _, _, _ = np.linalg.lstsq(design, scale, rcond=None)
-        vol = FourCoeffs(*map(float, ccoef))
+        c0, *free = map(float, ccoef)
+        doy = np.mod(t_eps, 365.0)
+        buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
+        months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
+        t_groups = np.array([np.mean(doy[idx]) for idx in months])
+        emp = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
+                        for idx in months])
+        # sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t) at t = t_g, so
+        # d sig / d(c1, c2, c3) on group g's rows is (t_g, sin(omega t_g), cos(omega t_g))
+        dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:],
+                                    CF_GRID.size, axis=0), (2, 1))
+        vol_of = lambda x: FourCoeffs(c0, *map(float, x[3:]))
+        sig_of = lambda x: eval_seasonal(vol_of(x), t_groups)
 
-    work_c = work - np.mean(work)
-    m2 = float(np.mean(work_c**2))
+    m2 = float(np.mean(work**2))
     if not m2 * m2 > 0.0:  # the moment seed divides by the fourth cumulant, floored at 1e-4 m2^2
         raise CalibrationError("the time-change fit needs innovations with "
                                f"positive variance, got {m2}")
     if init == "method_of_moments":
-        a0, b0, mu0 = _mom_init(work_c, alpha)
+        a0, b0, mu0 = _mom_init(work, alpha)
     else:
         a0, b0, mu0 = init
-    x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0])
-
-    emp = empirical_charfun(work_c, CF_GRID)[None, :]
-    one = np.ones(1)  # sigma = 1: no free vol coefficient
-    functions = _cf_functions(emp, alpha, lambda x: one, np.empty((2 * emp.size, 0)))
-    x, obj, stage = _least_squares(*functions, x0, "time-change fit")
-    stages = [stage]
-    if vol_shape == "seasonal":
-        x, vol, obj, stage = _joint_refine(eps, t_eps, alpha, x, vol)
-        stages.append(stage)
-    status, nfev, njev = zip(*stages)
-
-    return TimeChangeFit(a=math.exp(x[0]), b=math.exp(x[1]), mu1=float(x[2]), vol=vol,
+    x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0, *free])
+    x, obj, (status, nfev, njev) = _least_squares(
+        *_cf_functions(emp, alpha, sig_of, dsig_dc), x0)
+    return TimeChangeFit(a=math.exp(x[0]), b=math.exp(x[1]), mu1=float(x[2]), vol=vol_of(x),
                          objective=obj, init=(float(a0), float(b0), float(mu0)),
                          status=status, nfev=nfev, njev=njev)
-
-
-def _joint_refine(eps, t_eps, alpha, x0: np.ndarray, vol0: FourCoeffs):
-    """Joint (log a, log b, mu1, c1..c3) refine on a month-bucketed CF objective, c0 pinned."""
-    doy = np.mod(t_eps, 365.0)
-    buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
-    months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
-    t_groups = np.array([np.mean(doy[idx]) for idx in months])
-    emp_groups = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
-                           for idx in months])
-    c0 = vol0.k0
-    # sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t) at t = t_g, so
-    # d sig / d(c1, c2, c3) on group g's rows is (t_g, sin(omega t_g), cos(omega t_g))
-    dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:], CF_GRID.size, axis=0), (2, 1))
-    sig_of = lambda x: eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups)
-    start = np.array([*x0, vol0.k1, vol0.k2, vol0.k3])
-    functions = _cf_functions(emp_groups, alpha, sig_of, dsig_dc)
-    x, obj, stage = _least_squares(*functions, start, "seasonal time-change refine")
-    return x[:3], FourCoeffs(c0, *map(float, x[3:])), obj, stage

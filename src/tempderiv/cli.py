@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import json
 import os
 import sys
@@ -100,7 +101,10 @@ def _section(cfg: dict, name: str) -> dict:
 
 def _num(value, what: str, kind=float):
     """Convert one config field, raising IngestError when it is not a number
-    or, for kind=int, not a whole one (30 and 30.0 parse, 30.7 does not)."""
+    (JSON true and false are not) or, for kind=int, not a whole one (30 and
+    30.0 parse, 30.7 does not)."""
+    if isinstance(value, bool):
+        raise IngestError(f"{what} must be a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -158,7 +162,10 @@ def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
     cos_cfg = _section(cfg, "cos")
     n1 = _num(terms if terms is not None else cos_cfg.get("n1", 256), "cos.n1", int)
     n2 = _num(terms if terms is not None else cos_cfg.get("n2", 256), "cos.n2", int)
-    if cos_cfg.get("auto", "b1" not in cos_cfg):
+    auto = cos_cfg.get("auto", "b1" not in cos_cfg)
+    if not isinstance(auto, bool):
+        raise IngestError(f"cos.auto must be true or false, got {auto!r}")
+    if auto:
         lm = _num(l_mult if l_mult is not None else cos_cfg.get("l_mult", 10.0), "cos.l_mult")
         mean, var = cat_cumulants(model, theta, horizon_t)
         b1, b2 = truncation_bounds(mean, var, lm)
@@ -228,8 +235,8 @@ def cmd_fit(args) -> int:
                        "vol": tch.vol.as_array(), "objective": tch.objective,
                        "init": list(tch.init), "vol_shape": args.vol_shape,
                        "converged": tch.converged and not tch.at_bound,
-                       "at_bound": tch.at_bound, "status": list(tch.status),
-                       "nfev": list(tch.nfev), "njev": list(tch.njev)},
+                       "at_bound": tch.at_bound, "status": tch.status,
+                       "nfev": tch.nfev, "njev": tch.njev},
     }
     _write_json(args.out, payload)
     return 0
@@ -301,9 +308,9 @@ def cmd_simulate(args) -> int:
     start = cfg.get("start_date")
     if start is not None:
         try:
-            base = np.datetime64(str(start), "D")
-        except ValueError as exc:
-            raise IngestError(f"start_date must be an ISO date, got {start!r}") from exc
+            base = np.datetime64(datetime.date.fromisoformat(start), "D")
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"start_date must be an ISO date string, got {start!r}") from exc
         if not float(run.step).is_integer():
             raise IngestError(f"start_date needs a whole number of days per step, "
                               f"got sim.step {run.step}")

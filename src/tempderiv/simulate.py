@@ -67,18 +67,6 @@ class SimConfig:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
 
 
-def gamma_increment(rng: np.random.Generator, shape: float, rate: float, size=None):
-    """Gamma subordinator increment(s): Gamma(shape, rate) draws.
-
-    Deterministic given the generator state; strictly positive (numpy may
-    return exact 0.0 in the shape -> 0 degenerate limit, which is the
-    correct limiting law).
-    """
-    if not (shape > 0.0 and rate > 0.0):
-        raise DomainError(f"need shape > 0 and rate > 0, got {shape}, {rate}")
-    return rng.gamma(shape, 1.0 / rate, size)
-
-
 def block_rng(seed: int, stream: int) -> np.random.Generator:
     """SFC64 generator of one stream of a seed, seeded by
     SeedSequence(seed mod 2**64, spawn_key=(stream,)): stream 0 draws the

@@ -12,7 +12,7 @@ from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
                        fit_timechange, innovation_charfun, innovations,
                        simulate_paths, v_cumulants)
 from tempderiv import calibrate
-from tempderiv.calibrate import _mom_init, kernel_weight, seasonal_design
+from tempderiv.calibrate import TimeChangeFit, _mom_init, kernel_weight, seasonal_design
 from tempderiv.seasonal import ANNUAL_OMEGA, eval_seasonal
 
 from conftest import random_model
@@ -27,7 +27,7 @@ def synthetic_series(beta, n=2000, noise_sd=3.0, seed=0):
 
 
 def constant_functions(emp, alpha):
-    """The constant stage's (residuals, jacobian) in x = (log a, log b, mu1), sigma = 1."""
+    """The constant fit's (residuals, jacobian) in x = (log a, log b, mu1), sigma = 1."""
     one = np.ones(1)
     return calibrate._cf_functions(emp, alpha, lambda x: one, np.empty((2 * emp.size, 0)))
 
@@ -40,7 +40,7 @@ def group_functions(emp_groups, alpha):
 
 
 def seasonal_functions(emp_groups, alpha, c0, t_groups):
-    """The seasonal refine's (residuals, jacobian) in x = (log a, log b, mu1, c1, c2, c3),
+    """The seasonal fit's (residuals, jacobian) in x = (log a, log b, mu1, c1, c2, c3),
     c0 pinned, with d sig_g / d(c1, c2, c3) written row by row."""
     n_u = calibrate.CF_GRID.size
     group = np.arange(2 * emp_groups.size) // n_u % emp_groups.shape[0]
@@ -283,6 +283,63 @@ class TestFitTimechange:
         assert corr > 0.95  # shape of the seasonal profile identified
 
 
+def two_stage_fit(resid, alpha):
+    """The seasonal fit as two solves: the constant shape on the profile-standardized
+    innovations from the moment seed, then the twelve month groups from that optimum
+    and the profile's c1..c3, with c0 pinned at the profile's value."""
+    eps = innovations(resid, alpha)
+    t = np.arange(eps.size, dtype=float)
+    design = seasonal_design(t)
+    profile = design @ np.linalg.lstsq(design, eps**2, rcond=None)[0]
+    scale = np.sqrt(np.maximum(profile, max(1e-8, 0.05 * float(np.median(profile)))))
+    work = eps / scale - np.mean(eps / scale)
+    c0, *free = map(float, np.linalg.lstsq(design, scale, rcond=None)[0])
+    a0, b0, mu0 = _mom_init(work, alpha)
+    emp = empirical_charfun(work, calibrate.CF_GRID)[None, :]
+    x, _, _ = calibrate._least_squares(*constant_functions(emp, alpha),
+                                       np.array([np.log(a0), np.log(b0), mu0]))
+    doy = np.mod(t, 365.0)
+    month = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
+    groups = [month == g for g in range(12)]
+    t_groups = np.array([np.mean(doy[g]) for g in groups])
+    emp_groups = np.array([empirical_charfun(eps[g] - np.mean(eps[g]), calibrate.CF_GRID)
+                           for g in groups])
+    x, obj, (status, nfev, njev) = calibrate._least_squares(
+        *seasonal_functions(emp_groups, alpha, c0, t_groups), np.array([*x, *free]))
+    return TimeChangeFit(a=np.exp(x[0]), b=np.exp(x[1]), mu1=x[2], vol=FourCoeffs(c0, *x[3:]),
+                         objective=obj, init=(a0, b0, mu0), status=status, nfev=nfev,
+                         njev=njev)
+
+
+class TestOneSolve:
+    def test_seasonal_fit_reaches_the_two_stage_optimum(self, toronto_like_model):
+        """Starting the month groups from the moment seed, not from a constant-shape
+        solve, finds the same optimum wherever the two-stage fit is interior."""
+        _, paths = simulate_paths(toronto_like_model, SimConfig(step=1.0, n_paths=8, seed=16),
+                                  2000.0)
+
+        def identified(tf):
+            c0 = tf.vol.k0
+            return [tf.a, tf.b / c0**2, tf.mu1 / c0, tf.vol.k2 / c0, tf.vol.k3 / c0]
+
+        interior = 0
+        for row in paths:
+            fit = fit_seasonal(row)
+            alpha = fit_alpha(None, fit).alpha
+            ref = two_stage_fit(fit.residuals, alpha)
+            if ref.at_bound:
+                continue
+            interior += 1
+            tf = fit_timechange(fit.residuals, alpha=alpha, vol_shape="seasonal")
+            assert tf.init == pytest.approx(ref.init, rel=1e-15)
+            assert tf.objective <= ref.objective * (1.0 + 1e-10)
+            assert identified(tf) == pytest.approx(identified(ref), rel=1e-6)
+            # the truth's slope c1 is 0, so it is compared as the year's drift of sigma / c0
+            assert 365.0 * tf.vol.k1 / tf.vol.k0 == pytest.approx(
+                365.0 * ref.vol.k1 / ref.vol.k0, rel=0.0, abs=1e-6)
+        assert interior >= 6
+
+
 class FakeLeastSquares:
     """Stands in for scipy.optimize.least_squares: each call ends at its start with `status`."""
 
@@ -313,17 +370,20 @@ class TestLeastSquaresStatus:
             fake = FakeLeastSquares(status)
             monkeypatch.setattr(optimize, "least_squares", fake)
             tf = fit_timechange(self.resid, alpha=0.25)
-            assert fake.calls == 1 and tf.converged and tf.status == (status,)
+            assert fake.calls == 1 and tf.converged and tf.status == status
             # the reported objective is the CF distance at the solver's end point
             start = np.array([np.log(tf.a), np.log(tf.b), tf.mu1])
             objective = float(np.sum(residuals(start) ** 2))
             assert tf.objective == pytest.approx(objective, rel=1e-12)
 
     def test_seasonal_reports_both_stages(self, monkeypatch):
+        """The seasonal shape's two stages, the squared-innovation profile (a linear
+        fit) and the month-group CF match, take one least-squares solve and report its
+        status as one int."""
         fake = FakeLeastSquares(2)
         monkeypatch.setattr(optimize, "least_squares", fake)
         tf = fit_timechange(self.resid, alpha=0.25, vol_shape="seasonal")
-        assert fake.calls == 2 and tf.converged and tf.status == (2, 2)
+        assert fake.calls == 1 and tf.converged and tf.status == 2
 
 
 def richardson(fun, x, i, h):
@@ -335,8 +395,8 @@ def richardson(fun, x, i, h):
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def fd_least_squares(residuals, jacobian, x0, stage):
-    """The Levenberg-Marquardt stage with a forward-difference Jacobian instead."""
+def fd_least_squares(residuals, jacobian, x0):
+    """The Levenberg-Marquardt solve with a forward-difference Jacobian instead."""
     res = optimize.least_squares(residuals, x0, method="lm", ftol=1e-12)
     assert res.status > 0
     return res.x, 2.0 * float(res.cost), (int(res.status), int(res.nfev), 0)
@@ -387,20 +447,20 @@ class TestJacobian:
             assert not np.any(jac)
 
     def test_refine_of_a_fit_against_richardson(self, monkeypatch):
-        """The refine's own vol chain rule, at the start of a station-like fit's refine."""
-        stages, solve = [], calibrate._least_squares
+        """The seasonal fit's own vol chain rule, at the start of a station-like fit."""
+        solves, solve = [], calibrate._least_squares
 
-        def capture(residuals, jacobian, x0, stage):
-            stages.append((residuals, jacobian, np.array(x0)))
-            return solve(residuals, jacobian, x0, stage)
+        def capture(residuals, jacobian, x0):
+            solves.append((residuals, jacobian, np.array(x0)))
+            return solve(residuals, jacobian, x0)
 
         monkeypatch.setattr(calibrate, "_least_squares", capture)
         fit_timechange(TestLeastSquaresStatus.resid, alpha=0.25, vol_shape="seasonal")
-        fun, jac, x = stages[1]
+        [(fun, jac, x)] = solves
         self.assert_columns_match(fun, jac, x, (1e-3,) * 3 + (1e-6, 1e-3, 1e-3))
 
     def test_objective_not_above_finite_difference_fit(self, recovery_runs, monkeypatch):
-        """The closed form changes the path, not the optimum, of each stage."""
+        """The closed form changes the path, not the optimum, of the fit."""
         fits = [(resid, alpha, shape) for resid, alpha in recovery_runs[:4]
                 for shape in ("constant", "seasonal")]
         analytic = [fit_timechange(r, alpha=a, vol_shape=s).objective for r, a, s in fits]
@@ -410,7 +470,7 @@ class TestJacobian:
             assert objective <= fd * (1.0 + 1e-10)
 
     def test_counts_are_the_calls(self, monkeypatch):
-        """nfev and njev count every call of each stage's residuals and Jacobian."""
+        """nfev and njev count every call of the one solve's residuals and Jacobian."""
         calls = []
 
         def counting(factory):
@@ -429,18 +489,16 @@ class TestJacobian:
 
         monkeypatch.setattr(calibrate, "_cf_functions", counting(calibrate._cf_functions))
         resid = TestLeastSquaresStatus.resid
-        for shape, stages in (("constant", 1), ("seasonal", 2)):
+        for shape in ("constant", "seasonal"):
             calls.clear()
             tf = fit_timechange(resid, alpha=0.25, vol_shape=shape)
-            counted = {kind: tuple(r[kind] for r in calls) for kind in ("residuals", "jacobian")}
-            assert len(tf.nfev) == len(tf.njev) == stages
-            assert tf.nfev == counted["residuals"] and tf.njev == counted["jacobian"]
-            assert all(0 < n <= 10 for n in tf.nfev + tf.njev)
+            assert calls == [{"residuals": tf.nfev, "jacobian": tf.njev}]
+            assert 0 < tf.nfev <= 10 and 0 < tf.njev <= 10
 
 
 class TestScaleDegeneracy:
     def test_distance_invariant_under_scale(self):
-        """(sigma, a, b, mu1) == (s sigma, a, s^2 b, s mu1): why the seasonal refine pins c0."""
+        """(sigma, a, b, mu1) == (s sigma, a, s^2 b, s mu1): why the seasonal fit pins c0."""
         rng = np.random.default_rng(90)
         t_groups = np.arange(12) * 365.0 / 12.0 + 15.0
         for _ in range(10):

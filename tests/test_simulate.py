@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
-                       ModelParams, SimConfig, empirical_charfun, gamma_increment,
-                       mc_price_cat, simulate_cat, simulate_paths)
+                       ModelParams, SimConfig, empirical_charfun, mc_price_cat,
+                       simulate_cat, simulate_paths)
 from tempderiv.charfun import cat_cumulants, esscher_interval
 from tempderiv.esscher import transformed_timechange
 from tempderiv.simulate import _gaussian_call, _step_tables, block_rng
@@ -44,39 +44,6 @@ def drawn(monkeypatch):
 
     monkeypatch.setattr("tempderiv.simulate.block_rng", seeded)
     return record
-
-
-class TestGammaIncrement:
-    def test_degenerate_shape_limit(self):
-        rng = np.random.default_rng(0)
-        draws = gamma_increment(rng, 1e-12, 1.0, size=10_000)
-        assert np.mean(draws) < 1e-10
-
-    def test_mean(self):
-        rng = np.random.default_rng(1)
-        a, b, dt = 2.0, 4.0, 1.0
-        draws = gamma_increment(rng, a * dt, b, size=1_000_000)
-        sd = np.std(draws, ddof=1)
-        assert abs(np.mean(draws) - a * dt / b) < 3 * sd / 1e3
-
-    def test_variance(self):
-        rng = np.random.default_rng(2)
-        a, b, dt = 2.0, 4.0, 1.0
-        draws = gamma_increment(rng, a * dt, b, size=400_000)
-        target = a * dt / b**2
-        se = np.sqrt(2.0 / draws.size) * np.var(draws, ddof=1)  # approx se of the variance
-        assert abs(np.var(draws, ddof=1) - target) < 5 * se
-
-    def test_positive(self):
-        rng = np.random.default_rng(3)
-        assert np.all(gamma_increment(rng, 2.0, 4.0, size=100_000) > 0)
-
-    def test_rejects_bad_params(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(DomainError):
-            gamma_increment(rng, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            gamma_increment(rng, 1.0, -1.0)
 
 
 class TestSimulatePaths:
