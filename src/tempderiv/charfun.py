@@ -24,11 +24,17 @@ The kernel integrals are evaluated by one fixed rule, 8-node Gauss-Legendre
 on each unit day piece (`UNIT_NODES`, `UNIT_WEIGHTS`, also used by the
 calibrator and the simulator), with the exponent written in real
 arithmetic (`tilted_exponent_sum`).  For real frequencies the Log argument
-has real part >= 1, so it never reaches the branch cut.
+has real part >= 1, so it never reaches the branch cut.  The CAT index sums
+its day pieces on panels graded back from the horizon (`_cat_parts`): the
+per-day exponent is smooth in the day index apart from a boundary layer of
+width 1/alpha at T, so days far from T are summed on Chebyshev points
+(barycentric weights, Berrut & Trefethen 2004) and horizons up to 31 days
+day by day.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,28 +245,82 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     return out if out.ndim else complex(out)
 
 
-def cat_day_weights(alpha: float, horizon_T: int) -> np.ndarray:
-    """Weight of day i = 0..T-1 in the CAT index, sum_{k=i+1}^T e^{-alpha(k-i-1)}:
-    the closed geometric sum expm1(-alpha (T - i)) / expm1(-alpha)."""
-    return np.expm1(-alpha * (horizon_T - np.arange(horizon_T))) / np.expm1(-alpha)
+def cat_day_weights(alpha: float, horizon_T: int, days=None) -> np.ndarray:
+    """Weight of day i in the CAT index, sum_{k=i+1}^T e^{-alpha(k-i-1)}: the closed
+    geometric sum expm1(-alpha (T - i)) / expm1(-alpha), at `days` (default 0..T-1)."""
+    days = np.arange(horizon_T) if days is None else days
+    return np.expm1(-alpha * (horizon_T - days)) / np.expm1(-alpha)
 
 
-def _cat_parts(p: ModelParams, horizon_T: int, mode: str) -> tuple[float, np.ndarray]:
-    """sum_k m_k and the CAT kernel at the unit-rule nodes of each day, shape (T, nodes).
+# CAT panels hold 1, 2, 4, ... days back from T, at most PANEL_CAP; a panel of more
+# than PANEL_POINTS days is summed on PANEL_POINTS Chebyshev points
+PANEL_POINTS = 16
+PANEL_CAP = 64
 
-    On day piece j, s = j - 1 + x_n, the kernel is sigma_s e^{-alpha(j-s)}
-    times tail_j: the geometric sum of g(s) (exact_kernel) or gamma_j (product).
+
+def _panels(horizon_T: int) -> list[tuple[int, int]]:
+    """(first day, days) of the panels covering days 0..T-1, in ascending order.
+
+    Laid back from T with 1, 2, 4, ... days, capped at PANEL_CAP; the first
+    panel takes whatever days remain.  For T <= 31 every panel is exact.
+    """
+    panels, end, size = [], horizon_T, 1
+    while end > 0:
+        start = max(end - size, 0)
+        panels.append((start, end - start))
+        end, size = start, min(2 * size, PANEL_CAP)
+    return panels[::-1]
+
+
+@functools.cache
+def _panel_rule(n_days: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and weights summing a smooth f over the days 0..n_days-1 of a panel.
+
+    Up to PANEL_POINTS days the offsets are the days, each with weight 1.
+    Beyond, they are the PANEL_POINTS Chebyshev points of [0, n_days - 1],
+    each weighted by the sum over the days of its barycentric Lagrange basis
+    (Berrut & Trefethen 2004): exact for polynomials of degree < PANEL_POINTS.
+    """
+    if n_days <= PANEL_POINTS:
+        return np.arange(n_days, dtype=float), np.ones(n_days)
+    # second-kind points (n_days - 1)(1 - cos(pi k / (PANEL_POINTS - 1))) / 2, with
+    # a sine so both ends are exact days; barycentric weights (-1)^k, ends halved
+    k = np.arange(PANEL_POINTS)
+    offsets = (n_days - 1) * np.sin(0.5 * np.pi * k / (PANEL_POINTS - 1)) ** 2
+    bary = np.where(k % 2, -1.0, 1.0)
+    bary[[0, -1]] *= 0.5
+    diff = np.arange(n_days, dtype=float)[:, None] - offsets
+    at_node = diff == 0.0
+    scaled = bary / np.where(at_node, 1.0, diff)
+    basis = np.where(at_node.any(axis=1, keepdims=True), at_node,
+                     scaled / scaled.sum(axis=1, keepdims=True))
+    return offsets, basis.sum(axis=0)
+
+
+def _cat_parts(p: ModelParams, horizon_T: int,
+               mode: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """sum_k m_k, the CAT kernel at the unit-rule nodes of each pseudo-day,
+    shape (rows, nodes), and the weight of each row.
+
+    On day piece [t, t + 1], s = t + x_n, the kernel is sigma_s e^{-alpha(1 - x_n)}
+    times w(t): the geometric sum of g(s), `cat_day_weights` (exact_kernel), or
+    gamma = T - t (product).  The rows are the pseudo-days t of the panels
+    (`_panels`, `_panel_rule`) in ascending order: every day of a panel of at
+    most PANEL_POINTS days, with weight 1, and PANEL_POINTS Chebyshev points of
+    a longer one.  So for T <= 31 the rows are the days 0..T-1.
     """
     if horizon_T < 1:
         raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")
     if mode not in ("exact_kernel", "product"):
         raise DomainError(f"unknown charfun_cat mode {mode!r}")
-    days = np.arange(horizon_T, dtype=float)
-    det_sum = float(np.sum(p.det_mean(days + 1.0)))
-    weight = cat_day_weights(p.alpha, horizon_T) if mode == "exact_kernel" else horizon_T - days
-    s = days[:, None] + UNIT_NODES
-    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * weight[:, None]
-    return det_sum, kern
+    det_sum = float(np.sum(p.det_mean(np.arange(horizon_T, dtype=float) + 1.0)))
+    panels = [(start, *_panel_rule(n_days)) for start, n_days in _panels(horizon_T)]
+    t = np.concatenate([start + offsets for start, offsets, _ in panels])
+    weights = np.concatenate([w for _, _, w in panels])
+    tail = cat_day_weights(p.alpha, horizon_T, t) if mode == "exact_kernel" else horizon_T - t
+    s = t[:, None] + UNIT_NODES
+    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * tail[:, None]
+    return det_sum, kern, weights
 
 
 def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
@@ -271,7 +331,9 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     integral: xi = sum_k m_k + int_0^T sigma_s g(s) dV_s with
     g(s) = sum_{k>=ceil(s)} e^{-alpha(k-s)} (closed geometric sum), an exact
     evaluation; the integrand is smooth on each day piece and integrated
-    piecewise.
+    piecewise.  The day pieces are summed on the graded panels of
+    `_cat_parts`: to rounding of the day-by-day sum, with 127 rows instead of
+    365 at T = 365, and day by day for T <= 31.
 
     mode='product' evaluates e^{iu T T0} prod_j phi_{dT_j}(gamma_j u) with
     gamma_j = T-j+1, treating the daily increments as independent with their
@@ -279,9 +341,9 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     approximation; its deviation from exact_kernel is a model diagnostic.
     """
     tc = transformed_timechange(p.timechange, theta)
-    det_sum, kern = _cat_parts(p, int(horizon_T), mode)
+    det_sum, kern, weights = _cat_parts(p, int(horizon_T), mode)
     u = np.asarray(u, float)
-    out = np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=np.ones(len(kern))))
+    out = np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=weights))
     return out if out.ndim else complex(out)
 
 
@@ -295,11 +357,11 @@ def cat_cumulants(p: ModelParams, theta: float, horizon_T: int) -> tuple[float, 
         variance =             l_V''(theta) int (sigma g)^2 ds,
 
     with l_V^(n)(theta) from `v_cumulants` of the transformed time change
-    and both integrals on the unit rule over the exact_kernel nodes of
-    `charfun_cat`.
+    and both integrals on the unit rule over the exact_kernel rows and row
+    weights of `charfun_cat`.
     """
     kappa = v_cumulants(transformed_timechange(p.timechange, theta))
-    det_sum, kern = _cat_parts(p, int(horizon_T), "exact_kernel")
-    mean = det_sum + kappa[0] * np.sum(kern @ UNIT_WEIGHTS)
-    variance = kappa[1] * np.sum((kern * kern) @ UNIT_WEIGHTS)
+    det_sum, kern, weights = _cat_parts(p, int(horizon_T), "exact_kernel")
+    mean = det_sum + kappa[0] * np.sum(weights * (kern @ UNIT_WEIGHTS))
+    variance = kappa[1] * np.sum(weights * ((kern * kern) @ UNIT_WEIGHTS))
     return float(mean), float(variance)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -101,9 +102,9 @@ def _section(cfg: dict, name: str) -> dict:
 
 def _num(value, what: str, kind=float):
     """Convert one config field, raising IngestError when it is not a number
-    (JSON true and false are not) or, for kind=int, not a whole one (30 and
-    30.0 parse, 30.7 does not)."""
-    if isinstance(value, bool):
+    (JSON true, false and strings such as "30" are not) or, for kind=int, not
+    a whole one (30 and 30.0 parse, 30.7 does not)."""
+    if isinstance(value, (bool, str)):
         raise IngestError(f"{what} must be a number, got {value!r}")
     try:
         number = kind(value)
@@ -419,9 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except IngestError as exc:

@@ -4,7 +4,9 @@
   integrals, the oracle of the closed forms `k1` and `k2`;
 - `log_likelihood`: the innovations' log likelihood from the cosine density;
 - `leg_value`: one cosine-expanded payoff leg, from the coefficients and
-  per-term leg contributions that `price_strangle` sums.
+  per-term leg contributions that `price_strangle` sums;
+- `day_kernel`: the CAT kernel of every day, which `charfun_cat` sums on
+  graded panels.
 """
 
 import warnings
@@ -16,7 +18,9 @@ from tempderiv import (CosGrid, DomainError, GammaTimeChange, cos_coefficients,
                        density_from_charfun, innovation_charfun, truncation_bounds,
                        v_cumulants)
 from tempderiv.calibrate import kernel_weight
+from tempderiv.charfun import UNIT_NODES, cat_day_weights
 from tempderiv.cosine import _leg_terms
+from tempderiv.seasonal import eval_seasonal
 
 # QUADPACK subinterval cap: 21-point Gauss-Kronrod per subinterval, ~2^20 nodes total
 _QUAD_LIMIT = 2**20 // 21
@@ -90,3 +94,13 @@ def leg_value(charfun_at, grid: CosGrid, strike: float, kind: str, terms: int) -
     `terms` + 1 cosine coefficients."""
     coeffs = cos_coefficients(charfun_at, grid, terms)
     return float(np.sum(_leg_terms(coeffs, grid, strike, kind)))
+
+
+def day_kernel(p, horizon_T: int, mode: str = "exact_kernel") -> np.ndarray:
+    """The CAT kernel at the unit-rule nodes of every day 0..T-1, shape (T, nodes):
+    sigma_s e^{-alpha(1 - x_n)} times the day's geometric sum (exact_kernel) or T - j
+    (product), at s = j + x_n.  Summed with weight 1 per day it is the CAT exponent."""
+    days = np.arange(horizon_T, dtype=float)
+    tail = cat_day_weights(p.alpha, horizon_T) if mode == "exact_kernel" else horizon_T - days
+    s = days[:, None] + UNIT_NODES
+    return eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * tail[:, None]

@@ -6,11 +6,13 @@ from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, M
                        a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
-from tempderiv.charfun import (UNIT_NODES, UNIT_WEIGHTS, _cat_parts, esscher_interval,
-                               tilted_exponent_sum, transformed_timechange)
+from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, UNIT_NODES, UNIT_WEIGHTS, _cat_parts,
+                               _panel_rule, _panels, esscher_interval, tilted_exponent_sum,
+                               transformed_timechange)
 from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
+from helpers import day_kernel
 
 
 def deterministic_model(base: ModelParams) -> ModelParams:
@@ -151,7 +153,7 @@ def kernel_cases():
     ends and inside, negative u and |u k| from 1e-4 to 1e3."""
     for seed in range(6):
         p = random_model(np.random.default_rng(seed))
-        _, kern = _cat_parts(p, 30, "exact_kernel")
+        kern = day_kernel(p, 30)
         mag = np.logspace(-4.0, 3.0, 29) / kern.max()
         u = np.concatenate([-mag[::-1], mag])
         for mu1 in (p.timechange.mu1, 0.0, -abs(p.timechange.mu1) - 0.1):
@@ -182,7 +184,7 @@ class TestTiltedExponentSum:
                                        lengths @ tilted_exponent_sum(kern, u, tc), rtol=1e-14)
 
     def test_shapes(self, toronto_like_model):
-        _, kern = _cat_parts(toronto_like_model, 5, "exact_kernel")
+        kern = day_kernel(toronto_like_model, 5)
         tc = toronto_like_model.timechange
         u = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
         stacked = np.stack([kern, 2.0 * kern])  # (2, pieces, node)
@@ -294,6 +296,64 @@ class TestCharfunCat:
             charfun_cat(0.1, toronto_like_model, 0.0, 0)
         with pytest.raises(DomainError):
             charfun_cat(0.1, toronto_like_model, 0.0, 30, "fourier")
+
+
+class TestCatPanels:
+    """charfun_cat sums the day pieces on panels graded back from T (`_panels`,
+    `_panel_rule`); these tests hold the panels to the day-by-day sum."""
+
+    @pytest.mark.parametrize("horizon_T", [1, 16, 31, 32, 33, 64, 95, 365, 730])
+    def test_exponent_against_day_by_day_sum(self, horizon_T):
+        for seed in range(8):
+            p = random_model(np.random.default_rng(seed))
+            lo, hi = esscher_interval(p.timechange)
+            for theta in (lo + 1e-3, hi - 1e-3):
+                tc = transformed_timechange(p.timechange, theta)
+                mean, var = cat_cumulants(p, theta, horizon_T)
+                b1, b2 = truncation_bounds(mean, var, 10.0)
+                u = np.arange(257) * np.pi / (b2 - b1)
+                for mode in ("exact_kernel", "product"):
+                    det_sum, kern, weights = _cat_parts(p, horizon_T, mode)
+                    days = tilted_exponent_sum(day_kernel(p, horizon_T, mode), u, tc)
+                    bound = 1e-13 * (1.0 + np.abs(days).sum(axis=0))
+                    panel_sum = tilted_exponent_sum(kern, u, tc, pieces=weights)
+                    assert np.all(np.abs(panel_sum - days.sum(axis=0)) <= bound)
+                    want = np.exp(1j * u * det_sum + days.sum(axis=0))
+                    got = charfun_cat(u, p, theta, horizon_T, mode)
+                    assert np.all(np.abs(got - want) <= bound * np.abs(want))
+
+    def test_short_horizons_are_summed_day_by_day(self):
+        p = random_model(np.random.default_rng(3))
+        for horizon_T in range(1, 32):
+            for mode in ("exact_kernel", "product"):
+                _, kern, weights = _cat_parts(p, horizon_T, mode)
+                assert np.array_equal(kern, day_kernel(p, horizon_T, mode))
+                assert np.array_equal(weights, np.ones(horizon_T))
+
+    @pytest.mark.parametrize("horizon_T", [1, 31, 32, 33, 95, 365, 730, 1000])
+    def test_panel_layout(self, horizon_T):
+        panels = _panels(horizon_T)
+        starts, sizes = np.array(panels).T
+        assert starts[0] == 0 and np.all(starts[1:] == starts[:-1] + sizes[:-1])
+        assert starts[-1] + sizes[-1] == horizon_T
+        nominal = np.minimum(2 ** np.arange(len(panels)), PANEL_CAP)
+        assert np.all(sizes[::-1][:-1] == nominal[:-1]) and 1 <= sizes[0] <= nominal[-1]
+        weights = _cat_parts(random_model(np.random.default_rng(0)), horizon_T,
+                             "exact_kernel")[2]
+        assert len(weights) == sum(min(n, PANEL_POINTS) for n in sizes)
+        np.testing.assert_allclose(weights.sum(), horizon_T, rtol=1e-14)
+
+    @pytest.mark.parametrize("n_days", [1, 16, 17, 27, 32, 46, 63, 64])
+    def test_panel_rule_sums_polynomials_exactly(self, n_days):
+        """Exact to rounding for every polynomial of degree < PANEL_POINTS in the day index."""
+        offsets, weights = _panel_rule(n_days)
+        assert len(offsets) == min(n_days, PANEL_POINTS)
+        assert np.all(np.diff(offsets) > 0) and offsets[0] == 0 and offsets[-1] == n_days - 1
+        to_unit = lambda t: 2.0 * t / max(n_days - 1, 1) - 1.0
+        basis = np.polynomial.chebyshev.chebvander
+        want = basis(to_unit(np.arange(n_days)), PANEL_POINTS - 1).sum(axis=0)
+        np.testing.assert_allclose(weights @ basis(to_unit(offsets), PANEL_POINTS - 1), want,
+                                   rtol=1e-12, atol=1e-12 * n_days)
 
 
 class TestCatCumulants:

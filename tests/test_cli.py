@@ -251,6 +251,19 @@ class TestExitCodes:
         assert main(["price", "--config", str(p)]) == 2
         assert f"{section}.{field} must be a number, got True" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, field, value", [("contract", "horizon_t", "30"),
+                                                        ("cos", "n1", "64")])
+    def test_number_written_as_a_string_exit_2(self, tmp_path, capsys, section, field, value):
+        """A JSON string is no number, though float() parses it: "30" priced a 30-day contract."""
+        cfg = {"model": MODEL_CFG, "contract": dict(CONTRACT_CFG), "cos": {"n1": 256}}
+        cfg[section][field] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["price", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert f"{section}.{field} must be a number, got {value!r}" in err
+
     @pytest.mark.parametrize("auto", ["false", 0])
     def test_cos_auto_not_a_boolean_exit_2(self, tmp_path, capsys, auto):
         """"auto": "false" with explicit bounds used to price on the automatic grid."""
@@ -605,6 +618,37 @@ class TestDeterminism:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "fit" in res.stdout and "price" in res.stdout
+
+
+    def test_one_parser_serves_every_call_in_a_process(self, price_config):
+        """main builds its parser on the first call and keeps it: after an argv that argparse
+        rejects, price and density in the same process print what fresh processes print."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        runs = [["price", "--terms", "five"], ["price", "--config", price_config],
+                ["density", "--config", price_config, "--terms", "64"]]
+        code = (
+            "import contextlib, io, json\n"
+            "from tempderiv.cli import main\n"
+            "results = []\n"
+            f"for argv in {runs!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            rc = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    results.append([rc, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        fresh = [subprocess.run([sys.executable, "-m", "tempderiv.cli", *argv],
+                                capture_output=True, text=True, env=env) for argv in runs]
+        assert [r.returncode for r in fresh] == [2, 0, 0]
+        assert json.loads(res.stdout) == [[r.returncode, r.stdout, r.stderr] for r in fresh]
 
 
 class TestFlags:
