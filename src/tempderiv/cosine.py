@@ -206,7 +206,12 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
 
 
 def density_from_charfun(charfun_at, grid: CosGrid, x, terms: int):
-    """Reconstructed density at x in [b1, b2] (k = 0 term halved)."""
+    """Reconstructed density at x in [b1, b2] (k = 0 term halved).
+
+    A value whose magnitude is below the sum's a-priori rounding bound
+    n eps sum_k |A_k| (n = terms + 1 coefficients A_k) is returned as 0:
+    its sign and digits are rounding noise.
+    """
     x_arr = np.asarray(x, float)
     if np.any(x_arr < grid.b1) or np.any(x_arr > grid.b2):
         raise DomainError("density evaluation point outside the truncation interval")
@@ -216,4 +221,6 @@ def density_from_charfun(charfun_at, grid: CosGrid, x, terms: int):
     weights[0] = 0.5
     basis = np.cos(np.multiply.outer(x_arr - grid.b1, k) * np.pi / grid.width)
     out = basis @ (weights * coeffs)
+    bound = coeffs.size * np.finfo(float).eps * np.sum(np.abs(coeffs))
+    out = np.where(np.abs(out) < bound, 0.0, out)
     return out if out.ndim else float(out)

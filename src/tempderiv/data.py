@@ -1,12 +1,24 @@
 """Daily temperature series: ingestion, repair and descriptive statistics.
 
-CSV interface: a header row ``date,tmax,tmin`` or ``date,tavg``; ISO-8601
-dates; plain decimal numbers; missing values as empty fields.  When both
-tmax and tmin are present the daily average is their arithmetic mean.
-Missing days (empty fields or absent calendar dates) are filled with the
-mean of the available values in the centred seven-day window around the
-missing point (the window shrinks at the series edges; filling iterates
+CSV interface (README "Input CSV format"): UTF-8 text, a leading byte-order
+mark skipped; LF or CRLF line endings; a header row ``date,tmax,tmin`` or
+``date,tavg`` in any case, further columns ignored; dates in any form
+``datetime.date.fromisoformat`` accepts; finite decimal numbers, with
+missing values as empty fields (``inf`` and ``nan`` are unparseable rows).
+When both tmax and tmin are present the daily average is their arithmetic
+mean.  Missing days (empty fields or absent calendar dates) are filled with
+the mean of the available values in the centred seven-day window around
+the missing point (the window shrinks at the series edges; filling iterates
 until no gaps remain).  A gap wider than 7 consecutive days is an error.
+
+A file is read column by column (`_parse_columns`): one split makes its
+fields, then the dates and each value column are converted in one pass
+each.  A file that pass does not read as plain, with quotes, blank or
+ragged rows, a field that does not parse or a duplicate date, is read row
+by row by the csv module (`_parse_rows`).  The row reader gives the same
+series or raises the error that names each offending line, so every error
+message comes from it.  The values are then placed on the calendar, and the
+gaps checked and filled, with array operations.
 """
 
 from __future__ import annotations
@@ -85,37 +97,109 @@ def _parse_value(txt: str) -> float | None:
     txt = txt.strip()
     if not txt:
         return None
-    return float(txt)
+    value = float(txt)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {txt!r}")
+    return value
 
 
 def ingest_csv(source) -> DailySeries:
     """Read a daily temperature CSV and repair missing days.
 
-    `source` may be a path or an open text stream.  Raises IngestError with
-    offending line numbers for unparseable rows, duplicated dates, or gaps
-    wider than 7 consecutive days.
+    `source` may be a path (read as UTF-8, a leading byte-order mark
+    skipped) or an open text stream (one leading U+FEFF skipped).  Raises
+    IngestError with offending line numbers for unparseable rows (non-finite
+    values included), duplicated dates, or gaps wider than 7 consecutive days.
     """
     if hasattr(source, "read"):
-        return _ingest_stream(source)
+        text = source.read().removeprefix("\ufeff")
+    else:
+        try:
+            with open(source, "r", newline="", encoding="utf-8-sig") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IngestError(f"cannot read {source}: {exc}") from exc
+    parsed = _parse_columns(text)
+    ordinals, values = parsed if parsed is not None else _parse_rows(text)
+
+    first = int(ordinals.min())
+    n = int(ordinals.max()) - first + 1
+    series = np.full(n, np.nan)
+    series[ordinals - first] = values
+    missing = np.isnan(series)
+    start = dt.date.fromordinal(first)
+    _check_gaps(missing, start)
+    dates = np.array(start.isoformat(), dtype="datetime64[D]") + np.arange(n)
+    return DailySeries(dates=dates, values=_fill_missing(series), missing_mask=missing)
+
+
+def _value_columns(header: list[str]) -> int | None:
+    """2 for a date,tmax,tmin header, 1 for date,tavg, None for any other."""
+    cols = [c.strip().lower() for c in header]
+    if cols[:3] == ["date", "tmax", "tmin"]:
+        return 2
+    if cols[:2] == ["date", "tavg"]:
+        return 1
+    return None
+
+
+def _float_column(fields: list[str]) -> np.ndarray | None:
+    """`float` of each field, NaN where empty; None if a value is not finite.
+    A field that `float` does not parse (a blank one among them) raises its
+    ValueError."""
+    nan = float("nan")
+    column = np.array([float(f) if f else nan for f in fields])
+    if np.count_nonzero(np.isfinite(column)) != len(fields) - fields.count(""):
+        return None
+    return column
+
+
+def _parse_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Day ordinals and daily values (NaN where missing) of a plain CSV, or None.
+
+    One split makes the fields; the dates and each value column are then
+    converted in one pass each.  Returns None, leaving the verdict to
+    `_parse_rows`, for a quote or a bare carriage return, an unknown header,
+    no rows, a ragged or blank row, a field that does not parse (a blank
+    value among them; an empty one is a missing value), a non-finite value
+    or a duplicate date.
+    """
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    n_values = _value_columns(header.split(","))
+    body = body.removesuffix("\n")
+    width = body.partition("\n")[0].count(",") + 1
+    rows = body.count("\n") + 1
+    # a line break ends a field and starts the next line's date field with
+    # "\n", so the rows are regular when every width-th field holds one
+    fields = body.replace("\n", ",\n").split(",")
+    if (n_values is None or width <= n_values or len(fields) != rows * width
+            or "".join(fields[width::width]).count("\n") != rows - 1):
+        return None
     try:
-        with open(source, "r", newline="") as fh:
-            return _ingest_stream(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read {source}: {exc}") from exc
+        dates = map(dt.date.fromisoformat, map(str.strip, fields[::width]))
+        ordinals = np.fromiter(map(dt.date.toordinal, dates), np.int64, rows)
+        columns = [_float_column(fields[k::width]) for k in range(1, n_values + 1)]
+    except ValueError:
+        return None
+    in_order = np.sort(ordinals)
+    if any(c is None for c in columns) or np.any(in_order[1:] == in_order[:-1]):
+        return None
+    return ordinals, columns[0] if n_values == 1 else 0.5 * (columns[0] + columns[1])
 
 
-def _ingest_stream(fh: io.TextIOBase) -> DailySeries:
-    reader = csv.reader(fh)
+def _parse_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """`_parse_columns`' result read row by row with the csv module, or
+    IngestError naming the header or every offending line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
         raise IngestError("empty input") from None
-    cols = [c.strip().lower() for c in header]
-    if cols[:3] == ["date", "tmax", "tmin"]:
-        mode = "maxmin"
-    elif cols[:2] == ["date", "tavg"]:
-        mode = "tavg"
-    else:
+    n_values = _value_columns(header)
+    if n_values is None:
         raise IngestError(
             f"unrecognised header {header!r}; expected date,tmax,tmin or date,tavg"
         )
@@ -127,7 +211,7 @@ def _ingest_stream(fh: io.TextIOBase) -> DailySeries:
             continue
         try:
             date = dt.date.fromisoformat(row[0].strip())
-            if mode == "maxmin":
+            if n_values == 2:
                 tmax = _parse_value(row[1]) if len(row) > 1 else None
                 tmin = _parse_value(row[2]) if len(row) > 2 else None
                 # the daily average needs both extremes; a lone one is a missing day
@@ -149,49 +233,46 @@ def _ingest_stream(fh: io.TextIOBase) -> DailySeries:
         raise IngestError(f"{len(bad)} unparseable row(s): {listing}")
     if not by_date:
         raise IngestError("no data rows")
-
-    first, last = min(by_date), max(by_date)
-    n = (last - first).days + 1
-    values = np.full(n, np.nan)
-    for date, value in by_date.items():
-        if value is not None:
-            values[(date - first).days] = value
-    missing = np.isnan(values)
-
-    _check_gaps(missing, first)
-    values = _fill_missing(values)
-    dates = np.array(first.isoformat(), dtype="datetime64[D]") + np.arange(n)
-    return DailySeries(dates=dates, values=values, missing_mask=missing)
+    ordinals = np.array([date.toordinal() for date in by_date], np.int64)
+    values = np.array([np.nan if v is None else v for v in by_date.values()])
+    return ordinals, values
 
 
 def _check_gaps(missing: np.ndarray, first: dt.date) -> None:
-    run = 0
-    for i, miss in enumerate(missing):
-        run = run + 1 if miss else 0
-        if run > MAX_GAP_DAYS:
-            start = first + dt.timedelta(days=i - run + 1)
-            raise IngestError(
-                f"gap of more than {MAX_GAP_DAYS} consecutive missing days starting "
-                f"{start.isoformat()}: seven-day-window repair is ill-defined"
-            )
+    # the padded mask changes value at the start and one past the end of each run
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], missing, [False]))))
+    starts, ends = edges[0::2], edges[1::2]
+    long_runs = np.flatnonzero(ends - starts > MAX_GAP_DAYS)
+    if long_runs.size:
+        start = first + dt.timedelta(days=int(starts[long_runs[0]]))
+        raise IngestError(
+            f"gap of more than {MAX_GAP_DAYS} consecutive missing days starting "
+            f"{start.isoformat()}: seven-day-window repair is ill-defined"
+        )
 
 
 def _fill_missing(values: np.ndarray) -> np.ndarray:
+    """Fill NaNs in sweeps: each sets every NaN with an available value in its
+    centred seven-day window of the previous sweep to their mean."""
     values = values.copy()
-    n = len(values)
-    while np.any(np.isnan(values)):
-        snapshot = values.copy()
-        progressed = False
-        for i in np.flatnonzero(np.isnan(snapshot)):
-            lo, hi = max(0, i - _FILL_HALF_WINDOW), min(n, i + _FILL_HALF_WINDOW + 1)
-            window = snapshot[lo:hi]
-            avail = window[~np.isnan(window)]
-            if avail.size:
-                values[i] = float(np.mean(avail))
-                progressed = True
-        if not progressed:
+    n, half = values.size, _FILL_HALF_WINDOW
+    while True:
+        missing = np.isnan(values)
+        if not missing.any():
+            return values
+        padded, have = np.zeros((2, n + 2 * half))
+        padded[half:half + n] = np.where(missing, 0.0, values)
+        have[half:half + n] = ~missing
+        total, count = np.zeros((2, n))
+        # left to right from 0.0, the order in which np.mean sums a window,
+        # so a fill is bit-identical to the mean of the window's values
+        for k in range(2 * half + 1):
+            total += padded[k:k + n]
+            count += have[k:k + n]
+        fill = missing & (count > 0)
+        if not fill.any():
             raise IngestError("missing-value repair made no progress")
-    return values
+        values[fill] = total[fill] / count[fill]
 
 
 def _as_values(series) -> np.ndarray:

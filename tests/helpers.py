@@ -6,7 +6,9 @@
 - `leg_value`: one cosine-expanded payoff leg, from the coefficients and
   per-term leg contributions that `price_strangle` sums;
 - `day_kernel`: the CAT kernel of every day, which `charfun_cat` sums on
-  graded panels.
+  graded panels;
+- `fill_missing_loop`: the day-by-day seven-day-window repair that
+  `data._fill_missing` does with shifted array sums.
 """
 
 import warnings
@@ -14,9 +16,9 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from tempderiv import (CosGrid, DomainError, GammaTimeChange, cos_coefficients,
-                       density_from_charfun, innovation_charfun, truncation_bounds,
-                       v_cumulants)
+from tempderiv import (CosGrid, DomainError, GammaTimeChange, IngestError,
+                       cos_coefficients, density_from_charfun, innovation_charfun,
+                       truncation_bounds, v_cumulants)
 from tempderiv.calibrate import kernel_weight
 from tempderiv.charfun import UNIT_NODES, cat_day_weights
 from tempderiv.cosine import _leg_terms
@@ -104,3 +106,23 @@ def day_kernel(p, horizon_T: int, mode: str = "exact_kernel") -> np.ndarray:
     tail = cat_day_weights(p.alpha, horizon_T) if mode == "exact_kernel" else horizon_T - days
     s = days[:, None] + UNIT_NODES
     return eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * tail[:, None]
+
+
+def fill_missing_loop(values: np.ndarray, half_window: int = 3) -> np.ndarray:
+    """Fill NaNs sweep by sweep, one missing day at a time: each takes np.mean
+    of the available values of its centred window in the previous sweep."""
+    values = values.copy()
+    n = len(values)
+    while np.any(np.isnan(values)):
+        snapshot = values.copy()
+        progressed = False
+        for i in np.flatnonzero(np.isnan(snapshot)):
+            lo, hi = max(0, i - half_window), min(n, i + half_window + 1)
+            window = snapshot[lo:hi]
+            avail = window[~np.isnan(window)]
+            if avail.size:
+                values[i] = float(np.mean(avail))
+                progressed = True
+        if not progressed:
+            raise IngestError("missing-value repair made no progress")
+    return values

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
-                       ModelParams, SimConfig, cat_cumulants, price_strangle, simulate_paths,
-                       solve_theta, truncation_bounds)
+                       ModelParams, SimConfig, cat_cumulants, cli, cos_coefficients,
+                       price_strangle, simulate_paths, solve_theta, truncation_bounds)
 from tempderiv.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
@@ -230,6 +230,20 @@ class TestExitCodes:
     def test_missing_csv_exit_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "absent.csv")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "stats"])
+    @pytest.mark.parametrize("header, row", [("date,tavg", "{},{}"),
+                                             ("date,tmax,tmin", "{},{},3.0")])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, command, header, row, value):
+        """inf used to end stats and fit in a traceback, and nan became a repaired day."""
+        base = np.datetime64("2018-01-01")
+        lines = [header] + [row.format(base + i, value if i == 5 else f"{10 + np.sin(i):.1f}")
+                            for i in range(60)]
+        path = tmp_path / "non_finite.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command, str(path)]) == 2
+        assert f"line 7: non-finite value '{value}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, field", [("model", "alpha"), ("contract", "k1_strike"),
                                                  ("contract", "horizon_t")])
@@ -526,6 +540,37 @@ class TestDensity:
         integral = np.trapezoid(rows[:, 1], rows[:, 0])
         assert integral == pytest.approx(1.0, abs=1e-3)
 
+    def test_rounding_noise_prints_as_zero(self, tmp_path, monkeypatch):
+        """Values below the cosine sum's rounding bound n eps sum_k |A_k| print as 0, so no
+        row is negative; every other row prints the sum's value."""
+        seen = {}
+        real = cli.density_from_charfun
+
+        def spy(charfun_at, grid, x, terms):
+            seen.update(charfun_at=charfun_at, grid=grid, x=x, terms=terms)
+            return real(charfun_at, grid, x, terms)
+
+        monkeypatch.setattr(cli, "density_from_charfun", spy)
+        cfg = {"model": MODEL_CFG, "contract": {**CONTRACT_CFG, "horizon_t": 90},
+               "horizon_t": 90, "measure": "Q"}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "density.csv"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+        printed = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+        grid, terms = seen["grid"], seen["terms"]
+        coeffs = cos_coefficients(seen["charfun_at"], grid, terms)
+        k = np.arange(terms + 1)
+        weights = np.where(k == 0, 0.5, 1.0)
+        raw = np.cos(np.multiply.outer(seen["x"] - grid.b1, k) * np.pi / grid.width) @ (
+            weights * coeffs)  # the sum unfloored
+        noise = np.abs(raw) < coeffs.size * np.finfo(float).eps * np.sum(np.abs(coeffs))
+        assert np.any(raw < 0.0) and np.all(noise[raw < 0.0])  # every negative sum is noise
+        assert all(float(d) >= 0.0 for d in printed)
+        assert [d for d, z in zip(printed, noise) if z] == ["0"] * int(np.sum(noise))
+        assert ([d for d, z in zip(printed, noise) if not z]
+                == ["{:.10g}".format(d) for d in raw[~noise]])
+
     def test_q_measure_density(self, tmp_path):
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,
                "measure": "Q", "points": 129}
@@ -589,6 +634,19 @@ class TestStats:
         payload = json.loads(out.read_text())
         assert sum(payload["histogram"]["counts"]) == payload["input"]["n"]
         assert len(payload["kde"]["x"]) == len(payload["kde"]["density"]) == 256
+
+    def test_byte_order_mark_and_crlf_read_as_the_plain_file(self, fit_csv, tmp_path):
+        variant = tmp_path / "fit_daily_bom_crlf.csv"
+        variant.write_bytes(("\ufeff" + Path(fit_csv).read_text().replace("\n", "\r\n"))
+                            .encode("utf-8"))
+        reports = []
+        for src in (fit_csv, str(variant)):
+            out = tmp_path / "stats.json"
+            assert main(["stats", src, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["input"].pop("path") == src
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_tied_majority_bandwidth_falls_back_to_sd(self, tmp_path):
         """IQR = 0 (60% of days at 10.0): the bandwidth uses sd, as R's bw.nrd0 does."""

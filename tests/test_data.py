@@ -1,10 +1,12 @@
 import io
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from tempderiv import (DomainError, IngestError, ingest_csv, ks_normality,
+from helpers import fill_missing_loop
+from tempderiv import (DomainError, IngestError, data, ingest_csv, ks_normality,
                        summary_stats)
 
 
@@ -86,6 +88,201 @@ class TestIngest:
         s = ingest_csv(csv_from(rows))
         assert s.n == 2145
         assert str(s.dates[-1]) == "2018-11-15"
+
+
+class TestIngestInput:
+    @pytest.mark.parametrize("header, row", [("date,tavg", "{},{}"),
+                                             ("date,tmax,tmin", "{},{},3.0")])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected_with_its_line(self, header, row, value):
+        """A value that parses to +-inf or NaN is an unparseable row, not a
+        temperature nor a missing day (missing values are empty fields)."""
+        days = np.datetime64("2018-01-01") + np.arange(10)
+        rows = [row.format(day, value if i == 5 else "5.0") for i, day in enumerate(days)]
+        with pytest.raises(IngestError, match=f"1 unparseable row\\(s\\): line 7: "
+                                              f"non-finite value '{value}'$"):
+            ingest_csv(csv_from(rows, header=header))
+
+    def test_byte_order_mark_path(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffdate,tavg\n2020-01-01,1.5\n2020-01-02,2.5\n", encoding="utf-8")
+        s = ingest_csv(str(path))
+        assert s.n == 2 and np.array_equal(s.values, [1.5, 2.5])
+
+    def test_byte_order_mark_stream(self):
+        s = ingest_csv(io.StringIO("\ufeffdate,tmax,tmin\r\n2020-01-01,4,1\r\n"))
+        assert s.n == 1 and s.values[0] == 2.5
+
+
+# Variants of a daily CSV.  The column parse must read the plain ones and may
+# decline any other, leaving it to the csv row reader.
+VARIANTS = ("crlf", "unsorted", "extra_columns", "whitespace", "blank_lines", "blank_value",
+            "short_row", "quoted", "duplicate", "bad_date", "bad_number", "non_finite",
+            "basic_dates", "gap_7", "gap_8", "no_final_newline")
+PLAIN = {"crlf", "unsorted", "extra_columns", "whitespace", "basic_dates", "gap_7", "gap_8",
+         "no_final_newline"}
+
+
+def csv_variant(seed: int) -> tuple[str, set[str]]:
+    """A seeded daily CSV text with a random set of VARIANTS applied."""
+    rng = np.random.default_rng(seed)
+    applied = {v for v in VARIANTS if rng.random() < 0.2}
+    maxmin = bool(rng.integers(2))
+    n = int(rng.integers(15, 40))
+    start = np.datetime64("2019-12-20") + int(rng.integers(0, 60))
+    temps = np.round(rng.normal(2.0, 8.0, n), int(rng.integers(1, 4)))
+    temps[rng.random(n) < 0.05] = -0.0
+    spread = np.round(rng.uniform(2.0, 10.0, n), 1)
+    rows = [[str(start + i)] + ([repr(float(t + s)), repr(float(t - s))] if maxmin
+                                else [repr(float(t))])
+            for i, (t, s) in enumerate(zip(temps, spread))]
+    for i in np.flatnonzero(rng.random(n) < 0.08):  # isolated blanks
+        rows[i][1 + int(rng.integers(1 + maxmin))] = ""
+    for gap in (7, 8):
+        if f"gap_{gap}" in applied:
+            at = int(rng.integers(2, n - gap - 1))
+            for row in rows[at:at + gap]:
+                row[1:] = [""] * (len(row) - 1)
+            if rng.integers(2):  # absent rows rather than blank fields
+                del rows[at:at + gap]
+    header = ["date", "tmax", "tmin"] if maxmin else ["date", "tavg"]
+    if rng.integers(2):
+        header = [h.upper() if rng.integers(2) else h for h in header]
+
+    def pick():
+        return rows[int(rng.integers(len(rows)))]
+
+    if "basic_dates" in applied:
+        for row in rows:
+            row[0] = row[0].replace("-", "")
+    if "extra_columns" in applied:
+        header = header + ["station"]
+        for row in rows:
+            row.append(str(rng.choice(["YYZ", "", "1.5", "x y"])))
+    if "whitespace" in applied:
+        for row in rows:
+            row[:] = [str(rng.choice(["", " ", "\t"])) + f + str(rng.choice(["", " "])) if f
+                      else f for f in row]
+    if "blank_value" in applied:  # a missing value written as blanks, not as an empty field
+        pick()[1 + int(rng.integers(1 + maxmin))] = str(rng.choice([" ", "\t", "  "]))
+    if "duplicate" in applied:
+        rows.insert(int(rng.integers(len(rows))), list(pick()))
+    if "bad_date" in applied:
+        pick()[0] = str(rng.choice(["2020-13-01", "2020-02-30", "not-a-date", "2020/01/05"]))
+    if "bad_number" in applied:
+        pick()[1 + int(rng.integers(1 + maxmin))] = str(rng.choice(["abc", "1.2.3", "5C", "--1"]))
+    if "non_finite" in applied:
+        pick()[1 + int(rng.integers(1 + maxmin))] = str(rng.choice(["inf", "-nan", "Infinity",
+                                                                 "1e999"]))
+    if "short_row" in applied:
+        pick().pop()
+    if "quoted" in applied:
+        row = pick()
+        k = int(rng.integers(len(row)))
+        row[k] = f'"{row[k]}"'
+    if "unsorted" in applied:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if "blank_lines" in applied:
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(1, len(lines))), str(rng.choice(["", "  ", ",,"])))
+    newline = "\r\n" if "crlf" in applied else "\n"
+    text = newline.join(lines) + ("" if "no_final_newline" in applied else newline)
+    return text, applied
+
+
+def outcome(text: str):
+    """The series ingest_csv reads, as bytes, or its IngestError message."""
+    try:
+        s = ingest_csv(io.StringIO(text))
+    except IngestError as exc:
+        return str(exc)
+    return s.dates.tobytes(), s.values.tobytes(), s.missing_mask.tobytes()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestParsePathsAgree:
+    def test_column_parse_equals_row_reader_on_variants(self, monkeypatch):
+        read = set()
+        for seed in range(400):
+            text, applied = csv_variant(seed)
+            columns = data._parse_columns(text)
+            try:
+                rows = data._parse_rows(text)
+            except IngestError:
+                rows = None
+            if columns is not None:
+                read |= applied
+                assert rows is not None, seed
+                assert np.array_equal(columns[0], rows[0]), seed
+                assert same_bits(columns[1], rows[1]), seed
+            assert rows is not None or columns is None, seed
+            if applied <= PLAIN:
+                assert columns is not None, (seed, applied)
+            with monkeypatch.context() as m:
+                m.setattr(data, "_parse_columns", lambda text: None)
+                by_rows = outcome(text)
+            assert outcome(text) == by_rows, seed
+        assert read == PLAIN  # each plain variant was read by the column parse
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty input"),
+        ("day,value\n1,2\n", "unrecognised header ['day', 'value']"),
+        ("date,tavg\n", "no data rows"),
+        ("date,tavg\n\n2020-01-01,\n", "missing-value repair made no progress"),
+        ('date,tavg\n2020-01-01,"1"\n2020-01-01,2\n', "line 3: duplicate date 2020-01-01"),
+        ("date,tavg\r\n2020-01-01,x\r\n", "line 2: could not convert string to float: 'x'"),
+        # a short row then a long one: the field count is that of regular rows
+        ("date,tmax,tmin\n2020-01-01,4,2\n2020-01-02,5\n3,2020-01-03,7,3\n",
+         "line 4: Invalid isoformat string: '3'"),
+    ])
+    def test_messages_come_from_the_row_reader(self, text, message):
+        assert data._parse_columns(text) is None
+        with pytest.raises(IngestError, match=re.escape(message)):
+            ingest_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        'date,tavg\n"2020-01-01","1.5"\n2020-01-02,2.5\n',
+        # a quoted note that spans what looks like a row of its own
+        'date,tavg,note\n2020-01-01,1.5,"a\n2020-01-03,9.9,b"\n2020-01-02,2.5,c\n',
+    ])
+    def test_quoted_fields_read_by_the_row_reader(self, text):
+        assert data._parse_columns(text) is None
+        assert np.array_equal(ingest_csv(io.StringIO(text)).values, [1.5, 2.5])
+
+
+class TestRepair:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fill_bit_identical_to_window_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-4, 17, n)
+        x[rng.random(n) < 0.05] = -0.0
+        pos = int(rng.integers(0, 3))
+        while pos < n:  # missing runs of 1-7 days, at least one value apart
+            run = int(rng.integers(1, 8))
+            x[pos:pos + run] = np.nan
+            pos += run + int(rng.integers(1, 12))
+        if np.all(np.isnan(x)):
+            x[0] = 1.0
+        assert data._fill_missing(x).tobytes() == fill_missing_loop(x).tobytes()
+
+    def test_all_missing_makes_no_progress(self):
+        for fill in (data._fill_missing, fill_missing_loop):
+            with pytest.raises(IngestError, match="no progress"):
+                fill(np.full(5, np.nan))
+
+    def test_gap_message_names_the_first_long_run(self):
+        rows = date_range_rows(40, ["1.0"] * 40)
+        for i in list(range(3, 10)) + list(range(15, 24)):  # 7 days, then 9 days from Jan 16
+            rows[i] = rows[i].split(",")[0] + ","
+        with pytest.raises(IngestError, match="gap of more than 7 consecutive missing days "
+                                              "starting 2020-01-16: "):
+            ingest_csv(csv_from(rows))
 
 
 class TestSummaryStats:
