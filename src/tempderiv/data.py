@@ -143,14 +143,13 @@ def _value_columns(header: list[str]) -> int | None:
     return None
 
 
-def _float_column(fields: list[str]) -> np.ndarray | None:
-    """`float` of each field, NaN where empty; None if a value is not finite.
-    A field that `float` does not parse (a blank one among them) raises its
-    ValueError."""
+def _float_column(fields: list[str]) -> np.ndarray:
+    """`float` of each field, NaN where empty.  Raises ValueError for a field
+    that `float` does not parse (a blank one among them) or a non-finite value."""
     nan = float("nan")
     column = np.array([float(f) if f else nan for f in fields])
     if np.count_nonzero(np.isfinite(column)) != len(fields) - fields.count(""):
-        return None
+        raise ValueError("non-finite value")
     return column
 
 
@@ -185,7 +184,7 @@ def _parse_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     except ValueError:
         return None
     in_order = np.sort(ordinals)
-    if any(c is None for c in columns) or np.any(in_order[1:] == in_order[:-1]):
+    if np.any(in_order[1:] == in_order[:-1]):
         return None
     return ordinals, columns[0] if n_values == 1 else 0.5 * (columns[0] + columns[1])
 
