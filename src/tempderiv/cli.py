@@ -32,7 +32,7 @@ from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
 from .esscher import MarketParams, eq12_variant_theta, solve_theta
 from .seasonal import FourCoeffs
-from .simulate import SimConfig, mc_price_cat, simulate_paths
+from .simulate import DRAW_SIZE, SimConfig, mc_price_cat, simulate_paths
 
 _FMT = "{:.10g}"
 
@@ -55,15 +55,18 @@ def _round_sig(obj):
     return obj
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of byte chunks to a temp file beside `path`, then
+    rename it into place; the temp file is removed if a chunk fails."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-tempderiv-")
     except OSError as exc:
         raise IngestError(f"cannot write {path}: {exc}") from exc
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,12 +74,117 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _emit(path: str | None, chunks) -> None:
+    """Write the byte chunks to `path` atomically, or to stdout when no path is given."""
+    if path:
+        _atomic_write(path, chunks)
+    else:
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(_round_sig(payload), indent=2, sort_keys=True) + "\n"
-    if path:
-        _atomic_write(path, text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, [text.encode()])
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """ASCII digits of the 5-digit numbers k = 0..99999, shape (5, 300000):
+    column k holds k's digits, column 100000 + k the same with k's leading
+    zeros as NUL, column 200000 + k with its trailing zeros as NUL (0 is all
+    NUL in both).  Built on first use, so importing the module stays cheap."""
+    table = np.empty((5, 3, 100_000), np.uint8)
+    for i in range(5):
+        place = 10 ** (4 - i)
+        table[i] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8), place), 10 ** i)
+        table[i, 1, :place] = 0  # k < place: a leading zero
+        table[i, 2, ::10 * place] = 0  # k a multiple of 10 place: a trailing zero
+    return table.reshape(5, 300_000)
+
+
+def _format_10g(values: np.ndarray) -> np.ndarray:
+    """b"%.10g" % v of each value of a 1-d float array, as the columns of a
+    (width, n) uint8 array padded with NUL, which the caller drops.
+
+    A finite v with 1 <= |v| < 1e10 is printed from its 10 significant
+    digits m = rint(|v| 10^(9-e)), e = floor(log10 |v|): its column is the
+    sign, the integer digits right-aligned with leading zeros as NUL, the
+    point, and the fraction digits with trailing zeros (and the point, when
+    none is left) as NUL.  10^(9-e) is exact, so |v| 10^(9-e) carries at
+    most half an ulp, under 1.1e-6 below 1e10, and rint rounds it as
+    printf does unless its fraction is within 1e-5 of one half.  Those
+    near-ties, a product off [1e9, 1e10) or an m of 1e10 (a log10 off by
+    one, a round-up to the next power of ten), and every other value
+    (|v| < 1, |v| >= 1e10, zeros, infinities and NaN) are formatted by the
+    % operator in one call.
+    """
+    a = np.abs(values)
+    fast = (a >= 1.0) & (a < 1e10)
+    a[~fast] = 1.0
+    e = np.clip(np.log10(a).astype(np.intp), 0, 9)  # floor, as log10 a >= 0
+    pow10 = 10 ** np.arange(10)
+    a *= pow10[9 - e]
+    m = np.rint(a)
+    fast &= (a >= 1e9) & (m < 1e10) & (np.abs(a - np.floor(a) - 0.5) >= 1e-5)
+    m[~fast] = 1e9
+    e[~fast] = 0
+    whole, frac = np.divmod(m.astype(np.int64), pow10[9 - e])
+    frac *= pow10[e]  # the fraction digits as one 9-digit number
+    n_int, n_frac = int(e.max()) + 1, 9 - int(e.min())
+    width = 2 + n_int + n_frac
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = (b"%.10g\n" * slow.size) % tuple(values[slow].tolist())
+        fallback = np.array(text.split(b"\n")[:-1], dtype="S")
+        width = max(width, fallback.itemsize)
+    out = np.zeros((width, values.size), np.uint8)
+    np.multiply(values < 0, np.uint8(ord("-")), out=out[0])
+    np.multiply(frac != 0, np.uint8(ord(".")), out=out[1 + n_int])
+    # table columns: base + k drops k's leading zeros, 2 base + k its trailing ones
+    table, base = _digit_table(), 100_000
+    w_hi, w_lo = np.divmod(whole, base)
+    w_lo += base * (w_hi == 0)
+    w_hi += base
+    # the 10 integer places are w_hi's and w_lo's 5 digits, right-aligned
+    for j, place in enumerate(range(10 - n_int, 10)):
+        table[place % 5].take((w_hi, w_lo)[place // 5], out=out[1 + j])
+    f_hi, f_lo = np.divmod(frac, base)
+    f_hi += 2 * base * (f_lo == 0)
+    f_lo += 2 * base
+    # the 9 fraction places are f_hi's last 4 digits and f_lo's 5
+    for j in range(n_frac):
+        table[(j + 1) % 5].take((f_hi, f_lo)[(j + 1) // 5], out=out[2 + n_int + j])
+    if slow.size:
+        out[:, slow] = fallback.astype(f"S{width}").view(np.uint8).reshape(-1, width).T
+    return out
+
+
+def _csv_blocks(labels: np.ndarray, paths: np.ndarray):
+    """Yield the bytes of the simulate CSV: the header, then each block of
+    whole paths of at most DRAW_SIZE values (one path if it is longer).
+
+    A line is label, path id and value; `labels` holds each time's label
+    as a NUL-padded uint8 row.  Each block is laid out in one uint8 matrix
+    of fixed-width fields, from which the NULs are then dropped."""
+    yield b"date,path_id,temperature\n"
+    n_paths, n_times = paths.shape
+    run = max(1, DRAW_SIZE // n_times)
+    label_w = labels.shape[1]
+    for row in range(0, n_paths, run):
+        block = paths[row:row + run]
+        k = len(block)
+        ids = np.arange(row, row + k).astype(f"S{len(str(row + k - 1))}")
+        ids = ids.view(np.uint8).reshape(k, -1)
+        values = _format_10g(block.ravel())
+        comma = label_w + 1 + ids.shape[1]  # the second comma's column
+        lines = np.empty((k, n_times, comma + values.shape[0] + 2), np.uint8)
+        lines[:, :, :label_w] = labels
+        lines[:, :, label_w] = lines[:, :, comma] = ord(",")
+        lines[:, :, label_w + 1:comma] = ids[:, None, :]
+        lines.reshape(k * n_times, -1)[:, comma + 1:-1] = values.T
+        lines[:, :, -1] = ord("\n")
+        yield lines.tobytes().translate(None, b"\0")
 
 
 def _load_config(path: str | None) -> dict:
@@ -316,23 +424,12 @@ def cmd_simulate(args) -> int:
             raise IngestError(f"start_date needs a whole number of days per step, "
                               f"got sim.step {run.step}")
     times, paths = simulate_paths(model, run, horizon, theta)
-
     if start is not None:
-        labels = (base + np.rint(times).astype(np.int64)).astype(str).tolist()
+        dates = (base + np.rint(times).astype(np.int64)).astype(str).tolist()
+        labels = np.array(dates, dtype="S").view(np.uint8).reshape(len(dates), -1)
     else:
-        labels = [_FMT.format(t) for t in times]
-    # one %-format per path over (label, value) pairs; "%.10g" is _FMT
-    chunks = ["date,path_id,temperature\n"]
-    fields = [None] * (2 * len(labels))
-    fields[0::2] = labels
-    for pid, row in enumerate(paths.tolist()):
-        fields[1::2] = row
-        chunks.append((f"%s,{pid},%.10g\n" * len(labels)) % tuple(fields))
-    text = "".join(chunks)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        labels = _format_10g(times).T
+    _emit(args.out, _csv_blocks(labels, paths))
     return 0
 
 
@@ -351,11 +448,7 @@ def cmd_density(args) -> int:
     dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
     lines = ["x,density"]
     lines.extend(f"{_FMT.format(x)},{_FMT.format(d)}" for x, d in zip(xs, dens))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, [("\n".join(lines) + "\n").encode()])
     return 0
 
 

@@ -191,8 +191,16 @@ def _parse_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _parse_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     """`_parse_columns`' result read row by row with the csv module, or
-    IngestError naming the header or every offending line."""
+    IngestError naming the header, every offending line, or the line where
+    the csv module fails (a quoted field over its size limit, say)."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _parse_records(reader)
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from exc
+
+
+def _parse_records(reader) -> tuple[np.ndarray, np.ndarray]:
     try:
         header = next(reader)
     except StopIteration:

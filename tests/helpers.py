@@ -8,7 +8,9 @@
 - `day_kernel`: the CAT kernel of every day, which `charfun_cat` sums on
   graded panels;
 - `fill_missing_loop`: the day-by-day seven-day-window repair that
-  `data._fill_missing` does with shifted array sums.
+  `data._fill_missing` does with shifted array sums;
+- `simulate_csv_lines`: the simulate CSV written one "{:.10g}" format per
+  (path, time), which `cli` writes with array operations in blocks.
 """
 
 import warnings
@@ -126,3 +128,16 @@ def fill_missing_loop(values: np.ndarray, half_window: int = 3) -> np.ndarray:
         if not progressed:
             raise IngestError("missing-value repair made no progress")
     return values
+
+
+def simulate_csv_lines(times: np.ndarray, paths: np.ndarray, start_date: str | None) -> bytes:
+    """The simulate CSV of (times, paths): a header, then one line per path and time,
+    labelled by the date start_date + round(t) or, without a start date, by "{:.10g}" of t."""
+    if start_date is None:
+        labels = ["{:.10g}".format(t) for t in times]
+    else:
+        labels = [str(np.datetime64(start_date) + int(round(t))) for t in times]
+    lines = ["date,path_id,temperature"]
+    for pid, row in enumerate(paths.tolist()):
+        lines.extend(f"{label},{pid},{'{:.10g}'.format(v)}" for label, v in zip(labels, row))
+    return ("\n".join(lines) + "\n").encode()

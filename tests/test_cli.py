@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import simulate_csv_lines
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
                        ModelParams, SimConfig, cat_cumulants, cli, cos_coefficients,
                        price_strangle, simulate_paths, solve_theta, truncation_bounds)
@@ -443,6 +444,68 @@ class TestSimulate:
         for pid in range(paths.shape[0]):
             lines.extend(f"{labels[j]},{pid},{'{:.10g}'.format(paths[pid, j])}" for j in range(9))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @staticmethod
+    def written_csv(tmp_path, monkeypatch, paths, step, start_date):
+        """The CSV main writes when the simulator returns `paths` at `step`, and the
+        oracle's bytes for the same array."""
+        times = np.arange(paths.shape[1]) * step
+        monkeypatch.setattr("tempderiv.cli.simulate_paths",
+                            lambda p, cfg, horizon, theta: (times, paths))
+        cfg = {"model": MODEL_CFG, "horizon": times[-1],
+               "sim": {"n_paths": len(paths), "seed": 1, "step": step}}
+        if start_date is not None:
+            cfg["start_date"] = start_date
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        return out.read_bytes(), simulate_csv_lines(times, paths, start_date)
+
+    @staticmethod
+    def awkward_values(rng) -> np.ndarray:
+        """Values at the edges of the digit writer, each sign, in shuffled order."""
+        m = rng.integers(10**9, 10**10, 500).astype(float)
+        ties = (m + 0.5) * 10.0 ** rng.integers(-9, 1, 500)  # near-ties at 10 digits
+        tens = np.array([9.9999999995, 99.999999995, 999999999.5, 9999999999.5, 1e9, 1e10])
+        integers = np.array([1.0, 7.0, 10.0, 100.0, 30.0, 123456789.0, 2.0**33, 1e15])
+        special = np.array([0.0, 5e-324, 1e-310, np.finfo(float).tiny, np.inf, np.nan])
+        below_one = 10.0 ** rng.uniform(-4.0, 0.0, 500)
+        values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                                 tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                                 integers, special, below_one])
+        return rng.permutation(np.concatenate([values, -values]))
+
+    @pytest.mark.parametrize("start_date,step", [("2018-01-01", 1.0), (None, 0.5)])
+    def test_csv_awkward_values_match_oracle(self, tmp_path, monkeypatch, start_date, step):
+        values = self.awkward_values(np.random.default_rng(19))
+        paths = values[:values.size // 7 * 7].reshape(7, -1)
+        got, want = self.written_csv(tmp_path, monkeypatch, paths, step, start_date)
+        assert got == want
+
+    @pytest.mark.parametrize("shape", [(179, 366), (180, 366), (181, 366), (1, 100_001)])
+    @pytest.mark.parametrize("start_date,step", [("2018-01-01", 1.0), (None, 0.5)])
+    def test_csv_blocks_match_oracle(self, tmp_path, monkeypatch, shape, start_date, step):
+        """179 paths of 366 values fill one block of DRAW_SIZE values; 180 and 181
+        spill into a second; a path longer than a block is a block of its own."""
+        rng = np.random.default_rng(shape[0])
+        paths = rng.normal(10.0, 8.0, shape)
+        awkward = self.awkward_values(rng)[:shape[1]]
+        paths[-1, :awkward.size] = awkward
+        got, want = self.written_csv(tmp_path, monkeypatch, paths, step, start_date)
+        assert got == want
+        labels = cli._format_10g(np.arange(shape[1]) * step).T
+        lines = [chunk.count(b"\n") for chunk in cli._csv_blocks(labels, paths)]
+        per_block = max(1, cli.DRAW_SIZE // shape[1]) * shape[1]
+        assert lines == [1] + [per_block] * (paths.size // per_block) + (
+            [paths.size % per_block] if paths.size % per_block else [])
+
+    def test_format_10g_matches_percent_operator(self):
+        """The digit writer against b"%.10g" on values log-uniform over 1e-6..1e12."""
+        rng = np.random.default_rng(5)
+        values = 10.0 ** rng.uniform(-6.0, 12.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        columns = cli._format_10g(values).T
+        assert [bytes(c).replace(b"\0", b"") for c in columns] == [b"%.10g" % v for v in values]
 
     @pytest.mark.parametrize("step", [1.0, 2.0])
     def test_date_labels_across_leap_day(self, tmp_path, step):

@@ -254,6 +254,13 @@ class TestParsePathsAgree:
         assert data._parse_columns(text) is None
         assert np.array_equal(ingest_csv(io.StringIO(text)).values, [1.5, 2.5])
 
+    def test_field_over_the_csv_limit_names_its_line(self):
+        """A quoted field longer than the csv module's 131,072-character limit is
+        an IngestError naming its line, not the csv module's own error."""
+        text = f'date,tavg,note\n2020-01-01,1.5,"{"x" * 140_000}"\n2020-01-02,2.5,ok\n'
+        with pytest.raises(IngestError, match=r"^line 2: field larger than field limit"):
+            ingest_csv(io.StringIO(text))
+
 
 class TestRepair:
     @pytest.mark.parametrize("seed", range(12))

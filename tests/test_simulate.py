@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +12,8 @@ from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
                        simulate_cat, simulate_paths)
 from tempderiv.charfun import cat_cumulants, esscher_interval
 from tempderiv.esscher import transformed_timechange
-from tempderiv.simulate import _gaussian_call, _step_tables, block_rng
+from tempderiv.simulate import (D_CAP, _gaussian_call, _norm_cdf, _step_tables,
+                                 block_rng)
 
 from conftest import random_model
 
@@ -289,6 +291,24 @@ class TestMcPriceCat:
                                            np.array([strike, -strike]))
         assert got_call == pytest.approx(call, rel=1e-12)
         assert got_put == pytest.approx(put, rel=1e-12)
+
+
+    def test_norm_cdf_against_math_erfc(self):
+        """Phi(d) = erfc(-d/sqrt(2))/2 against math.erfc on a grid of step 1e-4 over
+        |d| <= D_CAP and at the branch edges of Cody's approximations (|z| = 0.46875
+        and 4): within 16 ulp where the value is a normal float, within 1e-310 where
+        it is subnormal or 0."""
+        edges = np.array([0.46875, 4.0]) * np.sqrt(2.0)
+        d = np.concatenate([np.linspace(-D_CAP, D_CAP, 800_001),
+                            np.nextafter(edges, 0.0), edges, np.nextafter(edges, 9.0)])
+        d = np.concatenate([d, -d])
+        z = d * -np.sqrt(0.5)
+        want = 0.5 * np.array([math.erfc(v) for v in z.tolist()])
+        got = _norm_cdf(d)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got - want)[normal] <= 16 * np.spacing(want[normal]))
+        assert np.all(np.abs(got - want)[~normal] <= 1e-310)
+        assert np.array_equal(_norm_cdf(np.array([-D_CAP, 0.0, D_CAP])), [0.0, 0.5, 1.0])
 
 
 class TestEmpiricalCharfun:
