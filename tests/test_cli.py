@@ -399,6 +399,15 @@ class TestSimulate:
         assert main(["simulate", "--config", sim_config, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stdout_equals_file(self, sim_config, tmp_path, capsys):
+        """Without --out the same blocks go to stdout (2,000 x 41 values are two blocks)."""
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", sim_config, "--paths", "2000"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_row_count(self, sim_config, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--config", sim_config, "--out", str(out),
