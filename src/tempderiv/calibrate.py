@@ -40,9 +40,9 @@ from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, tilted_exponent
 from .data import DailySeries
 from .errors import CalibrationError
 from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
-from .simulate import empirical_charfun
 
-CF_GRID = np.arange(1, 41) * 0.05          # u = 0.05 .. 2.00
+CF_STEP = 0.05
+CF_GRID = np.arange(1, 41) * CF_STEP       # u = 0.05 .. 2.00, equispaced
 CF_WEIGHTS = np.exp(-CF_GRID**2)
 SEARCH_BOX = (("log a", 25.0), ("log b", 25.0), ("mu1", 50.0))  # |x| <= limit
 
@@ -246,6 +246,24 @@ def _in_box(la: float, lb: float, mu1: float) -> bool:
     return all(abs(x) <= limit for x, (_, limit) in zip((la, lb, mu1), SEARCH_BOX))
 
 
+def _grid_charfuns(samples) -> np.ndarray:
+    """Empirical charfuns on CF_GRID of each centred sample, shape (samples, u).
+
+    CF_GRID is equispaced, u_k = k CF_STEP, so exp(i u_k x) = exp(i CF_STEP x)^k:
+    one complex exponential per value, then the powers by repeated
+    multiplication.  Each row is np.mean of a C-ordered (u, value) array,
+    the same pairwise sum as `simulate.empirical_charfun` (the columns of a
+    mask, taken from one array of all the values, come out F-ordered and
+    would be summed in sequence).
+    """
+    rows = []
+    for x in samples:
+        step = np.exp(1j * CF_STEP * x)
+        rows.append(np.cumprod(np.broadcast_to(step, (CF_GRID.size, step.size)), axis=0)
+                    .mean(axis=1))
+    return np.array(rows)
+
+
 def _penalised(la: float, lb: float, mu1: float, sig: np.ndarray) -> bool:
     """Whether the fits' residuals are the constant penalty: off the box or sig <= 1e-6."""
     return not _in_box(la, lb, mu1) or bool(np.any(sig <= 1e-6))
@@ -376,7 +394,7 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
 
     if vol_shape == "constant":
         work, free = eps - np.mean(eps), []
-        emp = empirical_charfun(work, CF_GRID)[None, :]
+        emp = _grid_charfuns([work])
         one = np.ones(1)  # sigma = 1: no free vol coefficient
         sig_of, dsig_dc = (lambda x: one), np.empty((2 * emp.size, 0))
         vol_of = lambda x: FourCoeffs(1.0, 0.0, 0.0, 0.0)
@@ -395,8 +413,7 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
         buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
         months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
         t_groups = np.array([np.mean(doy[idx]) for idx in months])
-        emp = np.array([empirical_charfun(eps[idx] - np.mean(eps[idx]), CF_GRID)
-                        for idx in months])
+        emp = _grid_charfuns([eps[idx] - np.mean(eps[idx]) for idx in months])
         # sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t) at t = t_g, so
         # d sig / d(c1, c2, c3) on group g's rows is (t_g, sin(omega t_g), cos(omega t_g))
         dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:],

@@ -18,6 +18,7 @@ import dataclasses
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -47,7 +48,7 @@ def _round_sig(obj):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
         val = float(obj)
-        return float(_FMT.format(val)) if np.isfinite(val) else None
+        return float(_FMT.format(val)) if math.isfinite(val) else None
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -193,7 +194,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise IngestError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
@@ -464,7 +465,11 @@ def cmd_stats(args) -> int:
     spread = min(sd, iqr / 1.34) or sd  # sd when over half the values tie, as R's bw.nrd0
     bw = 0.9 * spread * n ** (-0.2) if sd > 0 else 1.0  # Silverman
     grid = np.linspace(float(np.min(x)), float(np.max(x)), 256)
-    kde = np.mean(np.exp(-0.5 * ((grid[:, None] - x[None, :]) / bw) ** 2), axis=1)
+    z = np.subtract.outer(grid, x)  # exp(-((grid - x) / bw)^2 / 2), in place in one buffer
+    z /= bw
+    np.square(z, out=z)
+    z *= -0.5
+    kde = np.mean(np.exp(z, out=z), axis=1)
     kde /= bw * np.sqrt(2.0 * np.pi)
     payload = {
         "input": {"path": args.csv, "n": n, "repaired": series.repaired},
