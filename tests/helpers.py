@@ -10,7 +10,9 @@
 - `fill_missing_loop`: the day-by-day seven-day-window repair that
   `data._fill_missing` does with shifted array sums;
 - `simulate_csv_lines`: the simulate CSV written one "{:.10g}" format per
-  (path, time), which `cli` writes with array operations in blocks.
+  (path, time), which `cli` writes with array operations in blocks;
+- `gaussian_kde`: the stats KDE as one expression, which `cli` evaluates in
+  place in one buffer.
 """
 
 import warnings
@@ -141,3 +143,10 @@ def simulate_csv_lines(times: np.ndarray, paths: np.ndarray, start_date: str | N
     for pid, row in enumerate(paths.tolist()):
         lines.extend(f"{label},{pid},{'{:.10g}'.format(v)}" for label, v in zip(labels, row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def gaussian_kde(x: np.ndarray, grid: np.ndarray, bw: float) -> np.ndarray:
+    """Gaussian kernel density of the values x at the grid points, bandwidth bw."""
+    kde = np.mean(np.exp(-0.5 * ((grid[:, None] - x[None, :]) / bw) ** 2), axis=1)
+    kde /= bw * np.sqrt(2.0 * np.pi)
+    return kde

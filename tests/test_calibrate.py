@@ -218,6 +218,27 @@ def recovery_runs():
     return runs
 
 
+class TestGridCharfuns:
+    def test_grid_is_equispaced_in_cf_step(self):
+        """The fit's charfuns are powers of exp(i CF_STEP x), so the grid must be k CF_STEP."""
+        assert np.array_equal(calibrate.CF_GRID, np.arange(1, 41) * calibrate.CF_STEP)
+
+    @pytest.mark.parametrize("sd", [0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n, n_groups", [(30, 1), (2000, 1), (20_000, 1),
+                                             (360, 12), (2144, 12), (20_000, 12)])
+    def test_recurrence_matches_direct_exponentials(self, sd, n, n_groups):
+        """Student-t(4) samples, scaled to sd, centred group by group: each row equals
+        empirical_charfun of its group to 5e-14 (the direct exp is itself off by about
+        |u x| eps at sd 100)."""
+        rng = np.random.default_rng(n + n_groups)
+        x = rng.standard_t(4, n) * (sd / math.sqrt(2.0))
+        samples = [x[g::n_groups] - np.mean(x[g::n_groups]) for g in range(n_groups)]
+        got = calibrate._grid_charfuns(samples)
+        want = np.array([empirical_charfun(s, calibrate.CF_GRID) for s in samples])
+        assert got.shape == (n_groups, calibrate.CF_GRID.size)
+        assert np.max(np.abs(got - want)) < 5e-14
+
+
 class TestFitTimechange:
     def test_recovery(self, recovery_runs):
         ok = 0

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import simulate_csv_lines
+from helpers import gaussian_kde, simulate_csv_lines
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
                        ModelParams, SimConfig, cat_cumulants, cli, cos_coefficients,
                        price_strangle, simulate_paths, solve_theta, truncation_bounds)
 from tempderiv.cli import build_parser, main
+from tempderiv.data import ingest_csv
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -374,6 +375,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and message in err
 
+    @pytest.mark.parametrize("command", ["price", "simulate", "density"])
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys, command):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'\xff\xfe{"a":1}')
+        assert main([command, "--config", str(p)]) == 2
+        assert f"input error: cannot read config {p}" in capsys.readouterr().err
+
     def test_non_numeric_sim_field_exit_2(self, tmp_path):
         cfg = {"model": MODEL_CFG, "horizon": 10, "sim": {"n_paths": "many", "seed": 1}}
         p = tmp_path / "cfg.json"
@@ -719,6 +727,14 @@ class TestStats:
             assert report["input"].pop("path") == src
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_kde_equals_the_one_expression_formula(self, fit_csv, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_write_json", lambda path, payload: payloads.append(payload))
+        assert main(["stats", fit_csv]) == 0
+        kde = payloads[0]["kde"]
+        want = gaussian_kde(ingest_csv(fit_csv).values, kde["x"], kde["bandwidth"])
+        assert np.array_equal(kde["density"], want)
 
     def test_tied_majority_bandwidth_falls_back_to_sd(self, tmp_path):
         """IQR = 0 (60% of days at 10.0): the bandwidth uses sd, as R's bw.nrd0 does."""
