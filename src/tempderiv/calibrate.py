@@ -200,14 +200,15 @@ def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
                        vol_scale: float | np.ndarray = 1.0, theta: float = 0.0):
     """Charfun of the one-day innovation int_0^1 vol_scale e^{-alpha(1-s)} dV_s.
 
-    The package's 8-node Gauss-Legendre rule on the one unit piece;
-    vectorised over u and over an array `vol_scale` (result shape
-    vol_scale.shape + u.shape).
+    `tilted_exponent_sum` on one unit piece of weight 1; vectorised over u
+    and over an array `vol_scale` (result shape vol_scale.shape + u.shape).
+    The fit does not call it: `_cf_functions` forms the same exponent with
+    the 1/A its Jacobian needs.
     """
     tc = transformed_timechange(GammaTimeChange(a, b, mu1), theta)
     u_arr = np.atleast_1d(np.asarray(u, float))
     kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - UNIT_NODES)))
-    out = np.exp(tilted_exponent_sum(kern, u_arr, tc))
+    out = np.exp(tilted_exponent_sum(kern[None], u_arr, tc, pieces=np.ones(1)))
     return out if np.ndim(u) or np.ndim(vol_scale) else complex(out[0])
 
 
@@ -281,12 +282,14 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndar
     Off the search box or at sig <= 1e-6 the residuals are a constant vector
     whose sum of squares is 1e6, and the Jacobian is zero.
 
-    The Jacobian is closed-form.  At node s_n of the unit rule (weight W_n),
-    with E_n = e^{-alpha(1 - s_n)}, w = i u sig E_n and A = 1 + q - ip = 1 + z
-    as in `tilted_exponent_sum` (|A| >= 1), the centred model is
-    M = e^{S - iu m} with S = sum_n W_n (-a Log A), m = (a mu1/b) sig I1 and
-    I1 = kernel_weight(alpha, 1).  Each column is -sqrt(CF_WEIGHTS) M D, with
-    D the derivative of S - iu m:
+    Both read one evaluation of the model, `model(x)`.  At node s_n of the
+    unit rule (weight W_n), with E_n = e^{-alpha(1 - s_n)}, w = i u sig E_n
+    and A = 1 + q - ip = 1 + z as in `tilted_exponent_sum` (|A| >= 1), the
+    centred model is M = e^{S - iu m} with S = sum_n W_n (-a Log A),
+    m = (a mu1/b) sig I1 and I1 = kernel_weight(alpha, 1): the exponent of
+    `innovation_charfun`, formed here on (group, node, u) arrays because
+    the Jacobian needs 1/A at each node.  The Jacobian is closed-form: each
+    column is -sqrt(CF_WEIGHTS) M D, with D the derivative of S - iu m:
         la:  S - iu m
         lb:  a sum_n W_n z/A + iu m
         mu1: (a/b) (sum_n W_n w/A - iu sig I1)
@@ -300,38 +303,42 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndar
     iu = 1j * CF_GRID
     penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
 
-    def residuals(x: np.ndarray) -> np.ndarray:
+    def model(x: np.ndarray):
+        """None where the residuals are the penalty; else a, b, sig, u sig E_n as a
+        (group, node, u) array, z = A - 1, iu m and the centred exponent S - iu m."""
         la, lb, mu1 = x[:3]
         sig = sig_of(x)
         if _penalised(la, lb, mu1, sig):
-            return penalty
+            return None
         a, b = math.exp(la), math.exp(lb)
-        model = innovation_charfun(CF_GRID, a, b, mu1, alpha, vol_scale=sig)
-        mean_model = (a * mu1 / b) * sig[:, None] * mean_weight
-        diff = root_weights * (emp_groups - model * np.exp(-1j * CF_GRID * mean_model))
+        uk = np.multiply.outer(np.multiply.outer(sig, decay), CF_GRID)
+        p, q = uk * (mu1 / b), uk * uk / (2.0 * b)
+        log_a = 0.5 * np.log1p(q * (2.0 + q) + p * p) + 1j * np.arctan2(-p, 1.0 + q)
+        iu_m = iu * ((a * mu1 / b) * mean_weight) * sig[:, None]
+        return a, b, sig, uk, q - 1j * p, iu_m, -a * (UNIT_WEIGHTS @ log_a) - iu_m
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        at_x = model(x)
+        if at_x is None:
+            return penalty
+        diff = root_weights * (emp_groups - np.exp(at_x[-1]))
         return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        la, lb, mu1 = x[:3]
-        sig = sig_of(x)
-        if _penalised(la, lb, mu1, sig):
+        at_x = model(x)
+        if at_x is None:
             return np.zeros((penalty.size, x.size))
-        a, b = math.exp(la), math.exp(lb)
-        uk = np.multiply.outer(np.multiply.outer(sig, decay), CF_GRID)  # (group, node, u)
-        p, q = uk * (mu1 / b), uk * uk / (2.0 * b)
-        z = q - 1j * p
+        a, b, sig, uk, z, iu_m, centred = at_x
+        mu1 = x[2]
         inv_a = 1.0 / (1.0 + z)
-        log_a = 0.5 * np.log1p(q * (2.0 + q) + p * p) + 1j * np.arctan2(-p, 1.0 + q)
-        iu_m = iu * ((a * mu1 / b) * mean_weight) * sig[:, None]
-        s = -a * (UNIT_WEIGHTS @ log_a)
         d = np.stack([
-            s - iu_m,
+            centred,
             a * (UNIT_WEIGHTS @ (z * inv_a)) + iu_m,
             (a / b) * (UNIT_WEIGHTS @ (1j * uk * inv_a) - iu * sig[:, None] * mean_weight),
             (a / b) * iu * ((UNIT_WEIGHTS * decay) @ ((mu1 + 1j * uk) * inv_a)
                             - mu1 * mean_weight),
         ])
-        cols = -root_weights * np.exp(s - iu_m) * d
+        cols = -root_weights * np.exp(centred) * d
         jac = np.concatenate([cols.real.reshape(4, -1), cols.imag.reshape(4, -1)], axis=1).T
         return np.hstack([jac[:, :3], jac[:, 3:] * dsig_dc])
 

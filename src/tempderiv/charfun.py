@@ -167,14 +167,14 @@ def v_cumulants(tc: GammaTimeChange) -> tuple[float, float, float, float]:
             3.0 * a * (1.0 + 4.0 * x + 2.0 * x * x) / (b * b))
 
 
-def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces=None) -> np.ndarray:
-    """sum_n w_n l_V(i u kern[..., n]) over the unit-rule nodes, for real u.
+def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
+    """sum_j pieces[j] sum_n w_n l_V(i u kern[j, ..., n]) over the pieces and
+    the unit-rule nodes, for real u.
 
     `kern` holds the kernel at the UNIT_NODES of each piece along its last
-    axis; the result has shape kern.shape[:-1] + u.shape and is the
-    piece integral divided by the piece length.  With `pieces`, a weight
-    per entry of the first axis (the piece lengths), that axis is summed
-    with those weights and the result has shape kern.shape[1:-1] + u.shape.
+    axis and one entry per piece along its first; `pieces` weights the
+    pieces (their lengths), and the result has shape kern.shape[1:-1] +
+    u.shape.  One piece of the kernel k is `k[None]` with pieces=np.ones(1).
     A tilt enters through `tc` (see `transformed_timechange`).
 
     With r = u/b the Log argument is A = 1 + q - ip, q = k^2 u r/2 and
@@ -185,41 +185,30 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces=None) -> np.ndarray
 
     and each argument is one (k^2, k^4) or (1, k^2) matrix product with a
     (2, n_u) coefficient matrix.  Re A = 1 + q >= 1: the Log never reaches
-    its branch cut.  Without `pieces` all nodes are formed in one
-    (..., node, u) array, which is fastest for small kernels; with it the
-    nodes are taken one (pieces, u) array at a time and each is reduced at
-    once by a matrix-vector product, as large kernels are memory-bound.
+    its branch cut.  The nodes are taken one (pieces, u) array at a time and
+    each is reduced at once by a matrix-vector product, as large kernels are
+    memory-bound.
     """
     u = np.asarray(u, float)
     kern = np.asarray(kern, float)
+    pieces = np.asarray(pieces, float)
     r = u.ravel() / tc.b
     ur = u.ravel() * r
     mod_coef = np.stack([ur + (tc.mu1 * r) ** 2, 0.25 * ur * ur])
     den_coef = np.stack([np.ones_like(ur), 0.5 * ur])
     num_coef = -tc.mu1 * r
-
-    def log_parts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log|A|^2 and arg A at the kernel values k (1-D), each (k.size, n_u)."""
+    shape = kern.shape[1:-1]
+    log_mod2 = np.zeros(np.prod(shape, dtype=int) * r.size)
+    phase = np.zeros_like(log_mod2)
+    for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
+        k = k_n.ravel()
         k2 = k * k
-        log_mod2 = np.log1p(np.stack([k2, k2 * k2], axis=1) @ mod_coef)
-        phase = np.arctan2(np.multiply.outer(k, num_coef),
-                           np.stack([np.ones_like(k2), k2], axis=1) @ den_coef)
-        return log_mod2, phase
-
-    if pieces is None:
-        shape = kern.shape[:-1]
-        log_mod2, phase = (UNIT_WEIGHTS @ x.reshape(kern.shape + r.shape)
-                           for x in log_parts(kern.ravel()))
-    else:
-        pieces = np.asarray(pieces, float)
-        shape = kern.shape[1:-1]
-        log_mod2 = np.zeros(np.prod(shape, dtype=int) * r.size)
-        phase = np.zeros_like(log_mod2)
-        for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
-            node_mod2, node_phase = log_parts(k_n.ravel())
-            weights = w_n * pieces
-            log_mod2 += weights @ node_mod2.reshape(pieces.size, log_mod2.size)
-            phase += weights @ node_phase.reshape(pieces.size, phase.size)
+        node_mod2 = np.log1p(np.stack([k2, k2 * k2], axis=1) @ mod_coef)
+        node_phase = np.arctan2(np.multiply.outer(k, num_coef),
+                                np.stack([np.ones_like(k2), k2], axis=1) @ den_coef)
+        weights = w_n * pieces
+        log_mod2 += weights @ node_mod2.reshape(pieces.size, log_mod2.size)
+        phase += weights @ node_phase.reshape(pieces.size, phase.size)
     return (-tc.a * (0.5 * log_mod2 + 1j * phase)).reshape(shape + u.shape)
 
 

@@ -192,7 +192,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         raise IngestError("--config is required for this command")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read config {path}: {exc}") from exc
@@ -528,9 +528,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except IngestError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except NoBracketError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4

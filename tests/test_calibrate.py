@@ -423,6 +423,32 @@ def fd_least_squares(residuals, jacobian, x0):
     return res.x, 2.0 * float(res.cost), (int(res.status), int(res.nfev), 0)
 
 
+class TestResiduals:
+    @pytest.mark.parametrize("mu1_sign", [1.0, -1.0, 0.0])
+    def test_model_equals_the_innovation_charfun_form(self, mu1_sign):
+        """The fit's residuals form the exponent on (group, node, u) arrays and
+        `innovation_charfun` through `tilted_exponent_sum`: both give the same
+        model, in the constant stage (sigma = 1) and over 12 vol groups."""
+        rng = np.random.default_rng(98)
+        u = calibrate.CF_GRID
+        for _ in range(6):
+            p = random_model(rng)
+            tc = p.timechange
+            x = np.array([np.log(tc.a), np.log(tc.b), mu1_sign * (abs(tc.mu1) + 0.1)])
+            a, b, mu1 = math.exp(x[0]), math.exp(x[1]), x[2]
+            emp = np.exp(1j * rng.normal(0.0, 0.1, (12, u.size)))
+            sig = rng.uniform(0.5, 4.0, 12)
+            for (residuals, _), vol, x_all in [
+                    (constant_functions(emp[:1], p.alpha), np.ones(1), x),
+                    (group_functions(emp, p.alpha), sig, np.concatenate([x, sig]))]:
+                mean = (a * mu1 / b) * vol[:, None] * kernel_weight(p.alpha, 1)
+                model = (innovation_charfun(u, a, b, mu1, p.alpha, vol_scale=vol)
+                         * np.exp(-1j * u * mean))
+                diff = np.sqrt(calibrate.CF_WEIGHTS) * (emp[:vol.size] - model)
+                want = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+                assert np.max(np.abs(residuals(x_all) - want)) <= 1e-13
+
+
 class TestJacobian:
     T_GROUPS = np.arange(12) * 365.0 / 12.0 + 15.0
 

@@ -165,8 +165,9 @@ def kernel_cases():
 
 class TestTiltedExponentSum:
     def test_one_array_layout_against_complex_log(self):
+        """Each day's exponent: the whole kernel as one unit piece (kern[None], weight 1)."""
         for kern, u, tc in kernel_cases():
-            np.testing.assert_allclose(tilted_exponent_sum(kern, u, tc),
+            np.testing.assert_allclose(tilted_exponent_sum(kern[None], u, tc, pieces=np.ones(1)),
                                        log_argument_oracle(kern, u, tc),
                                        rtol=1e-13, atol=1e-15 * tc.a)
 
@@ -180,20 +181,24 @@ class TestTiltedExponentSum:
     def test_piece_sum_equals_reduced_one_array_form(self):
         for kern, u, tc in kernel_cases():
             lengths = np.linspace(0.2, 1.0, len(kern))
+            days = tilted_exponent_sum(kern[None], u, tc, pieces=np.ones(1))
             np.testing.assert_allclose(tilted_exponent_sum(kern, u, tc, pieces=lengths),
-                                       lengths @ tilted_exponent_sum(kern, u, tc), rtol=1e-14)
+                                       lengths @ days, rtol=1e-14)
 
     def test_shapes(self, toronto_like_model):
         kern = day_kernel(toronto_like_model, 5)
         tc = toronto_like_model.timechange
         u = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]])
         stacked = np.stack([kern, 2.0 * kern])  # (2, pieces, node)
-        assert tilted_exponent_sum(kern, u, tc).shape == (5, 2, 3)
+        one = np.ones(1)
+        assert tilted_exponent_sum(kern[None], u, tc, pieces=one).shape == (5, 2, 3)
         assert tilted_exponent_sum(kern, u, tc, pieces=np.ones(5)).shape == (2, 3)
-        assert tilted_exponent_sum(stacked, u, tc).shape == (2, 5, 2, 3)
+        assert tilted_exponent_sum(kern, 0.3, tc, pieces=np.ones(5)).shape == ()
+        assert tilted_exponent_sum(stacked[None], u, tc, pieces=one).shape == (2, 5, 2, 3)
         assert tilted_exponent_sum(stacked, u, tc, pieces=np.ones(2)).shape == (5, 2, 3)
         np.testing.assert_allclose(tilted_exponent_sum(stacked, u, tc, pieces=np.ones(2)),
-                                   tilted_exponent_sum(stacked, u, tc).sum(axis=0), rtol=1e-14)
+                                   tilted_exponent_sum(stacked[None], u, tc, pieces=one)
+                                   .sum(axis=0), rtol=1e-14)
         assert np.all(tilted_exponent_sum(kern[:0], u, tc, pieces=np.ones(0)) == 0.0)
 
     @pytest.mark.parametrize("t", [0.4, 7.3, 29.9])
@@ -314,7 +319,8 @@ class TestCatPanels:
                 u = np.arange(257) * np.pi / (b2 - b1)
                 for mode in ("exact_kernel", "product"):
                     det_sum, kern, weights = _cat_parts(p, horizon_T, mode)
-                    days = tilted_exponent_sum(day_kernel(p, horizon_T, mode), u, tc)
+                    days = tilted_exponent_sum(day_kernel(p, horizon_T, mode)[None], u, tc,
+                                               pieces=np.ones(1))
                     bound = 1e-13 * (1.0 + np.abs(days).sum(axis=0))
                     panel_sum = tilted_exponent_sum(kern, u, tc, pieces=weights)
                     assert np.all(np.abs(panel_sum - days.sum(axis=0)) <= bound)

@@ -759,6 +759,20 @@ class TestDeterminism:
         main(["price", "--config", price_config, "--out", str(out2), "--mc"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["price", "simulate", "density"])
+    def test_config_with_a_bom_prints_the_plain_bytes(self, tmp_path, capsys, command):
+        """A config saved with a UTF-8 byte-order mark is the same config."""
+        text = json.dumps(WHOLE_NUMBER_CFG)
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outs = []
+        for path in (plain, bom):
+            assert main([command, "--config", str(path)]) == 0
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] and outs[0] == outs[1]
+
     def test_entry_point_runs(self, tmp_path):
         res = subprocess.run([sys.executable, "-m", "tempderiv.cli", "--help"],
                              capture_output=True, text=True)

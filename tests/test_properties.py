@@ -69,7 +69,7 @@ def test_real_exponent_equals_cumulant_V(seed, frac, u, k):
     p, theta = draw(seed, frac)
     kern = np.full((1, UNIT_NODES.size), k)
     tc_q = transformed_timechange(p.timechange, theta)
-    got = tilted_exponent_sum(kern, np.array([u, -u]), tc_q)[0]
+    got = tilted_exponent_sum(kern, np.array([u, -u]), tc_q, pieces=np.ones(1))
     want = cumulant_V(1j * np.array([u, -u]) * k, p.timechange, theta)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
