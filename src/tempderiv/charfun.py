@@ -173,9 +173,10 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
 
     `kern` holds the kernel at the UNIT_NODES of each piece along its last
     axis and one entry per piece along its first; `pieces` weights the
-    pieces (their lengths), and the result has shape kern.shape[1:-1] +
-    u.shape.  One piece of the kernel k is `k[None]` with pieces=np.ones(1).
-    A tilt enters through `tc` (see `transformed_timechange`).
+    pieces (piece lengths, or panel row weights), and the result has shape
+    kern.shape[1:-1] + u.shape.  `kern[None]` with pieces=np.ones(1) gives
+    each piece's value on its own.  A tilt enters through `tc` (see
+    `transformed_timechange`).
 
     With r = u/b the Log argument is A = 1 + q - ip, q = k^2 u r/2 and
     p = k mu1 r, so in real arithmetic

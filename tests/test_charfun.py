@@ -165,7 +165,7 @@ def kernel_cases():
 
 class TestTiltedExponentSum:
     def test_one_array_layout_against_complex_log(self):
-        """Each day's exponent: the whole kernel as one unit piece (kern[None], weight 1)."""
+        """Each day's exponent on its own (kern[None], one unit weight) against complex Log."""
         for kern, u, tc in kernel_cases():
             np.testing.assert_allclose(tilted_exponent_sum(kern[None], u, tc, pieces=np.ones(1)),
                                        log_argument_oracle(kern, u, tc),
