@@ -313,8 +313,26 @@ def _cat_parts(p: ModelParams, horizon_T: int,
     return det_sum, kern, weights
 
 
+def _live(kern, u: np.ndarray, tc: GammaTimeChange, pieces, log_floor: float) -> np.ndarray:
+    """Mask of the u at which log|exp(tilted_exponent_sum(kern, u, tc, pieces))| can be
+    at least `log_floor`.
+
+    Its log is -(a/2) sum_j pieces_j sum_n w_n log1p(k^2 c2 + k^4 c4), and c2 and c4
+    grow with |u|, so it does not increase with |u|.  It is taken at every 8th u,
+    and every u as far from 0 as the nearest of those below `log_floor` is dead.
+    """
+    coarse = u.ravel()[::8]
+    r = coarse / tc.b
+    ur = coarse * r
+    k2 = (kern * kern)[..., None]
+    log_mod = -0.5 * tc.a * (pieces @ (UNIT_WEIGHTS @ np.log1p(
+        k2 * (ur + (tc.mu1 * r) ** 2) + k2 * k2 * (0.25 * ur * ur))))
+    dead = np.abs(coarse[log_mod < log_floor])
+    return np.abs(u) < (dead.min() if dead.size else np.inf)
+
+
 def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
-                mode: str = "exact_kernel"):
+                mode: str = "exact_kernel", floor: float = 0.0):
     """Characteristic function of the cumulated temperature xi = sum_{k=1}^T T_k.
 
     mode='exact_kernel' (default) exchanges the day sum with the stochastic
@@ -329,11 +347,23 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     gamma_j = T-j+1, treating the daily increments as independent with their
     drifts conditioned on the deterministic forecast of T_{j-1}.  This is an
     approximation; its deviation from exact_kernel is a model diagnostic.
+
+    Where |phi| is below `floor` (0 <= floor < 1) phi is returned as exactly
+    0.  |phi| does not increase with |u| (the deterministic factor has modulus
+    1 and each kernel factor |A|^(-a w) falls as |u| grows), so a pass over the
+    log-modulus at every 8th u finds the frequencies that are dead, and the
+    complex exponent is formed at the others only.
     """
+    if not 0.0 <= floor < 1.0:
+        raise DomainError(f"floor must be in [0, 1), got {floor}")
     tc = transformed_timechange(p.timechange, theta)
     det_sum, kern, weights = _cat_parts(p, int(horizon_T), mode)
     u = np.asarray(u, float)
-    out = np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=weights))
+    log_floor = np.log(floor) if floor > 0.0 else -np.inf
+    live = _live(kern, u, tc, weights, log_floor)
+    expo = 1j * u[live] * det_sum + tilted_exponent_sum(kern, u[live], tc, pieces=weights)
+    out = np.zeros(u.shape, complex)
+    out[live] = np.where(expo.real < log_floor, 0.0, np.exp(expo))
     return out if out.ndim else complex(out)
 
 

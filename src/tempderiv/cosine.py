@@ -22,6 +22,15 @@ from .charfun import ModelParams, charfun_cat
 from .errors import DomainError
 
 
+# |phi| below which charfun_cat returns 0, so its COS terms are 0.  A dropped term
+# has |A_k| <= (2/(b2-b1)) PHI_FLOOR and at most n of them move a density value by
+# n (2/(b2-b1)) PHI_FLOOR.  The smallest density value printed is the sum's rounding
+# bound n eps sum_k |A_k| >= n eps (2/(b2-b1)), as A_0 = 2/(b2-b1) Re phi(0), and
+# half a unit in its 10th digit is 5e-10 of that.  So PHI_FLOOR <= 5e-10 eps =
+# 1.1e-25 keeps every printed digit; 1e-26 is the power of ten below.
+PHI_FLOOR = 1e-26
+
+
 class PricingWarning(UserWarning):
     """Raised-to-the-user diagnostics of the cosine expansion (clamps, tails)."""
 
@@ -92,7 +101,7 @@ def cos_coefficients(charfun_at, grid: CosGrid, count: int) -> np.ndarray:
     """Expansion coefficients A_0..A_count (A_0 stored unhalved).
 
     `charfun_at` maps an array of real u to complex phi(u) and must satisfy
-    phi(0) = 1 to 1e-10.
+    phi(0) = 1 to 1e-10.  Where phi is 0 (charfun_cat below its floor) A_k is 0.
     """
     width = grid.width
     k = np.arange(count + 1)
@@ -156,6 +165,11 @@ def _leg_terms(coeffs: np.ndarray, grid: CosGrid, strike: float, kind: str) -> n
     return terms
 
 
+def _live_terms(coeffs: np.ndarray) -> int:
+    """1 + the index of the last nonzero coefficient: every sum stops there."""
+    return int(np.flatnonzero(coeffs)[-1]) + 1
+
+
 def _tail_check(term_values: np.ndarray, label: str) -> None:
     n_tail = max(1, term_values.size // 10)
     tail = abs(float(np.sum(term_values[-n_tail:])))
@@ -172,12 +186,15 @@ class StrangleQuote:
 
     `price_half_terms` prices with n1 // 2 and n2 // 2 terms (at least 1)
     on the same interval; `relative_change` is |price - price_half_terms|
-    over |price| (over 1 when the price is 0).
+    over |price| (over 1 when the price is 0).  `live_terms` counts the
+    coefficients up to the last nonzero one, k = 0 included; beyond it
+    |phi| < PHI_FLOOR and charfun_cat was not evaluated.
     """
 
     price: float
     price_half_terms: float
     relative_change: float
+    live_terms: int
 
 
 def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
@@ -189,7 +206,8 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
     coefficients and the put leg the first n2 + 1, and the half-term price
     sums a prefix of each leg's terms.
     """
-    charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel")
+    charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel",
+                                       floor=PHI_FLOOR)
     coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
     call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
     put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")
@@ -202,7 +220,8 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
 
     price = value(grid.n1, grid.n2)
     half = value(max(grid.n1 // 2, 1), max(grid.n2 // 2, 1))
-    return StrangleQuote(price, half, abs(price - half) / (abs(price) if price != 0.0 else 1.0))
+    return StrangleQuote(price, half, abs(price - half) / (abs(price) if price != 0.0 else 1.0),
+                         _live_terms(coeffs))
 
 
 def density_from_charfun(charfun_at, grid: CosGrid, x, terms: int):
@@ -210,16 +229,20 @@ def density_from_charfun(charfun_at, grid: CosGrid, x, terms: int):
 
     A value whose magnitude is below the sum's a-priori rounding bound
     n eps sum_k |A_k| (n = terms + 1 coefficients A_k) is returned as 0:
-    its sign and digits are rounding noise.
+    its sign and digits are rounding noise.  The cosine basis is evaluated
+    for the coefficients up to the last nonzero one only.
     """
     x_arr = np.asarray(x, float)
     if np.any(x_arr < grid.b1) or np.any(x_arr > grid.b2):
         raise DomainError("density evaluation point outside the truncation interval")
     coeffs = cos_coefficients(charfun_at, grid, terms)
-    k = np.arange(terms + 1)
+    k = np.arange(_live_terms(coeffs))
     weights = np.ones(terms + 1)
     weights[0] = 0.5
-    basis = np.cos(np.multiply.outer(x_arr - grid.b1, k) * np.pi / grid.width)
+    # the columns beyond the live terms stay 0, so the product sums all terms + 1
+    # columns in the order of the full basis: a (points x live) product rounds differently
+    basis = np.zeros(x_arr.shape + coeffs.shape)
+    np.cos(np.multiply.outer(x_arr - grid.b1, k) * np.pi / grid.width, out=basis[..., :k.size])
     out = basis @ (weights * coeffs)
     bound = coeffs.size * np.finfo(float).eps * np.sum(np.abs(coeffs))
     out = np.where(np.abs(out) < bound, 0.0, out)

@@ -4,6 +4,12 @@ import pytest
 from tempderiv import FourCoeffs, GammaTimeChange, ModelParams
 
 
+# the model of the README's quick start and of the benchmark's configs
+README_MODEL = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008, -5.9, -4.0),
+                           vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
+                           timechange=GammaTimeChange(1.5, 1.0, 0.3))
+
+
 @pytest.fixture
 def toronto_like_model() -> ModelParams:
     """Parameters in the range a Toronto-style daily series produces."""

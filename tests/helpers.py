@@ -7,6 +7,10 @@
   per-term leg contributions that `price_strangle` sums;
 - `day_kernel`: the CAT kernel of every day, which `charfun_cat` sums on
   graded panels;
+- `full_charfun_cat`, `full_strangle`, `full_density`: the CAT charfun at
+  every frequency and the strangle prices and density from every cosine
+  coefficient, which `price_strangle` and `density_from_charfun` sum only
+  up to the last coefficient whose |phi| reaches `PHI_FLOOR`;
 - `fill_missing_loop`: the day-by-day seven-day-window repair that
   `data._fill_missing` does with shifted array sums;
 - `simulate_csv_lines`: the simulate CSV written one "{:.10g}" format per
@@ -24,7 +28,8 @@ from tempderiv import (CosGrid, DomainError, GammaTimeChange, IngestError,
                        cos_coefficients, density_from_charfun, innovation_charfun,
                        truncation_bounds, v_cumulants)
 from tempderiv.calibrate import kernel_weight
-from tempderiv.charfun import UNIT_NODES, cat_day_weights
+from tempderiv.charfun import (UNIT_NODES, _cat_parts, cat_day_weights, tilted_exponent_sum,
+                               transformed_timechange)
 from tempderiv.cosine import _leg_terms
 from tempderiv.seasonal import eval_seasonal
 
@@ -110,6 +115,41 @@ def day_kernel(p, horizon_T: int, mode: str = "exact_kernel") -> np.ndarray:
     tail = cat_day_weights(p.alpha, horizon_T) if mode == "exact_kernel" else horizon_T - days
     s = days[:, None] + UNIT_NODES
     return eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * tail[:, None]
+
+
+def full_charfun_cat(u, p, theta: float, horizon_T: int) -> np.ndarray:
+    """The exact-kernel CAT charfun evaluated at every u, however small |phi| is."""
+    tc = transformed_timechange(p.timechange, theta)
+    det_sum, kern, weights = _cat_parts(p, horizon_T, "exact_kernel")
+    u = np.asarray(u, float)
+    return np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=weights))
+
+
+def full_strangle(contract, p, theta: float, grid: CosGrid) -> tuple[float, float]:
+    """The strangle price and its half-term price from all max(n1, n2) + 1 coefficients
+    of `full_charfun_cat`, each leg summed over its n + 1 and n // 2 + 1 terms."""
+    charfun_at = lambda u: full_charfun_cat(u, p, theta, contract.horizon_T)
+    coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
+    call = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
+    put = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")
+
+    def value(n1: int, n2: int) -> float:
+        legs = contract.d1 * np.sum(call[: n1 + 1]) + contract.d2 * np.sum(put[: n2 + 1])
+        return float(contract.discount * legs)
+
+    return (value(grid.n1, grid.n2),
+            value(max(grid.n1 // 2, 1), max(grid.n2 // 2, 1)))
+
+
+def full_density(charfun_at, grid: CosGrid, x, terms: int) -> np.ndarray:
+    """The cosine density at x from all terms + 1 coefficients (k = 0 halved), the
+    (points x terms + 1) basis, with values below n eps sum_k |A_k| set to 0."""
+    coeffs = cos_coefficients(charfun_at, grid, terms)
+    k = np.arange(terms + 1)
+    basis = np.cos(np.multiply.outer(np.asarray(x, float) - grid.b1, k) * np.pi / grid.width)
+    out = basis @ (np.where(k == 0, 0.5, 1.0) * coeffs)
+    bound = coeffs.size * np.finfo(float).eps * np.sum(np.abs(coeffs))
+    return np.where(np.abs(out) < bound, 0.0, out)
 
 
 def fill_missing_loop(values: np.ndarray, half_window: int = 3) -> np.ndarray:

@@ -301,6 +301,51 @@ class TestCharfunCat:
             charfun_cat(0.1, toronto_like_model, 0.0, 0)
         with pytest.raises(DomainError):
             charfun_cat(0.1, toronto_like_model, 0.0, 30, "fourier")
+        for floor in (-1e-26, 1.0):
+            with pytest.raises(DomainError):
+                charfun_cat(0.1, toronto_like_model, 0.0, 30, floor=floor)
+
+
+class TestFloor:
+    """charfun_cat(..., floor) returns 0 where |phi| < floor and forms the complex
+    exponent at the other frequencies only.  It finds them on a coarse pass over the
+    modulus, which is sound because |phi| does not increase with |u|."""
+
+    @pytest.mark.parametrize("horizon_T", [1, 5, 30, 90, 365, 730])
+    def test_modulus_does_not_increase_with_u(self, horizon_T):
+        """Random models, tilts 0.05 % of the admissible interval inside its ends and 0,
+        on the ascending COS grid of each, both modes."""
+        for seed in range(6):
+            p = random_model(np.random.default_rng(seed))
+            lo, hi = esscher_interval(p.timechange)
+            for theta in (lo + 5e-4 * (hi - lo), 0.0, hi - 5e-4 * (hi - lo)):
+                mean, var = cat_cumulants(p, theta, horizon_T)
+                b1, b2 = truncation_bounds(mean, var, 10.0)
+                u = np.arange(257) * np.pi / (b2 - b1)
+                for mode in ("exact_kernel", "product"):
+                    modulus = np.abs(charfun_cat(u, p, theta, horizon_T, mode))
+                    assert np.all(np.diff(modulus) <= 0.0)
+
+    @pytest.mark.parametrize("horizon_T", [5, 30, 365])
+    def test_floor_zeroes_exactly_the_values_below_it(self, horizon_T):
+        """Equal to the unfloored values with those below the floor set to 0; in another
+        order of u, and at negative u, the same values are 0 and the others agree to
+        rounding (the matrix products round a column by its position)."""
+        rng = np.random.default_rng(horizon_T)
+        for seed in range(6):
+            p = random_model(np.random.default_rng(seed))
+            theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+            mean, var = cat_cumulants(p, theta, horizon_T)
+            b1, b2 = truncation_bounds(mean, var, 10.0)
+            u = np.arange(257) * np.pi / (b2 - b1)
+            full = charfun_cat(u, p, theta, horizon_T)
+            want = np.where(np.abs(full) < 1e-26, 0.0, full)
+            assert np.array_equal(charfun_cat(u, p, theta, horizon_T, floor=1e-26), want)
+            perm = rng.permutation(u.size)
+            got = charfun_cat(-u[perm], p, theta, horizon_T, floor=1e-26)
+            assert np.array_equal(got == 0.0, want[perm] == 0.0)
+            assert np.all(np.abs(got - np.conj(want[perm])) <= 1e-13 * np.abs(want[perm]))
+            assert charfun_cat(u[-1], p, theta, horizon_T, floor=1e-26) == want[-1]
 
 
 class TestCatPanels:

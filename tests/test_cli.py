@@ -198,7 +198,8 @@ class TestPrice:
         assert all("price" in row and "theta" in row for row in payload["alpha_sweep"])
 
     def test_explicit_cos_bounds(self, tmp_path):
-        """cos {b1, b2, n1, n2} prices on exactly that grid, with no automatic bounds."""
+        """cos {b1, b2, n1, n2} prices on exactly that grid, with no automatic bounds; the
+        grid block also reports how many coefficients were live (|phi| >= PHI_FLOOR)."""
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "theta": -0.18,
                "cos": {"b1": -1200.0, "b2": 1100.0, "n1": 192, "n2": 160}}
         p, out = tmp_path / "cfg.json", tmp_path / "price.json"
@@ -206,7 +207,7 @@ class TestPrice:
         assert main(["price", "--config", str(p), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["grid"] == {"auto": False, "b1": -1200.0, "b2": 1100.0, "n1": 192,
-                                   "n2": 160}
+                                   "n2": 160, "live_terms": 110}
         model = ModelParams(alpha=0.25, t0=-3.0, seasonal=FourCoeffs(*MODEL_CFG["seasonal"]),
                             vol=FourCoeffs(*MODEL_CFG["vol"]),
                             timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
@@ -650,6 +651,31 @@ class TestDensity:
         assert [d for d, z in zip(printed, noise) if z] == ["0"] * int(np.sum(noise))
         assert ([d for d, z in zip(printed, noise) if not z]
                 == ["{:.10g}".format(d) for d in raw[~noise]])
+
+    def test_csv_bytes_equal_the_per_row_format(self, tmp_path, monkeypatch):
+        """The CSV, written with one bytes % call, is the "{:.10g}" text of each row:
+        for floored rows (0), -0.0, subnormal, tiny, large and ordinary values."""
+        seen = {}
+        real = cli.density_from_charfun
+
+        def spy(charfun_at, grid, x, terms):
+            dens = real(charfun_at, grid, x, terms)
+            dens[:8] = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.603104195e-14,
+                        -1.5e-300, 1e16, 123456789012.5]
+            seen.update(x=x, dens=dens)
+            return dens
+
+        monkeypatch.setattr(cli, "density_from_charfun", spy)
+        cfg = {"model": MODEL_CFG, "contract": {**CONTRACT_CFG, "horizon_t": 90},
+               "horizon_t": 90, "measure": "Q", "points": 64}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "density.csv"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+        assert np.sum(seen["dens"] == 0.0) > 2  # rows floored by density_from_charfun too
+        lines = ["x,density"] + ["{:.10g},{:.10g}".format(x, d)
+                                 for x, d in zip(seen["x"], seen["dens"])]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_q_measure_density(self, tmp_path):
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,

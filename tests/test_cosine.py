@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, CosGrid, DomainError, MarketParams, PricingWarning,
-                       SimConfig, cat_cumulants, cos_coefficients, density_from_charfun,
-                       mc_price_cat, price_strangle, solve_theta, truncation_bounds)
-from tempderiv.cosine import _psi_chi
+                       SimConfig, cat_cumulants, charfun_cat, cos_coefficients,
+                       density_from_charfun, mc_price_cat, price_strangle, solve_theta,
+                       truncation_bounds)
+from tempderiv.cosine import PHI_FLOOR, _psi_chi
 
-from helpers import leg_value
+from conftest import README_MODEL, random_model
+from helpers import full_charfun_cat, full_density, full_strangle, leg_value
 
 GAUSS_GRID = CosGrid(-10.0, 10.0, 256, 256)
 gauss_cf = lambda u: np.exp(-0.5 * np.asarray(u) ** 2)
@@ -199,6 +203,58 @@ class TestPriceStrangle:
         p10 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=10.0)).price
         p12 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=12.0)).price
         assert abs(p12 - p10) / abs(p10) < 1e-6
+
+
+# at the shortest horizons the legs are under-resolved on 10 sd, and price_strangle says so
+@pytest.mark.filterwarnings("ignore::tempderiv.PricingWarning")
+class TestLiveTerms:
+    """price_strangle and density_from_charfun sum the coefficients only up to the last
+    one whose |phi| reaches PHI_FLOOR; every price and density value equals the one
+    summed over all max(n1, n2) + 1 coefficients (tests/helpers)."""
+
+    @staticmethod
+    def check(p, theta, horizon_T, grids):
+        mean, var = cat_cumulants(p, theta, horizon_T)
+        b1, b2 = truncation_bounds(mean, var, 10.0)
+        sd = np.sqrt(var)
+        contract = ContractSpec(horizon_T, mean + 0.5 * sd, mean - 0.5 * sd, 1.0, 1.0, 0.02)
+        quotes = []
+        for n1, n2 in grids:
+            grid = CosGrid(b1, b2, n1, n2)
+            quote = price_strangle(contract, p, theta, grid)
+            assert (quote.price, quote.price_half_terms) == full_strangle(contract, p, theta,
+                                                                          grid)
+            quotes.append(quote)
+        x = np.linspace(b1, b2, 257)
+        grid = CosGrid(b1, b2)
+        cut = lambda u: charfun_cat(u, p, theta, horizon_T, floor=PHI_FLOOR)
+        full = lambda u: full_charfun_cat(u, p, theta, horizon_T)
+        assert np.array_equal(density_from_charfun(cut, grid, x, 256),
+                              full_density(full, grid, x, 256))
+        return quotes
+
+    @pytest.mark.parametrize("horizon_T", [1, 2, 5, 10, 30, 90, 365, 730])
+    def test_readme_model_equals_full_evaluation(self, horizon_T):
+        p = README_MODEL
+        theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+        grids = [(256, 256), (256, 160), (96, 256)]
+        quotes = self.check(p, theta, horizon_T, grids)
+        for quote, (n1, n2) in zip(quotes, grids):
+            if horizon_T <= 10:  # |phi| stays above the floor: every coefficient is live
+                assert quote.live_terms == max(n1, n2) + 1
+            else:
+                assert 1 < quote.live_terms < 257
+                assert quote.live_terms == min(quotes[0].live_terms, max(n1, n2) + 1)
+
+    def test_random_models_equal_full_evaluation(self):
+        """Temperatures are raised by 60 so that both strikes are positive: that moves the
+        phase of phi, not |phi|, on which the cut rests."""
+        for seed in range(40):
+            p = random_model(np.random.default_rng(seed))
+            p = replace(p, t0=p.t0 + 60.0, seasonal=replace(p.seasonal, k0=p.seasonal.k0 + 60.0))
+            horizon_T = (1, 5, 30, 90, 365, 730)[seed % 6]
+            theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+            self.check(p, theta, horizon_T, [(256, 256), (256, 160)])
 
 
 class TestContractSpec:

@@ -15,12 +15,7 @@ from tempderiv.esscher import transformed_timechange
 from tempderiv.simulate import (D_CAP, _gaussian_call, _norm_cdf, _step_tables,
                                  block_rng)
 
-from conftest import random_model
-
-
-README_MODEL = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008, -5.9, -4.0),
-                           vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
-                           timechange=GammaTimeChange(1.5, 1.0, 0.3))
+from conftest import README_MODEL, random_model
 
 
 @pytest.fixture
