@@ -22,12 +22,12 @@ from .charfun import ModelParams, charfun_cat
 from .errors import DomainError
 
 
-# |phi| below which charfun_cat returns 0, so its COS terms are 0.  A dropped term
-# has |A_k| <= (2/(b2-b1)) PHI_FLOOR and at most n of them move a density value by
-# n (2/(b2-b1)) PHI_FLOOR.  The smallest density value printed is the sum's rounding
-# bound n eps sum_k |A_k| >= n eps (2/(b2-b1)), as A_0 = 2/(b2-b1) Re phi(0), and
-# half a unit in its 10th digit is 5e-10 of that.  So PHI_FLOOR <= 5e-10 eps =
-# 1.1e-25 keeps every printed digit; 1e-26 is the power of ten below.
+# |phi| below which charfun_cat returns 0 for the COS sums.  A dropped coefficient has
+# |A_k| <= (2/(b2-b1)) PHI_FLOOR, so at most n of them move a density value by at most
+# n (2/(b2-b1)) PHI_FLOOR.  The smallest value printed is the sum's rounding bound
+# n eps sum_k |A_k| >= n eps (2/(b2-b1)), as A_0 = (2/(b2-b1)) Re phi(0), and half a
+# unit in its 10th digit is at least 5e-11 of it.  So PHI_FLOOR <= 5e-11 eps = 1.1e-26
+# moves no printed value by half a unit in its last digit; 1e-26 is the power of ten below.
 PHI_FLOOR = 1e-26
 
 
