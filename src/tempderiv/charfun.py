@@ -270,21 +270,27 @@ def _panel_rule(n_days: int) -> tuple[np.ndarray, np.ndarray]:
     Beyond, they are the PANEL_POINTS Chebyshev points of [0, n_days - 1],
     each weighted by the sum over the days of its barycentric Lagrange basis
     (Berrut & Trefethen 2004): exact for polynomials of degree < PANEL_POINTS.
+    Where one of those weights is negative (panels of 17 to 24 days) the panel
+    is summed day by day too, so that every weight is positive and |phi| does
+    not increase with |u| (`_live`).
     """
-    if n_days <= PANEL_POINTS:
-        return np.arange(n_days, dtype=float), np.ones(n_days)
-    # second-kind points (n_days - 1)(1 - cos(pi k / (PANEL_POINTS - 1))) / 2, with
-    # a sine so both ends are exact days; barycentric weights (-1)^k, ends halved
-    k = np.arange(PANEL_POINTS)
-    offsets = (n_days - 1) * np.sin(0.5 * np.pi * k / (PANEL_POINTS - 1)) ** 2
-    bary = np.where(k % 2, -1.0, 1.0)
-    bary[[0, -1]] *= 0.5
-    diff = np.arange(n_days, dtype=float)[:, None] - offsets
-    at_node = diff == 0.0
-    scaled = bary / np.where(at_node, 1.0, diff)
-    basis = np.where(at_node.any(axis=1, keepdims=True), at_node,
-                     scaled / scaled.sum(axis=1, keepdims=True))
-    return offsets, basis.sum(axis=0)
+    days = np.arange(n_days, dtype=float)
+    if n_days > PANEL_POINTS:
+        # second-kind points (n_days - 1)(1 - cos(pi k / (PANEL_POINTS - 1))) / 2, with
+        # a sine so both ends are exact days; barycentric weights (-1)^k, ends halved
+        k = np.arange(PANEL_POINTS)
+        offsets = (n_days - 1) * np.sin(0.5 * np.pi * k / (PANEL_POINTS - 1)) ** 2
+        bary = np.where(k % 2, -1.0, 1.0)
+        bary[[0, -1]] *= 0.5
+        diff = days[:, None] - offsets
+        at_node = diff == 0.0
+        scaled = bary / np.where(at_node, 1.0, diff)
+        basis = np.where(at_node.any(axis=1, keepdims=True), at_node,
+                         scaled / scaled.sum(axis=1, keepdims=True))
+        weights = basis.sum(axis=0)
+        if np.all(weights > 0.0):
+            return offsets, weights
+    return days, np.ones(n_days)
 
 
 def _cat_parts(p: ModelParams, horizon_T: int,
@@ -296,8 +302,8 @@ def _cat_parts(p: ModelParams, horizon_T: int,
     times w(t): the geometric sum of g(s), `cat_day_weights` (exact_kernel), or
     gamma = T - t (product).  The rows are the pseudo-days t of the panels
     (`_panels`, `_panel_rule`) in ascending order: every day of a panel of at
-    most PANEL_POINTS days, with weight 1, and PANEL_POINTS Chebyshev points of
-    a longer one.  So for T <= 31 the rows are the days 0..T-1.
+    most PANEL_POINTS days or of 17 to 24 days, with weight 1, and PANEL_POINTS
+    Chebyshev points of a longer one.  So for T <= 31 the rows are the days 0..T-1.
     """
     if horizon_T < 1:
         raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")
@@ -313,13 +319,26 @@ def _cat_parts(p: ModelParams, horizon_T: int,
     return det_sum, kern, weights
 
 
-def _live(kern, u: np.ndarray, tc: GammaTimeChange, pieces, log_floor: float) -> np.ndarray:
-    """Mask of the u at which log|exp(tilted_exponent_sum(kern, u, tc, pieces))| can be
-    at least `log_floor`.
+# |phi| below which charfun_cat returns 0, so that the COS sums skip those terms.  A
+# dropped coefficient has |A_k| <= (2/(b2-b1)) PHI_FLOOR, so at most n of them move a
+# density value by at most n (2/(b2-b1)) PHI_FLOOR.  The smallest value printed is the
+# sum's rounding bound n eps sum_k |A_k| >= n eps (2/(b2-b1)), as A_0 = (2/(b2-b1)) Re phi(0),
+# and half a unit in its 10th digit is at least 5e-11 of it.  So PHI_FLOOR <= 5e-11 eps =
+# 1.1e-26 moves no printed value by half a unit in its last digit; 1e-26 is the power of
+# ten below.
+PHI_FLOOR = 1e-26
+_LOG_FLOOR = float(np.log(PHI_FLOOR))
 
-    Its log is -(a/2) sum_j pieces_j sum_n w_n log1p(k^2 c2 + k^4 c4), and c2 and c4
-    grow with |u|, so it does not increase with |u|.  It is taken at every 8th u,
-    and every u as far from 0 as the nearest of those below `log_floor` is dead.
+
+def _live(kern, u: np.ndarray, tc: GammaTimeChange, pieces) -> np.ndarray:
+    """Mask of the u at which |exp(tilted_exponent_sum(kern, u, tc, pieces))| can reach
+    PHI_FLOOR.
+
+    Its log is -(a/2) sum_j pieces_j sum_n w_n log1p(k^2 c2 + k^4 c4).  c2 and c4 grow
+    with |u|, and the panel weights pieces_j and the unit weights w_n are positive, so it
+    does not increase with |u|.  It is taken at every 8th u, and every u as far from 0 as
+    the nearest of those below log(PHI_FLOOR) is dead.  A NaN u is not dead, so that its
+    NaN propagates.
     """
     coarse = u.ravel()[::8]
     r = coarse / tc.b
@@ -327,12 +346,14 @@ def _live(kern, u: np.ndarray, tc: GammaTimeChange, pieces, log_floor: float) ->
     k2 = (kern * kern)[..., None]
     log_mod = -0.5 * tc.a * (pieces @ (UNIT_WEIGHTS @ np.log1p(
         k2 * (ur + (tc.mu1 * r) ** 2) + k2 * k2 * (0.25 * ur * ur))))
-    dead = np.abs(coarse[log_mod < log_floor])
-    return np.abs(u) < (dead.min() if dead.size else np.inf)
+    dead = np.abs(coarse[log_mod < _LOG_FLOOR])
+    if not dead.size:
+        return np.ones(u.shape, bool)
+    return ~(np.abs(u) >= dead.min())
 
 
 def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
-                mode: str = "exact_kernel", floor: float = 0.0):
+                mode: str = "exact_kernel"):
     """Characteristic function of the cumulated temperature xi = sum_{k=1}^T T_k.
 
     mode='exact_kernel' (default) exchanges the day sum with the stochastic
@@ -348,22 +369,19 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     drifts conditioned on the deterministic forecast of T_{j-1}.  This is an
     approximation; its deviation from exact_kernel is a model diagnostic.
 
-    Where |phi| is below `floor` (0 <= floor < 1) phi is returned as exactly
-    0.  |phi| does not increase with |u| (the deterministic factor has modulus
-    1 and each kernel factor |A|^(-a w) falls as |u| grows), so a pass over the
+    Where |phi| is below PHI_FLOOR phi is returned as exactly 0.  |phi| does
+    not increase with |u| (the deterministic factor has modulus 1 and each
+    kernel factor |A|^(-a w), w > 0, falls as |u| grows), so a pass over the
     log-modulus at every 8th u finds the frequencies that are dead, and the
     complex exponent is formed at the others only.
     """
-    if not 0.0 <= floor < 1.0:
-        raise DomainError(f"floor must be in [0, 1), got {floor}")
     tc = transformed_timechange(p.timechange, theta)
     det_sum, kern, weights = _cat_parts(p, int(horizon_T), mode)
     u = np.asarray(u, float)
-    log_floor = np.log(floor) if floor > 0.0 else -np.inf
-    live = _live(kern, u, tc, weights, log_floor)
+    live = _live(kern, u, tc, weights)
     expo = 1j * u[live] * det_sum + tilted_exponent_sum(kern, u[live], tc, pieces=weights)
     out = np.zeros(u.shape, complex)
-    out[live] = np.where(expo.real < log_floor, 0.0, np.exp(expo))
+    out[live] = np.where(expo.real < _LOG_FLOOR, 0.0, np.exp(expo))
     return out if out.ndim else complex(out)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibrate import fit_alpha, fit_seasonal, fit_timechange
 from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat
-from .cosine import (PHI_FLOOR, ContractSpec, CosGrid, density_from_charfun, price_strangle,
+from .cosine import (ContractSpec, CosGrid, density_from_charfun, price_strangle,
                      truncation_bounds)
 from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
@@ -446,8 +446,7 @@ def cmd_density(args) -> int:
     theta = _measure_theta(cfg, cfg.get("measure", "P"), model)
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
     xs = np.linspace(grid.b1, grid.b2, points)
-    charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel",
-                                       floor=PHI_FLOOR)
+    charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")
     dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
     rows = np.column_stack([xs, dens]).ravel().tolist()
     _emit(args.out, [b"x,density\n" + (b"%.10g,%.10g\n" * points) % tuple(rows)])

@@ -22,15 +22,6 @@ from .charfun import ModelParams, charfun_cat
 from .errors import DomainError
 
 
-# |phi| below which charfun_cat returns 0 for the COS sums.  A dropped coefficient has
-# |A_k| <= (2/(b2-b1)) PHI_FLOOR, so at most n of them move a density value by at most
-# n (2/(b2-b1)) PHI_FLOOR.  The smallest value printed is the sum's rounding bound
-# n eps sum_k |A_k| >= n eps (2/(b2-b1)), as A_0 = (2/(b2-b1)) Re phi(0), and half a
-# unit in its 10th digit is at least 5e-11 of it.  So PHI_FLOOR <= 5e-11 eps = 1.1e-26
-# moves no printed value by half a unit in its last digit; 1e-26 is the power of ten below.
-PHI_FLOOR = 1e-26
-
-
 class PricingWarning(UserWarning):
     """Raised-to-the-user diagnostics of the cosine expansion (clamps, tails)."""
 
@@ -188,7 +179,7 @@ class StrangleQuote:
     on the same interval; `relative_change` is |price - price_half_terms|
     over |price| (over 1 when the price is 0).  `live_terms` counts the
     coefficients up to the last nonzero one, k = 0 included; beyond it
-    |phi| < PHI_FLOOR and charfun_cat was not evaluated.
+    |phi| < charfun.PHI_FLOOR and charfun_cat was not evaluated.
     """
 
     price: float
@@ -206,8 +197,7 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
     coefficients and the put leg the first n2 + 1, and the half-term price
     sums a prefix of each leg's terms.
     """
-    charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel",
-                                       floor=PHI_FLOOR)
+    charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel")
     coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
     call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
     put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")

@@ -6,13 +6,13 @@ from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, M
                        a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
-from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, UNIT_NODES, UNIT_WEIGHTS, _cat_parts,
-                               _panel_rule, _panels, esscher_interval, tilted_exponent_sum,
-                               transformed_timechange)
+from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, PHI_FLOOR, UNIT_NODES, UNIT_WEIGHTS,
+                               _cat_parts, _panel_rule, _panels, esscher_interval,
+                               tilted_exponent_sum, transformed_timechange)
 from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
-from helpers import day_kernel
+from helpers import day_kernel, full_charfun_cat
 
 
 def deterministic_model(base: ModelParams) -> ModelParams:
@@ -301,15 +301,22 @@ class TestCharfunCat:
             charfun_cat(0.1, toronto_like_model, 0.0, 0)
         with pytest.raises(DomainError):
             charfun_cat(0.1, toronto_like_model, 0.0, 30, "fourier")
-        for floor in (-1e-26, 1.0):
-            with pytest.raises(DomainError):
-                charfun_cat(0.1, toronto_like_model, 0.0, 30, floor=floor)
+
+
+def assert_floored(got, full):
+    """got is 0 exactly where |full| < PHI_FLOOR and equals full elsewhere to 1e-13 of
+    it: a last-bit change in an exponent as large as |log PHI_FLOOR| = 60 moves phi by
+    about 60 eps relative, and the matrix products may round a column differently in a
+    call with fewer columns."""
+    live = np.abs(full) >= PHI_FLOOR
+    assert np.array_equal(got != 0.0, live)
+    assert np.all(np.abs(got - full)[live] <= 1e-13 * np.abs(full[live]))
 
 
 class TestFloor:
-    """charfun_cat(..., floor) returns 0 where |phi| < floor and forms the complex
-    exponent at the other frequencies only.  It finds them on a coarse pass over the
-    modulus, which is sound because |phi| does not increase with |u|."""
+    """charfun_cat returns 0 where |phi| < PHI_FLOOR and forms the complex exponent at
+    the other frequencies only.  It finds them on a coarse pass over the modulus, which
+    is sound because |phi| does not increase with |u|."""
 
     @pytest.mark.parametrize("horizon_T", [1, 5, 30, 90, 365, 730])
     def test_modulus_does_not_increase_with_u(self, horizon_T):
@@ -328,9 +335,8 @@ class TestFloor:
 
     @pytest.mark.parametrize("horizon_T", [5, 30, 365])
     def test_floor_zeroes_exactly_the_values_below_it(self, horizon_T):
-        """Equal to the unfloored values with those below the floor set to 0; in another
-        order of u, and at negative u, the same values are 0 and the others agree to
-        rounding (the matrix products round a column by its position)."""
+        """The values at every frequency with those below the floor set to 0, in
+        ascending order, in another order and at negative u, and at a scalar u."""
         rng = np.random.default_rng(horizon_T)
         for seed in range(6):
             p = random_model(np.random.default_rng(seed))
@@ -338,21 +344,42 @@ class TestFloor:
             mean, var = cat_cumulants(p, theta, horizon_T)
             b1, b2 = truncation_bounds(mean, var, 10.0)
             u = np.arange(257) * np.pi / (b2 - b1)
-            full = charfun_cat(u, p, theta, horizon_T)
-            want = np.where(np.abs(full) < 1e-26, 0.0, full)
-            assert np.array_equal(charfun_cat(u, p, theta, horizon_T, floor=1e-26), want)
+            full = full_charfun_cat(u, p, theta, horizon_T)
+            assert_floored(charfun_cat(u, p, theta, horizon_T), full)
             perm = rng.permutation(u.size)
-            got = charfun_cat(-u[perm], p, theta, horizon_T, floor=1e-26)
-            assert np.array_equal(got == 0.0, want[perm] == 0.0)
-            assert np.all(np.abs(got - np.conj(want[perm])) <= 1e-13 * np.abs(want[perm]))
-            assert charfun_cat(u[-1], p, theta, horizon_T, floor=1e-26) == want[-1]
+            assert_floored(charfun_cat(-u[perm], p, theta, horizon_T), np.conj(full[perm]))
+            assert_floored(np.array([charfun_cat(u[-1], p, theta, horizon_T)]), full[-1:])
+            assert_floored(np.array([charfun_cat(u[1], p, theta, horizon_T)]), full[1:2])
+
+    def test_nan_frequency_propagates(self, toronto_like_model):
+        """A NaN u gives NaN, on the coarse pass or off it, and the other values are
+        those of the call without it."""
+        p = toronto_like_model
+        mean, var = cat_cumulants(p, 0.0, 30)
+        b1, b2 = truncation_bounds(mean, var, 10.0)
+        u = np.arange(257) * np.pi / (b2 - b1)
+        want = charfun_cat(u, p, 0.0, 30)
+        assert np.count_nonzero(want == 0.0) > 100  # the cut fires on this grid
+        for at in (0, 3, 8, 200):
+            with_nan = u.copy()
+            with_nan[at] = np.nan
+            got = charfun_cat(with_nan, p, 0.0, 30)
+            assert np.isnan(got[at])
+            keep = np.arange(u.size) != at
+            assert_floored(got[keep], full_charfun_cat(u, p, 0.0, 30)[keep])
+            assert np.array_equal(got[keep] == 0.0, want[keep] == 0.0)
+        assert np.isnan(charfun_cat(np.nan, p, 0.0, 30))
+
+
+# the longest panel whose PANEL_POINTS-point Chebyshev rule has a negative weight
+DAY_BY_DAY = 24
 
 
 class TestCatPanels:
     """charfun_cat sums the day pieces on panels graded back from T (`_panels`,
     `_panel_rule`); these tests hold the panels to the day-by-day sum."""
 
-    @pytest.mark.parametrize("horizon_T", [1, 16, 31, 32, 33, 64, 95, 365, 730])
+    @pytest.mark.parametrize("horizon_T", [1, 16, 31, 32, 33, 48, 56, 64, 95, 365, 730])
     def test_exponent_against_day_by_day_sum(self, horizon_T):
         for seed in range(8):
             p = random_model(np.random.default_rng(seed))
@@ -370,6 +397,7 @@ class TestCatPanels:
                     panel_sum = tilted_exponent_sum(kern, u, tc, pieces=weights)
                     assert np.all(np.abs(panel_sum - days.sum(axis=0)) <= bound)
                     want = np.exp(1j * u * det_sum + days.sum(axis=0))
+                    want = np.where(np.abs(want) < PHI_FLOOR, 0.0, want)
                     got = charfun_cat(u, p, theta, horizon_T, mode)
                     assert np.all(np.abs(got - want) <= bound * np.abs(want))
 
@@ -381,7 +409,7 @@ class TestCatPanels:
                 assert np.array_equal(kern, day_kernel(p, horizon_T, mode))
                 assert np.array_equal(weights, np.ones(horizon_T))
 
-    @pytest.mark.parametrize("horizon_T", [1, 31, 32, 33, 95, 365, 730, 1000])
+    @pytest.mark.parametrize("horizon_T", [1, 31, 32, 33, 48, 56, 95, 151, 365, 730, 1000])
     def test_panel_layout(self, horizon_T):
         panels = _panels(horizon_T)
         starts, sizes = np.array(panels).T
@@ -391,14 +419,22 @@ class TestCatPanels:
         assert np.all(sizes[::-1][:-1] == nominal[:-1]) and 1 <= sizes[0] <= nominal[-1]
         weights = _cat_parts(random_model(np.random.default_rng(0)), horizon_T,
                              "exact_kernel")[2]
-        assert len(weights) == sum(min(n, PANEL_POINTS) for n in sizes)
+        assert len(weights) == sum(n if n <= DAY_BY_DAY else PANEL_POINTS for n in sizes)
+        assert np.all(weights > 0.0)  # so |phi| does not increase with |u| (charfun._live)
         np.testing.assert_allclose(weights.sum(), horizon_T, rtol=1e-14)
 
-    @pytest.mark.parametrize("n_days", [1, 16, 17, 27, 32, 46, 63, 64])
+    def test_panel_rule_weights_are_positive(self):
+        """Every panel size _panels lays out; the Chebyshev rule has a negative weight
+        up to DAY_BY_DAY days, so those panels are summed day by day."""
+        for n_days in range(1, PANEL_CAP + 1):
+            offsets, weights = _panel_rule(n_days)
+            assert np.all(weights > 0.0)
+            assert len(offsets) == (n_days if n_days <= DAY_BY_DAY else PANEL_POINTS)
+
+    @pytest.mark.parametrize("n_days", [1, 16, 17, 24, 25, 27, 32, 46, 63, 64])
     def test_panel_rule_sums_polynomials_exactly(self, n_days):
         """Exact to rounding for every polynomial of degree < PANEL_POINTS in the day index."""
         offsets, weights = _panel_rule(n_days)
-        assert len(offsets) == min(n_days, PANEL_POINTS)
         assert np.all(np.diff(offsets) > 0) and offsets[0] == 0 and offsets[-1] == n_days - 1
         to_unit = lambda t: 2.0 * t / max(n_days - 1, 1) - 1.0
         basis = np.polynomial.chebyshev.chebvander

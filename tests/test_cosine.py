@@ -9,7 +9,7 @@ from tempderiv import (ContractSpec, CosGrid, DomainError, MarketParams, Pricing
                        SimConfig, cat_cumulants, charfun_cat, cos_coefficients,
                        density_from_charfun, mc_price_cat, price_strangle, solve_theta,
                        truncation_bounds)
-from tempderiv.cosine import PHI_FLOOR, _psi_chi
+from tempderiv.cosine import _psi_chi
 
 from conftest import README_MODEL, random_model
 from helpers import full_charfun_cat, full_density, full_strangle, leg_value
@@ -227,7 +227,7 @@ class TestLiveTerms:
             quotes.append(quote)
         x = np.linspace(b1, b2, 257)
         grid = CosGrid(b1, b2)
-        cut = lambda u: charfun_cat(u, p, theta, horizon_T, floor=PHI_FLOOR)
+        cut = lambda u: charfun_cat(u, p, theta, horizon_T)
         full = lambda u: full_charfun_cat(u, p, theta, horizon_T)
         assert np.array_equal(density_from_charfun(cut, grid, x, 256),
                               full_density(full, grid, x, 256))
