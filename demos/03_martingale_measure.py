@@ -10,7 +10,7 @@ verify the discounted-mean identity by Monte Carlo, with theta* passed to
 
 import numpy as np
 
-from tempderiv import (FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
+from tempderiv import (FourCoeffs, GammaTimeChange, ModelParams,
                        SimConfig, eq12_variant_theta, martingale_residual, simulate_cat,
                        solve_theta, transformed_timechange)
 
@@ -18,27 +18,27 @@ p = ModelParams(alpha=0.25, t0=-3.0,
                 seasonal=FourCoeffs(8.0, 0.0008, -5.9, -12.9),
                 vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
                 timechange=GammaTimeChange(1.5, 1.0, 0.3))
-market = MarketParams(r=0.02)
+rate = 0.02
 horizon = 90.0
 
 print("Martingale residual g(theta) across the admissible interval:")
 for theta in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
     try:
-        print(f"  g({theta:5.2f}) = {martingale_residual(theta, p, market, horizon):12.6f}")
+        print(f"  g({theta:5.2f}) = {martingale_residual(theta, p, rate, horizon):12.6f}")
     except Exception as exc:
         print(f"  g({theta:5.2f}) : {exc}")
 
-sol = solve_theta(p, market, horizon)
+sol = solve_theta(p, rate, horizon)
 print(f"\nSolved tilt parameter theta* = {sol.theta:.8f}")
 print(f"  residual  |g(theta*)| = {abs(sol.residual):.2e}")
-print(f"  printed-variant root (diagnostic): {eq12_variant_theta(p, market, horizon)}")
+print(f"  printed-variant root (diagnostic): {eq12_variant_theta(p, rate, horizon)}")
 
 tc_q = transformed_timechange(p.timechange, sol.theta)
 print(f"  tilted noise parameters: mu1' = {tc_q.mu1:.6f}, b' = {tc_q.b:.6f} (a unchanged)")
 
 cfg = SimConfig(step=1.0, n_paths=100_000, seed=5)
 _, terminal = simulate_cat(p, cfg, int(horizon), sol.theta)
-disc = np.exp(-market.r / 365.0 * horizon) * terminal
+disc = np.exp(-rate / 365.0 * horizon) * terminal
 se = np.std(disc, ddof=1) / np.sqrt(disc.size)
 print(f"\nMonte Carlo check of E[e^(-rT/365) T_T] under the tilted measure:")
 print(f"  sample mean = {np.mean(disc):9.4f}  vs  T0 = {p.t0}   (3 se = {3*se:.4f})")

@@ -10,7 +10,7 @@ result, and a term-count sweep shows the spectral convergence.
 import numpy as np
 
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
-                       MarketParams, ModelParams, SimConfig, cat_cumulants,
+                       ModelParams, SimConfig, cat_cumulants,
                        charfun_cat, density_from_charfun, mc_price_cat,
                        price_strangle, solve_theta, truncation_bounds)
 
@@ -21,7 +21,7 @@ p = ModelParams(alpha=0.25, t0=12.0,
 contract = ContractSpec(horizon_T=60, k1_strike=820.0, k2_strike=680.0,
                         d1=1.0, d2=1.0, rate_r=0.02)
 
-theta = solve_theta(p, MarketParams(r=contract.rate_r), float(contract.horizon_T)).theta
+theta = solve_theta(p, contract.rate_r, float(contract.horizon_T)).theta
 mean, var = cat_cumulants(p, theta, contract.horizon_T)
 b1, b2 = truncation_bounds(mean, var, 10.0)
 grid = CosGrid(b1, b2, 256, 256)

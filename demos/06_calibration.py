@@ -3,9 +3,10 @@
 Simulate ten thousand days from known parameters, then run the estimation
 pipeline: seasonal OLS (with autocorrelation-adjusted intervals), the
 autoregression for the mean-reversion rate, and the characteristic-function
-distance fit of the Gamma time change seeded by method of moments.  Each
-fit is one Levenberg-Marquardt solve and reports its status and how many
-residual and closed-form Jacobian evaluations it took.
+distance fit of the Gamma time change, seeded by the closed-form
+method-of-moments inversion.  Each fit is one Levenberg-Marquardt solve and
+reports its status and how many residual and closed-form Jacobian
+evaluations it took.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ for name, est, lo, hi in zip(seasonal.names, seasonal.params,
 print(f"  residual lag-1 autocorrelation: {seasonal.rho1:.4f}"
       f"  (theory e^-alpha = {np.exp(-0.25):.4f})")
 
-alpha_fit = fit_alpha(None, seasonal)
+alpha_fit = fit_alpha(seasonal)
 print(f"\nMean-reversion rate: alpha_hat = {alpha_fit.alpha:.5f}  (truth 0.25)")
 
 tch = fit_timechange(seasonal.residuals, alpha=alpha_fit.alpha, vol_shape="constant")

@@ -22,8 +22,7 @@ from .cosine import (ContractSpec, CosGrid, PricingWarning, StrangleQuote, cos_c
 from .data import DailySeries, KsResult, SummaryStats, ingest_csv, ks_normality, summary_stats
 from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
                      TempDerivError)
-from .esscher import (MarketParams, ThetaSolution, eq12_variant_theta, martingale_residual,
-                      solve_theta)
+from .esscher import ThetaSolution, eq12_variant_theta, martingale_residual, solve_theta
 from .seasonal import FourCoeffs, eval_seasonal, k1, k2
 from .simulate import (SimConfig, empirical_charfun, mc_price_cat, simulate_cat,
                        simulate_paths)
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaFit", "CalibrationError", "ContractSpec", "CosGrid", "DailySeries",
     "DomainError", "FitReport", "FourCoeffs", "GammaTimeChange", "IngestError",
-    "KsResult", "MarketParams", "ModelParams", "NoBracketError", "PricingWarning",
+    "KsResult", "ModelParams", "NoBracketError", "PricingWarning",
     "SimConfig", "StrangleQuote", "SummaryStats", "TempDerivError",
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
     "charfun_cat", "cos_coefficients", "cumulant_V",

@@ -69,7 +69,6 @@ class FitReport:
     p_values: np.ndarray
     residuals: np.ndarray
     rho1: float
-    nobs: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class AlphaFit:
     alpha: float
     rho: float
     rho_se: float
-    nobs: int
 
 
 @dataclass(frozen=True)
@@ -109,9 +107,6 @@ class TimeChangeFit:
         x = (math.log(self.a), math.log(self.b), self.mu1)
         return [name for v, (name, limit) in zip(x, SEARCH_BOX) if limit - abs(v) < 1e-3]
 
-    def timechange(self) -> GammaTimeChange:
-        return GammaTimeChange(self.a, self.b, self.mu1)
-
 
 def seasonal_design(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, float)
@@ -122,20 +117,15 @@ def fit_seasonal(series) -> FitReport:
     """OLS of daily values on [1, t, sin(2pi t/365), cos(2pi t/365)]."""
     from scipy import special
 
-    if isinstance(series, DailySeries):
-        y, t = series.values, series.day_index()
-    else:
-        y = np.asarray(series, float)
-        t = np.arange(y.size, dtype=float)
+    y = series.values if isinstance(series, DailySeries) else np.asarray(series, float)
+    t = np.arange(y.size)
     n = y.size
     if n <= 4:
         raise CalibrationError(f"seasonal fit needs more than 4 observations, got {n}")
     x = seasonal_design(t)
-    rank = np.linalg.matrix_rank(x)
+    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < 4:
         raise CalibrationError(f"rank-deficient seasonal design (rank {rank} < 4)")
-
-    beta, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
     dof = n - 4
     sigma2 = float(resid @ resid) / dof
@@ -156,11 +146,11 @@ def fit_seasonal(series) -> FitReport:
         params=beta, se=se, se_ols=se_ols, tstats=tstats,
         ci_low=beta - tcrit * se, ci_high=beta + tcrit * se,
         p_values=2.0 * special.stdtr(dof, -np.abs(tstats)),
-        residuals=resid, rho1=rho1, nobs=n,
+        residuals=resid, rho1=rho1,
     )
 
 
-def fit_alpha(series, seasonal_fit: FitReport) -> AlphaFit:
+def fit_alpha(seasonal_fit: FitReport) -> AlphaFit:
     """Mean-reversion rate from the lag-one autoregression of the residuals.
 
     Y_{t+1} = c + rho Y_t + noise; alpha = -log(rho) per day.  Requires
@@ -181,7 +171,7 @@ def fit_alpha(series, seasonal_fit: FitReport) -> AlphaFit:
         raise CalibrationError(
             f"autoregression slope {rho:.6g} outside (0, 1): no mean reversion detectable"
         )
-    return AlphaFit(alpha=float(-np.log(rho)), rho=rho, rho_se=rho_se, nobs=y.size - 1)
+    return AlphaFit(alpha=float(-np.log(rho)), rho=rho, rho_se=rho_se)
 
 
 def innovations(residuals: np.ndarray, alpha: float) -> np.ndarray:
@@ -213,11 +203,16 @@ def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
 
 
 def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, float]:
-    """Method-of-moments seed: invert the V cumulants from sample moments.
+    """Method-of-moments seed: the (a, b, mu1) whose V cumulants are the sample's.
 
-    The fixed-point inversion diverges for a near-Gaussian sample; a seed
-    off the search box is replaced by the symmetric member (mu1 = 0) with
-    the sample's second and fourth cumulants, a = 3 k2^2 / k4, b = a / k2.
+    With x = mu1^2 / b (see `v_cumulants`), R = k3^2 / (k2 k4) =
+    x (3 + 2x)^2 / (3 (1 + x)(1 + 4x + 2x^2)) rises from 0 to 2/3, so for
+    R < 2/3 x is the one positive root of the cubic
+    (4 - 6R) x^3 + (12 - 18R) x^2 + (9 - 15R) x - 3R, and then
+    b = 3 k2 (1 + 4x + 2x^2) / (k4 (1 + x)), a = b k2 / (1 + x) and
+    mu1 = sign(k3) sqrt(x b).  For R >= 2/3 (no such member), or a seed off
+    the search box, it is the symmetric member (mu1 = 0) with the sample's
+    second and fourth cumulants, a = 3 k2^2 / k4, b = a / k2.
     """
     m2 = float(np.mean(eps_centred**2))
     m3 = float(np.mean(eps_centred**3))
@@ -227,19 +222,18 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     k3s = m3 / i3
     k4s = max(m4 - 3.0 * m2 * m2, 1e-4 * m2 * m2) / i4
 
-    x = 0.0
-    a = b = 1.0
-    mu1 = 0.0
-    for _ in range(8):
+    ratio = k3s * k3s / (k2s * k4s)
+    if ratio < 2.0 / 3.0:
+        cubic = [4.0 - 6.0 * ratio, 12.0 - 18.0 * ratio, 9.0 - 15.0 * ratio, -3.0 * ratio]
+        # the roots sum to -3, so the positive one has the largest real part
+        x = max(float(np.roots(cubic).real.max()), 0.0)
         b = 3.0 * k2s * (1.0 + 4.0 * x + 2.0 * x * x) / (k4s * (1.0 + x))
-        b = min(max(b, 1e-8), 1e12)
-        a = max(b * k2s / (1.0 + x), 1e-8)
-        mu1 = k3s * b * b / (a * (3.0 + 2.0 * x))
-        x = min(mu1 * mu1 / b, 1e3)
-    if not _in_box(math.log(a), math.log(b), mu1):
-        a = 3.0 * k2s * k2s / k4s
-        return a, a / k2s, 0.0
-    return a, b, mu1
+        a = b * k2s / (1.0 + x)
+        mu1 = math.copysign(math.sqrt(x * b), k3s)
+        if _in_box(math.log(a), math.log(b), mu1):
+            return a, b, mu1
+    a = 3.0 * k2s * k2s / k4s
+    return a, a / k2s, 0.0
 
 
 def _in_box(la: float, lb: float, mu1: float) -> bool:
@@ -373,13 +367,12 @@ def _least_squares(residuals, jacobian, x0: np.ndarray):
     return res.x, 2.0 * float(res.cost), (int(res.status), *calls)
 
 
-def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float = None,
+def fit_timechange(residuals: np.ndarray, alpha: float = None,
                    vol_shape: str = "constant") -> TimeChangeFit:
     """Estimate the Gamma time change (a, b, mu1) and the volatility shape
     in one Levenberg-Marquardt solve with the closed-form Jacobian.
 
     residuals : deseasonalized series Y (the seasonal fit's residuals)
-    init : 'method_of_moments' or an explicit (a, b, mu1) triple
     alpha : mean-reversion rate (from fit_alpha)
     vol_shape : 'constant' pins sigma = 1 and matches the CF of all the
         centred innovations from the moment seed; 'seasonal' fits a harmonic
@@ -387,8 +380,8 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
         innovations standardized by it, and matches twelve month groups' CFs
         in (log a, log b, mu1, c1..c3) from (seed, profile c1..c3), with c0
         pinned at the profile's value.
-    CalibrationError is raised for innovations without variance (whatever
-    the seed) and for a solve that does not converge.
+    CalibrationError is raised for innovations without variance and for a
+    solve that does not converge.
     """
     if alpha is None or not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
@@ -432,10 +425,7 @@ def fit_timechange(residuals: np.ndarray, init="method_of_moments", alpha: float
     if not m2 * m2 > 0.0:  # the moment seed divides by the fourth cumulant, floored at 1e-4 m2^2
         raise CalibrationError("the time-change fit needs innovations with "
                                f"positive variance, got {m2}")
-    if init == "method_of_moments":
-        a0, b0, mu0 = _mom_init(work, alpha)
-    else:
-        a0, b0, mu0 = init
+    a0, b0, mu0 = _mom_init(work, alpha)
     x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0, *free])
     x, obj, (status, nfev, njev) = _least_squares(
         *_cf_functions(emp, alpha, sig_of, dsig_dc), x0)

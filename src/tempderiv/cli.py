@@ -31,7 +31,7 @@ from .cosine import (ContractSpec, CosGrid, density_from_charfun, price_strangle
                      truncation_bounds)
 from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
-from .esscher import MarketParams, eq12_variant_theta, solve_theta
+from .esscher import eq12_variant_theta, solve_theta
 from .seasonal import FourCoeffs
 from .simulate import DRAW_SIZE, SimConfig, mc_price_cat, simulate_paths
 
@@ -292,8 +292,7 @@ def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tup
     if cfg.get("theta") is not None:
         theta = _num(cfg["theta"], "theta")
         return theta, {"theta": theta, "source": "pinned"}
-    mkt = MarketParams(r=contract.rate_r)
-    sol = solve_theta(model, mkt, float(contract.horizon_T))
+    sol = solve_theta(model, contract.rate_r, float(contract.horizon_T))
     return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
 
 
@@ -327,7 +326,7 @@ def cmd_fit(args) -> int:
     series = ingest_csv(args.csv)
     described = _describe(series)
     seasonal = fit_seasonal(series)
-    alpha = fit_alpha(series, seasonal)
+    alpha = fit_alpha(seasonal)
     tch = fit_timechange(seasonal.residuals, alpha=alpha.alpha,
                          vol_shape=args.vol_shape)
     payload = {
@@ -359,7 +358,7 @@ def cmd_price(args) -> int:
     theta, theta_info = _resolve_theta(cfg, model, contract)
     if theta_info["source"] == "solved":
         theta_info["eq12_variant_theta"] = eq12_variant_theta(
-            model, MarketParams(r=contract.rate_r), float(contract.horizon_T))
+            model, contract.rate_r, float(contract.horizon_T))
     grid, grid_info = _grid_from(cfg, model, theta, contract.horizon_T,
                                  args.terms, args.l_mult)
     quote = price_strangle(contract, model, theta, grid)

@@ -125,33 +125,21 @@ def _psi_chi(k: np.ndarray, grid: CosGrid, lower: float, upper: float):
     return psi, chi
 
 
-def _leg_terms(coeffs: np.ndarray, grid: CosGrid, strike: float, kind: str) -> np.ndarray:
-    """Per-term contributions A_k * U_k of one leg (k = 0 term already halved)."""
+def _leg_terms(coeffs: np.ndarray, grid: CosGrid, strike: float, call: bool) -> np.ndarray:
+    """Per-term contributions A_k * U_k of the call (xi - K)_+ or put (K - xi)_+
+    leg (k = 0 term already halved)."""
     n = coeffs.size - 1
-    k = np.arange(n + 1)
-    if kind == "call":
+    if call:
         lower, upper = max(grid.b1, strike), grid.b2
-        if lower >= upper:
-            warnings.warn(
-                f"call strike {strike} at or above b2={grid.b2}: empty payoff support, leg = 0",
-                PricingWarning,
-            )
-            return np.zeros(n + 1)
-        psi, chi = _psi_chi(k, grid, lower, upper)
-        u_k = chi - strike * psi
-    elif kind == "put":
-        lower, upper = grid.b1, min(grid.b2, strike)
-        if upper <= lower:
-            warnings.warn(
-                f"put strike {strike} at or below b1={grid.b1}: empty payoff support, leg = 0",
-                PricingWarning,
-            )
-            return np.zeros(n + 1)
-        psi, chi = _psi_chi(k, grid, lower, upper)
-        u_k = strike * psi - chi
     else:
-        raise DomainError(f"unknown leg kind {kind!r}")
-    terms = coeffs * u_k
+        lower, upper = grid.b1, min(grid.b2, strike)
+    if lower >= upper:
+        where = (f"call strike {strike} at or above b2={grid.b2}" if call
+                 else f"put strike {strike} at or below b1={grid.b1}")
+        warnings.warn(f"{where}: empty payoff support, leg = 0", PricingWarning)
+        return np.zeros(n + 1)
+    psi, chi = _psi_chi(np.arange(n + 1), grid, lower, upper)
+    terms = coeffs * (chi - strike * psi if call else strike * psi - chi)
     terms[0] *= 0.5
     return terms
 
@@ -199,8 +187,8 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
     """
     charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel")
     coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
-    call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
-    put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")
+    call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, call=True)
+    put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, call=False)
     _tail_check(call_terms, "call leg")
     _tail_check(put_terms, "put leg")
 

@@ -61,9 +61,6 @@ class DailySeries:
     def repaired(self) -> int:
         return int(np.sum(self.missing_mask))
 
-    def day_index(self) -> np.ndarray:
-        return np.arange(self.n, dtype=float)
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -73,7 +70,6 @@ class SummaryStats:
     std: float            # sample standard deviation (ddof = 1)
     skewness: float       # population standardized third central moment
     kurtosis: float       # population standardized fourth central moment (normal = 3)
-    n: int
 
 
 @dataclass(frozen=True)
@@ -82,15 +78,14 @@ class KsResult:
 
     `statistic` tests the raw series against N(0, 1); `statistic_standardized`
     tests the mean/sd-standardized series.  The 5% critical value uses the
-    asymptotic 1.3581/sqrt(n); p-values use the asymptotic Kolmogorov law.
+    asymptotic 1.3581/sqrt(n); the p-value of `statistic` uses the asymptotic
+    Kolmogorov law.
     """
 
     statistic: float
     critical_value: float
     p_value: float
     statistic_standardized: float
-    p_value_standardized: float
-    n: int
 
 
 def _parse_value(txt: str) -> float | None:
@@ -304,7 +299,7 @@ def summary_stats(series) -> SummaryStats:
         skew = float(np.mean(centred**3) / m2**1.5)
         kurt = float(np.mean(centred**4) / m2**2)
     return SummaryStats(mean=mean, minimum=float(np.min(x)), maximum=float(np.max(x)),
-                        std=sd, skewness=skew, kurtosis=kurt, n=n)
+                        std=sd, skewness=skew, kurtosis=kurt)
 
 
 def _ks_distance(x: np.ndarray) -> float:
@@ -333,6 +328,4 @@ def ks_normality(series) -> KsResult:
         critical_value=float(KS_CRITICAL_COEFF / root_n),
         p_value=float(special.kolmogorov(root_n * d_raw)),
         statistic_standardized=d_std,
-        p_value_standardized=float(special.kolmogorov(root_n * d_std)),
-        n=n,
     )

@@ -34,29 +34,22 @@ _ROOT_ITER = 100     # cap on the printed-variant root iterations (7 typical, 20
 
 
 @dataclass(frozen=True)
-class MarketParams:
-    """Market inputs: the yearly interest rate."""
-
-    r: float
-
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise DomainError(f"interest rate must be >= 0, got {self.r}")
-
-
-@dataclass(frozen=True)
 class ThetaSolution:
     """Root of the martingale condition and its residual."""
 
     theta: float
     residual: float
 
-    def __float__(self) -> float:
-        return self.theta
+
+def _daily_rate(rate: float) -> float:
+    """The per-day rate r~ = r/365 of a yearly rate r >= 0."""
+    if rate < 0.0:
+        raise DomainError(f"interest rate must be >= 0, got {rate}")
+    return rate / 365.0
 
 
-def _martingale_target(p: ModelParams, m: MarketParams, horizon_T: float) -> float:
-    r_day = m.r / 365.0
+def _martingale_target(p: ModelParams, rate: float, horizon_T: float) -> float:
+    r_day = _daily_rate(rate)
     disc_T = np.exp(-r_day * horizon_T) * p.det_mean(horizon_T)
     j_int = k1(horizon_T, p.alpha, p.vol)  # e^{-alpha T} K2(alpha, T)
     if not j_int > 0.0:
@@ -64,13 +57,13 @@ def _martingale_target(p: ModelParams, m: MarketParams, horizon_T: float) -> flo
     return float(np.exp(r_day * horizon_T) * (p.t0 - disc_T) / j_int)
 
 
-def martingale_residual(theta: float, p: ModelParams, m: MarketParams,
+def martingale_residual(theta: float, p: ModelParams, rate: float,
                         horizon_T: float) -> float:
     """Residual g(theta) of the martingale condition; g(theta*) = 0."""
     if not horizon_T > 0:
         raise DomainError(f"horizon_T must be > 0, got {horizon_T}")
     l_prime = v_cumulants(transformed_timechange(p.timechange, theta))[0]
-    return l_prime - _martingale_target(p, m, horizon_T)
+    return l_prime - _martingale_target(p, rate, horizon_T)
 
 
 def _shrunk_interval(tc: GammaTimeChange) -> tuple[float, float]:
@@ -79,8 +72,9 @@ def _shrunk_interval(tc: GammaTimeChange) -> tuple[float, float]:
     return lo + margin, hi - margin
 
 
-def solve_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> ThetaSolution:
-    """Solve the martingale condition l_V'(theta) = c for the tilt parameter theta*.
+def solve_theta(p: ModelParams, rate: float, horizon_T: float) -> ThetaSolution:
+    """Solve the martingale condition l_V'(theta) = c for the tilt parameter theta*
+    at the yearly interest rate `rate` (>= 0).
 
     The target c does not depend on theta, and l_V'(theta) =
     a(mu1+theta)/(b A1(theta)) rises from -inf to +inf across the admissible
@@ -97,7 +91,7 @@ def solve_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> ThetaSolut
     (the residual is increasing, so it has no sign change between them).
     """
     tc = p.timechange
-    c = _martingale_target(p, m, horizon_T)
+    c = _martingale_target(p, rate, horizon_T)
     quad_a, quad_b, quad_c = 0.5 * c, tc.a + c * tc.mu1, tc.a * tc.mu1 - c * tc.b
     disc = tc.a * tc.a + c * c * (tc.mu1 * tc.mu1 + 2.0 * tc.b)
     q = -0.5 * (quad_b + np.copysign(np.sqrt(disc), quad_b))
@@ -106,15 +100,15 @@ def solve_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> ThetaSolut
 
     lo, hi = _shrunk_interval(tc)
     if not lo < theta < hi:
-        g = lambda t: martingale_residual(t, p, m, horizon_T)
+        g = lambda t: martingale_residual(t, p, rate, horizon_T)
         raise NoBracketError(
             f"martingale residual has no sign change on the admissible interval "
             f"[{lo:.6g}, {hi:.6g}]: g(lo)={g(lo):.6g}, g(hi)={g(hi):.6g}"
         )
-    return ThetaSolution(theta=theta, residual=martingale_residual(theta, p, m, horizon_T))
+    return ThetaSolution(theta=theta, residual=martingale_residual(theta, p, rate, horizon_T))
 
 
-def _eq12_variant(p: ModelParams, m: MarketParams, horizon_T: float):
+def _eq12_variant(p: ModelParams, rate: float, horizon_T: float):
     """h(theta), the printed polynomial variant of the root equation; nan where A1(theta) <= 0.
 
     mu1 + theta + (b/a) e^{(alpha+r~)T} A1(theta)
@@ -125,7 +119,7 @@ def _eq12_variant(p: ModelParams, m: MarketParams, horizon_T: float):
     tc = p.timechange
     j_int = k1(horizon_T, p.alpha, p.vol)
     with np.errstate(over="ignore"):
-        grow = np.exp((p.alpha + m.r / 365.0) * horizon_T)
+        grow = np.exp((p.alpha + _daily_rate(rate)) * horizon_T)
     exponent = tc.a * horizon_T + 1.0
 
     def h(theta):
@@ -165,7 +159,7 @@ def _illinois(h, lo, hi, h_lo, h_hi):
     return root
 
 
-def eq12_variant_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> float | None:
+def eq12_variant_theta(p: ModelParams, rate: float, horizon_T: float) -> float | None:
     """Root of the paper's printed variant of the martingale condition (diagnostic only).
 
     Not the pricing tilt (solve_theta); often None, as the variant need not
@@ -174,7 +168,7 @@ def eq12_variant_theta(p: ModelParams, m: MarketParams, horizon_T: float) -> flo
     sign changes, solves every bracket at once (`_illinois`, to a few ulps)
     and returns the root of smallest |theta|, or None.
     """
-    h = _eq12_variant(p, m, horizon_T)
+    h = _eq12_variant(p, rate, horizon_T)
     grid = np.linspace(*_shrunk_interval(p.timechange), 257)
     vals = h(grid)
     left, right = vals[:-1], vals[1:]

@@ -43,10 +43,6 @@ class FourCoeffs:
     def as_array(self) -> np.ndarray:
         return np.array([self.k0, self.k1, self.k2, self.k3], float)
 
-    def __add__(self, other: "FourCoeffs") -> "FourCoeffs":
-        return FourCoeffs(self.k0 + other.k0, self.k1 + other.k1,
-                          self.k2 + other.k2, self.k3 + other.k3)
-
 
 def eval_seasonal(coeffs: FourCoeffs, t):
     """Evaluate k0 + k1*t + k2*sin(2pi t/365) + k3*cos(2pi t/365) at t (days)."""
@@ -56,10 +52,10 @@ def eval_seasonal(coeffs: FourCoeffs, t):
     return out if out.ndim else float(out)
 
 
-def require_positive(vol: FourCoeffs, horizon: float, margin: float = 1e-9) -> None:
+def require_positive(vol: FourCoeffs, horizon: float) -> None:
     """Check nonnegativity of a volatility function on [0, horizon].
 
-    Validated on a 1-day grid (plus the endpoint) with a numerical margin;
+    Validated on a 1-day grid (plus the endpoint) with a numerical margin of 1e-9;
     sufficient for the smooth annual harmonics used here.  The degenerate
     sigma = 0 (deterministic dynamics) is allowed; genuinely negative dips
     are rejected.
@@ -70,7 +66,7 @@ def require_positive(vol: FourCoeffs, horizon: float, margin: float = 1e-9) -> N
     if grid[-1] < horizon:
         grid = np.append(grid, horizon)
     vals = eval_seasonal(vol, grid)
-    if np.min(vals) < -margin:
+    if np.min(vals) < -1e-9:
         tbad = float(grid[int(np.argmin(vals))])
         raise DomainError(
             f"volatility negative on [0, {horizon}]: sigma({tbad}) = {np.min(vals):.6g}"

@@ -100,11 +100,11 @@ def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: flo
     return float(np.sum(np.log(dens)))
 
 
-def leg_value(charfun_at, grid: CosGrid, strike: float, kind: str, terms: int) -> float:
-    """Undiscounted expectation of one payoff leg ('call' or 'put') from
+def leg_value(charfun_at, grid: CosGrid, strike: float, call: bool, terms: int) -> float:
+    """Undiscounted expectation of one payoff leg (the call, or else the put) from
     `terms` + 1 cosine coefficients."""
     coeffs = cos_coefficients(charfun_at, grid, terms)
-    return float(np.sum(_leg_terms(coeffs, grid, strike, kind)))
+    return float(np.sum(_leg_terms(coeffs, grid, strike, call)))
 
 
 def day_kernel(p, horizon_T: int, mode: str = "exact_kernel") -> np.ndarray:
@@ -130,8 +130,8 @@ def full_strangle(contract, p, theta: float, grid: CosGrid) -> tuple[float, floa
     of `full_charfun_cat`, each leg summed over its n + 1 and n // 2 + 1 terms."""
     charfun_at = lambda u: full_charfun_cat(u, p, theta, contract.horizon_T)
     coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
-    call = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, "call")
-    put = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, "put")
+    call = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, call=True)
+    put = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, call=False)
 
     def value(n1: int, n2: int) -> float:
         legs = contract.d1 * np.sum(call[: n1 + 1]) + contract.d2 * np.sum(put[: n2 + 1])

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
-                       MarketParams, ModelParams, SimConfig, cat_cumulants,
+                       ModelParams, SimConfig, cat_cumulants,
                        charfun_T, charfun_cat, cumulant_V,
                        density_from_charfun, eval_seasonal,
                        fit_alpha, fit_seasonal, fit_timechange, ingest_csv,
@@ -89,7 +89,7 @@ def test_criterion_02_normalization_and_symmetry():
         p = _random_model(rng)
         thetas = [0.0]
         try:
-            thetas.append(solve_theta(p, MarketParams(r=0.02), 30.0).theta)
+            thetas.append(solve_theta(p, 0.02, 30.0).theta)
         except Exception:
             pass
         for theta in thetas:
@@ -156,7 +156,7 @@ def test_criterion_04_esscher_identity_and_martingale(toronto_like_model):
 
     r = 0.02
     horizon = 90
-    sol = solve_theta(p, MarketParams(r=r), float(horizon))
+    sol = solve_theta(p, r, float(horizon))
     cfg = SimConfig(step=1.0, n_paths=100_000, seed=44)
     _, terminal = simulate_cat(p, cfg, horizon, sol.theta)
     disc = np.exp(-r / 365.0 * horizon) * terminal
@@ -190,7 +190,7 @@ def pricing_pairs():
         horizon = int(rng.choice([30, 90]))
         r = rng.uniform(0.0, 0.05)
         try:
-            theta = solve_theta(p, MarketParams(r=r), float(horizon)).theta
+            theta = solve_theta(p, r, float(horizon)).theta
         except Exception:
             continue
         mean, var = cat_cumulants(p, theta, horizon)
@@ -266,7 +266,7 @@ def test_criterion_07_calibration_recovery():
     for row in paths:
         sf = fit_seasonal(row)
         beta_hits += (sf.ci_low <= beta_eff) & (beta_eff <= sf.ci_high)
-        af = fit_alpha(None, sf)
+        af = fit_alpha(sf)
         alpha_ok += abs(af.alpha - true_alpha) / true_alpha < 0.2
         fits.append((sf, af))
 

@@ -108,24 +108,24 @@ class TestFitAlpha:
     def test_deterministic_decay_exact(self):
         t = np.arange(400, dtype=float)
         stub = types.SimpleNamespace(residuals=np.exp(-0.5 * t))
-        assert fit_alpha(None, stub).alpha == pytest.approx(0.5, abs=1e-9)
+        assert fit_alpha(stub).alpha == pytest.approx(0.5, abs=1e-9)
 
     def test_slow_decay_continuous_limit(self):
         t = np.arange(400, dtype=float)
         stub = types.SimpleNamespace(residuals=0.999**t)
-        assert fit_alpha(None, stub).alpha == pytest.approx(-np.log(0.999), rel=1e-6)
+        assert fit_alpha(stub).alpha == pytest.approx(-np.log(0.999), rel=1e-6)
 
     def test_no_mean_reversion_rejected(self):
         t = np.arange(300, dtype=float)
         with pytest.raises(CalibrationError, match="mean reversion"):
-            fit_alpha(None, types.SimpleNamespace(residuals=1.01**t))
+            fit_alpha(types.SimpleNamespace(residuals=1.01**t))
 
     def test_recovery_on_simulated_model(self):
         times, paths = simulate_paths(RECOVERY_MODEL, SimConfig(step=1.0, n_paths=6, seed=50),
                                       5000.0)
         ok = 0
         for row in paths:
-            fit = fit_alpha(None, fit_seasonal(row))
+            fit = fit_alpha(fit_seasonal(row))
             ok += abs(fit.alpha - 0.25) / 0.25 < 0.2
         assert ok >= 5
 
@@ -189,13 +189,32 @@ class TestCumulantsAndCharfun:
         assert b0 == pytest.approx(b, rel=0.3)
         assert mu0 == pytest.approx(mu1, rel=0.4)
 
+    @pytest.mark.parametrize("a, b, mu1, alpha", [(1.5, 1.0, 0.2, 0.25), (0.7, 2.0, -0.5, 0.05),
+                                                  (4.0, 0.3, 0.1, 1e-8), (1.0, 1.0, 0.8, 0.6)])
+    def test_mom_init_reproduces_sample_cumulants(self, a, b, mu1, alpha):
+        """For a skewed sample with R = k3^2 / (k2 k4) < 2/3 the seed is exact: its
+        V cumulants are the sample's (k2, k3, k4), kernel weights folded out."""
+        rng = np.random.default_rng(7)
+        r = rng.gamma(a, 1 / b, 20_000)
+        v = mu1 * r + np.sqrt(r) * rng.standard_normal(r.size)
+        v -= np.mean(v)
+        m2, m3, m4 = (np.mean(v**j) for j in (2, 3, 4))
+        k2, k3, k4 = (m2 / kernel_weight(alpha, 2), m3 / kernel_weight(alpha, 3),
+                      (m4 - 3.0 * m2 * m2) / kernel_weight(alpha, 4))
+        assert 0.0 < k3 * k3 / (k2 * k4) < 2.0 / 3.0
+        seed = _mom_init(v, alpha)
+        assert seed[2] != 0.0
+        got = v_cumulants(GammaTimeChange(*seed))[1:]
+        assert got == pytest.approx((k2, k3, k4), rel=1e-12)
+
     def test_mom_init_gaussian_series_seeds_inside_the_box(self):
-        """Seasonal sine plus N(0, 2) noise: the inversion diverges, so the seed is
-        the symmetric member, and the constant fit ends below the 1e6 penalty."""
+        """Seasonal sine plus N(0, 2) noise: the floored fourth cumulant puts R far
+        above 2/3, so the seed is the symmetric member, and the constant fit ends
+        below the 1e6 penalty."""
         rng = np.random.default_rng(99)
         days = np.arange(700)
         fit = fit_seasonal(8 + 6 * np.sin(2 * np.pi * days / 365) + rng.normal(0, 2, 700))
-        alpha = fit_alpha(None, fit).alpha
+        alpha = fit_alpha(fit).alpha
         tf = fit_timechange(fit.residuals, alpha=alpha, vol_shape="constant")
         a0, b0, mu0 = tf.init
         assert mu0 == 0.0 and abs(np.log(a0)) <= 25 and abs(np.log(b0)) <= 25
@@ -213,7 +232,7 @@ def recovery_runs():
     runs = []
     for row in paths:
         fit = fit_seasonal(row)
-        alpha = fit_alpha(None, fit).alpha
+        alpha = fit_alpha(fit).alpha
         runs.append((fit.residuals, alpha))
     return runs
 
@@ -263,11 +282,6 @@ class TestFitTimechange:
         tf_neg = fit_timechange(-resid, alpha=alpha, vol_shape="constant")
         assert tf_pos.mu1 > 0 and tf_neg.mu1 < 0
 
-    def test_user_init(self, recovery_runs):
-        resid, alpha = recovery_runs[7]
-        tf = fit_timechange(resid, init=(1.5, 1.0, 0.2), alpha=alpha, vol_shape="constant")
-        assert abs(tf.a - 1.5) / 1.5 < 0.25
-
     def test_too_few_innovations(self):
         with pytest.raises(CalibrationError, match="500"):
             fit_timechange(np.ones(100), alpha=0.2)
@@ -282,20 +296,13 @@ class TestFitTimechange:
         with pytest.raises(CalibrationError, match="positive variance"):
             fit_timechange(np.zeros(1000), alpha=0.2, vol_shape=vol_shape)
 
-    @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
-    def test_constant_series_rejected_with_explicit_seed(self, vol_shape):
-        """An explicit seed skips the moment seed; the series still has no clock to fit."""
-        with pytest.raises(CalibrationError, match="positive variance"):
-            fit_timechange(np.zeros(1000), alpha=0.2, init=(1.5, 1.0, 0.3),
-                           vol_shape=vol_shape)
-
     def test_seasonal_vol_profile_recovered(self):
         p = ModelParams(alpha=0.25, t0=-5.0, seasonal=FourCoeffs(8.0, 0.0008, -6.0, -13.0),
                         vol=FourCoeffs(2.0, 0.0, 0.4, 0.8),
                         timechange=GammaTimeChange(1.5, 1.0, 0.2), horizon=10_001.0)
         _, paths = simulate_paths(p, SimConfig(step=1.0, n_paths=1, seed=555), 10_000.0)
         fit = fit_seasonal(paths[0])
-        alpha = fit_alpha(None, fit).alpha
+        alpha = fit_alpha(fit).alpha
         tf = fit_timechange(fit.residuals, alpha=alpha, vol_shape="seasonal")
         t = np.arange(0.0, 365.0)
         true_sigma = eval_seasonal(p.vol, t)
@@ -346,7 +353,7 @@ class TestOneSolve:
         interior = 0
         for row in paths:
             fit = fit_seasonal(row)
-            alpha = fit_alpha(None, fit).alpha
+            alpha = fit_alpha(fit).alpha
             ref = two_stage_fit(fit.residuals, alpha)
             if ref.at_bound:
                 continue
@@ -576,7 +583,7 @@ class TestLogLikelihood:
         wins = 0
         for row in paths:
             fit = fit_seasonal(row)
-            alpha = fit_alpha(None, fit).alpha
+            alpha = fit_alpha(fit).alpha
             eps = innovations(fit.residuals, alpha)
             eps = eps - np.mean(eps)
             at_truth = log_likelihood(eps, 1.5, 1.0, 0.2, alpha)

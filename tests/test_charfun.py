@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
 
-from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams, ModelParams,
+from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, ModelParams,
                        a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
                        empirical_charfun, laplace_exponent_gamma, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
@@ -133,7 +133,7 @@ class TestKernelRule:
     def test_charfun_cat_against_quad_vec_at_cos_frequencies(self, toronto_like_model,
                                                               horizon_T):
         p = toronto_like_model
-        theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+        theta = solve_theta(p, 0.02, float(horizon_T)).theta
         mean, var = cat_cumulants(p, theta, horizon_T)
         b1, b2 = truncation_bounds(mean, var, 10.0)
         u = np.arange(257) * np.pi / (b2 - b1)
@@ -340,7 +340,7 @@ class TestFloor:
         rng = np.random.default_rng(horizon_T)
         for seed in range(6):
             p = random_model(np.random.default_rng(seed))
-            theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+            theta = solve_theta(p, 0.02, float(horizon_T)).theta
             mean, var = cat_cumulants(p, theta, horizon_T)
             b1, b2 = truncation_bounds(mean, var, 10.0)
             u = np.arange(257) * np.pi / (b2 - b1)
@@ -478,7 +478,7 @@ class TestCatCumulants:
         for _ in range(4):
             p = random_model(rng)
             tc = p.timechange
-            theta = solve_theta(p, MarketParams(r=rng.uniform(0.0, 0.05)),
+            theta = solve_theta(p, rng.uniform(0.0, 0.05),
                                 float(horizon_T)).theta
             mean, var = cat_cumulants(p, theta, horizon_T)
             a1_theta = float(a1(theta, tc))

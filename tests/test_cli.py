@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_kde, simulate_csv_lines
-from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange, MarketParams,
+from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, cat_cumulants, cli, cos_coefficients,
                        price_strangle, simulate_paths, solve_theta, truncation_bounds)
 from tempderiv.cli import build_parser, main
@@ -178,7 +178,7 @@ class TestPrice:
                             timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
         contract = ContractSpec(horizon_T=30, k1_strike=330.0, k2_strike=250.0,
                                 d1=1.0, d2=1.0, rate_r=0.02)
-        theta = solve_theta(model, MarketParams(r=0.02), 30.0).theta
+        theta = solve_theta(model, 0.02, 30.0).theta
         b1, b2 = truncation_bounds(*cat_cumulants(model, theta, 30), 10.0)
         for n, got in ((256, payload["price"]),
                        (128, payload["convergence"]["price_half_terms"])):

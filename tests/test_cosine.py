@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from tempderiv import (ContractSpec, CosGrid, DomainError, MarketParams, PricingWarning,
+from tempderiv import (ContractSpec, CosGrid, DomainError, PricingWarning,
                        SimConfig, cat_cumulants, charfun_cat, cos_coefficients,
                        density_from_charfun, mc_price_cat, price_strangle, solve_theta,
                        truncation_bounds)
@@ -84,27 +84,29 @@ class TestPayoffCosIntegrals:
 
 class TestLegValue:
     def test_empty_support_call(self):
-        with pytest.warns(PricingWarning):
-            assert leg_value(gauss_cf, GAUSS_GRID, 12.0, "call", 64) == 0.0
+        with pytest.warns(PricingWarning, match="call strike 12.0 at or above b2=10.0: empty "
+                                                "payoff support, leg = 0"):
+            assert leg_value(gauss_cf, GAUSS_GRID, 12.0, call=True, terms=64) == 0.0
 
     def test_empty_support_put(self):
-        with pytest.warns(PricingWarning):
-            assert leg_value(gauss_cf, GAUSS_GRID, -12.0, "put", 64) == 0.0
+        with pytest.warns(PricingWarning, match="put strike -12.0 at or below b1=-10.0: empty "
+                                                "payoff support, leg = 0"):
+            assert leg_value(gauss_cf, GAUSS_GRID, -12.0, call=False, terms=64) == 0.0
 
     def test_gaussian_call_at_the_money(self):
         # E[X^+] for a standard normal
-        got = leg_value(gauss_cf, GAUSS_GRID, 0.0, "call", 256)
+        got = leg_value(gauss_cf, GAUSS_GRID, 0.0, call=True, terms=256)
         assert got == pytest.approx(INV_SQRT_2PI, abs=1e-6)
 
     def test_put_call_parity(self):
         for strike in (-0.7, 0.0, 1.3):
-            call = leg_value(gauss_cf, GAUSS_GRID, strike, "call", 256)
-            put = leg_value(gauss_cf, GAUSS_GRID, strike, "put", 256)
+            call = leg_value(gauss_cf, GAUSS_GRID, strike, call=True, terms=256)
+            put = leg_value(gauss_cf, GAUSS_GRID, strike, call=False, terms=256)
             assert call - put == pytest.approx(0.0 - strike, abs=1e-6)
 
     def test_leg_matches_density_quadrature(self):
         strike = 0.4
-        call = leg_value(gauss_cf, GAUSS_GRID, strike, "call", 256)
+        call = leg_value(gauss_cf, GAUSS_GRID, strike, call=True, terms=256)
         oracle = quad(lambda x: (x - strike) * density_from_charfun(gauss_cf, GAUSS_GRID, x, 256),
                       strike, GAUSS_GRID.b2, epsabs=1e-12, limit=400)[0]
         assert call == pytest.approx(oracle, abs=1e-8)
@@ -174,7 +176,7 @@ class TestPriceStrangle:
 
     def test_spectral_convergence(self, toronto_like_model, contract):
         p = toronto_like_model
-        theta = solve_theta(p, MarketParams(r=contract.rate_r), 60.0).theta
+        theta = solve_theta(p, contract.rate_r, 60.0).theta
         g256 = auto_grid(p, theta, 60, n=256)
         g512 = auto_grid(p, theta, 60, n=512)
         p256 = price_strangle(contract, p, theta, g256).price
@@ -184,7 +186,7 @@ class TestPriceStrangle:
     def test_half_term_quote_is_the_half_grid_price(self, toronto_like_model, contract):
         """One charfun evaluation gives the price and the n // 2-term check."""
         p = toronto_like_model
-        theta = solve_theta(p, MarketParams(r=contract.rate_r), 60.0).theta
+        theta = solve_theta(p, contract.rate_r, 60.0).theta
         grid = auto_grid(p, theta, 60)
         quote = price_strangle(contract, p, theta, grid)
         half = price_strangle(contract, p, theta, CosGrid(grid.b1, grid.b2, 128, 128))
@@ -199,7 +201,7 @@ class TestPriceStrangle:
 
     def test_interval_widening_stable(self, toronto_like_model, contract):
         p = toronto_like_model
-        theta = solve_theta(p, MarketParams(r=contract.rate_r), 60.0).theta
+        theta = solve_theta(p, contract.rate_r, 60.0).theta
         p10 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=10.0)).price
         p12 = price_strangle(contract, p, theta, auto_grid(p, theta, 60, l_mult=12.0)).price
         assert abs(p12 - p10) / abs(p10) < 1e-6
@@ -236,7 +238,7 @@ class TestLiveTerms:
     @pytest.mark.parametrize("horizon_T", [1, 2, 5, 10, 30, 90, 365, 730])
     def test_readme_model_equals_full_evaluation(self, horizon_T):
         p = README_MODEL
-        theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+        theta = solve_theta(p, 0.02, float(horizon_T)).theta
         grids = [(256, 256), (256, 160), (96, 256)]
         quotes = self.check(p, theta, horizon_T, grids)
         for quote, (n1, n2) in zip(quotes, grids):
@@ -253,7 +255,7 @@ class TestLiveTerms:
             p = random_model(np.random.default_rng(seed))
             p = replace(p, t0=p.t0 + 60.0, seasonal=replace(p.seasonal, k0=p.seasonal.k0 + 60.0))
             horizon_T = (1, 5, 30, 90, 365, 730)[seed % 6]
-            theta = solve_theta(p, MarketParams(r=0.02), float(horizon_T)).theta
+            theta = solve_theta(p, 0.02, float(horizon_T)).theta
             self.check(p, theta, horizon_T, [(256, 256), (256, 160)])
 
 

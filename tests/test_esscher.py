@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, MarketParams,
+from tempderiv import (DomainError, FourCoeffs, GammaTimeChange,
                        ModelParams, NoBracketError, SimConfig, charfun_T,
                        cumulant_V, martingale_residual, simulate_cat, solve_theta,
                        transformed_timechange, v_cumulants)
@@ -46,7 +46,7 @@ class TestCumulantVPrime:
                                                  seasonal=FourCoeffs(12.0, 0.0, 0.0, 0.0),
                                                  vol=FourCoeffs(3.0, 0.0, 0.0, 0.0),
                                                  timechange=tc),
-                                MarketParams(r=0.02), 30.0)
+                                0.02, 30.0)
 
 
 class TestTransformedTimechange:
@@ -63,7 +63,7 @@ class TestTransformedTimechange:
 
     def test_charfun_consistency_at_solved_tilt(self, toronto_like_model):
         p = toronto_like_model
-        theta = solve_theta(p, MarketParams(r=0.02), 60.0).theta
+        theta = solve_theta(p, 0.02, 60.0).theta
         tc_q = transformed_timechange(p.timechange, theta)
         p_q = ModelParams(alpha=p.alpha, t0=p.t0, seasonal=p.seasonal, vol=p.vol,
                           timechange=tc_q)
@@ -74,17 +74,15 @@ class TestTransformedTimechange:
 
 class TestMartingaleResidual:
     def test_zero_at_solution(self, toronto_like_model):
-        mkt = MarketParams(r=0.02)
-        sol = solve_theta(toronto_like_model, mkt, 90.0)
-        assert abs(martingale_residual(sol.theta, toronto_like_model, mkt, 90.0)) < 1e-10
+        sol = solve_theta(toronto_like_model, 0.02, 90.0)
+        assert abs(martingale_residual(sol.theta, toronto_like_model, 0.02, 90.0)) < 1e-10
 
     def test_continuous_on_admissible_interval(self, toronto_like_model):
         p = toronto_like_model
-        mkt = MarketParams(r=0.03)
         lo, hi = esscher_interval(p.timechange)
         width = hi - lo
         grid = np.linspace(lo + 1e-4 * width, hi - 1e-4 * width, 1024)
-        vals = np.array([martingale_residual(t, p, mkt, 60.0) for t in grid])
+        vals = np.array([martingale_residual(t, p, 0.03, 60.0) for t in grid])
         assert np.all(np.isfinite(vals))
 
     def test_large_alpha_t_no_overflow(self, toronto_like_model):
@@ -93,21 +91,20 @@ class TestMartingaleResidual:
                         vol=toronto_like_model.vol,
                         timechange=toronto_like_model.timechange)
         # alpha * T = 730 would overflow e^{alpha T}; the decayed form must not
-        val = martingale_residual(0.1, p, MarketParams(r=0.02), 365.0)
+        val = martingale_residual(0.1, p, 0.02, 365.0)
         assert np.isfinite(val)
 
 
 class TestSolveTheta:
     def test_residual_contract(self, toronto_like_model):
-        sol = solve_theta(toronto_like_model, MarketParams(r=0.02), 90.0)
+        sol = solve_theta(toronto_like_model, 0.02, 90.0)
         assert abs(sol.residual) < 1e-10
         lo, hi = esscher_interval(toronto_like_model.timechange)
         assert lo < sol.theta < hi
-        assert float(sol) == sol.theta
 
     def test_rate_sensitivity(self, toronto_like_model):
-        base = solve_theta(toronto_like_model, MarketParams(r=0.02), 90.0)
-        bumped = solve_theta(toronto_like_model, MarketParams(r=0.022), 90.0)
+        base = solve_theta(toronto_like_model, 0.02, 90.0)
+        bumped = solve_theta(toronto_like_model, 0.022, 90.0)
         assert abs(bumped.theta - base.theta) > 0.0
 
     def test_no_bracket_reported(self):
@@ -116,13 +113,13 @@ class TestSolveTheta:
         p = ModelParams(alpha=0.3, t0=3000.0, seasonal=FourCoeffs(0.0, 0, 0, 0),
                         vol=FourCoeffs(1e-6, 0, 0, 0), timechange=GammaTimeChange(1.0, 1.0, 0.0))
         with pytest.raises(NoBracketError):
-            solve_theta(p, MarketParams(r=0.0), 30.0)
+            solve_theta(p, 0.0, 30.0)
 
     def test_martingale_by_monte_carlo(self, toronto_like_model):
         p = toronto_like_model
         r = 0.02
         horizon = 60
-        sol = solve_theta(p, MarketParams(r=r), float(horizon))
+        sol = solve_theta(p, r, float(horizon))
         cfg = SimConfig(step=1.0, n_paths=40_000, seed=3)
         _, terminal = simulate_cat(p, cfg, horizon, sol.theta)
         disc = np.exp(-r / 365.0 * horizon) * terminal
@@ -133,7 +130,7 @@ class TestSolveTheta:
         rng = np.random.default_rng(31)
         for _ in range(8):
             p = random_model(rng)
-            sol = solve_theta(p, MarketParams(r=rng.uniform(0.0, 0.05)), 45.0)
+            sol = solve_theta(p, rng.uniform(0.0, 0.05), 45.0)
             assert abs(sol.residual) < 1e-10
 
 
@@ -142,24 +139,24 @@ class TestEq12Variant:
     model = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008, -5.9, -4.0),
                         vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
                         timechange=GammaTimeChange(a=1.5, b=1.0, mu1=0.3))
-    market = MarketParams(r=0.02)
+    rate = 0.02
 
     @pytest.mark.parametrize("horizon", [30.0, 45.0])
     def test_root_inside_interval_with_zero_residual(self, horizon):
-        root = eq12_variant_theta(self.model, self.market, horizon)
+        root = eq12_variant_theta(self.model, self.rate, horizon)
         lo, hi = _shrunk_interval(self.model.timechange)
         assert lo < root < hi
-        assert abs(_eq12_variant(self.model, self.market, horizon)(root)) < 1e-6
-        theta = solve_theta(self.model, self.market, horizon).theta
+        assert abs(_eq12_variant(self.model, self.rate, horizon)(root)) < 1e-6
+        theta = solve_theta(self.model, self.rate, horizon).theta
         assert abs(root - theta) > 1.0  # not the pricing tilt
 
     def test_no_root_at_one_year(self):
-        assert eq12_variant_theta(self.model, self.market, 365.0) is None
+        assert eq12_variant_theta(self.model, self.rate, 365.0) is None
 
 
-def brent_variant_roots(p, m, horizon):
+def brent_variant_roots(p, rate, horizon):
     """The printed variant's roots by Brent on every sign change of the 257-node scan."""
-    variant = _eq12_variant(p, m, horizon)
+    variant = _eq12_variant(p, rate, horizon)
     h = lambda t: float(variant(t))
     grid = np.linspace(*_shrunk_interval(p.timechange), 257)
     vals = variant(grid)
@@ -174,9 +171,9 @@ def test_eq12_variant_roots_match_brent():
     found = 0
     for _ in range(60):
         p = random_model(rng)
-        m, horizon = MarketParams(r=rng.uniform(0.0, 0.05)), float(rng.uniform(7.0, 90.0))
-        roots = brent_variant_roots(p, m, horizon)
-        got = eq12_variant_theta(p, m, horizon)
+        rate, horizon = rng.uniform(0.0, 0.05), float(rng.uniform(7.0, 90.0))
+        roots = brent_variant_roots(p, rate, horizon)
+        got = eq12_variant_theta(p, rate, horizon)
         if not roots:
             assert got is None
             continue
@@ -186,7 +183,11 @@ def test_eq12_variant_roots_match_brent():
     assert found >= 10  # both cases are exercised
 
 
-class TestMarketParams:
-    def test_rejects_negative_rate(self):
-        with pytest.raises(DomainError):
-            MarketParams(r=-0.01)
+class TestRate:
+    def test_rejects_negative_rate(self, toronto_like_model):
+        with pytest.raises(DomainError, match="interest rate"):
+            solve_theta(toronto_like_model, -0.01, 30.0)
+        with pytest.raises(DomainError, match="interest rate"):
+            martingale_residual(0.0, toronto_like_model, -0.01, 30.0)
+        with pytest.raises(DomainError, match="interest rate"):
+            eq12_variant_theta(toronto_like_model, -0.01, 30.0)

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from tempderiv import (CosGrid, MarketParams, a1, cat_cumulants, charfun_T, charfun_cat,
+from tempderiv import (CosGrid, a1, cat_cumulants, charfun_T, charfun_cat,
                        cumulant_V, innovation_charfun, k1, martingale_residual,
                        solve_theta, transformed_timechange, truncation_bounds, v_cumulants)
 from tempderiv.charfun import UNIT_NODES, esscher_interval, tilted_exponent_sum
@@ -128,7 +128,7 @@ def test_log_argument_real_part_at_least_one(seed, frac, y):
 def test_martingale_condition(seed, r, horizon_T):
     """E_theta*[T_T] = det_mean(T) + l_V'(theta*) k1(T, alpha, vol) = e^{rT/365} T0."""
     p = random_model(np.random.default_rng(seed))
-    theta = solve_theta(p, MarketParams(r=r), float(horizon_T)).theta
+    theta = solve_theta(p, r, float(horizon_T)).theta
     det = p.det_mean(horizon_T)
     l_prime = v_cumulants(transformed_timechange(p.timechange, theta))[0]
     noise = l_prime * k1(horizon_T, p.alpha, p.vol)
@@ -142,12 +142,11 @@ def test_martingale_condition(seed, r, horizon_T):
 def test_tilt_root_matches_brent(seed, r, horizon_T):
     """The closed-form root against Brent on the whole admissible interval."""
     p = random_model(np.random.default_rng(seed))
-    mkt = MarketParams(r=r)
     lo, hi = esscher_interval(p.timechange)
     edge = 1e-12 * (hi - lo)
-    oracle = optimize.brentq(lambda t: martingale_residual(t, p, mkt, float(horizon_T)),
+    oracle = optimize.brentq(lambda t: martingale_residual(t, p, r, float(horizon_T)),
                              lo + edge, hi - edge, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
-    assert abs(solve_theta(p, mkt, float(horizon_T)).theta - oracle) <= 1e-12
+    assert abs(solve_theta(p, r, float(horizon_T)).theta - oracle) <= 1e-12
 
 
 @PROPERTY
@@ -159,12 +158,12 @@ def test_put_call_parity(seed, r, horizon_T, z):
     at T = 30 (2.4e-10 sd at worst in 1500 draws).
     """
     p = random_model(np.random.default_rng(seed))
-    theta = solve_theta(p, MarketParams(r=r), float(horizon_T)).theta
+    theta = solve_theta(p, r, float(horizon_T)).theta
     mean, var = cat_cumulants(p, theta, horizon_T)
     grid = CosGrid(*truncation_bounds(mean, var, 10.0), 256, 256)
     strike = mean + z * np.sqrt(var)
     disc = np.exp(-r * horizon_T / 365.0)
     phi = lambda u: charfun_cat(u, p, theta, horizon_T)
-    call = disc * leg_value(phi, grid, strike, "call", 256)
-    put = disc * leg_value(phi, grid, strike, "put", 256)
+    call = disc * leg_value(phi, grid, strike, call=True, terms=256)
+    put = disc * leg_value(phi, grid, strike, call=False, terms=256)
     assert abs(call - put - disc * (mean - strike)) <= 1e-9 * np.sqrt(var)

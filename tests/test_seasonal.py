@@ -97,7 +97,8 @@ class TestK1:
             v = FourCoeffs(*rng.uniform(-4, 4, 4))
             alpha = rng.uniform(0.01, 2.0)
             t = rng.uniform(0.0, 730.0)
-            assert k1(t, alpha, u + v) == pytest.approx(
+            u_plus_v = FourCoeffs(*(u.as_array() + v.as_array()))
+            assert k1(t, alpha, u_plus_v) == pytest.approx(
                 k1(t, alpha, u) + k1(t, alpha, v), abs=1e-12 * (1 + abs(k1(t, alpha, u))))
 
 
