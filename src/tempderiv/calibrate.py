@@ -367,7 +367,7 @@ def _least_squares(residuals, jacobian, x0: np.ndarray):
     return res.x, 2.0 * float(res.cost), (int(res.status), *calls)
 
 
-def fit_timechange(residuals: np.ndarray, alpha: float = None,
+def fit_timechange(residuals: np.ndarray, alpha: float,
                    vol_shape: str = "constant") -> TimeChangeFit:
     """Estimate the Gamma time change (a, b, mu1) and the volatility shape
     in one Levenberg-Marquardt solve with the closed-form Jacobian.
@@ -383,7 +383,7 @@ def fit_timechange(residuals: np.ndarray, alpha: float = None,
     CalibrationError is raised for innovations without variance and for a
     solve that does not converge.
     """
-    if alpha is None or not alpha > 0:
+    if not alpha > 0:
         raise CalibrationError("fit_timechange requires a positive alpha estimate")
     if vol_shape not in ("constant", "seasonal"):
         raise CalibrationError(f"unknown vol_shape {vol_shape!r}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import _kolmogorov_sf, _norm_cdf
 from .errors import DomainError, IngestError
 
 KS_CRITICAL_COEFF = 1.3581  # 5% asymptotic Kolmogorov-Smirnov coefficient
@@ -304,17 +305,13 @@ def summary_stats(series) -> SummaryStats:
 
 def _ks_distance(x: np.ndarray) -> float:
     """sup |F_n - Phi| for the sample x: the largest gap at its order statistics."""
-    from scipy import special
-
-    cdf = special.ndtr(np.sort(x))
+    cdf = _norm_cdf(np.sort(x))
     steps = np.arange(cdf.size + 1) / cdf.size  # F_n from 0 to 1
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 
 
 def ks_normality(series) -> KsResult:
     """Kolmogorov-Smirnov goodness-of-fit against the normal distribution."""
-    from scipy import special
-
     x = _as_values(series)
     n = x.size
     if n < 30:
@@ -326,6 +323,6 @@ def ks_normality(series) -> KsResult:
     return KsResult(
         statistic=d_raw,
         critical_value=float(KS_CRITICAL_COEFF / root_n),
-        p_value=float(special.kolmogorov(root_n * d_raw)),
+        p_value=float(_kolmogorov_sf(root_n * d_raw)),
         statistic_standardized=d_std,
     )

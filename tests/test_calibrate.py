@@ -226,8 +226,8 @@ class TestCumulantsAndCharfun:
 
 @pytest.fixture(scope="module")
 def recovery_runs():
-    """Eight independent 10k-day trajectories of the recovery model, pre-fitted."""
-    _, paths = simulate_paths(RECOVERY_MODEL, SimConfig(step=1.0, n_paths=8, seed=100),
+    """Seven independent 10k-day trajectories of the recovery model, pre-fitted."""
+    _, paths = simulate_paths(RECOVERY_MODEL, SimConfig(step=1.0, n_paths=7, seed=100),
                               10_000.0)
     runs = []
     for row in paths:
@@ -287,8 +287,11 @@ class TestFitTimechange:
             fit_timechange(np.ones(100), alpha=0.2)
 
     def test_requires_alpha(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(TypeError):
             fit_timechange(np.ones(1000))
+        for alpha in (0.0, -1.0, float("nan")):
+            with pytest.raises(CalibrationError, match="positive alpha"):
+                fit_timechange(np.ones(1000), alpha)
 
     @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
     def test_constant_series_rejected(self, vol_shape):

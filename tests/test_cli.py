@@ -878,25 +878,18 @@ def test_library_never_imports_scipy_integrate():
     assert offenders == []
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, tempderiv.cli; print('scipy.stats' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
-
-
 def test_pricing_commands_load_no_scipy_until_fit(price_config, sim_config, fit_csv, tmp_path):
-    """price (with its printed-variant root and --mc), simulate and density run on numpy
-    alone; the first fit then loads scipy.optimize, so SciPy is deferred, not dropped."""
+    """price (with its printed-variant root and --mc), simulate, density and stats run
+    on numpy alone; the first fit then loads scipy.optimize, so SciPy is deferred, not
+    dropped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     price_out = tmp_path / "report.json"
     runs = [["price", "--config", price_config, "--mc", "--paths", "2000",
              "--out", str(price_out)],
             ["simulate", "--config", sim_config, "--out", str(tmp_path / "paths.csv")],
-            ["density", "--config", price_config, "--out", str(tmp_path / "density.csv")]]
+            ["density", "--config", price_config, "--out", str(tmp_path / "density.csv")],
+            ["stats", fit_csv, "--out", str(tmp_path / "stats.json")]]
     code = (
         "import sys\n"
         "from tempderiv.cli import main\n"

@@ -3,11 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from helpers import fill_missing_loop
 from tempderiv import (DomainError, IngestError, data, ingest_csv, ks_normality,
                        summary_stats)
+from tempderiv._normal import _kolmogorov_sf, _norm_cdf
 
 
 def csv_from(rows, header="date,tavg"):
@@ -347,5 +348,27 @@ class TestKsNormality:
         x[::7] = np.round(x[::7], 1)  # ties, as in data recorded to 0.1 degree
         res = ks_normality(x)
         z = (x - np.mean(x)) / np.std(x, ddof=1)
-        assert res.statistic == stats.kstest(x, "norm").statistic
-        assert res.statistic_standardized == stats.kstest(z, "norm").statistic
+        for sample, got in ((x, res.statistic), (z, res.statistic_standardized)):
+            # SciPy's KS code on the package's Phi gives the same statistic, bit for bit
+            assert got == stats.kstest(sample, _norm_cdf).statistic
+            # against SciPy's own Phi: D moves by no more than Phi does at the sample
+            gap = np.max(np.abs(_norm_cdf(sample) - special.ndtr(sample)))
+            assert abs(got - stats.kstest(sample, "norm").statistic) <= gap
+
+
+class TestKolmogorovSf:
+    def test_against_scipy(self):
+        """Both series, either side of their switch at x = 1, within 1e-13 of SciPy."""
+        x = np.concatenate([np.linspace(0.05, 6.0, 2001), 1.0 + np.array([-1e-6, 0.0, 1e-6]),
+                            np.nextafter(1.0, [0.0, 2.0])])
+        got = np.array([_kolmogorov_sf(v) for v in x])
+        want = special.kolmogorov(x)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert _kolmogorov_sf(0.05) == 1.0
+
+    def test_underflows_to_zero_with_scipy(self):
+        x = np.linspace(15.0, 25.0, 10_001)
+        got = np.array([_kolmogorov_sf(v) for v in x])
+        want = special.kolmogorov(x)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert want[-1] == 0.0 and want[0] > 0.0

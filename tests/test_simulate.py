@@ -12,8 +12,8 @@ from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
                        simulate_cat, simulate_paths)
 from tempderiv.charfun import cat_cumulants, esscher_interval
 from tempderiv.esscher import transformed_timechange
-from tempderiv.simulate import (D_CAP, _gaussian_call, _norm_cdf, _step_tables,
-                                 block_rng)
+from tempderiv._normal import _norm_cdf
+from tempderiv.simulate import D_CAP, _gaussian_call, _step_tables, block_rng
 
 from conftest import README_MODEL, random_model
 
