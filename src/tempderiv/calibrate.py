@@ -37,7 +37,7 @@ import numpy as np
 
 from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, tilted_exponent_sum,
                       transformed_timechange)
-from .data import DailySeries
+from .data import _as_values
 from .errors import CalibrationError
 from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
 
@@ -82,9 +82,9 @@ class AlphaFit:
 class TimeChangeFit:
     """Time-change fit with its Levenberg-Marquardt status and call counts.
 
-    `converged` is the solver's verdict (status > 0); `at_bound` names
-    the parameters that end on the search box's wall, where the distance
-    still falls outward and the fit is no interior optimum.
+    `at_bound` names the parameters that end on the search box's wall,
+    where the distance still falls outward and the fit is no interior
+    optimum; `converged` is a positive status at an interior optimum.
     """
 
     a: float
@@ -99,7 +99,7 @@ class TimeChangeFit:
 
     @property
     def converged(self) -> bool:
-        return self.status > 0
+        return self.status > 0 and not self.at_bound
 
     @property
     def at_bound(self) -> list[str]:
@@ -117,7 +117,7 @@ def fit_seasonal(series) -> FitReport:
     """OLS of daily values on [1, t, sin(2pi t/365), cos(2pi t/365)]."""
     from scipy import special
 
-    y = series.values if isinstance(series, DailySeries) else np.asarray(series, float)
+    y = _as_values(series)
     t = np.arange(y.size)
     n = y.size
     if n <= 4:

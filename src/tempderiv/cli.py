@@ -343,7 +343,7 @@ def cmd_fit(args) -> int:
         "timechange": {"a": tch.a, "b": tch.b, "mu1": tch.mu1,
                        "vol": tch.vol.as_array(), "objective": tch.objective,
                        "init": list(tch.init), "vol_shape": args.vol_shape,
-                       "converged": tch.converged and not tch.at_bound,
+                       "converged": tch.converged,
                        "at_bound": tch.at_bound, "status": tch.status,
                        "nfev": tch.nfev, "njev": tch.njev},
     }
@@ -455,15 +455,15 @@ def cmd_density(args) -> int:
 def cmd_stats(args) -> int:
     series = ingest_csv(args.csv)
     described = _describe(series)
-    x = series.values
+    summary = described["summary"]
+    x, sd = series.values, summary["std"]
     n = x.size
     n_bins = max(1, int(np.ceil(np.log2(n))) + 1)  # Sturges
     counts, edges = np.histogram(x, bins=n_bins)
-    sd = np.std(x, ddof=1)
     iqr = float(np.subtract(*np.percentile(x, [75, 25])))
     spread = min(sd, iqr / 1.34) or sd  # sd when over half the values tie, as R's bw.nrd0
     bw = 0.9 * spread * n ** (-0.2) if sd > 0 else 1.0  # Silverman
-    grid = np.linspace(float(np.min(x)), float(np.max(x)), 256)
+    grid = np.linspace(summary["min"], summary["max"], 256)
     z = np.subtract.outer(grid, x)  # exp(-((grid - x) / bw)^2 / 2), in place in one buffer
     z /= bw
     np.square(z, out=z)

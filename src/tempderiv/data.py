@@ -89,10 +89,11 @@ class KsResult:
     statistic_standardized: float
 
 
-def _parse_value(txt: str) -> float | None:
+def _parse_value(txt: str) -> float:
+    """The value of a field, NaN where it is empty; ValueError for a non-finite one."""
     txt = txt.strip()
     if not txt:
-        return None
+        return float("nan")
     value = float(txt)
     if not np.isfinite(value):
         raise ValueError(f"non-finite value {txt!r}")
@@ -182,7 +183,13 @@ def _parse_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     in_order = np.sort(ordinals)
     if np.any(in_order[1:] == in_order[:-1]):
         return None
-    return ordinals, columns[0] if n_values == 1 else 0.5 * (columns[0] + columns[1])
+    return ordinals, _daily_average(columns)
+
+
+def _daily_average(columns):
+    """The daily average of a row's or a file's value columns: tavg itself, or
+    the mean of tmax and tmin (NaN, a missing day, where either is NaN)."""
+    return columns[0] if len(columns) == 1 else 0.5 * (columns[0] + columns[1])
 
 
 def _parse_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -191,54 +198,40 @@ def _parse_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     the csv module fails (a quoted field over its size limit, say)."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return _parse_records(reader)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("empty input")
+        n_values = _value_columns(header)
+        if n_values is None:
+            raise IngestError(
+                f"unrecognised header {header!r}; expected date,tmax,tmin or date,tavg"
+            )
+        by_date: dict[dt.date, float] = {}
+        bad: list[tuple[int, str]] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not any(c.strip() for c in row):
+                continue
+            try:
+                date = dt.date.fromisoformat(row[0].strip())
+                # a field past the end of a short row is missing
+                fields = [_parse_value(row[k]) if k < len(row) else float("nan")
+                          for k in range(1, n_values + 1)]
+            except ValueError as exc:
+                bad.append((line_no, str(exc)))
+                continue
+            if date in by_date:
+                bad.append((line_no, f"duplicate date {date.isoformat()}"))
+                continue
+            by_date[date] = _daily_average(fields)
     except csv.Error as exc:
         raise IngestError(f"line {reader.line_num}: {exc}") from exc
-
-
-def _parse_records(reader) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty input") from None
-    n_values = _value_columns(header)
-    if n_values is None:
-        raise IngestError(
-            f"unrecognised header {header!r}; expected date,tmax,tmin or date,tavg"
-        )
-
-    by_date: dict[dt.date, float | None] = {}
-    bad: list[tuple[int, str]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            date = dt.date.fromisoformat(row[0].strip())
-            if n_values == 2:
-                tmax = _parse_value(row[1]) if len(row) > 1 else None
-                tmin = _parse_value(row[2]) if len(row) > 2 else None
-                # the daily average needs both extremes; a lone one is a missing day
-                if tmax is None or tmin is None:
-                    value = None
-                else:
-                    value = 0.5 * (tmax + tmin)
-            else:
-                value = _parse_value(row[1]) if len(row) > 1 else None
-        except (ValueError, IndexError) as exc:
-            bad.append((line_no, str(exc)))
-            continue
-        if date in by_date:
-            bad.append((line_no, f"duplicate date {date.isoformat()}"))
-            continue
-        by_date[date] = value
     if bad:
         listing = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:20])
         raise IngestError(f"{len(bad)} unparseable row(s): {listing}")
     if not by_date:
         raise IngestError("no data rows")
     ordinals = np.array([date.toordinal() for date in by_date], np.int64)
-    values = np.array([np.nan if v is None else v for v in by_date.values()])
-    return ordinals, values
+    return ordinals, np.array(list(by_date.values()))
 
 
 def _check_gaps(missing: np.ndarray, first: dt.date) -> None:
@@ -303,9 +296,10 @@ def summary_stats(series) -> SummaryStats:
                         std=sd, skewness=skew, kurtosis=kurt)
 
 
-def _ks_distance(x: np.ndarray) -> float:
-    """sup |F_n - Phi| for the sample x: the largest gap at its order statistics."""
-    cdf = _norm_cdf(np.sort(x))
+def _ks_distance(ordered: np.ndarray) -> float:
+    """sup |F_n - Phi| for a sample in ascending order: the largest gap at its
+    order statistics."""
+    cdf = _norm_cdf(ordered)
     steps = np.arange(cdf.size + 1) / cdf.size  # F_n from 0 to 1
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 
@@ -316,9 +310,11 @@ def ks_normality(series) -> KsResult:
     n = x.size
     if n < 30:
         raise DomainError(f"KS test requires n >= 30, got {n}")
-    d_raw = _ks_distance(x)
+    ordered = np.sort(x)
+    d_raw = _ks_distance(ordered)
     sd = np.std(x, ddof=1)
-    d_std = _ks_distance((x - np.mean(x)) / sd) if sd > 0 else float("nan")
+    # standardising is increasing and elementwise, so it keeps the order
+    d_std = _ks_distance((ordered - np.mean(x)) / sd) if sd > 0 else float("nan")
     root_n = np.sqrt(n)
     return KsResult(
         statistic=d_raw,

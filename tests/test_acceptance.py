@@ -142,7 +142,10 @@ def test_criterion_04_esscher_identity_and_martingale(toronto_like_model):
     theta = -0.35
     tc_q = transformed_timechange(tc, theta)
     u = np.array([0.3 + 0.1j, -0.6 + 0.4j, 1j * 0.8, 0.5, -0.9])
-    err_tilt = float(np.max(np.abs(cumulant_V(u, tc, theta) - cumulant_V(u, tc_q, 0.0))))
+    # the Esscher identity by its definition: l_V(u + theta) - l_V(theta) is l_V(u)
+    # of the transformed time change
+    tilted = cumulant_V(u + theta, tc) - cumulant_V(theta, tc)
+    err_tilt = float(np.max(np.abs(tilted - cumulant_V(u, tc_q))))
 
     h = 1e-6
     rng = np.random.default_rng(1004)

@@ -1,5 +1,6 @@
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad_vec
 from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, cumulant_V, empirical_charfun, fit_alpha,
                        fit_seasonal,
-                       fit_timechange, innovation_charfun, innovations,
+                       fit_timechange, ingest_csv, innovation_charfun, innovations,
                        simulate_paths, v_cumulants)
 from tempderiv import calibrate
 from tempderiv.calibrate import TimeChangeFit, _mom_init, kernel_weight, seasonal_design
@@ -17,6 +18,8 @@ from tempderiv.seasonal import ANNUAL_OMEGA, eval_seasonal
 
 from conftest import random_model
 from helpers import log_likelihood
+
+DATA = Path(__file__).parent / "data"
 
 
 def synthetic_series(beta, n=2000, noise_sd=3.0, seed=0):
@@ -210,7 +213,7 @@ class TestCumulantsAndCharfun:
     def test_mom_init_gaussian_series_seeds_inside_the_box(self):
         """Seasonal sine plus N(0, 2) noise: the floored fourth cumulant puts R far
         above 2/3, so the seed is the symmetric member, and the constant fit ends
-        below the 1e6 penalty."""
+        below the 1e6 penalty (on the mu1 wall: the series does not identify mu1)."""
         rng = np.random.default_rng(99)
         days = np.arange(700)
         fit = fit_seasonal(8 + 6 * np.sin(2 * np.pi * days / 365) + rng.normal(0, 2, 700))
@@ -221,7 +224,8 @@ class TestCumulantsAndCharfun:
         eps = innovations(fit.residuals, alpha)
         k2 = np.var(eps) / kernel_weight(alpha, 2)
         assert a0 / b0 == pytest.approx(k2, rel=1e-12)  # the sample variance kept
-        assert tf.converged and tf.objective < 1.0
+        # the solver stops normally, but mu1 walks to the box's wall
+        assert tf.status > 0 and tf.objective < 1.0 and tf.at_bound == ["mu1"]
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +302,20 @@ class TestFitTimechange:
         """Zero innovations leave the moment seed undefined: a typed error, not a division."""
         with pytest.raises(CalibrationError, match="positive variance"):
             fit_timechange(np.zeros(1000), alpha=0.2, vol_shape=vol_shape)
+
+    @pytest.mark.parametrize("vol_shape", ["constant", "seasonal"])
+    def test_converged_means_an_interior_optimum(self, vol_shape):
+        """`converged` is a positive status with no parameter on the search box's wall:
+        False for criterion 10's near-Gaussian series, True for the station file."""
+        rng = np.random.default_rng(99)
+        days = np.arange(700)
+        wall = fit_seasonal(8 + 6 * np.sin(2 * np.pi * days / 365) + rng.normal(0, 2, 700))
+        station = fit_seasonal(ingest_csv(DATA / "fit_daily.csv"))
+        fits = [fit_timechange(fit.residuals, alpha=fit_alpha(fit).alpha, vol_shape=vol_shape)
+                for fit in (wall, station)]
+        assert [tf.status > 0 for tf in fits] == [True, True]
+        assert [tf.at_bound for tf in fits] == [["mu1"], []]
+        assert [tf.converged for tf in fits] == [False, True]
 
     def test_seasonal_vol_profile_recovered(self):
         p = ModelParams(alpha=0.25, t0=-5.0, seasonal=FourCoeffs(8.0, 0.0008, -6.0, -13.0),

@@ -196,6 +196,10 @@ class TestPrice:
         alphas = [row["alpha"] for row in payload["alpha_sweep"]]
         assert alphas == [0.15, 0.25, 0.35] and alphas == sorted(alphas)
         assert all("price" in row and "theta" in row for row in payload["alpha_sweep"])
+        # the row at the model's own alpha is the main price, bit for bit
+        at_model = payload["alpha_sweep"][alphas.index(MODEL_CFG["alpha"])]
+        assert at_model["price"] == payload["price"]
+        assert at_model["theta"] == payload["theta"]["theta"]
 
     def test_explicit_cos_bounds(self, tmp_path):
         """cos {b1, b2, n1, n2} prices on exactly that grid, with no automatic bounds; the
