@@ -15,17 +15,15 @@ Library layout:
 from .calibrate import (AlphaFit, FitReport, TimeChangeFit, fit_alpha, fit_seasonal,
                         fit_timechange, innovation_charfun, innovations)
 from .charfun import (GammaTimeChange, ModelParams, a1, cat_cumulants, charfun_T,
-                      charfun_cat, cumulant_V, laplace_exponent_gamma, transformed_timechange,
-                      v_cumulants)
+                      charfun_cat, transformed_timechange, v_cumulants)
 from .cosine import (ContractSpec, CosGrid, PricingWarning, StrangleQuote, cos_coefficients,
                      density_from_charfun, price_strangle, truncation_bounds)
 from .data import DailySeries, KsResult, SummaryStats, ingest_csv, ks_normality, summary_stats
 from .errors import (CalibrationError, DomainError, IngestError, NoBracketError,
                      TempDerivError)
-from .esscher import ThetaSolution, eq12_variant_theta, martingale_residual, solve_theta
+from .esscher import ThetaSolution, martingale_residual, solve_theta
 from .seasonal import FourCoeffs, eval_seasonal, k1, k2
-from .simulate import (SimConfig, empirical_charfun, mc_price_cat, simulate_cat,
-                       simulate_paths)
+from .simulate import SimConfig, mc_price_cat, simulate_cat, simulate_paths
 
 __version__ = "0.1.0"
 
@@ -35,11 +33,10 @@ __all__ = [
     "KsResult", "ModelParams", "NoBracketError", "PricingWarning",
     "SimConfig", "StrangleQuote", "SummaryStats", "TempDerivError",
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
-    "charfun_cat", "cos_coefficients", "cumulant_V",
-    "density_from_charfun", "empirical_charfun", "eq12_variant_theta", "eval_seasonal",
+    "charfun_cat", "cos_coefficients", "density_from_charfun", "eval_seasonal",
     "fit_alpha", "fit_seasonal", "fit_timechange", "ingest_csv",
     "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
-    "laplace_exponent_gamma", "martingale_residual", "mc_price_cat",
+    "martingale_residual", "mc_price_cat",
     "price_strangle", "simulate_cat", "simulate_paths",
     "solve_theta", "summary_stats", "transformed_timechange", "truncation_bounds",
     "v_cumulants",

@@ -247,9 +247,8 @@ def _grid_charfuns(samples) -> np.ndarray:
     CF_GRID is equispaced, u_k = k CF_STEP, so exp(i u_k x) = exp(i CF_STEP x)^k:
     one complex exponential per value, then the powers by repeated
     multiplication.  Each row is np.mean of a C-ordered (u, value) array,
-    the same pairwise sum as `simulate.empirical_charfun` (the columns of a
-    mask, taken from one array of all the values, come out F-ordered and
-    would be summed in sequence).
+    numpy's pairwise sum (the columns of a mask, taken from one array of all
+    the values, come out F-ordered and would be summed in sequence).
     """
     rows = []
     for x in samples:

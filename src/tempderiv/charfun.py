@@ -117,39 +117,6 @@ def esscher_interval(tc: GammaTimeChange) -> tuple[float, float]:
     return (-tc.mu1 - root, -tc.mu1 + root)
 
 
-def _log1p_complex(z: np.ndarray) -> np.ndarray:
-    """Principal-branch log(1+z) for complex z, accurate for small |z|.
-
-    Raises DomainError when 1+z lands on the non-positive real axis.
-    """
-    z = np.asarray(z, complex)
-    w = 1.0 + z
-    if np.any((w.real <= 0.0) & (w.imag == 0.0)):
-        raise DomainError("logarithm argument on the non-positive real axis (branch cut)")
-    den = w - 1.0
-    safe = np.where(den == 0, 1.0, den)
-    return np.where(den == 0, z, z * np.log(w) / safe)
-
-
-def laplace_exponent_gamma(u, tc: GammaTimeChange):
-    """Gamma-subordinator cumulant exponent l_R(u) = -a Log(1 - u/b)."""
-    u = np.asarray(u, complex)
-    out = -tc.a * _log1p_complex(-u / tc.b)
-    return out if out.ndim else complex(out)
-
-
-def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
-    """Cumulant exponent of V under the theta-tilted measure.
-
-    theta = 0 gives l_V(u) = -a Log A1(u); otherwise
-    l_V^theta(u) = l_V(u + theta) - l_V(theta), which is l_V(u) of the
-    transformed time change.
-    """
-    tc = transformed_timechange(tc, theta)
-    u = np.asarray(u, complex)
-    return laplace_exponent_gamma(u * tc.mu1 + 0.5 * u * u, tc)
-
-
 def v_cumulants(tc: GammaTimeChange) -> tuple[float, float, float, float]:
     """Cumulants kappa_1..kappa_4 of V_1 = B_{R_1} + mu1 R_1.
 
@@ -293,29 +260,26 @@ def _panel_rule(n_days: int) -> tuple[np.ndarray, np.ndarray]:
     return days, np.ones(n_days)
 
 
-def _cat_parts(p: ModelParams, horizon_T: int,
-               mode: str) -> tuple[float, np.ndarray, np.ndarray]:
+def _cat_parts(p: ModelParams, horizon_T: int) -> tuple[float, np.ndarray, np.ndarray]:
     """sum_k m_k, the CAT kernel at the unit-rule nodes of each pseudo-day,
     shape (rows, nodes), and the weight of each row.
 
     On day piece [t, t + 1], s = t + x_n, the kernel is sigma_s e^{-alpha(1 - x_n)}
-    times w(t): the geometric sum of g(s), `cat_day_weights` (exact_kernel), or
-    gamma = T - t (product).  The rows are the pseudo-days t of the panels
-    (`_panels`, `_panel_rule`) in ascending order: every day of a panel of at
-    most PANEL_POINTS days or of 17 to 24 days, with weight 1, and PANEL_POINTS
-    Chebyshev points of a longer one.  So for T <= 31 the rows are the days 0..T-1.
+    times w(t), the geometric sum of g(s) (`cat_day_weights`).  The rows are
+    the pseudo-days t of the panels (`_panels`, `_panel_rule`) in ascending
+    order: every day of a panel of at most PANEL_POINTS days or of 17 to 24
+    days, with weight 1, and PANEL_POINTS Chebyshev points of a longer one.
+    So for T <= 31 the rows are the days 0..T-1.
     """
     if horizon_T < 1:
         raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")
-    if mode not in ("exact_kernel", "product"):
-        raise DomainError(f"unknown charfun_cat mode {mode!r}")
     det_sum = float(np.sum(p.det_mean(np.arange(horizon_T, dtype=float) + 1.0)))
     panels = [(start, *_panel_rule(n_days)) for start, n_days in _panels(horizon_T)]
     t = np.concatenate([start + offsets for start, offsets, _ in panels])
     weights = np.concatenate([w for _, _, w in panels])
-    tail = cat_day_weights(p.alpha, horizon_T, t) if mode == "exact_kernel" else horizon_T - t
     s = t[:, None] + UNIT_NODES
-    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * tail[:, None]
+    kern = (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES))
+            * cat_day_weights(p.alpha, horizon_T, t)[:, None])
     return det_sum, kern, weights
 
 
@@ -352,22 +316,16 @@ def _live(kern, u: np.ndarray, tc: GammaTimeChange, pieces) -> np.ndarray:
     return ~(np.abs(u) >= dead.min())
 
 
-def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
-                mode: str = "exact_kernel"):
+def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30):
     """Characteristic function of the cumulated temperature xi = sum_{k=1}^T T_k.
 
-    mode='exact_kernel' (default) exchanges the day sum with the stochastic
-    integral: xi = sum_k m_k + int_0^T sigma_s g(s) dV_s with
+    The day sum is exchanged with the stochastic integral:
+    xi = sum_k m_k + int_0^T sigma_s g(s) dV_s with
     g(s) = sum_{k>=ceil(s)} e^{-alpha(k-s)} (closed geometric sum), an exact
     evaluation; the integrand is smooth on each day piece and integrated
     piecewise.  The day pieces are summed on the graded panels of
     `_cat_parts`: to rounding of the day-by-day sum, with 127 rows instead of
     365 at T = 365, and day by day for T <= 31.
-
-    mode='product' evaluates e^{iu T T0} prod_j phi_{dT_j}(gamma_j u) with
-    gamma_j = T-j+1, treating the daily increments as independent with their
-    drifts conditioned on the deterministic forecast of T_{j-1}.  This is an
-    approximation; its deviation from exact_kernel is a model diagnostic.
 
     Where |phi| is below PHI_FLOOR phi is returned as exactly 0.  |phi| does
     not increase with |u| (the deterministic factor has modulus 1 and each
@@ -376,7 +334,7 @@ def charfun_cat(u, p: ModelParams, theta: float = 0.0, horizon_T: int = 30,
     complex exponent is formed at the others only.
     """
     tc = transformed_timechange(p.timechange, theta)
-    det_sum, kern, weights = _cat_parts(p, int(horizon_T), mode)
+    det_sum, kern, weights = _cat_parts(p, int(horizon_T))
     u = np.asarray(u, float)
     live = _live(kern, u, tc, weights)
     expo = 1j * u[live] * det_sum + tilted_exponent_sum(kern, u[live], tc, pieces=weights)
@@ -395,11 +353,11 @@ def cat_cumulants(p: ModelParams, theta: float, horizon_T: int) -> tuple[float, 
         variance =             l_V''(theta) int (sigma g)^2 ds,
 
     with l_V^(n)(theta) from `v_cumulants` of the transformed time change
-    and both integrals on the unit rule over the exact_kernel rows and row
-    weights of `charfun_cat`.
+    and both integrals on the unit rule over the rows and row weights of
+    `charfun_cat`.
     """
     kappa = v_cumulants(transformed_timechange(p.timechange, theta))
-    det_sum, kern, weights = _cat_parts(p, int(horizon_T), "exact_kernel")
+    det_sum, kern, weights = _cat_parts(p, int(horizon_T))
     mean = det_sum + kappa[0] * np.sum(weights * (kern @ UNIT_WEIGHTS))
     variance = kappa[1] * np.sum(weights * ((kern * kern) @ UNIT_WEIGHTS))
     return float(mean), float(variance)

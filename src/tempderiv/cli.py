@@ -31,7 +31,7 @@ from .cosine import (ContractSpec, CosGrid, density_from_charfun, price_strangle
                      truncation_bounds)
 from .data import ingest_csv, ks_normality, summary_stats
 from .errors import CalibrationError, IngestError, NoBracketError, TempDerivError
-from .esscher import eq12_variant_theta, solve_theta
+from .esscher import solve_theta
 from .seasonal import FourCoeffs
 from .simulate import DRAW_SIZE, SimConfig, mc_price_cat, simulate_paths
 
@@ -268,10 +268,13 @@ def _contract_from(cfg: dict) -> ContractSpec:
 
 
 def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
-               terms: int | None, l_mult: float | None) -> tuple[CosGrid, dict]:
+               terms: int | None, l_mult: float | None,
+               legs=("n1", "n2")) -> tuple[CosGrid, dict]:
+    """The cosine grid and its report block; only the term counts named in `legs`
+    are read (a density reads n1 alone, and its grid keeps CosGrid's n2)."""
     cos_cfg = _section(cfg, "cos")
-    n1 = _num(terms if terms is not None else cos_cfg.get("n1", 256), "cos.n1", int)
-    n2 = _num(terms if terms is not None else cos_cfg.get("n2", 256), "cos.n2", int)
+    counts = {leg: _num(terms if terms is not None else cos_cfg.get(leg, 256), f"cos.{leg}", int)
+              for leg in legs}
     auto = cos_cfg.get("auto", "b1" not in cos_cfg)
     if not isinstance(auto, bool):
         raise IngestError(f"cos.auto must be true or false, got {auto!r}")
@@ -283,8 +286,8 @@ def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
     else:
         b1, b2 = _num(cos_cfg.get("b1"), "cos.b1"), _num(cos_cfg.get("b2"), "cos.b2")
         info = {"auto": False}
-    grid = CosGrid(b1, b2, n1, n2)
-    info.update({"b1": grid.b1, "b2": grid.b2, "n1": n1, "n2": n2})
+    grid = CosGrid(b1, b2, **counts)
+    info.update({"b1": grid.b1, "b2": grid.b2, **counts})
     return grid, info
 
 
@@ -356,9 +359,6 @@ def cmd_price(args) -> int:
     contract = _contract_from(cfg)
     model = _model_from(cfg, horizon=float(contract.horizon_T))
     theta, theta_info = _resolve_theta(cfg, model, contract)
-    if theta_info["source"] == "solved":
-        theta_info["eq12_variant_theta"] = eq12_variant_theta(
-            model, contract.rate_r, float(contract.horizon_T))
     grid, grid_info = _grid_from(cfg, model, theta, contract.horizon_T,
                                  args.terms, args.l_mult)
     quote = price_strangle(contract, model, theta, grid)
@@ -443,9 +443,9 @@ def cmd_density(args) -> int:
     if points < 1:
         raise IngestError(f"points must be a positive integer, got {cfg['points']!r}")
     theta = _measure_theta(cfg, cfg.get("measure", "P"), model)
-    grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult)
+    grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult, legs=("n1",))
     xs = np.linspace(grid.b1, grid.b2, points)
-    charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t, "exact_kernel")
+    charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t)
     dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
     rows = np.column_stack([xs, dens]).ravel().tolist()
     _emit(args.out, [b"x,density\n" + (b"%.10g,%.10g\n" * points) % tuple(rows)])

@@ -51,7 +51,8 @@ class ContractSpec:
     """Strangle on the cumulated temperature over horizon_T days.
 
     Pays d1 (xi - K1)_+ + d2 (K2 - xi)_+ discounted at the yearly rate
-    rate_r over T/365.  K1 >= K2 > 0; equal strikes give a straddle.
+    rate_r over T/365.  K1 >= K2, of any sign (the CAT index in degrees C is
+    negative over a cold month); equal strikes give a straddle.
     """
 
     horizon_T: int
@@ -64,9 +65,9 @@ class ContractSpec:
     def __post_init__(self):
         if self.horizon_T < 1:
             raise DomainError("horizon_T must be a positive number of days")
-        if not (self.k1_strike >= self.k2_strike > 0.0):
+        if not self.k1_strike >= self.k2_strike:
             raise DomainError(
-                f"strikes must satisfy K1 >= K2 > 0, got K1={self.k1_strike}, K2={self.k2_strike}"
+                f"strikes must satisfy K1 >= K2, got K1={self.k1_strike}, K2={self.k2_strike}"
             )
         if self.d1 < 0.0 or self.d2 < 0.0:
             raise DomainError("tick sizes must be >= 0")
@@ -185,7 +186,7 @@ def price_strangle(contract: ContractSpec, p: ModelParams, theta: float,
     coefficients and the put leg the first n2 + 1, and the half-term price
     sums a prefix of each leg's terms.
     """
-    charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T, "exact_kernel")
+    charfun_at = lambda u: charfun_cat(u, p, theta, contract.horizon_T)
     coeffs = cos_coefficients(charfun_at, grid, max(grid.n1, grid.n2))
     call_terms = _leg_terms(coeffs[: grid.n1 + 1], grid, contract.k1_strike, call=True)
     put_terms = _leg_terms(coeffs[: grid.n2 + 1], grid, contract.k2_strike, call=False)

@@ -277,14 +277,19 @@ def _as_values(series) -> np.ndarray:
     return np.asarray(series, float)
 
 
+def _mean_sd(x: np.ndarray) -> tuple[float, float]:
+    """The mean and sample standard deviation (ddof = 1) of the values, the one
+    rule `summary_stats` and `ks_normality` share."""
+    return float(np.mean(x)), float(np.std(x, ddof=1))
+
+
 def summary_stats(series) -> SummaryStats:
     """Sample moments of a series (DailySeries or array)."""
     x = _as_values(series)
     n = x.size
     if n < 2:
         raise DomainError(f"need at least 2 observations, got {n}")
-    mean = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
+    mean, sd = _mean_sd(x)
     centred = x - mean
     m2 = float(np.mean(centred**2))
     if m2 == 0.0:
@@ -312,9 +317,9 @@ def ks_normality(series) -> KsResult:
         raise DomainError(f"KS test requires n >= 30, got {n}")
     ordered = np.sort(x)
     d_raw = _ks_distance(ordered)
-    sd = np.std(x, ddof=1)
+    mean, sd = _mean_sd(x)
     # standardising is increasing and elementwise, so it keeps the order
-    d_std = _ks_distance((ordered - np.mean(x)) / sd) if sd > 0 else float("nan")
+    d_std = _ks_distance((ordered - mean) / sd) if sd > 0 else float("nan")
     root_n = np.sqrt(n)
     return KsResult(
         statistic=d_raw,

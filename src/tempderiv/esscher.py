@@ -30,7 +30,6 @@ from .errors import DomainError, NoBracketError
 from .seasonal import k1
 
 _EDGE_MARGIN = 1e-6  # relative shrink of the admissible interval at each end
-_ROOT_ITER = 100     # cap on the printed-variant root iterations (7 typical, 20 the most seen)
 
 
 @dataclass(frozen=True)
@@ -107,77 +106,3 @@ def solve_theta(p: ModelParams, rate: float, horizon_T: float) -> ThetaSolution:
         )
     return ThetaSolution(theta=theta, residual=martingale_residual(theta, p, rate, horizon_T))
 
-
-def _eq12_variant(p: ModelParams, rate: float, horizon_T: float):
-    """h(theta), the printed polynomial variant of the root equation; nan where A1(theta) <= 0.
-
-    mu1 + theta + (b/a) e^{(alpha+r~)T} A1(theta)
-        - (b/a) e^{alpha T} A1(theta)^{aT+1} / K2(alpha, T),
-    with the derivative-consistent mu1 + theta leading term and
-    e^{alpha T}/K2 evaluated as 1/J.  J and the growth factor are computed once.
-    """
-    tc = p.timechange
-    j_int = k1(horizon_T, p.alpha, p.vol)
-    with np.errstate(over="ignore"):
-        grow = np.exp((p.alpha + _daily_rate(rate)) * horizon_T)
-    exponent = tc.a * horizon_T + 1.0
-
-    def h(theta):
-        a1_theta = a1(theta, tc)
-        with np.errstate(all="ignore"):
-            power = np.exp(exponent * np.log(a1_theta))
-            val = tc.mu1 + theta + (tc.b / tc.a) * (grow * a1_theta - power / j_int)
-        return np.where(a1_theta > 0.0, val, np.nan)
-    return h
-
-
-def _illinois(h, lo, hi, h_lo, h_hi):
-    """Roots of h in the sign-change brackets [lo, hi], all brackets at once.
-
-    Regula falsi with the Illinois modification (Dowell & Jarratt 1971):
-    when the same end moves twice running, the kept end's value is halved,
-    so both ends close in.  A bracket stops at an exact zero or once it is
-    4 ulps wide; the last iterate is its root.
-    """
-    side = np.zeros(lo.size)  # +1 when hi moved last, -1 when lo did
-    live = np.ones(lo.size, bool)
-    root = lo.copy()
-    for _ in range(_ROOT_ITER):
-        x = np.clip(hi - h_hi * (hi - lo) / (h_hi - h_lo), lo, hi)
-        hx = h(x)
-        root = np.where(live, x, root)
-        live &= (hx != 0.0) & (hi - lo > 4.0 * np.finfo(float).eps * np.abs(x))
-        if not live.any():
-            break
-        move_hi = live & (np.sign(hx) == np.sign(h_hi))
-        move_lo = live & ~move_hi
-        h_lo = np.where(move_hi & (side > 0), 0.5 * h_lo, h_lo)
-        h_hi = np.where(move_lo & (side < 0), 0.5 * h_hi, h_hi)
-        hi, h_hi = np.where(move_hi, x, hi), np.where(move_hi, hx, h_hi)
-        lo, h_lo = np.where(move_lo, x, lo), np.where(move_lo, hx, h_lo)
-        side = np.where(move_hi, 1.0, np.where(move_lo, -1.0, side))
-    return root
-
-
-def eq12_variant_theta(p: ModelParams, rate: float, horizon_T: float) -> float | None:
-    """Root of the paper's printed variant of the martingale condition (diagnostic only).
-
-    Not the pricing tilt (solve_theta); often None, as the variant need not
-    have a root (README model: -1.74 against theta* = -0.074 at T = 30, None
-    from T = 60 on).  Scans the shrunk admissible interval on 257 nodes for
-    sign changes, solves every bracket at once (`_illinois`, to a few ulps)
-    and returns the root of smallest |theta|, or None.
-    """
-    h = _eq12_variant(p, rate, horizon_T)
-    grid = np.linspace(*_shrunk_interval(p.timechange), 257)
-    vals = h(grid)
-    left, right = vals[:-1], vals[1:]
-    finite = np.isfinite(left) & np.isfinite(right)
-    pick = np.flatnonzero(finite & ((left == 0.0) | (np.sign(left) * np.sign(right) < 0.0)))
-    if pick.size == 0:
-        return None
-    roots = grid[pick]
-    crossing = left[pick] != 0.0
-    cross = pick[crossing]
-    roots[crossing] = _illinois(h, grid[cross], grid[cross + 1], left[cross], right[cross])
-    return float(roots[np.argmin(np.abs(roots))])

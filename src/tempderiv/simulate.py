@@ -247,12 +247,3 @@ def mc_price_cat(contract: ContractSpec, p: ModelParams, theta: float,
     stderr = disc * float(np.std(payoff, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return price, stderr
 
-
-def empirical_charfun(samples, u):
-    """Empirical characteristic function (1/n) sum exp(i u x_j)."""
-    x = np.asarray(samples, float)
-    if x.size == 0:
-        raise DomainError("empirical charfun of an empty sample")
-    u_arr = np.asarray(u, float)
-    out = np.mean(np.exp(1j * np.multiply.outer(u_arr, x)), axis=-1)
-    return out if u_arr.ndim else complex(out)

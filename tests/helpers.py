@@ -2,6 +2,11 @@
 
 - `quad_exp_kernel`: adaptive quadrature of the exponential-kernel
   integrals, the oracle of the closed forms `k1` and `k2`;
+- `cumulant_V`: the cumulant exponent of V in complex arithmetic,
+  l_V(u) = -a Log A1(u), through `laplace_exponent_gamma` and its
+  branch-cut-checked `log1p`; the oracle of `v_cumulants`,
+  `transformed_timechange` and the real-arithmetic exponent sums;
+- `empirical_charfun`: the sample mean of exp(i u x) at any u;
 - `log_likelihood`: the innovations' log likelihood from the cosine density;
 - `leg_value`: one cosine-expanded payoff leg, from the coefficients and
   per-term leg contributions that `price_strangle` sums;
@@ -76,6 +81,49 @@ def quad_exp_kernel(f, alpha: float, t: float, orientation: str = "decaying",
     return val
 
 
+def _log1p_complex(z: np.ndarray) -> np.ndarray:
+    """Principal-branch log(1+z) for complex z, accurate for small |z|.
+
+    Raises DomainError when 1+z lands on the non-positive real axis.
+    """
+    z = np.asarray(z, complex)
+    w = 1.0 + z
+    if np.any((w.real <= 0.0) & (w.imag == 0.0)):
+        raise DomainError("logarithm argument on the non-positive real axis (branch cut)")
+    den = w - 1.0
+    safe = np.where(den == 0, 1.0, den)
+    return np.where(den == 0, z, z * np.log(w) / safe)
+
+
+def laplace_exponent_gamma(u, tc: GammaTimeChange):
+    """Gamma-subordinator cumulant exponent l_R(u) = -a Log(1 - u/b)."""
+    u = np.asarray(u, complex)
+    out = -tc.a * _log1p_complex(-u / tc.b)
+    return out if out.ndim else complex(out)
+
+
+def cumulant_V(u, tc: GammaTimeChange, theta: float = 0.0):
+    """Cumulant exponent of V under the theta-tilted measure.
+
+    theta = 0 gives l_V(u) = -a Log A1(u); otherwise
+    l_V^theta(u) = l_V(u + theta) - l_V(theta), which is l_V(u) of the
+    transformed time change.
+    """
+    tc = transformed_timechange(tc, theta)
+    u = np.asarray(u, complex)
+    return laplace_exponent_gamma(u * tc.mu1 + 0.5 * u * u, tc)
+
+
+def empirical_charfun(samples, u):
+    """Empirical characteristic function (1/n) sum exp(i u x_j)."""
+    x = np.asarray(samples, float)
+    if x.size == 0:
+        raise DomainError("empirical charfun of an empty sample")
+    u_arr = np.asarray(u, float)
+    out = np.mean(np.exp(1j * np.multiply.outer(u_arr, x)), axis=-1)
+    return out if u_arr.ndim else complex(out)
+
+
 def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: float,
                    grid: CosGrid | None = None, terms: int = 256) -> float:
     """Log likelihood of one-day innovations via the cosine density.
@@ -107,20 +155,19 @@ def leg_value(charfun_at, grid: CosGrid, strike: float, call: bool, terms: int) 
     return float(np.sum(_leg_terms(coeffs, grid, strike, call)))
 
 
-def day_kernel(p, horizon_T: int, mode: str = "exact_kernel") -> np.ndarray:
+def day_kernel(p, horizon_T: int) -> np.ndarray:
     """The CAT kernel at the unit-rule nodes of every day 0..T-1, shape (T, nodes):
-    sigma_s e^{-alpha(1 - x_n)} times the day's geometric sum (exact_kernel) or T - j
-    (product), at s = j + x_n.  Summed with weight 1 per day it is the CAT exponent."""
-    days = np.arange(horizon_T, dtype=float)
-    tail = cat_day_weights(p.alpha, horizon_T) if mode == "exact_kernel" else horizon_T - days
-    s = days[:, None] + UNIT_NODES
-    return eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * tail[:, None]
+    sigma_s e^{-alpha(1 - x_n)} times the day's geometric sum, at s = j + x_n.
+    Summed with weight 1 per day it is the CAT exponent."""
+    s = np.arange(horizon_T, dtype=float)[:, None] + UNIT_NODES
+    return (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES))
+            * cat_day_weights(p.alpha, horizon_T)[:, None])
 
 
 def full_charfun_cat(u, p, theta: float, horizon_T: int) -> np.ndarray:
-    """The exact-kernel CAT charfun evaluated at every u, however small |phi| is."""
+    """The CAT charfun evaluated at every u, however small |phi| is."""
     tc = transformed_timechange(p.timechange, theta)
-    det_sum, kern, weights = _cat_parts(p, horizon_T, "exact_kernel")
+    det_sum, kern, weights = _cat_parts(p, horizon_T)
     u = np.asarray(u, float)
     return np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=weights))
 

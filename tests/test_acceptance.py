@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, cat_cumulants,
-                       charfun_T, charfun_cat, cumulant_V,
+                       charfun_T, charfun_cat,
                        density_from_charfun, eval_seasonal,
                        fit_alpha, fit_seasonal, fit_timechange, ingest_csv,
                        k1, k2, ks_normality, mc_price_cat, price_strangle,
@@ -28,7 +28,7 @@ from tempderiv.charfun import a1
 from tempderiv.cli import main as cli_main
 from tempderiv.seasonal import k1 as k1_integral
 
-from helpers import quad_exp_kernel
+from helpers import cumulant_V, quad_exp_kernel
 
 
 def report(num: int, desc: str, passed: bool, detail: str = "") -> None:

@@ -8,8 +8,7 @@ from scipy import optimize, stats
 from scipy.integrate import quad_vec
 
 from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
-                       ModelParams, SimConfig, cumulant_V, empirical_charfun, fit_alpha,
-                       fit_seasonal,
+                       ModelParams, SimConfig, fit_alpha, fit_seasonal,
                        fit_timechange, ingest_csv, innovation_charfun, innovations,
                        simulate_paths, v_cumulants)
 from tempderiv import calibrate
@@ -17,7 +16,7 @@ from tempderiv.calibrate import TimeChangeFit, _mom_init, kernel_weight, seasona
 from tempderiv.seasonal import ANNUAL_OMEGA, eval_seasonal
 
 from conftest import random_model
-from helpers import log_likelihood
+from helpers import cumulant_V, empirical_charfun, log_likelihood
 
 DATA = Path(__file__).parent / "data"
 

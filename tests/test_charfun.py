@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import quad, quad_vec
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, ModelParams,
-                       a1, cat_cumulants, charfun_T, charfun_cat, cumulant_V,
-                       empirical_charfun, laplace_exponent_gamma, SimConfig,
+                       a1, cat_cumulants, charfun_T, charfun_cat, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
 from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, PHI_FLOOR, UNIT_NODES, UNIT_WEIGHTS,
                                _cat_parts, _panel_rule, _panels, esscher_interval,
@@ -12,7 +11,8 @@ from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, PHI_FLOOR, UNIT_NODES, U
 from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
-from helpers import day_kernel, full_charfun_cat
+from helpers import (cumulant_V, day_kernel, empirical_charfun, full_charfun_cat,
+                     laplace_exponent_gamma)
 
 
 def deterministic_model(base: ModelParams) -> ModelParams:
@@ -21,6 +21,8 @@ def deterministic_model(base: ModelParams) -> ModelParams:
 
 
 class TestLaplaceExponentGamma:
+    """The oracle `helpers.laplace_exponent_gamma` at closed values and at its branch cut."""
+
     def test_zero(self):
         tc = GammaTimeChange(2.0, 3.0, 0.1)
         assert laplace_exponent_gamma(0.0, tc) == 0.0
@@ -58,6 +60,9 @@ class TestA1:
 
 
 class TestCumulantV:
+    """The oracle `helpers.cumulant_V`; its tilt is the library's `transformed_timechange`,
+    which `test_tilt_telescopes` holds to the definition l_V(u + theta) - l_V(theta)."""
+
     def test_zero_any_theta(self):
         tc = GammaTimeChange(1.5, 1.0, 0.3)
         for theta in (0.0, 0.4, -0.6):
@@ -90,12 +95,10 @@ class TestCumulantV:
             cumulant_V(0.1, tc, 1.5)
 
 
-def quad_vec_cat(u, p: ModelParams, theta: float, horizon_T: int, mode: str = "exact_kernel"):
+def quad_vec_cat(u, p: ModelParams, theta: float, horizon_T: int):
     """Oracle CAT charfun: quad_vec on every day piece of the kernel integral at once."""
     j = np.arange(1, horizon_T + 1, dtype=float)
-    remaining = horizon_T - j + 1.0
-    weight = ((1.0 - np.exp(-p.alpha * remaining)) / (1.0 - np.exp(-p.alpha))
-              if mode == "exact_kernel" else remaining)
+    weight = (1.0 - np.exp(-p.alpha * (horizon_T - j + 1.0))) / (1.0 - np.exp(-p.alpha))
 
     def f(x):
         s = j - 1.0 + x
@@ -137,9 +140,8 @@ class TestKernelRule:
         mean, var = cat_cumulants(p, theta, horizon_T)
         b1, b2 = truncation_bounds(mean, var, 10.0)
         u = np.arange(257) * np.pi / (b2 - b1)
-        for mode in ("exact_kernel", "product"):
-            got = charfun_cat(u, p, theta, horizon_T, mode)
-            assert np.max(np.abs(got - quad_vec_cat(u, p, theta, horizon_T, mode))) <= 1e-13
+        got = charfun_cat(u, p, theta, horizon_T)
+        assert np.max(np.abs(got - quad_vec_cat(u, p, theta, horizon_T))) <= 1e-13
 
 
 def log_argument_oracle(kern, u, tc: GammaTimeChange):
@@ -259,21 +261,20 @@ class TestCharfunT:
 
 
 class TestCharfunCat:
-    def test_normalization_both_modes(self, toronto_like_model):
-        for mode in ("exact_kernel", "product"):
-            assert charfun_cat(0.0, toronto_like_model, 0.0, 30, mode) == 1.0 + 0.0j
+    def test_normalization(self, toronto_like_model):
+        assert charfun_cat(0.0, toronto_like_model, 0.0, 30) == 1.0 + 0.0j
 
     def test_deterministic_degenerate(self, toronto_like_model):
         p = deterministic_model(toronto_like_model)
         det = sum(p.det_mean(k) for k in range(1, 31))
         for u in (0.01, 0.05):
-            got = charfun_cat(u, p, 0.0, 30, "exact_kernel")
+            got = charfun_cat(u, p, 0.0, 30)
             assert got == pytest.approx(np.exp(1j * u * det), abs=1e-12)
 
     def test_single_day_equals_charfun_T(self, toronto_like_model):
         p = toronto_like_model
         for u in (0.1, 0.6, 1.4):
-            assert charfun_cat(u, p, 0.0, 1, "exact_kernel") == pytest.approx(
+            assert charfun_cat(u, p, 0.0, 1) == pytest.approx(
                 charfun_T(u, 1.0, p), abs=1e-10)
 
     def test_conjugate_symmetry_and_bound(self, toronto_like_model):
@@ -282,25 +283,17 @@ class TestCharfunCat:
         assert np.max(np.abs(vals[::-1] - np.conj(vals))) < 1e-12
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
 
-    def test_exact_kernel_vs_simulation_product_reported(self, toronto_like_model):
+    def test_against_simulation(self, toronto_like_model):
         p = toronto_like_model
         xi, _ = simulate_cat(p, SimConfig(step=1.0, n_paths=30_000, seed=17), 60)
-        deviations = []
         for u in (0.001, 0.005):
             emp = empirical_charfun(xi, u)
             se = np.sqrt((1 - abs(emp) ** 2) / xi.size)
-            exact = charfun_cat(u, p, 0.0, 60, "exact_kernel")
-            product = charfun_cat(u, p, 0.0, 60, "product")
-            assert abs(exact - emp) < 3 * se
-            deviations.append(abs(product - exact))
-        # the independence treatment is an approximation; record, don't assert small
-        print(f"product-mode deviation from exact_kernel at u=(0.001, 0.005): {deviations}")
+            assert abs(charfun_cat(u, p, 0.0, 60) - emp) < 3 * se
 
     def test_rejects_bad_args(self, toronto_like_model):
         with pytest.raises(DomainError):
             charfun_cat(0.1, toronto_like_model, 0.0, 0)
-        with pytest.raises(DomainError):
-            charfun_cat(0.1, toronto_like_model, 0.0, 30, "fourier")
 
 
 def assert_floored(got, full):
@@ -321,7 +314,7 @@ class TestFloor:
     @pytest.mark.parametrize("horizon_T", [1, 5, 30, 90, 365, 730])
     def test_modulus_does_not_increase_with_u(self, horizon_T):
         """Random models, tilts 0.05 % of the admissible interval inside its ends and 0,
-        on the ascending COS grid of each, both modes."""
+        on the ascending COS grid of each."""
         for seed in range(6):
             p = random_model(np.random.default_rng(seed))
             lo, hi = esscher_interval(p.timechange)
@@ -329,9 +322,8 @@ class TestFloor:
                 mean, var = cat_cumulants(p, theta, horizon_T)
                 b1, b2 = truncation_bounds(mean, var, 10.0)
                 u = np.arange(257) * np.pi / (b2 - b1)
-                for mode in ("exact_kernel", "product"):
-                    modulus = np.abs(charfun_cat(u, p, theta, horizon_T, mode))
-                    assert np.all(np.diff(modulus) <= 0.0)
+                modulus = np.abs(charfun_cat(u, p, theta, horizon_T))
+                assert np.all(np.diff(modulus) <= 0.0)
 
     @pytest.mark.parametrize("horizon_T", [5, 30, 365])
     def test_floor_zeroes_exactly_the_values_below_it(self, horizon_T):
@@ -389,25 +381,23 @@ class TestCatPanels:
                 mean, var = cat_cumulants(p, theta, horizon_T)
                 b1, b2 = truncation_bounds(mean, var, 10.0)
                 u = np.arange(257) * np.pi / (b2 - b1)
-                for mode in ("exact_kernel", "product"):
-                    det_sum, kern, weights = _cat_parts(p, horizon_T, mode)
-                    days = tilted_exponent_sum(day_kernel(p, horizon_T, mode)[None], u, tc,
-                                               pieces=np.ones(1))
-                    bound = 1e-13 * (1.0 + np.abs(days).sum(axis=0))
-                    panel_sum = tilted_exponent_sum(kern, u, tc, pieces=weights)
-                    assert np.all(np.abs(panel_sum - days.sum(axis=0)) <= bound)
-                    want = np.exp(1j * u * det_sum + days.sum(axis=0))
-                    want = np.where(np.abs(want) < PHI_FLOOR, 0.0, want)
-                    got = charfun_cat(u, p, theta, horizon_T, mode)
-                    assert np.all(np.abs(got - want) <= bound * np.abs(want))
+                det_sum, kern, weights = _cat_parts(p, horizon_T)
+                days = tilted_exponent_sum(day_kernel(p, horizon_T)[None], u, tc,
+                                           pieces=np.ones(1))
+                bound = 1e-13 * (1.0 + np.abs(days).sum(axis=0))
+                panel_sum = tilted_exponent_sum(kern, u, tc, pieces=weights)
+                assert np.all(np.abs(panel_sum - days.sum(axis=0)) <= bound)
+                want = np.exp(1j * u * det_sum + days.sum(axis=0))
+                want = np.where(np.abs(want) < PHI_FLOOR, 0.0, want)
+                got = charfun_cat(u, p, theta, horizon_T)
+                assert np.all(np.abs(got - want) <= bound * np.abs(want))
 
     def test_short_horizons_are_summed_day_by_day(self):
         p = random_model(np.random.default_rng(3))
         for horizon_T in range(1, 32):
-            for mode in ("exact_kernel", "product"):
-                _, kern, weights = _cat_parts(p, horizon_T, mode)
-                assert np.array_equal(kern, day_kernel(p, horizon_T, mode))
-                assert np.array_equal(weights, np.ones(horizon_T))
+            _, kern, weights = _cat_parts(p, horizon_T)
+            assert np.array_equal(kern, day_kernel(p, horizon_T))
+            assert np.array_equal(weights, np.ones(horizon_T))
 
     @pytest.mark.parametrize("horizon_T", [1, 31, 32, 33, 48, 56, 95, 151, 365, 730, 1000])
     def test_panel_layout(self, horizon_T):
@@ -417,8 +407,7 @@ class TestCatPanels:
         assert starts[-1] + sizes[-1] == horizon_T
         nominal = np.minimum(2 ** np.arange(len(panels)), PANEL_CAP)
         assert np.all(sizes[::-1][:-1] == nominal[:-1]) and 1 <= sizes[0] <= nominal[-1]
-        weights = _cat_parts(random_model(np.random.default_rng(0)), horizon_T,
-                             "exact_kernel")[2]
+        weights = _cat_parts(random_model(np.random.default_rng(0)), horizon_T)[2]
         assert len(weights) == sum(n if n <= DAY_BY_DAY else PANEL_POINTS for n in sizes)
         assert np.all(weights > 0.0)  # so |phi| does not increase with |u| (charfun._live)
         np.testing.assert_allclose(weights.sum(), horizon_T, rtol=1e-14)

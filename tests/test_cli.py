@@ -141,6 +141,27 @@ class TestFit:
 
 
 class TestPrice:
+    def test_solved_theta_block(self, price_config, tmp_path):
+        """A solved tilt reports the root, its source and its residual, and nothing else."""
+        out = tmp_path / "report.json"
+        assert main(["price", "--config", price_config, "--out", str(out)]) == 0
+        theta = json.loads(out.read_text())["theta"]
+        assert theta.keys() == {"theta", "source", "residual"}
+        assert theta["source"] == "solved" and abs(theta["residual"]) < 1e-10
+
+    def test_negative_strikes_exit_0(self, tmp_path):
+        """Criterion 10's model has a Q CAT mean of -53.7 at T = 20: a strangle around it
+        has strikes below 0, and prices."""
+        cfg = {"model": MODEL_CFG, "contract": dict(CONTRACT_CFG, horizon_t=20,
+                                                    k1_strike=-10.0, k2_strike=-100.0)}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "price.json"
+        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["grid"]["cat_mean"] == pytest.approx(-53.7, abs=0.05)
+        assert payload["price"] > 0.0
+
     def test_zero_ticks_price_zero(self, tmp_path):
         cfg = {"model": MODEL_CFG,
                "contract": dict(CONTRACT_CFG, d1=0.0, d2=0.0)}
@@ -715,6 +736,18 @@ class TestDensity:
         assert main(["density", "--config", str(p), "--out", str(upper)]) == 0
         assert out.read_bytes() == upper.read_bytes()
 
+    def test_n2_is_not_read(self, tmp_path):
+        """A density sums n1 + 1 terms; cos.n2, which sets a price's put leg, is not read."""
+        outputs = []
+        for n2 in (0, 256):
+            cfg = {"model": MODEL_CFG, "horizon_t": 30, "measure": "P", "points": 65,
+                   "cos": {"n1": 128, "n2": n2}}
+            p, out = tmp_path / f"cfg{n2}.json", tmp_path / f"density{n2}.csv"
+            p.write_text(json.dumps(cfg))
+            assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("points", [-1, 0, 2.5, "many"])
     def test_points_not_a_positive_integer_exit_2(self, tmp_path, capsys, points):
         cfg = {"model": MODEL_CFG, "horizon_t": 30, "measure": "P", "points": points}
@@ -882,10 +915,19 @@ def test_library_never_imports_scipy_integrate():
     assert offenders == []
 
 
+def test_package_exports_resolve():
+    """Every name in tempderiv.__all__ is an attribute of the package, and a star
+    import binds them all."""
+    import tempderiv
+    assert [name for name in tempderiv.__all__ if not hasattr(tempderiv, name)] == []
+    namespace = {}
+    exec("from tempderiv import *", namespace)
+    assert set(tempderiv.__all__) <= namespace.keys()
+
+
 def test_pricing_commands_load_no_scipy_until_fit(price_config, sim_config, fit_csv, tmp_path):
-    """price (with its printed-variant root and --mc), simulate, density and stats run
-    on numpy alone; the first fit then loads scipy.optimize, so SciPy is deferred, not
-    dropped."""
+    """price (with a solved tilt and --mc), simulate, density and stats run on numpy
+    alone; the first fit then loads scipy.optimize, so SciPy is deferred, not dropped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     price_out = tmp_path / "report.json"
@@ -906,5 +948,5 @@ def test_pricing_commands_load_no_scipy_until_fit(price_config, sim_config, fit_
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n")[:2] == ["[]", "True"]
-    # CONTRACT_CFG at T = 30 has a printed-variant root, so its solve ran
-    assert json.loads(price_out.read_text())["theta"]["eq12_variant_theta"] is not None
+    # the price solved its tilt, so the solver ran without SciPy
+    assert json.loads(price_out.read_text())["theta"]["source"] == "solved"

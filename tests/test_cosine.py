@@ -174,6 +174,17 @@ class TestPriceStrangle:
         mc, se = mc_price_cat(c, p, 0.0, SimConfig(step=1.0, n_paths=40_000, seed=77))
         assert abs(cos_price - mc) < 3 * se
 
+    def test_negative_strikes_match_monte_carlo(self, toronto_like_model):
+        """A cold month: this model's Q CAT mean is -53.7 at T = 20 (sd 84), so a strangle
+        around it has both strikes below 0."""
+        p = toronto_like_model
+        c = ContractSpec(horizon_T=20, k1_strike=-10.0, k2_strike=-100.0, d1=1.0, d2=1.0,
+                         rate_r=0.02)
+        theta = solve_theta(p, c.rate_r, 20.0).theta
+        cos_price = price_strangle(c, p, theta, auto_grid(p, theta, 20)).price
+        mc, se = mc_price_cat(c, p, theta, SimConfig(step=1.0, n_paths=40_000, seed=20))
+        assert abs(cos_price - mc) < 5 * se
+
     def test_spectral_convergence(self, toronto_like_model, contract):
         p = toronto_like_model
         theta = solve_theta(p, contract.rate_r, 60.0).theta
@@ -266,6 +277,9 @@ class TestContractSpec:
 
     def test_straddle_allowed(self):
         ContractSpec(horizon_T=30, k1_strike=10.0, k2_strike=10.0, d1=1, d2=1, rate_r=0.0)
+
+    def test_strikes_at_or_below_zero_allowed(self):
+        ContractSpec(horizon_T=30, k1_strike=0.0, k2_strike=-40.0, d1=1, d2=1, rate_r=0.0)
 
     def test_rejects_negative_tick(self):
         with pytest.raises(DomainError):

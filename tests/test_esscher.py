@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from scipy import optimize
 
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange,
                        ModelParams, NoBracketError, SimConfig, charfun_T,
-                       cumulant_V, martingale_residual, simulate_cat, solve_theta,
+                       martingale_residual, simulate_cat, solve_theta,
                        transformed_timechange, v_cumulants)
 from tempderiv.charfun import esscher_interval
-from tempderiv.esscher import _eq12_variant, _shrunk_interval, eq12_variant_theta
 
 from conftest import random_model
+from helpers import cumulant_V
 
 
 def l_prime(theta, tc):
@@ -134,60 +133,9 @@ class TestSolveTheta:
             assert abs(sol.residual) < 1e-10
 
 
-class TestEq12Variant:
-    # the README model: the printed variant has a root only at short horizons
-    model = ModelParams(alpha=0.25, t0=12.0, seasonal=FourCoeffs(12.0, 0.0008, -5.9, -4.0),
-                        vol=FourCoeffs(3.5, 0.0, 0.5, 1.0),
-                        timechange=GammaTimeChange(a=1.5, b=1.0, mu1=0.3))
-    rate = 0.02
-
-    @pytest.mark.parametrize("horizon", [30.0, 45.0])
-    def test_root_inside_interval_with_zero_residual(self, horizon):
-        root = eq12_variant_theta(self.model, self.rate, horizon)
-        lo, hi = _shrunk_interval(self.model.timechange)
-        assert lo < root < hi
-        assert abs(_eq12_variant(self.model, self.rate, horizon)(root)) < 1e-6
-        theta = solve_theta(self.model, self.rate, horizon).theta
-        assert abs(root - theta) > 1.0  # not the pricing tilt
-
-    def test_no_root_at_one_year(self):
-        assert eq12_variant_theta(self.model, self.rate, 365.0) is None
-
-
-def brent_variant_roots(p, rate, horizon):
-    """The printed variant's roots by Brent on every sign change of the 257-node scan."""
-    variant = _eq12_variant(p, rate, horizon)
-    h = lambda t: float(variant(t))
-    grid = np.linspace(*_shrunk_interval(p.timechange), 257)
-    vals = variant(grid)
-    return [optimize.brentq(h, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-            for lo, hi, v_lo, v_hi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
-            if v_lo * v_hi < 0.0]
-
-
-def test_eq12_variant_roots_match_brent():
-    """Every bracket solved at once gives Brent's root (or None when no bracket exists)."""
-    rng = np.random.default_rng(61)
-    found = 0
-    for _ in range(60):
-        p = random_model(rng)
-        rate, horizon = rng.uniform(0.0, 0.05), float(rng.uniform(7.0, 90.0))
-        roots = brent_variant_roots(p, rate, horizon)
-        got = eq12_variant_theta(p, rate, horizon)
-        if not roots:
-            assert got is None
-            continue
-        found += 1
-        oracle = min(roots, key=abs)
-        assert abs(got - oracle) <= 1e-12 * abs(oracle)
-    assert found >= 10  # both cases are exercised
-
-
 class TestRate:
     def test_rejects_negative_rate(self, toronto_like_model):
         with pytest.raises(DomainError, match="interest rate"):
             solve_theta(toronto_like_model, -0.01, 30.0)
         with pytest.raises(DomainError, match="interest rate"):
             martingale_residual(0.0, toronto_like_model, -0.01, 30.0)
-        with pytest.raises(DomainError, match="interest rate"):
-            eq12_variant_theta(toronto_like_model, -0.01, 30.0)

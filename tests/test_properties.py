@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from tempderiv import (CosGrid, a1, cat_cumulants, charfun_T, charfun_cat,
-                       cumulant_V, innovation_charfun, k1, martingale_residual,
+                       innovation_charfun, k1, martingale_residual,
                        solve_theta, transformed_timechange, truncation_bounds, v_cumulants)
 from tempderiv.charfun import UNIT_NODES, esscher_interval, tilted_exponent_sum
 
 from conftest import random_model
-from helpers import leg_value
+from helpers import cumulant_V, leg_value
 
 seeds = st.integers(0, 2**32 - 1)
 fractions = st.floats(0.05, 0.95)
@@ -47,11 +47,10 @@ def test_charfun_T_identities(seed, frac, u, t):
 
 
 @PROPERTY
-@given(seeds, fractions, freqs, st.integers(1, 60), st.sampled_from(["exact_kernel", "product"]))
-def test_charfun_cat_identities(seed, frac, u, horizon_T, mode):
+@given(seeds, fractions, freqs, st.integers(1, 60))
+def test_charfun_cat_identities(seed, frac, u, horizon_T):
     p, theta = draw(seed, frac)
-    assert_charfun_identities(lambda uu: charfun_cat(uu / horizon_T, p, theta, horizon_T, mode),
-                              u)
+    assert_charfun_identities(lambda uu: charfun_cat(uu / horizon_T, p, theta, horizon_T), u)
 
 
 @PROPERTY

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from tempderiv import (ContractSpec, DomainError, FourCoeffs, GammaTimeChange,
-                       ModelParams, SimConfig, empirical_charfun, mc_price_cat,
+                       ModelParams, SimConfig, mc_price_cat,
                        simulate_cat, simulate_paths)
 from tempderiv.charfun import cat_cumulants, esscher_interval
 from tempderiv.esscher import transformed_timechange
@@ -16,6 +16,7 @@ from tempderiv._normal import _norm_cdf
 from tempderiv.simulate import D_CAP, _gaussian_call, _step_tables, block_rng
 
 from conftest import README_MODEL, random_model
+from helpers import empirical_charfun
 
 
 @pytest.fixture
@@ -307,6 +308,8 @@ class TestMcPriceCat:
 
 
 class TestEmpiricalCharfun:
+    """The oracle `helpers.empirical_charfun` the charfun tests compare with."""
+
     def test_at_zero(self):
         assert empirical_charfun([1.0, 2.0, -3.0], 0.0) == 1.0 + 0.0j
 
