@@ -278,9 +278,6 @@ class TestContractSpec:
     def test_straddle_allowed(self):
         ContractSpec(horizon_T=30, k1_strike=10.0, k2_strike=10.0, d1=1, d2=1, rate_r=0.0)
 
-    def test_strikes_at_or_below_zero_allowed(self):
-        ContractSpec(horizon_T=30, k1_strike=0.0, k2_strike=-40.0, d1=1, d2=1, rate_r=0.0)
-
     def test_rejects_negative_tick(self):
         with pytest.raises(DomainError):
             ContractSpec(horizon_T=30, k1_strike=20.0, k2_strike=10.0, d1=-1, d2=1, rate_r=0.0)
