@@ -153,9 +153,11 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
 
     and each argument is one (k^2, k^4) or (1, k^2) matrix product with a
     (2, n_u) coefficient matrix.  Re A = 1 + q >= 1: the Log never reaches
-    its branch cut.  The nodes are taken one (pieces, u) array at a time and
-    each is reduced at once by a matrix-vector product, as large kernels are
-    memory-bound.
+    its branch cut.  The (k^2, k^4) and (1, k^2) factors of all nodes are
+    built once per call, by two np.stack calls on the (nodes, pieces * rest)
+    kernel; the nodes are then taken one (pieces, u) array at a time and each
+    is reduced at once by a matrix-vector product, as large kernels are
+    memory-bound (one pass over all nodes at once is slower).
     """
     u = np.asarray(u, float)
     kern = np.asarray(kern, float)
@@ -168,12 +170,13 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
     shape = kern.shape[1:-1]
     log_mod2 = np.zeros(np.prod(shape, dtype=int) * r.size)
     phase = np.zeros_like(log_mod2)
-    for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
-        k = k_n.ravel()
-        k2 = k * k
-        node_mod2 = np.log1p(np.stack([k2, k2 * k2], axis=1) @ mod_coef)
-        node_phase = np.arctan2(np.multiply.outer(k, num_coef),
-                                np.stack([np.ones_like(k2), k2], axis=1) @ den_coef)
+    k = np.moveaxis(kern, -1, 0).reshape(kern.shape[-1], -1)
+    k2 = k * k
+    mod_fac = np.stack([k2, k2 * k2], axis=-1)
+    den_fac = np.stack([np.ones_like(k2), k2], axis=-1)
+    for w_n, k_n, mod_n, den_n in zip(UNIT_WEIGHTS, k, mod_fac, den_fac):
+        node_mod2 = np.log1p(mod_n @ mod_coef)
+        node_phase = np.arctan2(np.multiply.outer(k_n, num_coef), den_n @ den_coef)
         weights = w_n * pieces
         log_mod2 += weights @ node_mod2.reshape(pieces.size, log_mod2.size)
         phase += weights @ node_phase.reshape(pieces.size, phase.size)
@@ -260,9 +263,15 @@ def _panel_rule(n_days: int) -> tuple[np.ndarray, np.ndarray]:
     return days, np.ones(n_days)
 
 
+@functools.lru_cache(maxsize=8)  # an alpha sweep of a few rows plus its base model
 def _cat_parts(p: ModelParams, horizon_T: int) -> tuple[float, np.ndarray, np.ndarray]:
     """sum_k m_k, the CAT kernel at the unit-rule nodes of each pseudo-day,
     shape (rows, nodes), and the weight of each row.
+
+    Built once per (p, horizon_T) and kept for the last 8 pairs, so that
+    `cat_cumulants` and `charfun_cat` of one price share one build.  The key
+    is the whole frozen ModelParams (every field, `horizon` too) and T; the
+    arrays are read-only, so no caller can change a kept build.
 
     On day piece [t, t + 1], s = t + x_n, the kernel is sigma_s e^{-alpha(1 - x_n)}
     times w(t), the geometric sum of g(s) (`cat_day_weights`).  The rows are
@@ -280,6 +289,7 @@ def _cat_parts(p: ModelParams, horizon_T: int) -> tuple[float, np.ndarray, np.nd
     s = t[:, None] + UNIT_NODES
     kern = (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES))
             * cat_day_weights(p.alpha, horizon_T, t)[:, None])
+    kern.flags.writeable = weights.flags.writeable = False
     return det_sum, kern, weights
 
 

@@ -391,6 +391,9 @@ def cmd_price(args) -> int:
         rows = []
         for alpha_val in sweep:
             alpha_val = _num(alpha_val, "alpha_sweep")
+            if alpha_val == model.alpha:  # the headline's inputs exactly: reuse its price
+                rows.append({"alpha": alpha_val, "theta": theta, "price": price})
+                continue
             model_a = dataclasses.replace(model, alpha=alpha_val)
             theta_a, _ = _resolve_theta(cfg, model_a, contract)
             grid_a, _ = _grid_from(cfg, model_a, theta_a, contract.horizon_T,

@@ -12,6 +12,8 @@
   per-term leg contributions that `price_strangle` sums;
 - `day_kernel`: the CAT kernel of every day, which `charfun_cat` sums on
   graded panels;
+- `node_stack_exponent_sum`: `tilted_exponent_sum` with each node's factors
+  stacked inside the node loop, which the library builds for all nodes at once;
 - `full_charfun_cat`, `full_strangle`, `full_density`: the CAT charfun at
   every frequency and the strangle prices and density from every cosine
   coefficient, which `price_strangle` and `density_from_charfun` sum only
@@ -33,8 +35,8 @@ from tempderiv import (CosGrid, DomainError, GammaTimeChange, IngestError,
                        cos_coefficients, density_from_charfun, innovation_charfun,
                        truncation_bounds, v_cumulants)
 from tempderiv.calibrate import kernel_weight
-from tempderiv.charfun import (UNIT_NODES, _cat_parts, cat_day_weights, tilted_exponent_sum,
-                               transformed_timechange)
+from tempderiv.charfun import (UNIT_NODES, UNIT_WEIGHTS, _cat_parts, cat_day_weights,
+                               tilted_exponent_sum, transformed_timechange)
 from tempderiv.cosine import _leg_terms
 from tempderiv.seasonal import eval_seasonal
 
@@ -162,6 +164,32 @@ def day_kernel(p, horizon_T: int) -> np.ndarray:
     s = np.arange(horizon_T, dtype=float)[:, None] + UNIT_NODES
     return (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES))
             * cat_day_weights(p.alpha, horizon_T)[:, None])
+
+
+def node_stack_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
+    """`tilted_exponent_sum` with the (k^2, k^4) and (1, k^2) factors stacked node by
+    node, two np.stack calls per node, in the same order of operations."""
+    u = np.asarray(u, float)
+    kern = np.asarray(kern, float)
+    pieces = np.asarray(pieces, float)
+    r = u.ravel() / tc.b
+    ur = u.ravel() * r
+    mod_coef = np.stack([ur + (tc.mu1 * r) ** 2, 0.25 * ur * ur])
+    den_coef = np.stack([np.ones_like(ur), 0.5 * ur])
+    num_coef = -tc.mu1 * r
+    shape = kern.shape[1:-1]
+    log_mod2 = np.zeros(np.prod(shape, dtype=int) * r.size)
+    phase = np.zeros_like(log_mod2)
+    for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
+        k = k_n.ravel()
+        k2 = k * k
+        node_mod2 = np.log1p(np.stack([k2, k2 * k2], axis=1) @ mod_coef)
+        node_phase = np.arctan2(np.multiply.outer(k, num_coef),
+                                np.stack([np.ones_like(k2), k2], axis=1) @ den_coef)
+        weights = w_n * pieces
+        log_mod2 += weights @ node_mod2.reshape(pieces.size, log_mod2.size)
+        phase += weights @ node_phase.reshape(pieces.size, phase.size)
+    return (-tc.a * (0.5 * log_mod2 + 1j * phase)).reshape(shape + u.shape)
 
 
 def full_charfun_cat(u, p, theta: float, horizon_T: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
@@ -12,7 +14,7 @@ from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
 from helpers import (cumulant_V, day_kernel, empirical_charfun, full_charfun_cat,
-                     laplace_exponent_gamma)
+                     laplace_exponent_gamma, node_stack_exponent_sum)
 
 
 def deterministic_model(base: ModelParams) -> ModelParams:
@@ -203,6 +205,23 @@ class TestTiltedExponentSum:
                                    .sum(axis=0), rtol=1e-14)
         assert np.all(tilted_exponent_sum(kern[:0], u, tc, pieces=np.ones(0)) == 0.0)
 
+    @pytest.mark.parametrize("horizon_T", [1, 31, 48, 365, 730])
+    def test_node_factors_built_once_equal_node_by_node(self, horizon_T):
+        """Factors built for all nodes at once give every value of the node-by-node
+        stacks bit for bit: the CAT rows with their panel weights, and each row on its
+        own (kern[None], one unit weight), as `innovation_charfun` calls it."""
+        for seed in range(6):
+            p = random_model(np.random.default_rng(seed))
+            lo, hi = esscher_interval(p.timechange)
+            theta = lo + (0.2 + 0.1 * seed) * (hi - lo)
+            tc = transformed_timechange(p.timechange, theta)
+            b1, b2 = truncation_bounds(*cat_cumulants(p, theta, horizon_T), 10.0)
+            u = np.arange(257) * np.pi / (b2 - b1)
+            _, kern, weights = _cat_parts(p, horizon_T)
+            for layout, pieces in ((kern, weights), (kern[None], np.ones(1))):
+                assert np.array_equal(tilted_exponent_sum(layout, u, tc, pieces),
+                                      node_stack_exponent_sum(layout, u, tc, pieces))
+
     @pytest.mark.parametrize("t", [0.4, 7.3, 29.9])
     def test_charfun_T_partial_last_piece(self, t):
         """A non-integer t ends on a partial piece, weighted by its length."""
@@ -391,6 +410,13 @@ class TestCatPanels:
                 want = np.where(np.abs(want) < PHI_FLOOR, 0.0, want)
                 got = charfun_cat(u, p, theta, horizon_T)
                 assert np.all(np.abs(got - want) <= bound * np.abs(want))
+
+    def test_kernel_build_is_kept(self):
+        """An equal model and horizon get the arrays of the first build, not a new one."""
+        p = random_model(np.random.default_rng(5))
+        first = _cat_parts(p, 90)
+        assert _cat_parts(replace(p), 90) is first
+        assert _cat_parts(p, 91) is not first
 
     def test_short_horizons_are_summed_day_by_day(self):
         p = random_model(np.random.default_rng(3))

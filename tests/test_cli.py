@@ -14,6 +14,7 @@ from helpers import gaussian_kde, simulate_csv_lines
 from tempderiv import (ContractSpec, CosGrid, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, cat_cumulants, cli, cos_coefficients,
                        price_strangle, simulate_paths, solve_theta, truncation_bounds)
+from tempderiv.charfun import _cat_parts
 from tempderiv.cli import build_parser, main
 from tempderiv.data import ingest_csv
 
@@ -221,6 +222,27 @@ class TestPrice:
         at_model = payload["alpha_sweep"][alphas.index(MODEL_CFG["alpha"])]
         assert at_model["price"] == payload["price"]
         assert at_model["theta"] == payload["theta"]["theta"]
+
+    def test_one_kernel_build_per_model(self, tmp_path):
+        """The grid's cumulants and the charfun of one price share one CAT kernel build,
+        and the sweep row at the model's own alpha reuses the headline price: a sweep
+        [0.1, alpha, 0.4] builds 3 kernels.  A kept kernel refuses writes."""
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
+               "alpha_sweep": [0.1, MODEL_CFG["alpha"], 0.4]}
+        p, out = tmp_path / "cfg.json", tmp_path / "sweep.json"
+        p.write_text(json.dumps(cfg))
+        _cat_parts.cache_clear()
+        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+        assert _cat_parts.cache_info().misses == 3
+        payload = json.loads(out.read_text())
+        at_model = payload["alpha_sweep"][1]
+        assert at_model["price"] == payload["price"]
+        assert at_model["theta"] == payload["theta"]["theta"]
+        model = cli._model_from(cfg, horizon=30.0)
+        _, kern, _ = _cat_parts(model, 30)
+        assert _cat_parts.cache_info().misses == 3
+        with pytest.raises(ValueError):
+            kern[0, 0] = 0.0
 
     def test_explicit_cos_bounds(self, tmp_path):
         """cos {b1, b2, n1, n2} prices on exactly that grid, with no automatic bounds; the

@@ -154,10 +154,10 @@ class TestPriceStrangle:
         grid = auto_grid(p, 0.0, 60)
         mean, var = cat_cumulants(p, 0.0, 60)
         far_call = mean + 8.0 * np.sqrt(var)  # inside the grid: call leg ~ 0, no clamp
-        strikes = mean + np.linspace(-100, 100, 9)
-        assert np.all(strikes > 0)
-        calls = [price_strangle(ContractSpec(60, k, 1e-6, 1.0, 0.0, 0.02), p, 0.0, grid).price
-                 for k in strikes]
+        strikes = np.linspace(-200.0, 200.0, 9)  # across 0, inside the grid
+        assert grid.b1 < strikes[0] < 0.0 < strikes[-1] < far_call
+        calls = [price_strangle(ContractSpec(60, k, strikes[0], 1.0, 0.0, 0.02), p, 0.0,
+                                grid).price for k in strikes]
         puts = [price_strangle(ContractSpec(60, far_call, k, 0.0, 1.0, 0.02), p, 0.0, grid).price
                 for k in strikes]
         assert np.all(np.diff(calls) <= 1e-8)
@@ -260,14 +260,20 @@ class TestLiveTerms:
                 assert quote.live_terms == min(quotes[0].live_terms, max(n1, n2) + 1)
 
     def test_random_models_equal_full_evaluation(self):
-        """Temperatures are raised by 60 so that both strikes are positive: that moves the
-        phase of phi, not |phi|, on which the cut rests."""
-        for seed in range(40):
-            p = random_model(np.random.default_rng(seed))
-            p = replace(p, t0=p.t0 + 60.0, seasonal=replace(p.seasonal, k0=p.seasonal.k0 + 60.0))
-            horizon_T = (1, 5, 30, 90, 365, 730)[seed % 6]
-            theta = solve_theta(p, 0.02, float(horizon_T)).theta
-            self.check(p, theta, horizon_T, [(256, 256), (256, 160)])
+        """On the draws as they are, where a cold model's CAT index and strikes are
+        negative, and with temperatures raised by 60, where both strikes are positive: the
+        shift moves the phase of phi, not |phi|, on which the cut rests."""
+        cold = 0
+        for shift in (0.0, 60.0):
+            for seed in range(40):
+                p = random_model(np.random.default_rng(seed))
+                p = replace(p, t0=p.t0 + shift,
+                            seasonal=replace(p.seasonal, k0=p.seasonal.k0 + shift))
+                horizon_T = (1, 5, 30, 90, 365, 730)[seed % 6]
+                theta = solve_theta(p, 0.02, float(horizon_T)).theta
+                cold += cat_cumulants(p, theta, horizon_T)[0] < 0.0
+                self.check(p, theta, horizon_T, [(256, 256), (256, 160)])
+        assert cold > 0
 
 
 class TestContractSpec:
