@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
@@ -410,13 +408,6 @@ class TestCatPanels:
                 want = np.where(np.abs(want) < PHI_FLOOR, 0.0, want)
                 got = charfun_cat(u, p, theta, horizon_T)
                 assert np.all(np.abs(got - want) <= bound * np.abs(want))
-
-    def test_kernel_build_is_kept(self):
-        """An equal model and horizon get the arrays of the first build, not a new one."""
-        p = random_model(np.random.default_rng(5))
-        first = _cat_parts(p, 90)
-        assert _cat_parts(replace(p), 90) is first
-        assert _cat_parts(p, 91) is not first
 
     def test_short_horizons_are_summed_day_by_day(self):
         p = random_model(np.random.default_rng(3))

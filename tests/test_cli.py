@@ -208,38 +208,26 @@ class TestPrice:
             assert got == float("{:.10g}".format(want))
 
     def test_alpha_sweep_rows(self, tmp_path):
+        """The grid's cumulants and the charfun of one price share one CAT kernel build,
+        and the row at the model's own alpha reuses the main price, so a sweep of three
+        alphas around the model's builds 3 kernels.  A kept kernel refuses writes."""
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
-               "alpha_sweep": [0.15, 0.25, 0.35]}
+               "alpha_sweep": [0.1, MODEL_CFG["alpha"], 0.4]}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         out = tmp_path / "sweep.json"
-        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        alphas = [row["alpha"] for row in payload["alpha_sweep"]]
-        assert alphas == [0.15, 0.25, 0.35] and alphas == sorted(alphas)
-        assert all("price" in row and "theta" in row for row in payload["alpha_sweep"])
-        # the row at the model's own alpha is the main price, bit for bit
-        at_model = payload["alpha_sweep"][alphas.index(MODEL_CFG["alpha"])]
-        assert at_model["price"] == payload["price"]
-        assert at_model["theta"] == payload["theta"]["theta"]
-
-    def test_one_kernel_build_per_model(self, tmp_path):
-        """The grid's cumulants and the charfun of one price share one CAT kernel build,
-        and the sweep row at the model's own alpha reuses the headline price: a sweep
-        [0.1, alpha, 0.4] builds 3 kernels.  A kept kernel refuses writes."""
-        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
-               "alpha_sweep": [0.1, MODEL_CFG["alpha"], 0.4]}
-        p, out = tmp_path / "cfg.json", tmp_path / "sweep.json"
-        p.write_text(json.dumps(cfg))
         _cat_parts.cache_clear()
         assert main(["price", "--config", str(p), "--out", str(out)]) == 0
         assert _cat_parts.cache_info().misses == 3
         payload = json.loads(out.read_text())
+        alphas = [row["alpha"] for row in payload["alpha_sweep"]]
+        assert alphas == [0.1, 0.25, 0.4]
+        assert all("price" in row and "theta" in row for row in payload["alpha_sweep"])
+        # the row at the model's own alpha is the main price, bit for bit
         at_model = payload["alpha_sweep"][1]
         assert at_model["price"] == payload["price"]
         assert at_model["theta"] == payload["theta"]["theta"]
-        model = cli._model_from(cfg, horizon=30.0)
-        _, kern, _ = _cat_parts(model, 30)
+        _, kern, _ = _cat_parts(cli._model_from(cfg, horizon=30.0), 30)
         assert _cat_parts.cache_info().misses == 3
         with pytest.raises(ValueError):
             kern[0, 0] = 0.0
