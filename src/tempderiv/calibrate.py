@@ -123,9 +123,7 @@ def fit_seasonal(series) -> FitReport:
     if n <= 4:
         raise CalibrationError(f"seasonal fit needs more than 4 observations, got {n}")
     x = seasonal_design(t)
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < 4:
-        raise CalibrationError(f"rank-deficient seasonal design (rank {rank} < 4)")
+    beta = np.linalg.lstsq(x, y, rcond=None)[0]
     resid = y - x @ beta
     dof = n - 4
     sigma2 = float(resid @ resid) / dof

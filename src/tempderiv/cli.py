@@ -291,25 +291,21 @@ def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
     return grid, info
 
 
-def _resolve_theta(cfg: dict, model: ModelParams, contract: ContractSpec) -> tuple[float, dict]:
-    if cfg.get("theta") is not None:
-        theta = _num(cfg["theta"], "theta")
-        return theta, {"theta": theta, "source": "pinned"}
-    sol = solve_theta(model, contract.rate_r, float(contract.horizon_T))
-    return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
-
-
-def _measure_theta(cfg: dict, measure, model: ModelParams) -> float:
-    """The tilt of a `measure` field, P or Q in any case: P is theta 0; Q
-    takes the top-level `theta` if pinned, else theta* solved from `contract`."""
+def _theta(cfg: dict, model: ModelParams, measure="Q") -> tuple[float, dict]:
+    """The tilt of a `measure`, P or Q in any case, and its report block: P is
+    theta 0; Q takes the top-level `theta` if pinned, else theta* solved from
+    `contract`."""
     name = str(measure).upper()
     if name not in ("P", "Q"):
         raise IngestError(f"measure must be P or Q, got {measure!r}")
     if name == "P":
-        return 0.0
+        return 0.0, {"theta": 0.0, "source": "P"}
     if cfg.get("theta") is not None:
-        return _num(cfg["theta"], "theta")
-    return _resolve_theta(cfg, model, _contract_from(cfg))[0]
+        theta = _num(cfg["theta"], "theta")
+        return theta, {"theta": theta, "source": "pinned"}
+    contract = _contract_from(cfg)
+    sol = solve_theta(model, contract.rate_r, float(contract.horizon_T))
+    return sol.theta, {"theta": sol.theta, "source": "solved", "residual": sol.residual}
 
 
 def _describe(series) -> dict:
@@ -358,19 +354,25 @@ def cmd_price(args) -> int:
     cfg = _load_config(args.config)
     contract = _contract_from(cfg)
     model = _model_from(cfg, horizon=float(contract.horizon_T))
-    theta, theta_info = _resolve_theta(cfg, model, contract)
-    grid, grid_info = _grid_from(cfg, model, theta, contract.horizon_T,
-                                 args.terms, args.l_mult)
-    quote = price_strangle(contract, model, theta, grid)
-    price = quote.price
-    grid_info["live_terms"] = quote.live_terms
+
+    @functools.cache
+    def quote(alpha: float):
+        """The theta block, grid block and quote of the contract at mean-reversion rate `alpha`."""
+        model_a = dataclasses.replace(model, alpha=alpha)
+        theta_a, theta_info = _theta(cfg, model_a)
+        grid, grid_info = _grid_from(cfg, model_a, theta_a, contract.horizon_T,
+                                     args.terms, args.l_mult)
+        return theta_info, grid_info, price_strangle(contract, model_a, theta_a, grid)
+
+    theta_info, grid_info, headline = quote(model.alpha)
+    theta, price = theta_info["theta"], headline.price
     payload = {
         "config": cfg,
         "theta": theta_info,
-        "grid": grid_info,
+        "grid": {**grid_info, "live_terms": headline.live_terms},
         "price": price,
-        "convergence": {"price_half_terms": quote.price_half_terms,
-                        "relative_change": quote.relative_change},
+        "convergence": {"price_half_terms": headline.price_half_terms,
+                        "relative_change": headline.relative_change},
     }
     if args.mc:
         sim_cfg = _section(cfg, "sim")
@@ -391,15 +393,8 @@ def cmd_price(args) -> int:
         rows = []
         for alpha_val in sweep:
             alpha_val = _num(alpha_val, "alpha_sweep")
-            if alpha_val == model.alpha:  # the headline's inputs exactly: reuse its price
-                rows.append({"alpha": alpha_val, "theta": theta, "price": price})
-                continue
-            model_a = dataclasses.replace(model, alpha=alpha_val)
-            theta_a, _ = _resolve_theta(cfg, model_a, contract)
-            grid_a, _ = _grid_from(cfg, model_a, theta_a, contract.horizon_T,
-                                   args.terms, args.l_mult)
-            rows.append({"alpha": alpha_val, "theta": theta_a,
-                         "price": price_strangle(contract, model_a, theta_a, grid_a).price})
+            theta_block, _, row = quote(alpha_val)
+            rows.append({"alpha": alpha_val, "theta": theta_block["theta"], "price": row.price})
         payload["alpha_sweep"] = rows
     _write_json(args.out, payload)
     return 0
@@ -415,7 +410,7 @@ def cmd_simulate(args) -> int:
         raise IngestError("simulate requires a seed (config sim.seed or --seed)")
     horizon = _num(cfg.get("horizon", _section(cfg, "contract").get("horizon_t", 365)), "horizon")
     model = _model_from(cfg, horizon=horizon)
-    theta = _measure_theta(cfg, sim_cfg.get("measure", "P"), model)
+    theta, _ = _theta(cfg, model, sim_cfg.get("measure", "P"))
     run = SimConfig(step=_num(sim_cfg.get("step", 1.0), "sim.step"), n_paths=n_paths,
                     seed=_num(seed, "sim.seed", int))
     start = cfg.get("start_date")
@@ -445,7 +440,7 @@ def cmd_density(args) -> int:
     points = _num(cfg.get("points", 257), "points", int)
     if points < 1:
         raise IngestError(f"points must be a positive integer, got {cfg['points']!r}")
-    theta = _measure_theta(cfg, cfg.get("measure", "P"), model)
+    theta, _ = _theta(cfg, model, cfg.get("measure", "P"))
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult, legs=("n1",))
     xs = np.linspace(grid.b1, grid.b2, points)
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t)

@@ -62,9 +62,7 @@ def require_positive(vol: FourCoeffs, horizon: float) -> None:
     """
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
-    grid = np.arange(0.0, horizon + 1.0)
-    if grid[-1] < horizon:
-        grid = np.append(grid, horizon)
+    grid = np.append(np.arange(0.0, horizon), horizon)
     vals = eval_seasonal(vol, grid)
     if np.min(vals) < -1e-9:
         tbad = float(grid[int(np.argmin(vals))])

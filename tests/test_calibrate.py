@@ -82,6 +82,16 @@ class TestFitSeasonal:
         fit = fit_seasonal(synthetic_series([8, 0.0008, -6, -13], seed=3))
         assert np.all(fit.ci_low <= fit.params) and np.all(fit.params <= fit.ci_high)
 
+    def test_design_has_full_rank_for_every_length_fitted(self):
+        """[1, t, sin wt, cos wt] on t = 0..n-1 depends on n alone, and fit_seasonal
+        rejects n <= 4: from n = 5 up the design has rank 4, its smallest singular value
+        far above lstsq's cutoff, so the fit needs no rank check."""
+        for n in (5, 6, 7, 8, 13, 364, 365, 366, 730, 2999, 10_000, 100_000):
+            x = seasonal_design(np.arange(n))
+            assert np.linalg.matrix_rank(x) == 4
+            s = np.linalg.svd(x, compute_uv=False)
+            assert s[-1] > 100.0 * np.finfo(float).eps * n * s[0]
+
     def test_iid_noise_coverage(self):
         # quick 30-seed guard; the full 100-seed >= 90% experiment runs in acceptance
         beta = np.array([8.0, 0.0008, -6.0, -13.0])

@@ -121,6 +121,15 @@ class TestFit:
         assert tch["at_bound"] == ["mu1"] and abs(tch["mu1"]) > 50 - 1e-3
         assert tch["converged"] is False and tch["status"] > 0
 
+    def test_short_series_exit_3(self, fit_csv, tmp_path, capsys):
+        """30 days fit the seasonal curve and alpha, but leave too few innovations for
+        the time change: a fit failure, exit 3, and no report written."""
+        short, out = tmp_path / "short.csv", tmp_path / "fit.json"
+        short.write_text("".join(Path(fit_csv).read_text().splitlines(True)[:31]))
+        assert main(["fit", str(short), "--out", str(out)]) == 3
+        assert "fit error: need at least 500 innovations, got 29" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gap_csv_exit_2(self, tmp_path, capsys):
         lines = ["date,tavg"]
         base = np.datetime64("2020-01-01")
@@ -209,8 +218,8 @@ class TestPrice:
 
     def test_alpha_sweep_rows(self, tmp_path):
         """The grid's cumulants and the charfun of one price share one CAT kernel build,
-        and the row at the model's own alpha reuses the main price, so a sweep of three
-        alphas around the model's builds 3 kernels.  A kept kernel refuses writes."""
+        and the row at the model's own alpha is the headline's own quote, so a sweep of
+        three alphas around the model's builds 3 kernels.  A kept kernel refuses writes."""
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
                "alpha_sweep": [0.1, MODEL_CFG["alpha"], 0.4]}
         p = tmp_path / "cfg.json"
@@ -231,6 +240,29 @@ class TestPrice:
         assert _cat_parts.cache_info().misses == 3
         with pytest.raises(ValueError):
             kern[0, 0] = 0.0
+
+    def test_repeated_sweep_alpha_priced_once(self, tmp_path, monkeypatch):
+        """Each distinct alpha is priced once: a sweep [0.1, 0.1, alpha] prices the
+        headline and 0.1, and its two 0.1 rows are equal."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return price_strangle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "price_strangle", counted)
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
+               "alpha_sweep": [0.1, 0.1, MODEL_CFG["alpha"]]}
+        p, out = tmp_path / "cfg.json", tmp_path / "sweep.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+        assert len(calls) == 2
+        payload = json.loads(out.read_text())
+        rows = payload["alpha_sweep"]
+        assert [row["alpha"] for row in rows] == [0.1, 0.1, 0.25]
+        assert rows[0] == rows[1]
+        assert rows[2] == {"alpha": 0.25, "theta": payload["theta"]["theta"],
+                           "price": payload["price"]}
 
     def test_explicit_cos_bounds(self, tmp_path):
         """cos {b1, b2, n1, n2} prices on exactly that grid, with no automatic bounds; the
@@ -283,15 +315,49 @@ class TestExitCodes:
         assert main([command, str(path)]) == 2
         assert f"line 7: non-finite value '{value}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, field", [("model", "alpha"), ("contract", "k1_strike"),
-                                                 ("contract", "horizon_t")])
-    def test_non_numeric_config_field_exit_2(self, tmp_path, capsys, section, field):
+    @pytest.mark.parametrize("section, field, value, shown", [
+        ("model", "alpha", "abc", "'abc'"), ("contract", "k1_strike", "abc", "'abc'"),
+        ("contract", "horizon_t", "abc", "'abc'"), ("contract", "k1_strike", [1], "[1]"),
+        ("contract", "horizon_t", 1e999, "inf")],
+        ids=["model-alpha", "contract-k1_strike", "contract-horizon_t",
+             "contract-k1_strike-list", "contract-horizon_t-overflow"])
+    def test_non_numeric_config_field_exit_2(self, tmp_path, capsys, section, field, value,
+                                             shown):
+        """A number too large for a double (1e999 in the file) reads as inf, which no
+        whole-number field converts."""
         cfg = {"model": dict(MODEL_CFG), "contract": dict(CONTRACT_CFG)}
-        cfg[section][field] = "abc"
+        cfg[section][field] = value
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
+        p.write_text(json.dumps(cfg).replace("Infinity", "1e999"))
         assert main(["price", "--config", str(p)]) == 2
-        assert f"{section}.{field} must be a number" in capsys.readouterr().err
+        assert f"{section}.{field} must be a number, got {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, edit, message", [
+        ("price", [], {"cos": {"n1": 0}}, "term counts must be >= 1"),
+        ("price", [], {"cos": {"b1": 10.0, "b2": 5.0}}, "need b1 < b2"),
+        ("price", [], {"contract": dict(CONTRACT_CFG, horizon_t=0)},
+         "horizon_T must be a positive number of days"),
+        ("price", [], {"contract": dict(CONTRACT_CFG, rate_r=-0.01)},
+         "interest rate must be >= 0"),
+        ("price", ["--l-mult", "-1"], {}, "l_mult must be >= 0"),
+        ("price", [], {"model": dict(MODEL_CFG, vol=[3.5, 0.0, 0.5])},
+         "model.vol must have exactly 4 coefficients, got 3"),
+        ("price", [], {"model": dict(MODEL_CFG, vol=[0.0, 0.0, 0.0, 0.0])},
+         "volatility kernel integral K2 is not positive"),
+        ("simulate", [], {"horizon": 10, "sim": {"seed": 1, "step": 0}}, "step must be > 0"),
+        ("simulate", [], {"horizon": 10, "sim": {"seed": 1, "n_paths": 0}},
+         "n_paths must be >= 1"),
+    ], ids=["n1-zero", "b1-above-b2", "horizon-zero", "rate-negative", "l-mult-negative",
+            "vol-three-coefficients", "vol-zero", "step-zero", "n_paths-zero"])
+    def test_value_outside_its_domain_exit_2(self, tmp_path, capsys, command, flags, edit,
+                                             message):
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, **edit}
+        p, out = tmp_path / "cfg.json", tmp_path / "out"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, field", [("cos", "n1"), ("contract", "horizon_t")])
     def test_boolean_in_a_numeric_field_exit_2(self, tmp_path, capsys, section, field):
@@ -428,6 +494,21 @@ class TestExitCodes:
         assert main(["stats", fit_csv, "--out", str(tmp_path / "absent" / "s.json")]) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_failed_write_keeps_the_target(self, tmp_path):
+        """A chunk that fails mid-write propagates; no temp file is left, and the
+        file already at the path keeps its bytes."""
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+
+        def chunks():
+            yield b"new\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            cli._atomic_write(str(target), chunks())
+        assert target.read_bytes() == b"old\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+
     def test_library_value_error_propagates(self, fit_csv, monkeypatch):
         def broken(series):
             raise ValueError("internal bug")
@@ -458,6 +539,17 @@ class TestSimulate:
                      "--paths", "100"]) == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 100 * 41  # header + n_paths * (horizon + 1)
+
+    def test_horizon_off_the_day_grid(self, tmp_path):
+        """A horizon of 3.5 days in steps of 0.5 runs to 3.5, and its volatility is
+        checked up to 3.5: sigma(t) = 3.8 - t, negative only from t = 3.8 on, simulates."""
+        cfg = {"model": dict(MODEL_CFG, vol=[3.8, -1.0, 0.0, 0.0]), "horizon": 3.5,
+               "sim": {"seed": 1, "step": 0.5}}
+        p, out = tmp_path / "cfg.json", tmp_path / "sim.csv"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        times = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert times == [0.5 * i for i in range(8)]
 
     def test_noiseless_equals_deterministic(self, tmp_path):
         cfg = {"model": dict(MODEL_CFG, vol=[0.0, 0.0, 0.0, 0.0]), "horizon": 10,

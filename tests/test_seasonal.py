@@ -163,6 +163,16 @@ class TestRequirePositive:
         with pytest.raises(DomainError):
             require_positive(FourCoeffs(0.5, 0.0, 0.0, -1.0), 365.0)
 
+    def test_fractional_horizon_checked_up_to_its_endpoint(self):
+        """sigma(t) = 3.8 - t is 0.3 at t = 3.5 and negative from t = 3.8 on: positive on
+        [0, 3.5], negative on [0, 4], so the grid ends at the horizon, not the next day."""
+        vol = FourCoeffs(3.8, -1.0, 0.0, 0.0)
+        require_positive(vol, 3.5)
+        with pytest.raises(DomainError, match=r"sigma\(4.0\)"):
+            require_positive(vol, 4.0)
+        with pytest.raises(DomainError, match=r"sigma\(3.9\)"):
+            require_positive(vol, 3.9)
+
     def test_negative_coefficients_allowed_if_positive_overall(self):
         # coefficient sign is neither necessary nor sufficient; the function matters
         require_positive(FourCoeffs(5.0, 0.0, -1.0, -1.0), 730.0)
