@@ -130,7 +130,7 @@ def fit_seasonal(series) -> FitReport:
     cov = sigma2 * np.linalg.inv(x.T @ x)
     se_ols = np.sqrt(np.diag(cov))
 
-    if resid.size > 1 and np.var(resid) > 0:
+    if np.var(resid) > 0:
         rho1 = float(np.corrcoef(resid[:-1], resid[1:])[0, 1])
     else:
         rho1 = 0.0
@@ -256,11 +256,6 @@ def _grid_charfuns(samples) -> np.ndarray:
     return np.array(rows)
 
 
-def _penalised(la: float, lb: float, mu1: float, sig: np.ndarray) -> bool:
-    """Whether the fits' residuals are the constant penalty: off the box or sig <= 1e-6."""
-    return not _in_box(la, lb, mu1) or bool(np.any(sig <= 1e-6))
-
-
 def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndarray):
     """(residuals(x), jacobian(x)) of the time-change fit in
     x = (log a, log b, mu1, free vol coefficients).
@@ -299,7 +294,7 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndar
         (group, node, u) array, z = A - 1, iu m and the centred exponent S - iu m."""
         la, lb, mu1 = x[:3]
         sig = sig_of(x)
-        if _penalised(la, lb, mu1, sig):
+        if not _in_box(la, lb, mu1) or np.any(sig <= 1e-6):
             return None
         a, b = math.exp(la), math.exp(lb)
         uk = np.multiply.outer(np.multiply.outer(sig, decay), CF_GRID)

@@ -243,7 +243,7 @@ def _model_from(cfg: dict, horizon: float) -> ModelParams:
             timechange=GammaTimeChange(_num(tcd["a"], "model.timechange.a"),
                                        _num(tcd["b"], "model.timechange.b"),
                                        _num(tcd.get("mu1", 0.0), "model.timechange.mu1")),
-            horizon=max(float(horizon), 1.0),
+            horizon=float(horizon),
         )
     except KeyError as exc:
         raise IngestError(f"invalid model config: missing {exc}") from exc
@@ -270,15 +270,13 @@ def _contract_from(cfg: dict) -> ContractSpec:
 def _grid_from(cfg: dict, model: ModelParams, theta: float, horizon_t: int,
                terms: int | None, l_mult: float | None,
                legs=("n1", "n2")) -> tuple[CosGrid, dict]:
-    """The cosine grid and its report block; only the term counts named in `legs`
-    are read (a density reads n1 alone, and its grid keeps CosGrid's n2)."""
+    """The cosine grid and its report block: the automatic grid when `cos` has no
+    b1, else [b1, b2] as given.  Only the term counts named in `legs` are read
+    (a density reads n1 alone, and its grid keeps CosGrid's n2)."""
     cos_cfg = _section(cfg, "cos")
     counts = {leg: _num(terms if terms is not None else cos_cfg.get(leg, 256), f"cos.{leg}", int)
               for leg in legs}
-    auto = cos_cfg.get("auto", "b1" not in cos_cfg)
-    if not isinstance(auto, bool):
-        raise IngestError(f"cos.auto must be true or false, got {auto!r}")
-    if auto:
+    if "b1" not in cos_cfg:
         lm = _num(l_mult if l_mult is not None else cos_cfg.get("l_mult", 10.0), "cos.l_mult")
         mean, var = cat_cumulants(model, theta, horizon_t)
         b1, b2 = truncation_bounds(mean, var, lm)
@@ -456,7 +454,7 @@ def cmd_stats(args) -> int:
     summary = described["summary"]
     x, sd = series.values, summary["std"]
     n = x.size
-    n_bins = max(1, int(np.ceil(np.log2(n))) + 1)  # Sturges
+    n_bins = int(np.ceil(np.log2(n))) + 1  # Sturges
     counts, edges = np.histogram(x, bins=n_bins)
     iqr = float(np.subtract(*np.percentile(x, [75, 25])))
     spread = min(sd, iqr / 1.34) or sd  # sd when over half the values tie, as R's bw.nrd0

@@ -104,25 +104,19 @@ def cos_coefficients(charfun_at, grid: CosGrid, count: int) -> np.ndarray:
     return (2.0 / width) * (np.exp(-1j * k * np.pi * grid.b1 / width) * phi).real
 
 
-def _psi_chi(k: np.ndarray, grid: CosGrid, lower: float, upper: float):
-    """Closed-form cosine integrals over [lower, upper], b1 <= lower <= upper <= b2:
+def _psi_chi(n: int, grid: CosGrid, lower: float, upper: float):
+    """Closed-form cosine integrals over [lower, upper], b1 <= lower <= upper <= b2,
+    for k = 0..n:
 
     psi_k = int cos(k pi (x-b1)/(b2-b1)) dx,
     chi_k = int x cos(k pi (x-b1)/(b2-b1)) dx.
     """
-    k = np.asarray(k, float)
-    psi = np.empty_like(k)
-    chi = np.empty_like(k)
-    zero = k == 0
-    psi[zero] = upper - lower
-    chi[zero] = 0.5 * (upper * upper - lower * lower)
-    kp = k[~zero]
-    if kp.size:
-        om = kp * np.pi / grid.width
-        su, sl = np.sin(om * (upper - grid.b1)), np.sin(om * (lower - grid.b1))
-        cu, cl = np.cos(om * (upper - grid.b1)), np.cos(om * (lower - grid.b1))
-        psi[~zero] = (su - sl) / om
-        chi[~zero] = (upper * su - lower * sl) / om + (cu - cl) / om**2
+    om = np.arange(1, n + 1) * np.pi / grid.width
+    su, sl = np.sin(om * (upper - grid.b1)), np.sin(om * (lower - grid.b1))
+    cu, cl = np.cos(om * (upper - grid.b1)), np.cos(om * (lower - grid.b1))
+    psi = np.concatenate([[upper - lower], (su - sl) / om])
+    chi = np.concatenate([[0.5 * (upper * upper - lower * lower)],
+                          (upper * su - lower * sl) / om + (cu - cl) / om**2])
     return psi, chi
 
 
@@ -139,7 +133,7 @@ def _leg_terms(coeffs: np.ndarray, grid: CosGrid, strike: float, call: bool) -> 
                  else f"put strike {strike} at or below b1={grid.b1}")
         warnings.warn(f"{where}: empty payoff support, leg = 0", PricingWarning)
         return np.zeros(n + 1)
-    psi, chi = _psi_chi(np.arange(n + 1), grid, lower, upper)
+    psi, chi = _psi_chi(n, grid, lower, upper)
     terms = coeffs * (chi - strike * psi if call else strike * psi - chi)
     terms[0] *= 0.5
     return terms

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import (GammaTimeChange, ModelParams, a1, esscher_interval,
-                      transformed_timechange, v_cumulants)
+from .charfun import (ModelParams, a1, esscher_interval, transformed_timechange,
+                      v_cumulants)
 from .errors import DomainError, NoBracketError
 from .seasonal import k1
 
@@ -40,15 +40,10 @@ class ThetaSolution:
     residual: float
 
 
-def _daily_rate(rate: float) -> float:
-    """The per-day rate r~ = r/365 of a yearly rate r >= 0."""
+def _martingale_target(p: ModelParams, rate: float, horizon_T: float) -> float:
     if rate < 0.0:
         raise DomainError(f"interest rate must be >= 0, got {rate}")
-    return rate / 365.0
-
-
-def _martingale_target(p: ModelParams, rate: float, horizon_T: float) -> float:
-    r_day = _daily_rate(rate)
+    r_day = rate / 365.0  # the per-day rate r~
     disc_T = np.exp(-r_day * horizon_T) * p.det_mean(horizon_T)
     j_int = k1(horizon_T, p.alpha, p.vol)  # e^{-alpha T} K2(alpha, T)
     if not j_int > 0.0:
@@ -63,12 +58,6 @@ def martingale_residual(theta: float, p: ModelParams, rate: float,
         raise DomainError(f"horizon_T must be > 0, got {horizon_T}")
     l_prime = v_cumulants(transformed_timechange(p.timechange, theta))[0]
     return l_prime - _martingale_target(p, rate, horizon_T)
-
-
-def _shrunk_interval(tc: GammaTimeChange) -> tuple[float, float]:
-    lo, hi = esscher_interval(tc)
-    margin = _EDGE_MARGIN * (hi - lo)
-    return lo + margin, hi - margin
 
 
 def solve_theta(p: ModelParams, rate: float, horizon_T: float) -> ThetaSolution:
@@ -97,7 +86,9 @@ def solve_theta(p: ModelParams, rate: float, horizon_T: float) -> ThetaSolution:
     roots = [quad_c / q] if c == 0.0 else [quad_c / q, q / quad_a]
     theta = float(max(roots, key=lambda t: a1(t, tc)))  # the root with A1(theta) > 0
 
-    lo, hi = _shrunk_interval(tc)
+    lo, hi = esscher_interval(tc)
+    margin = _EDGE_MARGIN * (hi - lo)
+    lo, hi = lo + margin, hi - margin
     if not lo < theta < hi:
         g = lambda t: martingale_residual(t, p, rate, horizon_T)
         raise NoBracketError(
