@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 from pathlib import Path
@@ -126,6 +127,11 @@ class TestFitAlpha:
         t = np.arange(400, dtype=float)
         stub = types.SimpleNamespace(residuals=0.999**t)
         assert fit_alpha(stub).alpha == pytest.approx(-np.log(0.999), rel=1e-6)
+
+    def test_two_residuals_rejected(self):
+        fit = fit_seasonal(synthetic_series([5.0, 0.001, -4.0, -9.0], n=100))
+        with pytest.raises(CalibrationError, match="too few residuals for the autoregression"):
+            fit_alpha(dataclasses.replace(fit, residuals=fit.residuals[:2]))
 
     def test_no_mean_reversion_rejected(self):
         t = np.arange(300, dtype=float)
@@ -293,6 +299,10 @@ class TestFitTimechange:
         tf_pos = fit_timechange(resid, alpha=alpha, vol_shape="constant")
         tf_neg = fit_timechange(-resid, alpha=alpha, vol_shape="constant")
         assert tf_pos.mu1 > 0 and tf_neg.mu1 < 0
+
+    def test_unknown_vol_shape(self):
+        with pytest.raises(CalibrationError, match="unknown vol_shape 'monthly'"):
+            fit_timechange(np.ones(600), alpha=0.2, vol_shape="monthly")
 
     def test_too_few_innovations(self):
         with pytest.raises(CalibrationError, match="500"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
@@ -57,6 +59,19 @@ class TestA1:
         tc = GammaTimeChange(1.0, 1.7, 0.4)
         for u in (0.3, 1.1, 2.0):
             assert a1(u, tc) - a1(-u, tc) == pytest.approx(-2 * tc.mu1 * u / tc.b, rel=1e-12)
+
+
+class TestParameterGuards:
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 1.0), (1.5, 0.0), (1.5, -2.0)])
+    def test_gamma_parameters_must_be_positive(self, a, b):
+        with pytest.raises(DomainError,
+                           match=f"Gamma parameters must be positive, got a={a}, b={b}"):
+            GammaTimeChange(a, b, 0.3)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.25, float("nan")])
+    def test_alpha_must_be_positive(self, toronto_like_model, alpha):
+        with pytest.raises(DomainError, match=f"alpha must be > 0, got {alpha}"):
+            dataclasses.replace(toronto_like_model, alpha=alpha)
 
 
 class TestCumulantV:
@@ -232,6 +247,10 @@ class TestTiltedExponentSum:
 
 
 class TestCharfunT:
+    def test_rejects_negative_t(self, toronto_like_model):
+        with pytest.raises(DomainError, match="t must be >= 0, got -1.0"):
+            charfun_T(0.5, -1.0, toronto_like_model)
+
     def test_normalization(self, toronto_like_model):
         assert charfun_T(0.0, 30.0, toronto_like_model) == 1.0 + 0.0j
 

@@ -347,8 +347,11 @@ class TestExitCodes:
         ("simulate", [], {"horizon": 10, "sim": {"seed": 1, "step": 0}}, "step must be > 0"),
         ("simulate", [], {"horizon": 10, "sim": {"seed": 1, "n_paths": 0}},
          "n_paths must be >= 1"),
+        ("simulate", [], {"horizon": -3, "sim": {"seed": 1}}, "horizon must be >= 0, got -3.0"),
+        ("density", [], {"horizon_t": -3}, "horizon must be >= 0, got -3.0"),
     ], ids=["n1-zero", "b1-above-b2", "horizon-zero", "rate-negative", "l-mult-negative",
-            "vol-three-coefficients", "vol-zero", "step-zero", "n_paths-zero"])
+            "vol-three-coefficients", "vol-zero", "step-zero", "n_paths-zero",
+            "simulate-horizon-negative", "density-horizon-negative"])
     def test_value_outside_its_domain_exit_2(self, tmp_path, capsys, command, flags, edit,
                                              message):
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, **edit}
@@ -382,15 +385,26 @@ class TestExitCodes:
         assert err.startswith("input error:")
         assert f"{section}.{field} must be a number, got {value!r}" in err
 
-    @pytest.mark.parametrize("auto", ["false", 0])
-    def test_cos_auto_not_a_boolean_exit_2(self, tmp_path, capsys, auto):
-        """"auto": "false" with explicit bounds used to price on the automatic grid."""
+    @pytest.mark.parametrize("auto", ["false", 0, True])
+    def test_explicit_bounds_priced_as_given(self, tmp_path, auto):
+        """Explicit b1 and b2 are a manual grid, whatever `auto` says: it is not read."""
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG,
                "cos": {"auto": auto, "b1": -1200.0, "b2": 1100.0}}
-        p = tmp_path / "cfg.json"
+        p, out = tmp_path / "cfg.json", tmp_path / "price.json"
         p.write_text(json.dumps(cfg))
-        assert main(["price", "--config", str(p)]) == 2
-        assert f"cos.auto must be true or false, got {auto!r}" in capsys.readouterr().err
+        assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+        grid = json.loads(out.read_text())["grid"]
+        assert (grid["auto"], grid["b1"], grid["b2"]) == (False, -1200.0, 1100.0)
+
+    def test_no_bounds_is_the_automatic_grid(self, tmp_path):
+        """A cos section without b1 prices on the automatic grid, "auto": false or not."""
+        grids = []
+        for i, cos in enumerate(({"auto": False}, {})):
+            p, out = tmp_path / f"cfg{i}.json", tmp_path / f"price{i}.json"
+            p.write_text(json.dumps({"model": MODEL_CFG, "contract": CONTRACT_CFG, "cos": cos}))
+            assert main(["price", "--config", str(p), "--out", str(out)]) == 0
+            grids.append(json.loads(out.read_text())["grid"])
+        assert grids[0] == grids[1] and grids[0]["auto"] is True
 
     @pytest.mark.parametrize("command, section, field", [
         ("density", None, "horizon_t"), ("price", "contract", "horizon_t"),
@@ -550,6 +564,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
         times = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert times == [0.5 * i for i in range(8)]
+
+    def test_horizon_under_one_day(self, tmp_path):
+        """A half-day run checks its volatility on [0, 0.5] only: sigma(t) = 0.8 - t,
+        negative from t = 0.8 on, simulates."""
+        cfg = {"model": dict(MODEL_CFG, vol=[0.8, -1.0, 0.0, 0.0]), "horizon": 0.5,
+               "sim": {"seed": 1, "step": 0.5}}
+        p, out = tmp_path / "cfg.json", tmp_path / "sim.csv"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        times = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert times == [0.0, 0.5]
 
     def test_noiseless_equals_deterministic(self, tmp_path):
         cfg = {"model": dict(MODEL_CFG, vol=[0.0, 0.0, 0.0, 0.0]), "horizon": 10,

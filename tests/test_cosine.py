@@ -61,11 +61,11 @@ class TestCosCoefficients:
 
 class TestPayoffCosIntegrals:
     def test_empty_interval(self):
-        psi, chi = _psi_chi(np.array([3]), GAUSS_GRID, 1.0, 1.0)
-        assert psi[0] == 0.0 and chi[0] == 0.0
+        psi, chi = _psi_chi(3, GAUSS_GRID, 1.0, 1.0)
+        assert psi[3] == 0.0 and chi[3] == 0.0
 
     def test_k0_unit_interval(self):
-        psi, chi = _psi_chi(np.array([0]), GAUSS_GRID, 0.0, 1.0)
+        psi, chi = _psi_chi(0, GAUSS_GRID, 0.0, 1.0)
         assert psi[0] == pytest.approx(1.0) and chi[0] == pytest.approx(0.5)
 
     def test_against_quadrature(self):
@@ -74,12 +74,12 @@ class TestPayoffCosIntegrals:
             k = int(rng.integers(1, 9))
             lo = rng.uniform(-9, 8)
             hi = rng.uniform(lo, 9)
-            psi, chi = _psi_chi(np.array([k]), GAUSS_GRID, lo, hi)
+            psi, chi = _psi_chi(k, GAUSS_GRID, lo, hi)
             w = k * np.pi / GAUSS_GRID.width
             psi_q = quad(lambda x: np.cos(w * (x - GAUSS_GRID.b1)), lo, hi, epsabs=1e-14)[0]
             chi_q = quad(lambda x: x * np.cos(w * (x - GAUSS_GRID.b1)), lo, hi, epsabs=1e-14)[0]
-            assert psi[0] == pytest.approx(psi_q, abs=1e-12)
-            assert chi[0] == pytest.approx(chi_q, abs=1e-12)
+            assert psi[k] == pytest.approx(psi_q, abs=1e-12)
+            assert chi[k] == pytest.approx(chi_q, abs=1e-12)
 
 
 class TestLegValue:

@@ -6,8 +6,8 @@ import pytest
 from scipy import special, stats
 
 from helpers import fill_missing_loop
-from tempderiv import (DomainError, IngestError, data, ingest_csv, ks_normality,
-                       summary_stats)
+from tempderiv import (DailySeries, DomainError, IngestError, data, ingest_csv,
+                       ks_normality, summary_stats)
 from tempderiv._normal import _kolmogorov_sf, _norm_cdf
 
 
@@ -18,6 +18,20 @@ def csv_from(rows, header="date,tavg"):
 def date_range_rows(n, values, start="2020-01-01"):
     base = np.datetime64(start)
     return [f"{base + i},{v}" for i, v in zip(range(n), values)]
+
+
+class TestDailySeries:
+    DATES = np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-04"))
+
+    @pytest.mark.parametrize("n_values, n_mask", [(2, 3), (3, 2), (4, 4)])
+    def test_unequal_lengths_rejected(self, n_values, n_mask):
+        with pytest.raises(IngestError, match="dates, values and mask must have equal length"):
+            DailySeries(self.DATES, np.zeros(n_values), np.zeros(n_mask, bool))
+
+    def test_non_consecutive_dates_rejected(self):
+        dates = np.array(["2020-01-01", "2020-01-02", "2020-01-04"], dtype="datetime64[D]")
+        with pytest.raises(IngestError, match="dates must be consecutive calendar days"):
+            DailySeries(dates, np.zeros(3), np.zeros(3, bool))
 
 
 class TestIngest:

@@ -84,6 +84,11 @@ class TestMartingaleResidual:
         vals = np.array([martingale_residual(t, p, 0.03, 60.0) for t in grid])
         assert np.all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("horizon", [0.0, -30.0])
+    def test_rejects_nonpositive_horizon(self, toronto_like_model, horizon):
+        with pytest.raises(DomainError, match=f"horizon_T must be > 0, got {horizon}"):
+            martingale_residual(0.1, toronto_like_model, 0.02, horizon)
+
     def test_large_alpha_t_no_overflow(self, toronto_like_model):
         p = ModelParams(alpha=2.0, t0=toronto_like_model.t0,
                         seasonal=toronto_like_model.seasonal,

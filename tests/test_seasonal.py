@@ -173,6 +173,10 @@ class TestRequirePositive:
         with pytest.raises(DomainError, match=r"sigma\(3.9\)"):
             require_positive(vol, 3.9)
 
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(DomainError, match="horizon must be >= 0, got -0.5"):
+            require_positive(FourCoeffs(2.0, 0.0, 0.5, 0.5), -0.5)
+
     def test_negative_coefficients_allowed_if_positive_overall(self):
         # coefficient sign is neither necessary nor sufficient; the function matters
         require_positive(FourCoeffs(5.0, 0.0, -1.0, -1.0), 730.0)
