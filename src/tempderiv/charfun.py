@@ -27,9 +27,9 @@ arithmetic (`tilted_exponent_sum`).  For real frequencies the Log argument
 has real part >= 1, so it never reaches the branch cut.  The CAT index sums
 its day pieces on panels graded back from the horizon (`_cat_parts`): the
 per-day exponent is smooth in the day index apart from a boundary layer of
-width 1/alpha at T, so days far from T are summed on Chebyshev points
-(barycentric weights, Berrut & Trefethen 2004) and horizons up to 31 days
-day by day.
+width 1/alpha at T, so the days of a panel longer than 16 days are summed
+on the 16-point Gauss rule of its days (positive weights, exact for degree
+< 32), and horizons up to 31 days day by day.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def cat_day_weights(alpha: float, horizon_T: int, days=None) -> np.ndarray:
 
 
 # CAT panels hold 1, 2, 4, ... days back from T, at most PANEL_CAP; a panel of more
-# than PANEL_POINTS days is summed on PANEL_POINTS Chebyshev points
+# than PANEL_POINTS days is summed on the PANEL_POINTS-point Gauss rule of its days
 PANEL_POINTS = 16
 PANEL_CAP = 64
 
@@ -237,30 +237,19 @@ def _panel_rule(n_days: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and weights summing a smooth f over the days 0..n_days-1 of a panel.
 
     Up to PANEL_POINTS days the offsets are the days, each with weight 1.
-    Beyond, they are the PANEL_POINTS Chebyshev points of [0, n_days - 1],
-    each weighted by the sum over the days of its barycentric Lagrange basis
-    (Berrut & Trefethen 2004): exact for polynomials of degree < PANEL_POINTS.
-    Where one of those weights is negative (panels of 17 to 24 days) the panel
-    is summed day by day too, so that every weight is positive and |phi| does
-    not increase with |u| (`_live`).
+    Beyond, they are the PANEL_POINTS-point Gauss rule of the uniform measure on
+    the days (Golub & Welsch 1969): the eigenvalues of the Jacobi matrix of the
+    discrete Chebyshev polynomials, centred on the panel's middle, and n_days
+    times the squared first components of its eigenvectors.  Every weight is
+    positive, so |phi| does not increase with |u| (`_live`), and the rule is
+    exact for polynomials of degree < 2 PANEL_POINTS in the day index.
     """
-    days = np.arange(n_days, dtype=float)
-    if n_days > PANEL_POINTS:
-        # second-kind points (n_days - 1)(1 - cos(pi k / (PANEL_POINTS - 1))) / 2, with
-        # a sine so both ends are exact days; barycentric weights (-1)^k, ends halved
-        k = np.arange(PANEL_POINTS)
-        offsets = (n_days - 1) * np.sin(0.5 * np.pi * k / (PANEL_POINTS - 1)) ** 2
-        bary = np.where(k % 2, -1.0, 1.0)
-        bary[[0, -1]] *= 0.5
-        diff = days[:, None] - offsets
-        at_node = diff == 0.0
-        scaled = bary / np.where(at_node, 1.0, diff)
-        basis = np.where(at_node.any(axis=1, keepdims=True), at_node,
-                         scaled / scaled.sum(axis=1, keepdims=True))
-        weights = basis.sum(axis=0)
-        if np.all(weights > 0.0):
-            return offsets, weights
-    return days, np.ones(n_days)
+    if n_days <= PANEL_POINTS:
+        return np.arange(n_days, dtype=float), np.ones(n_days)
+    k = np.arange(1, PANEL_POINTS)
+    beta = 0.5 * k * np.sqrt((n_days * n_days - k * k) / (4.0 * k * k - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(beta, -1) + np.diag(beta, 1))
+    return 0.5 * (n_days - 1) + nodes, n_days * vectors[0] ** 2
 
 
 @functools.lru_cache(maxsize=8)  # an alpha sweep of a few rows plus its base model
@@ -276,9 +265,9 @@ def _cat_parts(p: ModelParams, horizon_T: int) -> tuple[float, np.ndarray, np.nd
     On day piece [t, t + 1], s = t + x_n, the kernel is sigma_s e^{-alpha(1 - x_n)}
     times w(t), the geometric sum of g(s) (`cat_day_weights`).  The rows are
     the pseudo-days t of the panels (`_panels`, `_panel_rule`) in ascending
-    order: every day of a panel of at most PANEL_POINTS days or of 17 to 24
-    days, with weight 1, and PANEL_POINTS Chebyshev points of a longer one.
-    So for T <= 31 the rows are the days 0..T-1.
+    order: every day of a panel of at most PANEL_POINTS days, with weight 1,
+    and the PANEL_POINTS Gauss points of a longer one.  So for T <= 31 the
+    rows are the days 0..T-1.
     """
     if horizon_T < 1:
         raise DomainError(f"horizon_T must be a positive integer number of days, got {horizon_T}")

@@ -399,10 +399,6 @@ class TestFloor:
         assert np.isnan(charfun_cat(np.nan, p, 0.0, 30))
 
 
-# the longest panel whose PANEL_POINTS-point Chebyshev rule has a negative weight
-DAY_BY_DAY = 24
-
-
 class TestCatPanels:
     """charfun_cat sums the day pieces on panels graded back from T (`_panels`,
     `_panel_rule`); these tests hold the panels to the day-by-day sum."""
@@ -444,28 +440,34 @@ class TestCatPanels:
         nominal = np.minimum(2 ** np.arange(len(panels)), PANEL_CAP)
         assert np.all(sizes[::-1][:-1] == nominal[:-1]) and 1 <= sizes[0] <= nominal[-1]
         weights = _cat_parts(random_model(np.random.default_rng(0)), horizon_T)[2]
-        assert len(weights) == sum(n if n <= DAY_BY_DAY else PANEL_POINTS for n in sizes)
+        assert len(weights) == sum(min(n, PANEL_POINTS) for n in sizes)
         assert np.all(weights > 0.0)  # so |phi| does not increase with |u| (charfun._live)
         np.testing.assert_allclose(weights.sum(), horizon_T, rtol=1e-14)
 
     def test_panel_rule_weights_are_positive(self):
-        """Every panel size _panels lays out; the Chebyshev rule has a negative weight
-        up to DAY_BY_DAY days, so those panels are summed day by day."""
+        """Every panel size _panels lays out: positive weights summing to the days, on
+        PANEL_POINTS rows for every panel longer than PANEL_POINTS days."""
         for n_days in range(1, PANEL_CAP + 1):
             offsets, weights = _panel_rule(n_days)
             assert np.all(weights > 0.0)
-            assert len(offsets) == (n_days if n_days <= DAY_BY_DAY else PANEL_POINTS)
+            np.testing.assert_allclose(weights.sum(), n_days, rtol=1e-14)
+            assert len(offsets) == min(n_days, PANEL_POINTS)
 
     @pytest.mark.parametrize("n_days", [1, 16, 17, 24, 25, 27, 32, 46, 63, 64])
     def test_panel_rule_sums_polynomials_exactly(self, n_days):
-        """Exact to rounding for every polynomial of degree < PANEL_POINTS in the day index."""
+        """Exact to rounding for every polynomial of degree < 2 PANEL_POINTS in the day
+        index; a longer panel's offsets lie strictly between its end days."""
         offsets, weights = _panel_rule(n_days)
-        assert np.all(np.diff(offsets) > 0) and offsets[0] == 0 and offsets[-1] == n_days - 1
+        assert np.all(np.diff(offsets) > 0)
+        if n_days > PANEL_POINTS:
+            assert 0 < offsets[0] and offsets[-1] < n_days - 1
+        else:
+            assert np.array_equal(offsets, np.arange(n_days))
         to_unit = lambda t: 2.0 * t / max(n_days - 1, 1) - 1.0
         basis = np.polynomial.chebyshev.chebvander
-        want = basis(to_unit(np.arange(n_days)), PANEL_POINTS - 1).sum(axis=0)
-        np.testing.assert_allclose(weights @ basis(to_unit(offsets), PANEL_POINTS - 1), want,
-                                   rtol=1e-12, atol=1e-12 * n_days)
+        want = basis(to_unit(np.arange(n_days)), 2 * PANEL_POINTS - 1).sum(axis=0)
+        np.testing.assert_allclose(weights @ basis(to_unit(offsets), 2 * PANEL_POINTS - 1),
+                                   want, rtol=1e-12, atol=1e-12 * n_days)
 
 
 class TestCatCumulants:

@@ -3,6 +3,7 @@ import ast
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,23 @@ class TestFit:
         short.write_text("".join(Path(fit_csv).read_text().splitlines(True)[:31]))
         assert main(["fit", str(short), "--out", str(out)]) == 3
         assert "fit error: need at least 500 innovations, got 29" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("series", ["zero", "constant", "harmonic"])
+    def test_exactly_fitted_series_exit_3(self, tmp_path, capsys, series):
+        """800 days that the seasonal curve fits exactly, written to full precision,
+        leave only rounding to fit: exit 3, no report and no RuntimeWarning (the suite
+        makes one an error), where an all-zero series used to crash in fit_alpha and
+        the other two to exit 0 with a fit to rounding noise."""
+        wt = 2 * np.pi * np.arange(800) / 365
+        vals = {"zero": 0.0 * wt, "constant": 5.0 + 0.0 * wt,
+                "harmonic": 8.0 + 6.0 * np.sin(wt) - 3.0 * np.cos(wt)}[series]
+        base = np.datetime64("2016-01-01")
+        csv, out = tmp_path / "exact.csv", tmp_path / "fit.json"
+        csv.write_text("date,tavg\n" + "".join(f"{base + i},{float(v)!r}\n"
+                                                for i, v in enumerate(vals)))
+        assert main(["fit", str(csv), "--out", str(out)]) == 3
+        assert "fit error: the seasonal curve fits the series exactly" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gap_csv_exit_2(self, tmp_path, capsys):
@@ -969,6 +987,18 @@ class TestDeterminism:
         assert res.returncode == 0
         assert "fit" in res.stdout and "price" in res.stdout
 
+    def test_entry_point_runs_in_process(self, fit_csv, tmp_path, monkeypatch):
+        """`python -m tempderiv.cli` in this process, so that a line trace of the suite
+        sees the module's `__main__` line: a stats run exits 0 and writes its report.
+        The module leaves sys.modules first, as runpy warns about executing one that
+        is already imported; monkeypatch puts it back."""
+        out = tmp_path / "stats.json"
+        monkeypatch.setattr(sys, "argv", ["tempderiv", "stats", fit_csv, "--out", str(out)])
+        monkeypatch.delitem(sys.modules, "tempderiv.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("tempderiv.cli", run_name="__main__", alter_sys=True)
+        assert exc.value.code == 0
+        assert json.loads(out.read_text())["input"]["n"] == ingest_csv(fit_csv).n
 
     def test_one_parser_serves_every_call_in_a_process(self, price_config):
         """main builds its parser on the first call and keeps it: after an argv that argparse
