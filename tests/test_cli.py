@@ -135,10 +135,9 @@ class TestFit:
     def test_exactly_fitted_series_exit_3(self, tmp_path, capsys, series):
         """800 days that the seasonal curve fits exactly, written to full precision,
         leave only rounding to fit: exit 3, no report and no RuntimeWarning (the suite
-        makes one an error), where an all-zero series used to crash in fit_alpha and
-        the other two to exit 0 with a fit to rounding noise."""
+        makes one an error), not a crash in fit_alpha or a fit to the rounding."""
         wt = 2 * np.pi * np.arange(800) / 365
-        vals = {"zero": 0.0 * wt, "constant": 5.0 + 0.0 * wt,
+        vals = {"zero": np.zeros_like(wt), "constant": np.full_like(wt, 5.0),
                 "harmonic": 8.0 + 6.0 * np.sin(wt) - 3.0 * np.cos(wt)}[series]
         base = np.datetime64("2016-01-01")
         csv, out = tmp_path / "exact.csv", tmp_path / "fit.json"
