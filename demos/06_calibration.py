@@ -55,7 +55,8 @@ print_solve(tch)
 
 seasonal_tch = fit_timechange(seasonal.residuals, alpha=alpha_fit.alpha, vol_shape="seasonal")
 c0 = seasonal_tch.vol.k0
-print("\nWith a seasonal volatility profile (vol level c0 pinned at the profile's value):")
+print("\nWith a seasonal volatility profile (level c0 and trend c1 pinned at the profile's "
+      "values):")
 print(f"  a = {seasonal_tch.a:.4f}, b/c0^2 = {seasonal_tch.b / c0**2:.4f}, "
       f"mu1/c0 = {seasonal_tch.mu1 / c0:.4f}")
 print_solve(seasonal_tch)

@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .calibrate import (AlphaFit, FitReport, TimeChangeFit, fit_alpha, fit_seasonal,
-                        fit_timechange, innovation_charfun, innovations)
+                        fit_timechange, innovations)
 from .charfun import (GammaTimeChange, ModelParams, a1, cat_cumulants, charfun_T,
                       charfun_cat, transformed_timechange, v_cumulants)
 from .cosine import (ContractSpec, CosGrid, PricingWarning, StrangleQuote, cos_coefficients,
@@ -35,7 +35,7 @@ __all__ = [
     "ThetaSolution", "TimeChangeFit", "a1", "cat_cumulants", "charfun_T",
     "charfun_cat", "cos_coefficients", "density_from_charfun", "eval_seasonal",
     "fit_alpha", "fit_seasonal", "fit_timechange", "ingest_csv",
-    "innovation_charfun", "innovations", "k1", "k2", "ks_normality",
+    "innovations", "k1", "k2", "ks_normality",
     "martingale_residual", "mc_price_cat",
     "price_strangle", "simulate_cat", "simulate_paths",
     "solve_theta", "summary_stats", "transformed_timechange", "truncation_bounds",

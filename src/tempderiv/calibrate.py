@@ -23,9 +23,10 @@ while the odd shape (skewness) still identifies mu1.
 
 The model carries an exact scale degeneracy (sigma, a, b, mu1) ==
 (s*sigma, a, s^2 b, s*mu1).  vol_shape='constant' pins sigma = 1 and lets
-the time change carry the scale; vol_shape='seasonal' matches month groups
-with the vol level c0 pinned at the squared-innovation profile's value, so
-only b / c0^2, mu1 / c0 and c_i / c0 (with a) are identified quantities.
+the time change carry the scale; vol_shape='seasonal' matches twelve month
+groups with the vol level c0 and the trend c1 (a slope per absolute day)
+pinned at the squared-innovation profile's values, so only b / c0^2,
+mu1 / c0 and c_i / c0 (with a) are identified quantities.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, tilted_exponent_sum,
-                      transformed_timechange)
+from .charfun import UNIT_NODES, UNIT_WEIGHTS
 from .data import _as_values
 from .errors import CalibrationError
-from .seasonal import ANNUAL_OMEGA, FourCoeffs, eval_seasonal
+from .seasonal import ANNUAL_OMEGA, FourCoeffs
 
 CF_STEP = 0.05
 CF_GRID = np.arange(1, 41) * CF_STEP       # u = 0.05 .. 2.00, equispaced
@@ -185,22 +185,6 @@ def kernel_weight(alpha: float, order: int) -> float:
     return float(-np.expm1(-x) / x)
 
 
-def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
-                       vol_scale: float | np.ndarray = 1.0, theta: float = 0.0):
-    """Charfun of the one-day innovation int_0^1 vol_scale e^{-alpha(1-s)} dV_s.
-
-    `tilted_exponent_sum` on one unit piece of weight 1; vectorised over u
-    and over an array `vol_scale` (result shape vol_scale.shape + u.shape).
-    The fit does not call it: `_cf_functions` forms the same exponent with
-    the 1/A its Jacobian needs.
-    """
-    tc = transformed_timechange(GammaTimeChange(a, b, mu1), theta)
-    u_arr = np.atleast_1d(np.asarray(u, float))
-    kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - UNIT_NODES)))
-    out = np.exp(tilted_exponent_sum(kern[None], u_arr, tc, pieces=np.ones(1)))
-    return out if np.ndim(u) or np.ndim(vol_scale) else complex(out[0])
-
-
 def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, float]:
     """Method-of-moments seed: the (a, b, mu1) whose V cumulants are the sample's.
 
@@ -257,31 +241,33 @@ def _grid_charfuns(samples) -> np.ndarray:
     return np.array(rows)
 
 
-def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndarray):
+def _cf_functions(emp_groups: np.ndarray, alpha: float, rows: np.ndarray, vol: np.ndarray,
+                  free: list[int]):
     """(residuals(x), jacobian(x)) of the time-change fit in
-    x = (log a, log b, mu1, free vol coefficients).
+    x = (log a, log b, mu1, vol[free]).
 
     Row g of `emp_groups` is matched with the centred innovation charfun at
-    vol scale sig_of(x)[g] and (a, b, mu1) = (e^x0, e^x1, x2); the residuals
-    are the real and imaginary parts of sqrt(CF_WEIGHTS) * (empirical - model).
-    `dsig_dc` is d sig / d x[3:] on the residual rows, which run over (real
-    or imaginary part, group, u): shape (rows, 0) when the vol is pinned.
+    vol scale sig_g = rows[g] @ vol, with vol[free] = x[3:] and the other
+    coefficients pinned, and (a, b, mu1) = (e^x0, e^x1, x2); the residuals
+    are the real and imaginary parts of sqrt(CF_WEIGHTS) * (empirical - model),
+    over (real or imaginary part, group, u).
     Off the search box or at sig <= 1e-6 the residuals are a constant vector
     whose sum of squares is 1e6, and the Jacobian is zero.
 
     Both read one evaluation of the model, `model(x)`.  At node s_n of the
     unit rule (weight W_n), with E_n = e^{-alpha(1 - s_n)}, w = i u sig E_n
-    and A = 1 + q - ip = 1 + z as in `tilted_exponent_sum` (|A| >= 1), the
-    centred model is M = e^{S - iu m} with S = sum_n W_n (-a Log A),
-    m = (a mu1/b) sig I1 and I1 = kernel_weight(alpha, 1): the exponent of
-    `innovation_charfun`, formed here on (group, node, u) arrays because
-    the Jacobian needs 1/A at each node.  The Jacobian is closed-form: each
-    column is -sqrt(CF_WEIGHTS) M D, with D the derivative of S - iu m:
+    and A = 1 + q - ip = 1 + z as in `charfun.tilted_exponent_sum` (|A| >= 1),
+    the centred model is M = e^{S - iu m} with S = sum_n W_n (-a Log A),
+    m = (a mu1/b) sig I1 and I1 = kernel_weight(alpha, 1): the exponent that
+    `tilted_exponent_sum` forms on one unit piece, formed here on (group,
+    node, u) arrays because the Jacobian needs 1/A at each node.  The
+    Jacobian is closed-form: each column is -sqrt(CF_WEIGHTS) M D, with D
+    the derivative of S - iu m:
         la:  S - iu m
         lb:  a sum_n W_n z/A + iu m
         mu1: (a/b) (sum_n W_n w/A - iu sig I1)
         sig: (a/b) iu (sum_n W_n E_n (mu1 + w)/A - mu1 I1)
-    and the sig column of group g's rows, times `dsig_dc`, gives the vol
+    and the sig column of group g times rows[g, free] gives the free vol
     coefficients' columns.
     """
     mean_weight = kernel_weight(alpha, 1)
@@ -289,12 +275,15 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndar
     decay = np.exp(-alpha * (1.0 - UNIT_NODES))
     iu = 1j * CF_GRID
     penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
+    dsig_dc = rows[:, free].T[:, :, None]  # (free, group, 1)
 
     def model(x: np.ndarray):
         """None where the residuals are the penalty; else a, b, sig, u sig E_n as a
         (group, node, u) array, z = A - 1, iu m and the centred exponent S - iu m."""
         la, lb, mu1 = x[:3]
-        sig = sig_of(x)
+        coef = vol.copy()
+        coef[free] = x[3:]
+        sig = rows @ coef
         if not _in_box(la, lb, mu1) or np.any(sig <= 1e-6):
             return None
         a, b = math.exp(la), math.exp(lb)
@@ -326,8 +315,8 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, sig_of, dsig_dc: np.ndar
                             - mu1 * mean_weight),
         ])
         cols = -root_weights * np.exp(centred) * d
-        jac = np.concatenate([cols.real.reshape(4, -1), cols.imag.reshape(4, -1)], axis=1).T
-        return np.hstack([jac[:, :3], jac[:, 3:] * dsig_dc])
+        cols = np.concatenate([cols[:3], cols[3] * dsig_dc]).reshape(x.size, -1)
+        return np.concatenate([cols.real, cols.imag], axis=1).T
 
     return residuals, jacobian
 
@@ -368,11 +357,14 @@ def fit_timechange(residuals: np.ndarray, alpha: float,
     residuals : deseasonalized series Y (the seasonal fit's residuals)
     alpha : mean-reversion rate (from fit_alpha)
     vol_shape : 'constant' pins sigma = 1 and matches the CF of all the
-        centred innovations from the moment seed; 'seasonal' fits a harmonic
-        vol profile c0..c3 to the squared innovations, seeds from the
-        innovations standardized by it, and matches twelve month groups' CFs
-        in (log a, log b, mu1, c1..c3) from (seed, profile c1..c3), with c0
-        pinned at the profile's value.
+        centred innovations; 'seasonal' fits a harmonic vol profile c0..c3
+        (on absolute days) to the squared innovations, pins c0 and the trend
+        c1 at its values, and matches twelve month groups' CFs in
+        (log a, log b, mu1, c2, c3) from the profile's c2, c3.  Group g's vol
+        is c0 + c1 t_g + c2 sin(omega d_g) + c3 cos(omega d_g), at the mean
+        absolute day t_g and the mean day of the year d_g of its innovations.
+        Both seed (a, b, mu1) from the moments of the innovations
+        standardized by the profile (by 1 for the constant shape).
     CalibrationError is raised for innovations without variance and for a
     solve that does not converge.
     """
@@ -384,44 +376,37 @@ def fit_timechange(residuals: np.ndarray, alpha: float,
     if y.size - 1 < 500:
         raise CalibrationError(f"need at least 500 innovations, got {y.size - 1}")
     eps = innovations(y, alpha)
+    t = np.arange(eps.size, dtype=float)
+    doy = np.mod(t, 365.0)
 
-    if vol_shape == "constant":
-        work, free = eps - np.mean(eps), []
-        emp = _grid_charfuns([work])
-        one = np.ones(1)  # sigma = 1: no free vol coefficient
-        sig_of, dsig_dc = (lambda x: one), np.empty((2 * emp.size, 0))
-        vol_of = lambda x: FourCoeffs(1.0, 0.0, 0.0, 0.0)
+    if vol_shape == "constant":  # one group, sigma = 1: no free vol coefficient
+        groups, scale, vol, free = [slice(None)], 1.0, np.array([1.0, 0.0, 0.0, 0.0]), []
     else:
-        t_eps = np.arange(eps.size, dtype=float)
-        design = seasonal_design(t_eps)
+        design = seasonal_design(t)
         vcoef, _, _, _ = np.linalg.lstsq(design, eps**2, rcond=None)
         profile = design @ vcoef
         floor = max(1e-8, 0.05 * float(np.median(profile)))
         scale = np.sqrt(np.maximum(profile, floor))
-        work = eps / scale
-        work = work - np.mean(work)
-        ccoef, _, _, _ = np.linalg.lstsq(design, scale, rcond=None)
-        c0, *free = map(float, ccoef)
-        doy = np.mod(t_eps, 365.0)
+        vol, _, _, _ = np.linalg.lstsq(design, scale, rcond=None)
         buckets = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
-        months = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
-        t_groups = np.array([np.mean(doy[idx]) for idx in months])
-        emp = _grid_charfuns([eps[idx] - np.mean(eps[idx]) for idx in months])
-        # sig_g = c0 + c1 t + c2 sin(omega t) + c3 cos(omega t) at t = t_g, so
-        # d sig / d(c1, c2, c3) on group g's rows is (t_g, sin(omega t_g), cos(omega t_g))
-        dsig_dc = np.tile(np.repeat(seasonal_design(t_groups)[:, 1:],
-                                    CF_GRID.size, axis=0), (2, 1))
-        vol_of = lambda x: FourCoeffs(c0, *map(float, x[3:]))
-        sig_of = lambda x: eval_seasonal(vol_of(x), t_groups)
+        groups = [buckets == g for g in range(12)]  # 500+ innovations: 30+ days each
+        free = [2, 3]
+    rows = seasonal_design(np.array([np.mean(doy[idx]) for idx in groups]))
+    rows[:, 1] = [np.mean(t[idx]) for idx in groups]
+    emp = _grid_charfuns([eps[idx] - np.mean(eps[idx]) for idx in groups])
+    work = eps / scale
+    work = work - np.mean(work)
 
     m2 = float(np.mean(work**2))
     if not m2 * m2 > 0.0:  # the moment seed divides by the fourth cumulant, floored at 1e-4 m2^2
         raise CalibrationError("the time-change fit needs innovations with "
                                f"positive variance, got {m2}")
     a0, b0, mu0 = _mom_init(work, alpha)
-    x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0, *free])
+    x0 = np.array([math.log(max(a0, 1e-8)), math.log(max(b0, 1e-8)), mu0, *vol[free]])
     x, obj, (status, nfev, njev) = _least_squares(
-        *_cf_functions(emp, alpha, sig_of, dsig_dc), x0)
-    return TimeChangeFit(a=math.exp(x[0]), b=math.exp(x[1]), mu1=float(x[2]), vol=vol_of(x),
-                         objective=obj, init=(float(a0), float(b0), float(mu0)),
+        *_cf_functions(emp, alpha, rows, vol, free), x0)
+    vol[free] = x[3:]
+    return TimeChangeFit(a=math.exp(x[0]), b=math.exp(x[1]), mu1=float(x[2]),
+                         vol=FourCoeffs(*map(float, vol)), objective=obj,
+                         init=(float(a0), float(b0), float(mu0)),
                          status=status, nfev=nfev, njev=njev)

@@ -7,6 +7,9 @@
   branch-cut-checked `log1p`; the oracle of `v_cumulants`,
   `transformed_timechange` and the real-arithmetic exponent sums;
 - `empirical_charfun`: the sample mean of exp(i u x) at any u;
+- `innovation_charfun`: the charfun of a one-day innovation through
+  `tilted_exponent_sum`, the oracle of the time-change fit's model, which
+  `calibrate._cf_functions` forms with the 1/A its Jacobian needs;
 - `log_likelihood`: the innovations' log likelihood from the cosine density;
 - `leg_value`: one cosine-expanded payoff leg, from the coefficients and
   per-term leg contributions that `price_strangle` sums;
@@ -32,8 +35,8 @@ import numpy as np
 from scipy import integrate
 
 from tempderiv import (CosGrid, DomainError, GammaTimeChange, IngestError,
-                       cos_coefficients, density_from_charfun, innovation_charfun,
-                       truncation_bounds, v_cumulants)
+                       cos_coefficients, density_from_charfun, truncation_bounds,
+                       v_cumulants)
 from tempderiv.calibrate import kernel_weight
 from tempderiv.charfun import (UNIT_NODES, UNIT_WEIGHTS, _cat_parts, cat_day_weights,
                                tilted_exponent_sum, transformed_timechange)
@@ -124,6 +127,20 @@ def empirical_charfun(samples, u):
     u_arr = np.asarray(u, float)
     out = np.mean(np.exp(1j * np.multiply.outer(u_arr, x)), axis=-1)
     return out if u_arr.ndim else complex(out)
+
+
+def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
+                       vol_scale: float | np.ndarray = 1.0, theta: float = 0.0):
+    """Charfun of the one-day innovation int_0^1 vol_scale e^{-alpha(1-s)} dV_s.
+
+    `tilted_exponent_sum` on one unit piece of weight 1; vectorised over u
+    and over an array `vol_scale` (result shape vol_scale.shape + u.shape).
+    """
+    tc = transformed_timechange(GammaTimeChange(a, b, mu1), theta)
+    u_arr = np.atleast_1d(np.asarray(u, float))
+    kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - UNIT_NODES)))
+    out = np.exp(tilted_exponent_sum(kern[None], u_arr, tc, pieces=np.ones(1)))
+    return out if np.ndim(u) or np.ndim(vol_scale) else complex(out[0])
 
 
 def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: float,

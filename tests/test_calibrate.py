@@ -10,14 +10,14 @@ from scipy.integrate import quad_vec
 
 from tempderiv import (CalibrationError, FourCoeffs, GammaTimeChange,
                        ModelParams, SimConfig, fit_alpha, fit_seasonal,
-                       fit_timechange, ingest_csv, innovation_charfun, innovations,
-                       simulate_paths, v_cumulants)
+                       fit_timechange, ingest_csv, innovations, simulate_paths,
+                       v_cumulants)
 from tempderiv import calibrate
 from tempderiv.calibrate import TimeChangeFit, _mom_init, kernel_weight, seasonal_design
 from tempderiv.seasonal import ANNUAL_OMEGA, eval_seasonal
 
 from conftest import random_model
-from helpers import cumulant_V, empirical_charfun, log_likelihood
+from helpers import cumulant_V, empirical_charfun, innovation_charfun, log_likelihood
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,26 +31,24 @@ def synthetic_series(beta, n=2000, noise_sd=3.0, seed=0):
 
 def constant_functions(emp, alpha):
     """The constant fit's (residuals, jacobian) in x = (log a, log b, mu1), sigma = 1."""
-    one = np.ones(1)
-    return calibrate._cf_functions(emp, alpha, lambda x: one, np.empty((2 * emp.size, 0)))
+    return calibrate._cf_functions(emp, alpha, np.ones((1, 1)), np.ones(1), [])
 
 
 def group_functions(emp_groups, alpha):
     """(residuals, jacobian) in x = (log a, log b, mu1, sig_1, ..., sig_G): each
     group's vol scale is a free coefficient, on its own rows."""
-    rows = np.repeat(np.eye(emp_groups.shape[0]), calibrate.CF_GRID.size, axis=0)
-    return calibrate._cf_functions(emp_groups, alpha, lambda x: x[3:], np.tile(rows, (2, 1)))
+    n_groups = emp_groups.shape[0]
+    return calibrate._cf_functions(emp_groups, alpha, np.eye(n_groups), np.zeros(n_groups),
+                                   list(range(n_groups)))
 
 
-def seasonal_functions(emp_groups, alpha, c0, t_groups):
-    """The seasonal fit's (residuals, jacobian) in x = (log a, log b, mu1, c1, c2, c3),
-    c0 pinned, with d sig_g / d(c1, c2, c3) written row by row."""
-    n_u = calibrate.CF_GRID.size
-    group = np.arange(2 * emp_groups.size) // n_u % emp_groups.shape[0]
-    t = t_groups[group]
-    dsig_dc = np.column_stack([t, np.sin(ANNUAL_OMEGA * t), np.cos(ANNUAL_OMEGA * t)])
-    sig_of = lambda x: eval_seasonal(FourCoeffs(c0, *x[3:]), t_groups)
-    return calibrate._cf_functions(emp_groups, alpha, sig_of, dsig_dc)
+def seasonal_functions(emp_groups, alpha, c0, c1, t_groups, doy_groups):
+    """The seasonal fit's (residuals, jacobian) in x = (log a, log b, mu1, c2, c3),
+    c0 and c1 pinned: group g's vol is c0 + c1 t_g + c2 sin(omega d_g) + c3 cos(omega d_g)."""
+    rows = np.column_stack([np.ones_like(t_groups), t_groups, np.sin(ANNUAL_OMEGA * doy_groups),
+                            np.cos(ANNUAL_OMEGA * doy_groups)])
+    return calibrate._cf_functions(emp_groups, alpha, rows, np.array([c0, c1, 0.0, 0.0]),
+                                   [2, 3])
 
 
 RECOVERY_MODEL = ModelParams(
@@ -354,17 +352,59 @@ class TestFitTimechange:
         assert corr > 0.95  # shape of the seasonal profile identified
 
 
+SEASONAL_DESIGNS = {  # alpha, vol, days, seed, least paths within 20 % of 60
+    "harmonic": (0.5, FourCoeffs(3.5, 0.0, 1.5, 2.0), 10_000, 4242, 55),
+    "trend": (0.25, FourCoeffs(3.0, 2e-4, 0.5, 1.0), 3650, 99, 40),
+}
+
+
+class TestSeasonalRecovery:
+    """The default vol shape's recovery, beside criterion 7's constant-shape one: 60
+    simulated paths per design with (a, b, mu1) = (1.5, 1, 0.3), fitted with
+    vol_shape='seasonal'.  Pinning c1 at the profile's slope on absolute days put the
+    identified (a, b/c0^2, mu1/c0) within 20 % on 60 and 49 of 60 paths, gave c1/c0 an sd
+    of 4.5e-6 and 2.6e-5 per day, and left no fitted sigma <= 0 on its path's span.  A c1
+    fitted at each month's mean day of the year gave 47 and 24 of 60, sds of 2.9e-4 and
+    3.9e-4, and sigma <= 0 on 31 and 17 paths."""
+
+    @pytest.mark.parametrize("design", sorted(SEASONAL_DESIGNS))
+    def test_identified_ratios_and_positive_vol(self, design):
+        alpha, vol, n_days, seed, least_within = SEASONAL_DESIGNS[design]
+        model = ModelParams(alpha=alpha, t0=-5.0, seasonal=RECOVERY_MODEL.seasonal, vol=vol,
+                            timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=n_days + 1.0)
+        _, paths = simulate_paths(model, SimConfig(step=1.0, n_paths=60, seed=seed),
+                                  float(n_days))
+        truth = np.array([1.5, 1.0 / vol.k0**2, 0.3 / vol.k0])
+        span = np.arange(n_days + 1.0)
+        rel, slopes, nonpositive = [], [], 0
+        for row in paths:
+            fit = fit_seasonal(row)
+            tf = fit_timechange(fit.residuals, alpha=fit_alpha(fit).alpha, vol_shape="seasonal")
+            c0 = tf.vol.k0
+            rel.append(np.array([tf.a, tf.b / c0**2, tf.mu1 / c0]) / truth - 1.0)
+            slopes.append(tf.vol.k1 / c0)
+            nonpositive += bool(np.any(eval_seasonal(tf.vol, span) <= 0.0))
+        within = int(np.sum(np.all(np.abs(rel) < 0.2, axis=1)))
+        slope_sd = float(np.std(slopes, ddof=1))
+        print(f"seasonal recovery ({design}): within 20 % {within}/60, sd c1/c0 {slope_sd:.2e} "
+              f"per day, sigma <= 0 on {nonpositive}/60, median mu1/c0 bias "
+              f"{np.median(np.array(rel)[:, 2]):+.1%}")
+        assert within >= least_within
+        assert slope_sd < 1e-4
+        assert nonpositive == 0
+
+
 def two_stage_fit(resid, alpha):
     """The seasonal fit as two solves: the constant shape on the profile-standardized
     innovations from the moment seed, then the twelve month groups from that optimum
-    and the profile's c1..c3, with c0 pinned at the profile's value."""
+    and the profile's c2, c3, with c0 and c1 pinned at the profile's values."""
     eps = innovations(resid, alpha)
     t = np.arange(eps.size, dtype=float)
     design = seasonal_design(t)
     profile = design @ np.linalg.lstsq(design, eps**2, rcond=None)[0]
     scale = np.sqrt(np.maximum(profile, max(1e-8, 0.05 * float(np.median(profile)))))
     work = eps / scale - np.mean(eps / scale)
-    c0, *free = map(float, np.linalg.lstsq(design, scale, rcond=None)[0])
+    c0, c1, *free = map(float, np.linalg.lstsq(design, scale, rcond=None)[0])
     a0, b0, mu0 = _mom_init(work, alpha)
     emp = empirical_charfun(work, calibrate.CF_GRID)[None, :]
     x, _, _ = calibrate._least_squares(*constant_functions(emp, alpha),
@@ -372,14 +412,16 @@ def two_stage_fit(resid, alpha):
     doy = np.mod(t, 365.0)
     month = np.minimum((doy / (365.0 / 12.0)).astype(int), 11)
     groups = [month == g for g in range(12)]
-    t_groups = np.array([np.mean(doy[g]) for g in groups])
+    t_groups = np.array([np.mean(t[g]) for g in groups])
+    doy_groups = np.array([np.mean(doy[g]) for g in groups])
     emp_groups = np.array([empirical_charfun(eps[g] - np.mean(eps[g]), calibrate.CF_GRID)
                            for g in groups])
     x, obj, (status, nfev, njev) = calibrate._least_squares(
-        *seasonal_functions(emp_groups, alpha, c0, t_groups), np.array([*x, *free]))
-    return TimeChangeFit(a=np.exp(x[0]), b=np.exp(x[1]), mu1=x[2], vol=FourCoeffs(c0, *x[3:]),
-                         objective=obj, init=(a0, b0, mu0), status=status, nfev=nfev,
-                         njev=njev)
+        *seasonal_functions(emp_groups, alpha, c0, c1, t_groups, doy_groups),
+        np.array([*x, *free]))
+    return TimeChangeFit(a=np.exp(x[0]), b=np.exp(x[1]), mu1=x[2],
+                         vol=FourCoeffs(c0, c1, *x[3:]), objective=obj, init=(a0, b0, mu0),
+                         status=status, nfev=nfev, njev=njev)
 
 
 class TestOneSolve:
@@ -500,7 +542,8 @@ class TestResiduals:
 
 
 class TestJacobian:
-    T_GROUPS = np.arange(12) * 365.0 / 12.0 + 15.0
+    DOY_GROUPS = np.arange(12) * 365.0 / 12.0 + 15.0
+    T_GROUPS = DOY_GROUPS + 1000.0  # mean absolute days, as in a six-year series
 
     def draws(self, seed):
         rng = np.random.default_rng(seed)
@@ -526,10 +569,9 @@ class TestJacobian:
     def test_refine_stage_against_richardson(self):
         for p, x, emp in self.draws(96):
             vol = p.vol
-            fun, jac = seasonal_functions(emp, p.alpha, vol.k0, self.T_GROUPS)
-            # c1 multiplies t_g (up to 350 days): a step of 1e-3 would move sig by 0.35
-            self.assert_columns_match(fun, jac, np.array([*x, vol.k1, vol.k2, vol.k3]),
-                                      (1e-3,) * 3 + (1e-6, 1e-3, 1e-3))
+            fun, jac = seasonal_functions(emp, p.alpha, vol.k0, vol.k1, self.T_GROUPS,
+                                          self.DOY_GROUPS)
+            self.assert_columns_match(fun, jac, np.array([*x, vol.k2, vol.k3]), (1e-3,) * 5)
 
     def test_zero_where_the_residuals_are_the_penalty(self):
         sig = np.full(12, 1.5)
@@ -554,7 +596,7 @@ class TestJacobian:
         monkeypatch.setattr(calibrate, "_least_squares", capture)
         fit_timechange(TestLeastSquaresStatus.resid, alpha=0.25, vol_shape="seasonal")
         [(fun, jac, x)] = solves
-        self.assert_columns_match(fun, jac, x, (1e-3,) * 3 + (1e-6, 1e-3, 1e-3))
+        self.assert_columns_match(fun, jac, x, (1e-3,) * 5)
 
     def test_objective_not_above_finite_difference_fit(self, recovery_runs, monkeypatch):
         """The closed form changes the path, not the optimum, of the fit."""

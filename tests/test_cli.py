@@ -78,14 +78,15 @@ class TestFit:
 
     def test_seasonal_fit_reference(self, fit_csv, tmp_path):
         # frozen fit, compared on what the data identifies: the fit pins the vol level
-        # c0, and (b, mu1, vol) enter only as b/c0^2, mu1/c0 and c_i/c0 (exact scale
-        # degeneracy, see tempderiv.calibrate); 1e-6 is the reference fit's own precision
+        # c0 and trend c1, and (b, mu1, vol) enter only as b/c0^2, mu1/c0 and c_i/c0
+        # (exact scale degeneracy, see tempderiv.calibrate); 1e-6 is the reference fit's
+        # own precision
         out = tmp_path / "fit.json"
         assert main(["fit", fit_csv, "--out", str(out), "--vol-shape", "seasonal"]) == 0
         tch = json.loads(out.read_text())["timechange"]
-        ref = {"a": 2.309121007, "b": 2.079776949, "mu1": 0.09389348793,
-               "objective": 0.4373994928,
-               "vol": [1.095420747, -6.605255761e-05, -0.03917957937, 0.03323692596]}
+        ref = {"a": 2.324459391, "b": 1.794377544, "mu1": 0.08743625675,
+               "objective": 0.4352617199,
+               "vol": [1.027644852, -7.169034008e-05, -0.03686685087, 0.02858682967]}
 
         def identified(fit):
             c0 = fit["vol"][0]

@@ -11,13 +11,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from tempderiv import (CosGrid, a1, cat_cumulants, charfun_T, charfun_cat,
-                       innovation_charfun, k1, martingale_residual,
-                       solve_theta, transformed_timechange, truncation_bounds, v_cumulants)
+from tempderiv import (CosGrid, a1, cat_cumulants, charfun_T, charfun_cat, k1,
+                       martingale_residual, solve_theta, transformed_timechange,
+                       truncation_bounds, v_cumulants)
 from tempderiv.charfun import UNIT_NODES, esscher_interval, tilted_exponent_sum
 
 from conftest import random_model
-from helpers import cumulant_V, leg_value
+from helpers import cumulant_V, innovation_charfun, leg_value
 
 seeds = st.integers(0, 2**32 - 1)
 fractions = st.floats(0.05, 0.95)
