@@ -15,7 +15,7 @@ import numpy as np
 
 from tempderiv import (FourCoeffs, GammaTimeChange, ModelParams, SimConfig,
                        cat_cumulants, charfun_T, charfun_cat, eval_seasonal, simulate_cat)
-from tempderiv.charfun import UNIT_NODES, tilted_exponent_sum
+from tempderiv.charfun import tilted_exponent_sum, unit_rule
 
 p = ModelParams(alpha=0.25, t0=-3.0,
                 seasonal=FourCoeffs(8.0, 0.0008, -5.9, -12.9),
@@ -27,9 +27,10 @@ def day_product_charfun(u: float, horizon_T: int) -> complex:
     """The day-product CAT charfun: on day j, at s = j + x_n, the kernel
     sigma_s e^{-alpha(1 - x_n)} times gamma_j = T - j, summed day by day."""
     days = np.arange(horizon_T, dtype=float)
-    s = days[:, None] + UNIT_NODES
+    nodes = unit_rule(p.alpha)[0]
+    s = days[:, None] + nodes
     gamma = (horizon_T - days)[:, None]
-    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES)) * gamma
+    kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - nodes)) * gamma
     det_sum = np.sum(p.det_mean(days + 1.0))
     exponent = tilted_exponent_sum(kern, np.array([u]), p.timechange, pieces=np.ones(horizon_T))
     return complex(np.exp(1j * u * det_sum + exponent[0]))

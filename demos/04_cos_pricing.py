@@ -28,11 +28,12 @@ grid = CosGrid(b1, b2, 256, 256)
 print(f"Tilted CAT law: mean = {mean:.2f}, sd = {np.sqrt(var):.2f}")
 print(f"Truncation interval: [{b1:.1f}, {b2:.1f}]")
 
-xs = np.linspace(mean - 4 * np.sqrt(var), mean + 4 * np.sqrt(var), 9)
+# 21 points on [mean - 10 sd, mean + 10 sd] are 1 sd apart: print the 9 within 4 sd
+xs = np.linspace(b1, b2, 21)
 dens = density_from_charfun(
-    lambda u: charfun_cat(u, p, theta, contract.horizon_T), grid, xs, 256)
+    lambda u: charfun_cat(u, p, theta, contract.horizon_T), grid, xs.size, 256)
 print("\nReconstructed CAT density (under the pricing measure):")
-for x, d in zip(xs, dens):
+for x, d in zip(xs[6:15], dens[6:15]):
     print(f"  f({x:8.2f}) = {d:.6f}")
 
 price = price_strangle(contract, p, theta, grid).price

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import UNIT_NODES, UNIT_WEIGHTS
+from .charfun import unit_rule
 from .data import _as_values
 from .errors import CalibrationError
 from .seasonal import ANNUAL_OMEGA, FourCoeffs
@@ -272,7 +272,8 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, rows: np.ndarray, vol: n
     """
     mean_weight = kernel_weight(alpha, 1)
     root_weights = np.sqrt(CF_WEIGHTS)
-    decay = np.exp(-alpha * (1.0 - UNIT_NODES))
+    nodes, unit_weights = unit_rule(alpha)
+    decay = np.exp(-alpha * (1.0 - nodes))
     iu = 1j * CF_GRID
     penalty = np.full(2 * emp_groups.size, math.sqrt(1e6 / (2 * emp_groups.size)))
     dsig_dc = rows[:, free].T[:, :, None]  # (free, group, 1)
@@ -291,7 +292,7 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, rows: np.ndarray, vol: n
         p, q = uk * (mu1 / b), uk * uk / (2.0 * b)
         log_a = 0.5 * np.log1p(q * (2.0 + q) + p * p) + 1j * np.arctan2(-p, 1.0 + q)
         iu_m = iu * ((a * mu1 / b) * mean_weight) * sig[:, None]
-        return a, b, sig, uk, q - 1j * p, iu_m, -a * (UNIT_WEIGHTS @ log_a) - iu_m
+        return a, b, sig, uk, q - 1j * p, iu_m, -a * (unit_weights @ log_a) - iu_m
 
     def residuals(x: np.ndarray) -> np.ndarray:
         at_x = model(x)
@@ -309,9 +310,9 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, rows: np.ndarray, vol: n
         inv_a = 1.0 / (1.0 + z)
         d = np.stack([
             centred,
-            a * (UNIT_WEIGHTS @ (z * inv_a)) + iu_m,
-            (a / b) * (UNIT_WEIGHTS @ (1j * uk * inv_a) - iu * sig[:, None] * mean_weight),
-            (a / b) * iu * ((UNIT_WEIGHTS * decay) @ ((mu1 + 1j * uk) * inv_a)
+            a * (unit_weights @ (z * inv_a)) + iu_m,
+            (a / b) * (unit_weights @ (1j * uk * inv_a) - iu * sig[:, None] * mean_weight),
+            (a / b) * iu * ((unit_weights * decay) @ ((mu1 + 1j * uk) * inv_a)
                             - mu1 * mean_weight),
         ])
         cols = -root_weights * np.exp(centred) * d

@@ -20,8 +20,8 @@ drift mu1 + theta and Gamma rate b * A1(theta).  Every function that takes
 a tilt applies it once, as that change of parameters
 (`transformed_timechange`), and then works on the physical-measure formulas.
 
-The kernel integrals are evaluated by one fixed rule, 8-node Gauss-Legendre
-on each unit day piece (`UNIT_NODES`, `UNIT_WEIGHTS`, also used by the
+The kernel integrals are evaluated by one rule, Gauss-Legendre on each unit
+day piece with a node count sized from alpha (`unit_rule`, also used by the
 calibrator and the simulator), with the exponent written in real
 arithmetic (`tilted_exponent_sum`).  For real frequencies the Log argument
 has real part >= 1, so it never reaches the branch cut.  The CAT index sums
@@ -35,6 +35,7 @@ on the 16-point Gauss rule of its days (positive weights, exact for degree
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,33 @@ import numpy as np
 from .errors import DomainError
 from .seasonal import FourCoeffs, eval_seasonal, k1, require_positive
 
-# the one quadrature rule of the package: 8-node Gauss-Legendre on [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-UNIT_NODES = 0.5 * (_GL_X + 1.0)
-UNIT_WEIGHTS = 0.5 * _GL_W
+# The one quadrature rule of the package, Gauss-Legendre on a unit piece [0, 1].  On a day
+# piece the kernel is sigma_s e^{-alpha(1 - x)} times a constant, and the exponent's branch
+# points lie where the kernel is purely imaginary: at Im x = +-pi/(2 alpha), as sigma's annual
+# harmonic barely turns within a day.  So the n-node rule errs like e^{-2nL}, L =
+# asinh(pi/alpha) (Trefethen, Approximation Theory and Approximation Practice, 2013, Thm 19.3),
+# and n = ceil(RULE_C / L) with RULE_C = log(1/tol)/2 brings that to tol = 64 eps = 2^-46,
+# below the rounding of the day and panel sums it feeds.  Below alpha = 0.002 that gives 2
+# nodes, which miss sigma's annual harmonic by 1e-11 of phi; 3 nodes integrate it to below
+# eps, so the rule has at least 3.
+RULE_C = 0.5 * math.log(1.0 / (64.0 * np.finfo(float).eps))
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [0, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def unit_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the within-day rule at mean-reversion rate alpha: Gauss-Legendre
+    on [0, 1] with max(3, ceil(RULE_C / asinh(pi/alpha))) nodes (4, 5 and 7 at alpha = 0.1,
+    0.25 and 0.5; 13 at 2 and 27 at 5).  A piece of length h at rate alpha is a unit piece
+    at rate alpha h."""
+    return _gauss_legendre(max(3, math.ceil(RULE_C / math.asinh(math.pi / alpha))))
 
 
 @dataclass(frozen=True)
@@ -138,8 +162,9 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
     """sum_j pieces[j] sum_n w_n l_V(i u kern[j, ..., n]) over the pieces and
     the unit-rule nodes, for real u.
 
-    `kern` holds the kernel at the UNIT_NODES of each piece along its last
-    axis and one entry per piece along its first; `pieces` weights the
+    `kern` holds the kernel at the nodes of the n-node unit rule (`unit_rule`)
+    of each piece along its last axis, n = kern.shape[-1], and one entry per
+    piece along its first; the rule's weights are read from n.  `pieces` weights the
     pieces (piece lengths, or panel row weights), and the result has shape
     kern.shape[1:-1] + u.shape.  `kern[None]` with pieces=np.ones(1) gives
     each piece's value on its own.  A tilt enters through `tc` (see
@@ -174,7 +199,7 @@ def tilted_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
     k2 = k * k
     mod_fac = np.stack([k2, k2 * k2], axis=-1)
     den_fac = np.stack([np.ones_like(k2), k2], axis=-1)
-    for w_n, k_n, mod_n, den_n in zip(UNIT_WEIGHTS, k, mod_fac, den_fac):
+    for w_n, k_n, mod_n, den_n in zip(_gauss_legendre(len(k))[1], k, mod_fac, den_fac):
         node_mod2 = np.log1p(mod_n @ mod_coef)
         node_phase = np.arctan2(np.multiply.outer(k_n, num_coef), den_n @ den_coef)
         weights = w_n * pieces
@@ -198,7 +223,7 @@ def charfun_T(u, t: float, p: ModelParams, theta: float = 0.0):
     # unit pieces of [0, t]; the last one may be partial
     edges = np.minimum(np.arange(np.ceil(t) + 1.0), t)
     lengths = np.diff(edges)
-    s = edges[:-1, None] + lengths[:, None] * UNIT_NODES
+    s = edges[:-1, None] + lengths[:, None] * unit_rule(p.alpha)[0]
     kern = eval_seasonal(p.vol, s) * np.exp(-p.alpha * (t - s))
     u = np.asarray(u, float)
     out = np.exp(1j * u * det + tilted_exponent_sum(kern, u, tc, pieces=lengths))
@@ -275,8 +300,9 @@ def _cat_parts(p: ModelParams, horizon_T: int) -> tuple[float, np.ndarray, np.nd
     panels = [(start, *_panel_rule(n_days)) for start, n_days in _panels(horizon_T)]
     t = np.concatenate([start + offsets for start, offsets, _ in panels])
     weights = np.concatenate([w for _, _, w in panels])
-    s = t[:, None] + UNIT_NODES
-    kern = (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES))
+    nodes = unit_rule(p.alpha)[0]
+    s = t[:, None] + nodes
+    kern = (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - nodes))
             * cat_day_weights(p.alpha, horizon_T, t)[:, None])
     kern.flags.writeable = weights.flags.writeable = False
     return det_sum, kern, weights
@@ -307,7 +333,7 @@ def _live(kern, u: np.ndarray, tc: GammaTimeChange, pieces) -> np.ndarray:
     r = coarse / tc.b
     ur = coarse * r
     k2 = (kern * kern)[..., None]
-    log_mod = -0.5 * tc.a * (pieces @ (UNIT_WEIGHTS @ np.log1p(
+    log_mod = -0.5 * tc.a * (pieces @ (_gauss_legendre(kern.shape[-1])[1] @ np.log1p(
         k2 * (ur + (tc.mu1 * r) ** 2) + k2 * k2 * (0.25 * ur * ur))))
     dead = np.abs(coarse[log_mod < _LOG_FLOOR])
     if not dead.size:
@@ -357,6 +383,7 @@ def cat_cumulants(p: ModelParams, theta: float, horizon_T: int) -> tuple[float, 
     """
     kappa = v_cumulants(transformed_timechange(p.timechange, theta))
     det_sum, kern, weights = _cat_parts(p, int(horizon_T))
-    mean = det_sum + kappa[0] * np.sum(weights * (kern @ UNIT_WEIGHTS))
-    variance = kappa[1] * np.sum(weights * ((kern * kern) @ UNIT_WEIGHTS))
+    unit_weights = _gauss_legendre(kern.shape[-1])[1]
+    mean = det_sum + kappa[0] * np.sum(weights * (kern @ unit_weights))
+    variance = kappa[1] * np.sum(weights * ((kern * kern) @ unit_weights))
     return float(mean), float(variance)

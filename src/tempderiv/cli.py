@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .calibrate import fit_alpha, fit_seasonal, fit_timechange
-from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat
+from .charfun import GammaTimeChange, ModelParams, cat_cumulants, charfun_cat, unit_rule
 from .cosine import (ContractSpec, CosGrid, density_from_charfun, price_strangle,
                      truncation_bounds)
 from .data import ingest_csv, ks_normality, summary_stats
@@ -367,7 +367,8 @@ def cmd_price(args) -> int:
     payload = {
         "config": cfg,
         "theta": theta_info,
-        "grid": {**grid_info, "live_terms": headline.live_terms},
+        "grid": {**grid_info, "live_terms": headline.live_terms,
+                 "unit_nodes": unit_rule(model.alpha)[0].size},
         "price": price,
         "convergence": {"price_half_terms": headline.price_half_terms,
                         "relative_change": headline.relative_change},
@@ -442,7 +443,7 @@ def cmd_density(args) -> int:
     grid, _ = _grid_from(cfg, model, theta, horizon_t, args.terms, args.l_mult, legs=("n1",))
     xs = np.linspace(grid.b1, grid.b2, points)
     charfun_at = lambda u: charfun_cat(u, model, theta, horizon_t)
-    dens = density_from_charfun(charfun_at, grid, xs, grid.n1)
+    dens = density_from_charfun(charfun_at, grid, points, grid.n1)
     rows = np.column_stack([xs, dens]).ravel().tolist()
     _emit(args.out, [b"x,density\n" + (b"%.10g,%.10g\n" * points) % tuple(rows)])
     return 0

@@ -7,9 +7,10 @@ One step of size D uses the exact solution of the mean-reverting dynamics:
 
 with dR ~ Gamma(a*D, rate b'), Z standard normal, and noise scales
 G1_j = int_step sigma_u e^{-alpha(t+D-u)} du (closed form) and
-G2_j = int_step sigma_u^2 e^{-2 alpha(t+D-u)} du (the package's 8-node
-Gauss-Legendre rule, scaled to the step).  The Gaussian part's variance
-per unit dR, s2_j = G2_j/D + mu1'^2 (G2_j - G1_j^2/D) / (b' D), makes up
+G2_j = int_step sigma_u^2 e^{-2 alpha(t+D-u)} du (the package's
+Gauss-Legendre rule `charfun.unit_rule` at rate alpha D, scaled to the
+step).  The Gaussian part's variance per unit dR,
+s2_j = G2_j/D + mu1'^2 (G2_j - G1_j^2/D) / (b' D), makes up
 what the mean part lacks, so each step's mean and variance are the
 model's; higher cumulants are not (conditionally on dR the step is
 Gaussian).  The Brownian limit reproduces the exact mean-reverting
@@ -42,8 +43,8 @@ from typing import Iterator
 import numpy as np
 
 from ._normal import _norm_cdf
-from .charfun import (UNIT_NODES, UNIT_WEIGHTS, GammaTimeChange, ModelParams,
-                      cat_day_weights, transformed_timechange)
+from .charfun import (GammaTimeChange, ModelParams, cat_day_weights, transformed_timechange,
+                      unit_rule)
 from .cosine import ContractSpec
 from .errors import DomainError
 from .seasonal import eval_seasonal, k1
@@ -90,12 +91,13 @@ def _step_tables(p: ModelParams, tc: GammaTimeChange, n_steps: int, step: float)
     k1_vol = k1(times, alpha, p.vol)
     g1 = k1_vol[1:] - decay * k1_vol[:-1]
 
-    # G2 by the unit Gauss-Legendre rule scaled to each step (sigma^2 is not
+    # G2 by the unit rule at rate alpha * step scaled to each step (sigma^2 is not
     # in the linear-plus-harmonic family, so no shared closed form)
-    nodes = times[:-1, None] + step * UNIT_NODES
+    unit_nodes, unit_weights = unit_rule(alpha * step)
+    nodes = times[:-1, None] + step * unit_nodes
     sig2 = eval_seasonal(p.vol, nodes) ** 2
     kern2 = np.exp(-2.0 * alpha * (times[1:, None] - nodes))
-    g2 = step * ((sig2 * kern2) @ UNIT_WEIGHTS)
+    g2 = step * ((sig2 * kern2) @ unit_weights)
 
     # the mean part mu1 (G1/D) dR carries mu1^2 (a/b^2) G1^2/D of variance,
     # the model mu1^2 (a/b^2) G2; the Gaussian part adds the difference

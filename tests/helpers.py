@@ -15,12 +15,16 @@
   per-term leg contributions that `price_strangle` sums;
 - `day_kernel`: the CAT kernel of every day, which `charfun_cat` sums on
   graded panels;
+- `rule_charfun_cat`: the CAT charfun on the panels of `charfun_cat` with
+  the n-node Gauss-Legendre rule on each piece, whatever the rule that
+  `unit_rule` sizes from alpha;
 - `node_stack_exponent_sum`: `tilted_exponent_sum` with each node's factors
   stacked inside the node loop, which the library builds for all nodes at once;
-- `full_charfun_cat`, `full_strangle`, `full_density`: the CAT charfun at
-  every frequency and the strangle prices and density from every cosine
-  coefficient, which `price_strangle` and `density_from_charfun` sum only
-  up to the last coefficient whose |phi| reaches `PHI_FLOOR`;
+- `full_charfun_cat`, `full_strangle`: the CAT charfun at every frequency and
+  the strangle prices from every cosine coefficient, which `price_strangle`
+  sums only up to the last coefficient whose |phi| reaches `PHI_FLOOR`;
+- `basis_density`: the cosine density at any x from the (points x terms + 1)
+  basis matrix, the oracle of `density_from_charfun`'s FFT;
 - `fill_missing_loop`: the day-by-day seven-day-window repair that
   `data._fill_missing` does with shifted array sums;
 - `simulate_csv_lines`: the simulate CSV written one "{:.10g}" format per
@@ -35,11 +39,11 @@ import numpy as np
 from scipy import integrate
 
 from tempderiv import (CosGrid, DomainError, GammaTimeChange, IngestError,
-                       cos_coefficients, density_from_charfun, truncation_bounds,
-                       v_cumulants)
+                       cos_coefficients, truncation_bounds, v_cumulants)
 from tempderiv.calibrate import kernel_weight
-from tempderiv.charfun import (UNIT_NODES, UNIT_WEIGHTS, _cat_parts, cat_day_weights,
-                               tilted_exponent_sum, transformed_timechange)
+from tempderiv.charfun import (_cat_parts, _gauss_legendre, _panel_rule, _panels,
+                               cat_day_weights, tilted_exponent_sum, transformed_timechange,
+                               unit_rule)
 from tempderiv.cosine import _leg_terms
 from tempderiv.seasonal import eval_seasonal
 
@@ -138,7 +142,7 @@ def innovation_charfun(u, a: float, b: float, mu1: float, alpha: float,
     """
     tc = transformed_timechange(GammaTimeChange(a, b, mu1), theta)
     u_arr = np.atleast_1d(np.asarray(u, float))
-    kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - UNIT_NODES)))
+    kern = np.multiply.outer(vol_scale, np.exp(-alpha * (1.0 - unit_rule(alpha)[0])))
     out = np.exp(tilted_exponent_sum(kern[None], u_arr, tc, pieces=np.ones(1)))
     return out if np.ndim(u) or np.ndim(vol_scale) else complex(out[0])
 
@@ -162,7 +166,7 @@ def log_likelihood(innov: np.ndarray, a: float, b: float, mu1: float, alpha: flo
     inside = (x >= grid.b1) & (x <= grid.b2)
     dens = np.full(x.shape, _LIKELIHOOD_FLOOR)
     if np.any(inside):
-        vals = density_from_charfun(charfun_at, grid, x[inside], terms)
+        vals = basis_density(charfun_at, grid, x[inside], terms)
         dens[inside] = np.maximum(vals, _LIKELIHOOD_FLOOR)
     return float(np.sum(np.log(dens)))
 
@@ -175,17 +179,34 @@ def leg_value(charfun_at, grid: CosGrid, strike: float, call: bool, terms: int) 
 
 
 def day_kernel(p, horizon_T: int) -> np.ndarray:
-    """The CAT kernel at the unit-rule nodes of every day 0..T-1, shape (T, nodes):
-    sigma_s e^{-alpha(1 - x_n)} times the day's geometric sum, at s = j + x_n.
+    """The CAT kernel at the nodes x_n of `unit_rule(p.alpha)` on every day 0..T-1, shape
+    (T, nodes): sigma_s e^{-alpha(1 - x_n)} times the day's geometric sum, at s = j + x_n.
     Summed with weight 1 per day it is the CAT exponent."""
-    s = np.arange(horizon_T, dtype=float)[:, None] + UNIT_NODES
-    return (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - UNIT_NODES))
+    nodes = unit_rule(p.alpha)[0]
+    s = np.arange(horizon_T, dtype=float)[:, None] + nodes
+    return (eval_seasonal(p.vol, s) * np.exp(-p.alpha * (1.0 - nodes))
             * cat_day_weights(p.alpha, horizon_T)[:, None])
+
+
+def rule_charfun_cat(u, p, theta: float, horizon_T: int, n_nodes: int) -> np.ndarray:
+    """The CAT charfun at every u on the panel rows of `_cat_parts`, with the
+    n_nodes-node Gauss-Legendre rule on each unit piece."""
+    nodes = _gauss_legendre(n_nodes)[0]
+    panels = [(start, *_panel_rule(n_days)) for start, n_days in _panels(horizon_T)]
+    t = np.concatenate([start + offsets for start, offsets, _ in panels])
+    weights = np.concatenate([w for _, _, w in panels])
+    kern = (eval_seasonal(p.vol, t[:, None] + nodes) * np.exp(-p.alpha * (1.0 - nodes))
+            * cat_day_weights(p.alpha, horizon_T, t)[:, None])
+    det_sum = np.sum(p.det_mean(np.arange(horizon_T, dtype=float) + 1.0))
+    tc = transformed_timechange(p.timechange, theta)
+    u = np.asarray(u, float)
+    return np.exp(1j * u * det_sum + tilted_exponent_sum(kern, u, tc, pieces=weights))
 
 
 def node_stack_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
     """`tilted_exponent_sum` with the (k^2, k^4) and (1, k^2) factors stacked node by
-    node, two np.stack calls per node, in the same order of operations."""
+    node, two np.stack calls per node, in the same order of operations, with the
+    weights of the Gauss-Legendre rule of kern.shape[-1] nodes."""
     u = np.asarray(u, float)
     kern = np.asarray(kern, float)
     pieces = np.asarray(pieces, float)
@@ -197,7 +218,7 @@ def node_stack_exponent_sum(kern, u, tc: GammaTimeChange, pieces) -> np.ndarray:
     shape = kern.shape[1:-1]
     log_mod2 = np.zeros(np.prod(shape, dtype=int) * r.size)
     phase = np.zeros_like(log_mod2)
-    for w_n, k_n in zip(UNIT_WEIGHTS, np.moveaxis(kern, -1, 0)):
+    for w_n, k_n in zip(_gauss_legendre(kern.shape[-1])[1], np.moveaxis(kern, -1, 0)):
         k = k_n.ravel()
         k2 = k * k
         node_mod2 = np.log1p(np.stack([k2, k2 * k2], axis=1) @ mod_coef)
@@ -233,15 +254,18 @@ def full_strangle(contract, p, theta: float, grid: CosGrid) -> tuple[float, floa
             value(max(grid.n1 // 2, 1), max(grid.n2 // 2, 1)))
 
 
-def full_density(charfun_at, grid: CosGrid, x, terms: int) -> np.ndarray:
-    """The cosine density at x from all terms + 1 coefficients (k = 0 halved), the
-    (points x terms + 1) basis, with values below n eps sum_k |A_k| set to 0."""
+def basis_density(charfun_at, grid: CosGrid, x, terms: int) -> np.ndarray:
+    """The cosine density at any x from all terms + 1 coefficients (k = 0
+    halved), summed on the (points x terms + 1) cosine basis, with values below the
+    matrix sum's rounding bound n eps sum_k |A_k| set to 0."""
+    x = np.asarray(x, float)
     coeffs = cos_coefficients(charfun_at, grid, terms)
     k = np.arange(terms + 1)
-    basis = np.cos(np.multiply.outer(np.asarray(x, float) - grid.b1, k) * np.pi / grid.width)
+    basis = np.cos(np.multiply.outer(x - grid.b1, k) * np.pi / grid.width)
     out = basis @ (np.where(k == 0, 0.5, 1.0) * coeffs)
     bound = coeffs.size * np.finfo(float).eps * np.sum(np.abs(coeffs))
-    return np.where(np.abs(out) < bound, 0.0, out)
+    out = np.where(np.abs(out) < bound, 0.0, out)
+    return out if out.ndim else float(out)
 
 
 def fill_missing_loop(values: np.ndarray, half_window: int = 3) -> np.ndarray:

@@ -125,7 +125,7 @@ def test_criterion_03_gaussian_limit():
     b1, b2 = truncation_bounds(m, var, 10.0)
     grid = CosGrid(b1, b2, 256, 256)
     x = np.linspace(b1, b2, 801)
-    dens = density_from_charfun(lambda uu: charfun_T(uu, t, p), grid, x, 256)
+    dens = density_from_charfun(lambda uu: charfun_T(uu, t, p), grid, x.size, 256)
     normal_pdf = np.exp(-0.5 * (x - m) ** 2 / var) / np.sqrt(2 * np.pi * var)
     err_pdf = float(np.max(np.abs(dens - normal_pdf)))
 

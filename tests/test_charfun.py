@@ -7,14 +7,14 @@ from scipy.integrate import quad, quad_vec
 from tempderiv import (DomainError, FourCoeffs, GammaTimeChange, ModelParams,
                        a1, cat_cumulants, charfun_T, charfun_cat, SimConfig,
                        simulate_cat, simulate_paths, solve_theta, truncation_bounds)
-from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, PHI_FLOOR, UNIT_NODES, UNIT_WEIGHTS,
-                               _cat_parts, _panel_rule, _panels, esscher_interval,
-                               tilted_exponent_sum, transformed_timechange)
+from tempderiv.charfun import (PANEL_CAP, PANEL_POINTS, PHI_FLOOR, _cat_parts,
+                               _gauss_legendre, _panel_rule, _panels, esscher_interval,
+                               tilted_exponent_sum, transformed_timechange, unit_rule)
 from tempderiv.seasonal import eval_seasonal, k1
 
 from conftest import random_model
 from helpers import (cumulant_V, day_kernel, empirical_charfun, full_charfun_cat,
-                     laplace_exponent_gamma, node_stack_exponent_sum)
+                     laplace_exponent_gamma, node_stack_exponent_sum, rule_charfun_cat)
 
 
 def deterministic_model(base: ModelParams) -> ModelParams:
@@ -137,9 +137,46 @@ def quad_vec_T(u, t: float, p: ModelParams, theta: float):
 
 
 class TestKernelRule:
-    def test_unit_rule_exact_to_degree_15(self):
-        for k in range(16):
-            assert UNIT_WEIGHTS @ UNIT_NODES**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
+    def test_unit_rule_sizes(self):
+        """n = max(3, ceil(RULE_C / asinh(pi/alpha))) nodes, read-only and built once per n."""
+        sizes = [unit_rule(alpha)[0].size for alpha in (1e-3, 0.01, 0.1, 0.25, 0.4, 0.5, 1.0,
+                                                         2.0, 3.0, 5.0)]
+        assert sizes == [3, 3, 4, 5, 6, 7, 9, 13, 18, 27]
+        nodes, weights = unit_rule(0.25)
+        assert unit_rule(0.24)[0] is nodes and not (nodes.flags.writeable
+                                                    or weights.flags.writeable)
+
+    def test_unit_rule_exact_to_degree_2n_minus_1(self):
+        """Every rule that alpha in [0.01, 5] picks (n grows with alpha) integrates the
+        degrees 0..2n-1 on [0, 1] exactly."""
+        for n in range(unit_rule(0.01)[0].size, unit_rule(5.0)[0].size + 1):
+            nodes, weights = _gauss_legendre(n)
+            for k in range(2 * n):
+                assert weights @ nodes**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
+
+    @pytest.mark.parametrize("horizon_T", [30, 365])
+    def test_sized_rule_within_the_48_node_floor(self, horizon_T):
+        """On random models with alpha from 0.001 to 5 and tilts at both ends and 0, phi on
+        the sized rule is within 8 T eps of phi on 48 nodes, at the 257 frequencies of the
+        10 sd grid: twice the largest difference between the 48- and the 64-node
+        evaluations on these draws (4.3 T eps).  The fixed 8-node rule fails that from
+        alpha = 2 on, and so do 2 nodes, what RULE_C alone gives, at alpha = 0.001."""
+        bound = 8.0 * horizon_T * np.finfo(float).eps
+        for alpha in (0.001, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0):
+            worst = {2: 0.0, 8: 0.0}
+            for seed in range(6):
+                p = dataclasses.replace(random_model(np.random.default_rng(seed)), alpha=alpha)
+                lo, hi = esscher_interval(p.timechange)
+                for theta in (lo + 1e-3, 0.0, hi - 1e-3):
+                    b1, b2 = truncation_bounds(*cat_cumulants(p, theta, horizon_T), 10.0)
+                    u = np.arange(257) * np.pi / (b2 - b1)
+                    ref = rule_charfun_cat(u, p, theta, horizon_T, 48)
+                    assert np.max(np.abs(charfun_cat(u, p, theta, horizon_T) - ref)) <= bound
+                    for n in worst:
+                        worst[n] = max(worst[n], np.max(np.abs(
+                            rule_charfun_cat(u, p, theta, horizon_T, n) - ref)))
+            assert (worst[8] > bound) == (alpha >= 2.0)
+            assert worst[2] > bound or alpha > 0.001
 
     def test_charfun_T_against_quad_vec(self, toronto_like_model):
         u = np.array([0.05, 0.2, 0.5, 1.0, 2.0])
@@ -162,7 +199,8 @@ class TestKernelRule:
 def log_argument_oracle(kern, u, tc: GammaTimeChange):
     """-a sum_n w_n Log(1 + q - ip) in complex arithmetic on one (..., node, u) array."""
     uk = np.multiply.outer(kern, u)
-    return -tc.a * (UNIT_WEIGHTS @ np.log(1.0 + uk * uk / (2.0 * tc.b) - 1j * uk * tc.mu1 / tc.b))
+    weights = _gauss_legendre(kern.shape[-1])[1]
+    return -tc.a * (weights @ np.log(1.0 + uk * uk / (2.0 * tc.b) - 1j * uk * tc.mu1 / tc.b))
 
 
 def kernel_cases():

@@ -292,7 +292,7 @@ class TestPrice:
         assert main(["price", "--config", str(p), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["grid"] == {"auto": False, "b1": -1200.0, "b2": 1100.0, "n1": 192,
-                                   "n2": 160, "live_terms": 110}
+                                   "n2": 160, "live_terms": 110, "unit_nodes": 5}
         model = ModelParams(alpha=0.25, t0=-3.0, seasonal=FourCoeffs(*MODEL_CFG["seasonal"]),
                             vol=FourCoeffs(*MODEL_CFG["vol"]),
                             timechange=GammaTimeChange(1.5, 1.0, 0.3), horizon=30.0)
@@ -792,14 +792,15 @@ class TestDensity:
         assert integral == pytest.approx(1.0, abs=1e-3)
 
     def test_rounding_noise_prints_as_zero(self, tmp_path, monkeypatch):
-        """Values below the cosine sum's rounding bound n eps sum_k |A_k| print as 0, so no
-        row is negative; every other row prints the sum's value."""
+        """Values below the cosine sum's rounding floor max(n, ceil(n/M) + 4 ceil(log2 M))
+        eps sum_k |A_k| (n eps sum_k |A_k| here) print as 0, so no row is negative; every
+        other row prints the FFT sum's value."""
         seen = {}
         real = cli.density_from_charfun
 
-        def spy(charfun_at, grid, x, terms):
-            seen.update(charfun_at=charfun_at, grid=grid, x=x, terms=terms)
-            return real(charfun_at, grid, x, terms)
+        def spy(charfun_at, grid, points, terms):
+            seen.update(charfun_at=charfun_at, grid=grid, points=points, terms=terms)
+            return real(charfun_at, grid, points, terms)
 
         monkeypatch.setattr(cli, "density_from_charfun", spy)
         cfg = {"model": MODEL_CFG, "contract": {**CONTRACT_CFG, "horizon_t": 90},
@@ -809,12 +810,12 @@ class TestDensity:
         out = tmp_path / "density.csv"
         assert main(["density", "--config", str(p), "--out", str(out)]) == 0
         printed = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
-        grid, terms = seen["grid"], seen["terms"]
+        grid, points, terms = seen["grid"], seen["points"], seen["terms"]
         coeffs = cos_coefficients(seen["charfun_at"], grid, terms)
+        m = 2 * (points - 1)
         k = np.arange(terms + 1)
-        weights = np.where(k == 0, 0.5, 1.0)
-        raw = np.cos(np.multiply.outer(seen["x"] - grid.b1, k) * np.pi / grid.width) @ (
-            weights * coeffs)  # the sum unfloored
+        raw = np.fft.rfft(np.bincount(k % m, np.where(k == 0, 0.5, 1.0) * coeffs, m)).real
+        assert coeffs.size >= -(-coeffs.size // m) + 4 * int(np.ceil(np.log2(m)))
         noise = np.abs(raw) < coeffs.size * np.finfo(float).eps * np.sum(np.abs(coeffs))
         assert np.any(raw < 0.0) and np.all(noise[raw < 0.0])  # every negative sum is noise
         assert all(float(d) >= 0.0 for d in printed)
@@ -828,11 +829,11 @@ class TestDensity:
         seen = {}
         real = cli.density_from_charfun
 
-        def spy(charfun_at, grid, x, terms):
-            dens = real(charfun_at, grid, x, terms)
+        def spy(charfun_at, grid, points, terms):
+            dens = real(charfun_at, grid, points, terms)
             dens[:8] = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.603104195e-14,
                         -1.5e-300, 1e16, 123456789012.5]
-            seen.update(x=x, dens=dens)
+            seen.update(x=np.linspace(grid.b1, grid.b2, points), dens=dens)
             return dens
 
         monkeypatch.setattr(cli, "density_from_charfun", spy)
@@ -846,6 +847,21 @@ class TestDensity:
         lines = ["x,density"] + ["{:.10g},{:.10g}".format(x, d)
                                  for x, d in zip(seen["x"], seen["dens"])]
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_one_and_two_points(self, tmp_path, points):
+        """One point is b1 alone and two are b1 and b2, 10 sd from the mean: the density
+        there is below the sum's rounding bound and prints as 0."""
+        cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,
+               "measure": "Q", "points": points}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "density.csv"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,density" and len(lines) == points + 1
+        xs = [float(line.split(",")[0]) for line in lines[1:]]
+        assert xs == sorted(xs) and [line.split(",")[1] for line in lines[1:]] == ["0"] * points
 
     def test_q_measure_density(self, tmp_path):
         cfg = {"model": MODEL_CFG, "contract": CONTRACT_CFG, "horizon_t": 30,

@@ -12,7 +12,7 @@ from tempderiv import (ContractSpec, CosGrid, DomainError, PricingWarning,
 from tempderiv.cosine import _psi_chi
 
 from conftest import README_MODEL, random_model
-from helpers import full_charfun_cat, full_density, full_strangle, leg_value
+from helpers import basis_density, full_charfun_cat, full_strangle, leg_value
 
 GAUSS_GRID = CosGrid(-10.0, 10.0, 256, 256)
 gauss_cf = lambda u: np.exp(-0.5 * np.asarray(u) ** 2)
@@ -46,16 +46,15 @@ class TestCosCoefficients:
             cos_coefficients(lambda u: 0.5 * gauss_cf(u), GAUSS_GRID, 4)
 
     def test_gaussian_density_at_zero(self):
-        dens = density_from_charfun(gauss_cf, GAUSS_GRID, 0.0, 256)
-        assert dens == pytest.approx(INV_SQRT_2PI, abs=1e-8)
+        dens = density_from_charfun(gauss_cf, GAUSS_GRID, 3, 256)  # at -10, 0 and 10
+        assert dens[1] == pytest.approx(INV_SQRT_2PI, abs=1e-8)
 
     def test_modulation_shift_identity(self):
         shift = 1.7
         shifted_cf = lambda u: gauss_cf(u) * np.exp(1j * np.asarray(u) * shift)
         shifted_grid = CosGrid(GAUSS_GRID.b1 + shift, GAUSS_GRID.b2 + shift, 256, 256)
-        x = np.linspace(-3.0, 3.0, 31)
-        base = density_from_charfun(gauss_cf, GAUSS_GRID, x, 256)
-        moved = density_from_charfun(shifted_cf, shifted_grid, x + shift, 256)
+        base = density_from_charfun(gauss_cf, GAUSS_GRID, 201, 256)  # at x
+        moved = density_from_charfun(shifted_cf, shifted_grid, 201, 256)  # at x + shift
         assert np.max(np.abs(base - moved)) < 1e-10
 
 
@@ -107,7 +106,7 @@ class TestLegValue:
     def test_leg_matches_density_quadrature(self):
         strike = 0.4
         call = leg_value(gauss_cf, GAUSS_GRID, strike, call=True, terms=256)
-        oracle = quad(lambda x: (x - strike) * density_from_charfun(gauss_cf, GAUSS_GRID, x, 256),
+        oracle = quad(lambda x: (x - strike) * basis_density(gauss_cf, GAUSS_GRID, x, 256),
                       strike, GAUSS_GRID.b2, epsabs=1e-12, limit=400)[0]
         assert call == pytest.approx(oracle, abs=1e-8)
 
@@ -115,19 +114,39 @@ class TestLegValue:
 class TestDensityFromCharfun:
     def test_integrates_to_one(self):
         x = np.linspace(GAUSS_GRID.b1, GAUSS_GRID.b2, 4001)
-        dens = density_from_charfun(gauss_cf, GAUSS_GRID, x, 256)
+        dens = density_from_charfun(gauss_cf, GAUSS_GRID, x.size, 256)
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-4)
 
     def test_gaussian_pointwise(self):
         x = np.linspace(-10, 10, 1024)
-        dens = density_from_charfun(gauss_cf, GAUSS_GRID, x, 256)
+        dens = density_from_charfun(gauss_cf, GAUSS_GRID, x.size, 256)
         target = INV_SQRT_2PI * np.exp(-0.5 * x * x)
         assert np.max(np.abs(dens - target)) < 1e-8
         assert np.min(dens) > -1e-6
 
-    def test_rejects_outside(self):
-        with pytest.raises(DomainError):
-            density_from_charfun(gauss_cf, GAUSS_GRID, 11.0, 64)
+    def test_rejects_no_points(self):
+        with pytest.raises(DomainError, match="at least 1 point, got 0"):
+            density_from_charfun(gauss_cf, GAUSS_GRID, 0, 64)
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 257, 801])
+    @pytest.mark.parametrize("terms", [1, 256, 2000])
+    def test_fft_equals_basis_matrix(self, points, terms):
+        """The FFT of the folded coefficients is the basis-matrix sum at linspace(b1, b2, P),
+        to the two sums' rounding bounds, with terms below and above the fold length
+        2(P - 1) (2 at P = 1).  The Laplace law's |phi(u)| = 1/(1 + u^2) keeps every coefficient live, so
+        the coefficients past 2(P - 1) are folded."""
+        laplace_cf = lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)
+        grid = CosGrid(-3.0, 5.0)
+        fft = density_from_charfun(laplace_cf, grid, points, terms)
+        basis = basis_density(laplace_cf, grid, np.linspace(grid.b1, grid.b2, points), terms)
+        coeffs = cos_coefficients(laplace_cf, grid, terms)
+        assert np.all(coeffs != 0.0)
+        m = 2 * max(points - 1, 1)
+        fft_rounding = -(-(terms + 1) // m) + 4 * int(np.ceil(np.log2(m)))
+        bound = 2 * (terms + 1 + fft_rounding) * np.finfo(float).eps * np.sum(np.abs(coeffs))
+        assert fft.shape == (points,)
+        assert np.all(np.abs(fft - basis) <= bound)
+        assert np.max(basis) > 1e3 * bound  # the peak, 1/2, is far above both floors
 
 
 @pytest.fixture
@@ -238,12 +257,11 @@ class TestLiveTerms:
             assert (quote.price, quote.price_half_terms) == full_strangle(contract, p, theta,
                                                                           grid)
             quotes.append(quote)
-        x = np.linspace(b1, b2, 257)
         grid = CosGrid(b1, b2)
         cut = lambda u: charfun_cat(u, p, theta, horizon_T)
         full = lambda u: full_charfun_cat(u, p, theta, horizon_T)
-        assert np.array_equal(density_from_charfun(cut, grid, x, 256),
-                              full_density(full, grid, x, 256))
+        assert np.array_equal(density_from_charfun(cut, grid, 257, 256),
+                              density_from_charfun(full, grid, 257, 256))
         return quotes
 
     @pytest.mark.parametrize("horizon_T", [1, 2, 5, 10, 30, 90, 365, 730])

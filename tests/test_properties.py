@@ -14,7 +14,7 @@ from scipy import optimize
 from tempderiv import (CosGrid, a1, cat_cumulants, charfun_T, charfun_cat, k1,
                        martingale_residual, solve_theta, transformed_timechange,
                        truncation_bounds, v_cumulants)
-from tempderiv.charfun import UNIT_NODES, esscher_interval, tilted_exponent_sum
+from tempderiv.charfun import esscher_interval, tilted_exponent_sum, unit_rule
 
 from conftest import random_model
 from helpers import cumulant_V, innovation_charfun, leg_value
@@ -66,7 +66,7 @@ def test_innovation_charfun_identities(seed, frac, u, vol_scale):
 @given(seeds, fractions, st.floats(1e-6, 50.0), st.floats(1e-3, 10.0))
 def test_real_exponent_equals_cumulant_V(seed, frac, u, k):
     p, theta = draw(seed, frac)
-    kern = np.full((1, UNIT_NODES.size), k)
+    kern = np.full((1, unit_rule(p.alpha)[0].size), k)
     tc_q = transformed_timechange(p.timechange, theta)
     got = tilted_exponent_sum(kern, np.array([u, -u]), tc_q, pieces=np.ones(1))
     want = cumulant_V(1j * np.array([u, -u]) * k, p.timechange, theta)
