@@ -1,5 +1,6 @@
-"""The normal CDF, by Cody's erfc, and the Kolmogorov survival function: the
-special functions of `simulate` and of `data`'s KS test, which share no import."""
+"""The normal CDF, by Cody's erfc, the Kolmogorov survival function and the
+Student t law: the special functions of `simulate`, of `data`'s KS test and of
+`calibrate`'s seasonal fit, which share no import."""
 
 import math
 
@@ -44,27 +45,29 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     approximations of Cody (1969, Math. Comp. 23), as in his CALERF routine:
     1 - x R(x^2) for |x| <= 0.46875, and e^{-x^2} R(|x|) up to 4 and
     e^{-x^2} (1/sqrt(pi) - R(1/x^2)/x^2)/|x| beyond, with e^{-x^2} split in
-    two factors so that x^2 is not rounded; erfc(-y) = 2 - erfc(y)."""
+    two factors so that x^2 is not rounded; erfc(-y) = 2 - erfc(y).  Each
+    branch gathers its indices once; NaN takes the last branch."""
     x = np.asarray(x, float)
-    y = np.abs(x)
+    flat = x.ravel()
+    y = np.abs(flat)
     out = np.empty_like(y)
-    small = y <= 0.46875
-    xs = x[small]
+    small = np.flatnonzero(y <= 0.46875)
+    mid = np.flatnonzero((y > 0.46875) & (y <= 4.0))
+    tail = np.flatnonzero(~(y <= 4.0))
+    xs = flat[small]
     out[small] = 1.0 - xs * _cody_ratio(xs * xs, _ERF_A, _ERF_B)
-    large = ~small
-    yl = y[large]
-    mid = yl <= 4.0
-    r = np.empty_like(yl)
-    r[mid] = _cody_ratio(yl[mid], _ERFC_C, _ERFC_D)
-    yb = yl[~mid]
-    z = 1.0 / (yb * yb)
-    r[~mid] = (_INV_SQRT_PI - z * _cody_ratio(z, _ERFC_P, _ERFC_Q)) / yb
-    ysq = np.trunc(yl * 16.0) / 16.0
-    r *= np.exp(-ysq * ysq) * np.exp((ysq - yl) * (yl + ysq))
-    neg = x[large] < 0.0
-    r[neg] = 2.0 - r[neg]
-    out[large] = r
-    return out
+    ym = y[mid]
+    out[mid] = _cody_ratio(ym, _ERFC_C, _ERFC_D) * _gauss(ym)
+    yt = y[tail]
+    z = 1.0 / (yt * yt)
+    out[tail] = (_INV_SQRT_PI - z * _cody_ratio(z, _ERFC_P, _ERFC_Q)) / yt * _gauss(yt)
+    return np.where(flat < -0.46875, 2.0 - out, out).reshape(x.shape)
+
+
+def _gauss(y: np.ndarray) -> np.ndarray:
+    """e^{-y^2} as e^{-s^2} e^{(s - y)(y + s)} with s = y rounded down to 1/16."""
+    s = np.trunc(y * 16.0) / 16.0
+    return np.exp(-s * s) * np.exp((s - y) * (y + s))
 
 
 def _norm_cdf(d: np.ndarray) -> np.ndarray:
@@ -80,3 +83,134 @@ def _kolmogorov_sf(x: float) -> float:
         return 2.0 * sum((-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 5))
     return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(
         math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * x * x)) for k in range(1, 5))
+
+
+# lgamma(a + 1/2) - lgamma(a) - log(a)/2 = sum_k c_k a^(1-2k), k = 1..5: the
+# (-1)^n (2^(1-n) - 2) B_n / (n (n-1)) of Stirling's series, with B_n Bernoulli's
+# numbers and n = 2k; the next term is below 2e-17 from a = 20 up
+_HALF_SHIFT = (-1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0, -31.0 / 18432.0)
+
+
+def _inv_beta_half(a: float) -> float:
+    """1 / B(a, 1/2) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)), as a ratio of gammas
+    below a = 20 and by the series of their logarithms above, which keeps the
+    difference of two large lgamma values out."""
+    if a < 20.0:
+        return math.gamma(a + 0.5) / math.gamma(a) / math.sqrt(math.pi)
+    z = 1.0 / (a * a)
+    s = 0.0
+    for c in reversed(_HALF_SHIFT):
+        s = s * z + c
+    return math.sqrt(a / math.pi) * math.exp(s / a)
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """F in I_x(a, b) = x^a y^b / (a B(a, b) F), y = 1 - x: the odd part of the
+    incomplete beta continued fraction (DiDonato & Morris 1992, ACM TOMS 18),
+    F = (1 + d_1) - d_1 d_2 / ((1 + d_3) + d_2 - d_3 d_4 / ((1 + d_5) + d_4 - ...)),
+    d_(2m+1) = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)), d_(2m) = m(b-m) x / ((a+2m-1)(a+2m)),
+    by the modified Lentz method.  For x > 1/2, 1 + d_(2m+1) is formed from y as
+    (a(2m+1-b) + m(3m+2-b) + (a+m)(a+b+m) y) / ((a+2m)(a+2m+1)), so that a large a
+    cancels nothing."""
+    complement = x > 0.5
+    q = a * (a + b)
+    den = a * (a + 1.0)
+    f = c = (a * (1.0 - b) + q * y if complement else den - q * x) / den or 1e-300
+    d = 0.0
+    for k in range(1, 1000):
+        even = k * (b - k) * x / ((a + 2 * k - 1) * (a + 2 * k))
+        alpha = q * x / den * even
+        q = (a + k) * (a + b + k)
+        den = (a + 2 * k) * (a + 2 * k + 1)
+        beta = (a * (2 * k + 1 - b) + k * (3 * k + 2 - b) + q * y if complement
+                else den - q * x) / den + even
+        d = 1.0 / (beta + alpha * d or 1e-300)
+        c = beta + alpha / c or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= 2e-16:
+            break
+    return f
+
+
+def _t_tails(t: float, dof: float) -> tuple[float, float]:
+    """(P(|T| >= |t|), P(|T| < |t|)) for Student's t with dof >= 1 degrees of
+    freedom, each to a relative error of about 1e-13 or better: the two-sided
+    tail is I_x(dof/2, 1/2) with x = dof/(dof + t^2), summed by its continued
+    fraction where (dof/2 + 5/2) t^2/(dof + t^2) >= 2 and as 1 - I_(1-x)(1/2, dof/2)
+    nearer 0; at dof = 1 it is 2 atan(1/|t|)/pi.  Where t^2/dof passes 1e300,
+    x is 1/w and log(1 + w) is 2 log(|t|/sqrt(dof)), so that nothing overflows."""
+    t = abs(float(t))
+    if dof == 1.0:
+        return math.atan2(1.0, t) / (0.5 * math.pi), math.atan(t) / (0.5 * math.pi)
+    a = 0.5 * dof
+    w = t * t / dof
+    if w < 1e300:
+        x, y, log1p_w = 1.0 / (1.0 + w), w / (1.0 + w), math.log1p(w)
+    else:
+        s = t / math.sqrt(dof)
+        x, y, log1p_w = 1.0 / s / s, 1.0, 2.0 * math.log(s)
+    lead = math.sqrt(y) * math.exp(-a * log1p_w) * _inv_beta_half(a)
+    if (a + 2.5) * y >= 2.0:
+        tail = lead / (a * _beta_fraction(a, 0.5, x, y))
+        return tail, 1.0 - tail
+    inner = 2.0 * lead / _beta_fraction(0.5, a, y, x)
+    return 1.0 - inner, inner
+
+
+def _hill_start(tail: float, n: float) -> float:
+    """|t| with two-sided tail `tail` < 1 at n > 2 degrees of freedom, to about
+    1e-6 or better: Hill (1970, Comm. ACM 13, Algorithm 396), an expansion about
+    the normal quantile, or about t -> infinity for small tails at small n."""
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
+    y = (d * tail) ** (2.0 / n)
+    if y > 0.05 + a:
+        x = -_norm_upper_quantile(0.5 * tail)
+        y = x * x
+        if n < 5.0:
+            c += 0.3 * (n - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = (((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+               + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y)
+    return math.sqrt(n * y)
+
+
+def _norm_upper_quantile(q: float) -> float:
+    """The z with P(Z > z) = q, 0 < q <= 1/2, to about 1e-7: Hastings' rational
+    approximation (Abramowitz & Stegun 26.2.23, error below 4.5e-4), then one
+    Newton step on erfc."""
+    s = math.sqrt(-2.0 * math.log(q))
+    z = s - ((0.010328 * s + 0.802853) * s + 2.515517) / (
+        ((0.001308 * s + 0.189269) * s + 1.432788) * s + 1.0)
+    return z + (0.5 * math.erfc(z / math.sqrt(2.0)) - q) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+
+
+def _t_quantile(p: float, dof: float) -> float:
+    """The t with P(T <= t) = p, 1/2 <= p < 1, for Student's t with dof >= 1:
+    tan(pi (p - 1/2)) (or 1/tan(pi (1 - p)) above p = 3/4) at dof = 1,
+    (2p - 1)/sqrt(2 p (1 - p)) at dof = 2, and otherwise Newton's method on
+    `_t_tails` from Hill's start, stopped after a step below 1e-8 of t (the
+    error after it is of the order of that step squared)."""
+    q = 1.0 - p
+    if dof == 1.0:
+        return math.tan(math.pi * (p - 0.5)) if q > 0.25 else 1.0 / math.tan(math.pi * q)
+    if dof == 2.0:
+        return (p - q) / math.sqrt(2.0 * p * q)
+    if q == 0.5:
+        return 0.0
+    t = _hill_start(2.0 * q, dof)
+    scale = _inv_beta_half(0.5 * dof) / math.sqrt(dof)
+    for _ in range(100):
+        tail, inner = _t_tails(t, dof)
+        # F(t) - p, from whichever of the two tails is the smaller
+        excess = q - 0.5 * tail if tail <= inner else 0.5 * inner - (p - 0.5)
+        step = excess / (scale * math.exp(-0.5 * (dof + 1.0) * math.log1p(t * t / dof)))
+        t -= step
+        if abs(step) <= 1e-8 * t:
+            break
+    return t

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import _t_quantile, _t_tails
 from .charfun import unit_rule
 from .data import _as_values
 from .errors import CalibrationError
@@ -45,6 +46,7 @@ CF_STEP = 0.05
 CF_GRID = np.arange(1, 41) * CF_STEP       # u = 0.05 .. 2.00, equispaced
 CF_WEIGHTS = np.exp(-CF_GRID**2)
 SEARCH_BOX = (("log a", 25.0), ("log b", 25.0), ("mu1", 50.0))  # |x| <= limit
+LM_TAU, LM_FTOL, LM_XTOL, LM_MAX_NFEV = 1e-3, 1e-12, 1e-8, 600  # see _least_squares
 
 SEASONAL_NAMES = ("beta0", "beta1", "beta2", "beta3")
 
@@ -115,8 +117,6 @@ def seasonal_design(t: np.ndarray) -> np.ndarray:
 
 def fit_seasonal(series) -> FitReport:
     """OLS of daily values on [1, t, sin(2pi t/365), cos(2pi t/365)]."""
-    from scipy import special
-
     y = _as_values(series)
     t = np.arange(y.size)
     n = y.size
@@ -138,13 +138,13 @@ def fit_seasonal(series) -> FitReport:
     rho_c = min(max(rho1, -0.9), 0.999)
     se = se_ols * math.sqrt((1.0 + rho_c) / (1.0 - rho_c))
 
-    tcrit = special.stdtrit(dof, 0.975)  # Student t: stdtrit is the quantile, stdtr the CDF
+    tcrit = _t_quantile(0.975, dof)
     tstats = beta / se
     return FitReport(
         names=SEASONAL_NAMES,
         params=beta, se=se, se_ols=se_ols, tstats=tstats,
         ci_low=beta - tcrit * se, ci_high=beta + tcrit * se,
-        p_values=2.0 * special.stdtr(dof, -np.abs(tstats)),
+        p_values=np.array([_t_tails(t, dof)[0] for t in tstats]),
         residuals=resid, rho1=rho1,
     )
 
@@ -197,9 +197,10 @@ def _mom_init(eps_centred: np.ndarray, alpha: float) -> tuple[float, float, floa
     the search box, it is the symmetric member (mu1 = 0) with the sample's
     second and fourth cumulants, a = 3 k2^2 / k4, b = a / k2.
     """
-    m2 = float(np.mean(eps_centred**2))
-    m3 = float(np.mean(eps_centred**3))
-    m4 = float(np.mean(eps_centred**4))
+    square = eps_centred * eps_centred  # products, not numpy's per-element pow()
+    m2 = float(np.mean(square))
+    m3 = float(np.mean(square * eps_centred))
+    m4 = float(np.mean(square * square))
     i2, i3, i4 = (kernel_weight(alpha, j) for j in (2, 3, 4))
     k2s = m2 / i2
     k3s = m3 / i3
@@ -323,31 +324,61 @@ def _cf_functions(emp_groups: np.ndarray, alpha: float, rows: np.ndarray, vol: n
 
 
 def _least_squares(residuals, jacobian, x0: np.ndarray):
-    """Levenberg-Marquardt from x0 with the closed-form Jacobian.
+    """Levenberg-Marquardt from x0 with the closed-form Jacobian (Madsen, Nielsen
+    & Tingleff 2004, Methods for Non-Linear Least Squares Problems, IMM DTU).
 
-    Returns (solution, sum of squares, (status, residual calls, Jacobian
-    calls)) and raises CalibrationError unless status > 0.  The calls are
-    counted here: SciPy's `njev` leaves out the Jacobian it takes at the
-    solution for its gradient norm.  ftol is 1e-12 because the default 1e-8
-    stops the seasonal fit about 1e-6 (relative) short of the optimum
-    along its flattest direction.
+    The damping is Marquardt's: the step h solves (J^T J + mu D) h = -J^T f, with
+    D the running maximum of diag(J^T J) (1 for a zero column), taken from one SVD
+    of J D^(-1/2) per Jacobian.  mu starts at LM_TAU and follows Nielsen's update:
+    times max(1/3, 1 - (2 rho - 1)^3) after a step with gain ratio rho > 0, which
+    is taken, and times 2, 4, 8, ... after each step in a row that is not.  The
+    solve stops with status 1 when both the actual and the predicted relative
+    reductions of the sum of squares are at most LM_FTOL (MINPACK's test, with
+    rho <= 2), with status 2 when the scaled step is at most LM_XTOL of the
+    scaled x, and with status 0 after LM_MAX_NFEV residual calls.  ftol is 1e-12
+    because 1e-8 stops the seasonal fit about 1e-6 (relative) short of the
+    optimum along its flattest direction.
+
+    Returns (solution, sum of squares, (status, residual calls, Jacobian calls))
+    and raises CalibrationError unless status > 0.
     """
-    from scipy import optimize
-
-    calls = [0, 0]
-
-    def counted(i, f):
-        def call(x):
-            calls[i] += 1
-            return f(x)
-        return call
-
-    res = optimize.least_squares(counted(0, residuals), x0, jac=counted(1, jacobian),
-                                 method="lm", ftol=1e-12)
-    if res.status <= 0:
+    x = np.array(x0, float)
+    f = residuals(x)
+    cost = float(f @ f)
+    nfev, njev, status = 1, 0, 0
+    diag = np.zeros(x.size)
+    mu, grow = LM_TAU, 2.0
+    while not status and nfev < LM_MAX_NFEV:
+        jac = jacobian(x)
+        njev += 1
+        diag = np.maximum(diag, np.einsum("ij,ij->j", jac, jac))
+        scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        u, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+        c = u.T @ f
+        while not status and nfev < LM_MAX_NFEV:
+            scaled_step = -(vt.T @ (s * c / (s * s + mu)))
+            trial_x = x + scaled_step / scale
+            trial_f = residuals(trial_x)
+            nfev += 1
+            trial = float(trial_f @ trial_f)
+            # L(0) - L(h) of the linear model, and the gain ratio
+            predicted = float(c @ (c * (1.0 - (mu / (s * s + mu)) ** 2)))
+            rho = (cost - trial) / predicted if predicted > 0.0 else 0.0
+            if abs(cost - trial) <= LM_FTOL * cost and predicted <= LM_FTOL * cost and rho <= 2.0:
+                status = 1
+            elif np.linalg.norm(scaled_step) <= LM_XTOL * np.linalg.norm(scale * x):
+                status = 2
+            if rho > 0.0:
+                x, f, cost = trial_x, trial_f, trial
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                grow = 2.0
+                break
+            mu *= grow
+            grow *= 2.0
+    if status <= 0:
         raise CalibrationError(f"time-change fit did not converge "
-                               f"(least-squares status {res.status})")
-    return res.x, 2.0 * float(res.cost), (int(res.status), *calls)
+                               f"(least-squares status {status})")
+    return x, cost, (status, nfev, njev)
 
 
 def fit_timechange(residuals: np.ndarray, alpha: float,

@@ -291,12 +291,13 @@ def summary_stats(series) -> SummaryStats:
         raise DomainError(f"need at least 2 observations, got {n}")
     mean, sd = _mean_sd(x)
     centred = x - mean
-    m2 = float(np.mean(centred**2))
+    square = centred * centred  # products, not numpy's per-element pow() of **3 and **4
+    m2 = float(np.mean(square))
     if m2 == 0.0:
         skew = kurt = float("nan")
     else:
-        skew = float(np.mean(centred**3) / m2**1.5)
-        kurt = float(np.mean(centred**4) / m2**2)
+        skew = float(np.mean(square * centred) / m2**1.5)
+        kurt = float(np.mean(square * square) / m2**2)
     return SummaryStats(mean=mean, minimum=float(np.min(x)), maximum=float(np.max(x)),
                         std=sd, skewness=skew, kurtosis=kurt)
 

@@ -111,12 +111,15 @@ class TestFitSeasonal:
 
     @pytest.mark.parametrize("n", [5, 6, 14, 2000])
     def test_inference_equals_scipy_stats_t(self, n):
+        """The intervals and p-values take Student's t law from `_normal`: SciPy's
+        to 1e-12 relative, the report printing 10 digits (dof = 1, 2, 10, 1996)."""
         fit = fit_seasonal(synthetic_series([8, 0.0008, -6, -13], n=n, seed=n))
         dof = n - 4
         tcrit = stats.t.ppf(0.975, dof)
-        assert np.array_equal(fit.ci_low, fit.params - tcrit * fit.se)
-        assert np.array_equal(fit.ci_high, fit.params + tcrit * fit.se)
-        assert np.array_equal(fit.p_values, 2.0 * stats.t.sf(np.abs(fit.tstats), dof))
+        np.testing.assert_allclose(fit.ci_low, fit.params - tcrit * fit.se, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fit.ci_high, fit.params + tcrit * fit.se, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fit.p_values, 2.0 * stats.t.sf(np.abs(fit.tstats), dof),
+                                   rtol=1e-12, atol=0)
 
 
 class TestFitAlpha:
@@ -453,50 +456,63 @@ class TestOneSolve:
         assert interior >= 6
 
 
-class FakeLeastSquares:
-    """Stands in for scipy.optimize.least_squares: each call ends at its start with `status`."""
-
-    def __init__(self, status):
-        self.status = status
-        self.calls = 0
-
-    def __call__(self, fun, x0, **kwargs):
-        self.calls += 1
-        f = fun(x0)
-        return types.SimpleNamespace(x=np.array(x0), cost=0.5 * float(f @ f), status=self.status)
-
-
 class TestLeastSquaresStatus:
     resid = np.random.default_rng(80).standard_normal(801)
 
     def test_not_converged_raises(self, monkeypatch):
-        for status in (0, -1):
-            monkeypatch.setattr(optimize, "least_squares", FakeLeastSquares(status))
-            with pytest.raises(CalibrationError, match="did not converge"):
-                fit_timechange(self.resid, alpha=0.25)
+        """The residual-call limit ends the solve with status 0, a fit failure."""
+        monkeypatch.setattr(calibrate, "LM_MAX_NFEV", 3)
+        for shape in ("constant", "seasonal"):
+            with pytest.raises(CalibrationError, match=r"did not converge \(least-squares status 0\)"):
+                fit_timechange(self.resid, alpha=0.25, vol_shape=shape)
 
-    def test_converged_reports_status(self, monkeypatch):
+    def test_converged_reports_status(self):
         eps = innovations(self.resid, 0.25)
         emp = empirical_charfun(eps - np.mean(eps), calibrate.CF_GRID)[None, :]
         residuals, _ = constant_functions(emp, 0.25)
-        for status in (1, 2, 3, 4):
-            fake = FakeLeastSquares(status)
-            monkeypatch.setattr(optimize, "least_squares", fake)
-            tf = fit_timechange(self.resid, alpha=0.25)
-            assert fake.calls == 1 and tf.converged and tf.status == status
-            # the reported objective is the CF distance at the solver's end point
-            start = np.array([np.log(tf.a), np.log(tf.b), tf.mu1])
-            objective = float(np.sum(residuals(start) ** 2))
-            assert tf.objective == pytest.approx(objective, rel=1e-12)
+        tf = fit_timechange(self.resid, alpha=0.25)
+        assert tf.converged and tf.status == 1
+        # the reported objective is the CF distance at the solver's end point
+        end = np.array([np.log(tf.a), np.log(tf.b), tf.mu1])
+        objective = float(np.sum(residuals(end) ** 2))
+        assert tf.objective == pytest.approx(objective, rel=1e-12)
 
     def test_seasonal_reports_both_stages(self, monkeypatch):
         """The seasonal shape's two stages, the squared-innovation profile (a linear
         fit) and the month-group CF match, take one least-squares solve and report its
         status as one int."""
-        fake = FakeLeastSquares(2)
-        monkeypatch.setattr(optimize, "least_squares", fake)
+        statuses, solve = [], calibrate._least_squares
+
+        def spy(residuals, jacobian, x0):
+            out = solve(residuals, jacobian, x0)
+            statuses.append(out[2][0])
+            return out
+
+        monkeypatch.setattr(calibrate, "_least_squares", spy)
         tf = fit_timechange(self.resid, alpha=0.25, vol_shape="seasonal")
-        assert fake.calls == 1 and tf.converged and tf.status == 2
+        assert statuses == [tf.status] and isinstance(tf.status, int) and tf.converged
+
+    def test_rosenbrock(self):
+        """A zero-residual problem with a curved valley: steps are rejected on the way,
+        and the solve ends on the step test (status 2), since the relative reduction
+        of a sum of squares that goes to 0 stays large."""
+        calls = []
+
+        def residuals(x):
+            calls.append("f")
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def jacobian(x):
+            calls.append("J")
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        x, cost, (status, nfev, njev) = calibrate._least_squares(
+            residuals, jacobian, np.array([-1.2, 1.0]))
+        assert status == 2 and np.allclose(x, 1.0, rtol=0, atol=1e-10) and cost < 1e-20
+        assert (nfev, njev) == (calls.count("f"), calls.count("J"))
+        # a Jacobian is taken at the start and after each taken step but the last, so
+        # at least nfev - 1 - njev of the nfev - 1 trial steps were not taken
+        assert nfev - 1 - njev > 0
 
 
 def richardson(fun, x, i, h):

@@ -1098,9 +1098,10 @@ def test_package_exports_resolve():
     assert set(tempderiv.__all__) <= namespace.keys()
 
 
-def test_pricing_commands_load_no_scipy_until_fit(price_config, sim_config, fit_csv, tmp_path):
-    """price (with a solved tilt and --mc), simulate, density and stats run on numpy
-    alone; the first fit then loads scipy.optimize, so SciPy is deferred, not dropped."""
+def test_no_command_loads_scipy(price_config, sim_config, fit_csv, tmp_path):
+    """price (with a solved tilt and --mc), simulate, density, stats and fit run on
+    numpy alone: with `scipy` blocked before tempderiv is imported, any SciPy import
+    in them would raise."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     price_out = tmp_path / "report.json"
@@ -1108,18 +1109,19 @@ def test_pricing_commands_load_no_scipy_until_fit(price_config, sim_config, fit_
              "--out", str(price_out)],
             ["simulate", "--config", sim_config, "--out", str(tmp_path / "paths.csv")],
             ["density", "--config", price_config, "--out", str(tmp_path / "density.csv")],
-            ["stats", fit_csv, "--out", str(tmp_path / "stats.json")]]
+            ["stats", fit_csv, "--out", str(tmp_path / "stats.json")],
+            ["fit", fit_csv, "--out", str(tmp_path / "fit.json")]]
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from tempderiv.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
-        f"assert main(['fit', {fit_csv!r}, '--out', {str(tmp_path / 'fit.json')!r}]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n")[:2] == ["[]", "True"]
-    # the price solved its tilt, so the solver ran without SciPy
+    assert res.stdout.split("\n")[0] == "['scipy']"  # the blocking entry alone
+    # the price solved its tilt, and the fit converged
     assert json.loads(price_out.read_text())["theta"]["source"] == "solved"
+    assert json.loads((tmp_path / "fit.json").read_text())["timechange"]["converged"]

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import special, stats
 from helpers import fill_missing_loop
 from tempderiv import (DailySeries, DomainError, IngestError, data, ingest_csv,
                        ks_normality, summary_stats)
-from tempderiv._normal import _kolmogorov_sf, _norm_cdf
+from tempderiv._normal import _kolmogorov_sf, _norm_cdf, _t_quantile, _t_tails
 
 
 def csv_from(rows, header="date,tavg"):
@@ -386,3 +387,56 @@ class TestKolmogorovSf:
         want = special.kolmogorov(x)
         assert np.array_equal(got == 0.0, want == 0.0)
         assert want[-1] == 0.0 and want[0] > 0.0
+
+
+STUDENT_DOFS = [1, 2, 3, 5, 14, 40, 100, 2141, 1e4, 1e6]
+QUANTILE_PS = [0.5, 0.5 + 2.0**-40, 0.5001, 0.51, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.999,
+               0.9999, 0.99999, 0.999999]
+
+
+class TestStudentT:
+    """Student's t law of the seasonal fit against SciPy's, to 1e-12 relative: the
+    report prints 10 digits.  dof = 40 puts a = dof/2 on the switch of
+    `_inv_beta_half` from a ratio of gammas to its series."""
+
+    @pytest.mark.parametrize("dof", STUDENT_DOFS)
+    def test_tails_against_scipy(self, dof):
+        """The two-sided tail from 1 down to 1e-300, and below the normal range
+        (under 2.2e-308) where SciPy's underflows to 0; the central mass too.  Each
+        oracle is 1 minus the other where it passes 1/2: near t = 0 SciPy's stdtr
+        rounds x = dof/(dof + t^2) to 1 (a 3e-9 error at dof = 1, t = 1e-8), and its
+        incomplete beta of t^2/(dof + t^2) does the same near 1."""
+        t = np.concatenate([np.geomspace(1e-8, 1e3, 2500), np.geomspace(1e3, 1e300, 3000)[1:]])
+        got = np.array([_t_tails(v, dof) for v in t])
+        y = 1.0 / (1.0 + dof / t / t)  # t^2/(dof + t^2), without overflow
+        inner = special.betainc(0.5, 0.5 * dof, y)
+        tail = 2.0 * special.stdtr(dof, -t)
+        if dof == 1:  # stdtr squares t, so it gives 0 from t = 1.3e154 on
+            tail = np.where(t > 1e8, 2.0 / (np.pi * t), tail)  # Cauchy: 2/(pi t) (1 + O(t^-2))
+        inner, tail = np.where(inner < 0.5, inner, 1.0 - tail), np.where(inner < 0.5, 1.0 - inner, tail)
+        kept = tail >= 1e-300
+        assert tail[0] > 1.0 - 1e-8 and np.min(tail[kept]) < 1e-290 and not np.all(kept)
+        np.testing.assert_allclose(got[kept, 0], tail[kept], rtol=1e-12, atol=0)
+        assert np.all(got[~kept, 0] < 1e-300) and np.all(got[tail == 0.0, 0] < np.finfo(float).tiny)
+        np.testing.assert_allclose(got[:, 1], inner, rtol=1e-12, atol=0)
+        assert _t_tails(0.0, dof) == (1.0, 0.0) and _t_tails(-t[2000], dof) == tuple(got[2000])
+        # the continued fraction runs on both sides of its switch
+        switch = (0.5 * dof + 2.5) * y >= 2.0
+        assert dof == 1 or (np.any(switch & kept) and np.any(~switch))
+
+    @pytest.mark.parametrize("dof", STUDENT_DOFS)
+    def test_quantile_against_scipy(self, dof):
+        """From p = 1/2 (t = 0, absolute error at most 1e-15 there) to 0.999999, and
+        1 - 1e-12 at dof = 1 and 2.  Within 1e-3 of 1/2, SciPy's stdtrit loses up
+        to 6e-7 of t (dof = 3, p = 1/2 + 2^-40), so there the oracle is SciPy's
+        incomplete beta at the quantile, which gives back p - 1/2."""
+        ps = QUANTILE_PS + [1.0 - 1e-12] * (dof <= 2)
+        assert abs(_t_quantile(0.5, dof)) <= 1e-15
+        for p in ps[1:]:
+            got = _t_quantile(p, dof)
+            if p - 0.5 < 1e-3:
+                half = 0.5 * special.betainc(0.5, 0.5 * dof, got * got / (dof + got * got))
+                assert abs(half - (p - 0.5)) <= 1e-12 * (p - 0.5), (p, got)
+            else:
+                want = special.stdtrit(dof, p)
+                assert abs(got - want) <= 1e-12 * want, (p, got, want)
