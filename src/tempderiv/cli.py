@@ -210,10 +210,11 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _num(value, what: str, kind=float):
-    """Convert one config field, raising IngestError when it is not a number
-    (JSON true, false and strings such as "30" are not) or, for kind=int, not
-    a whole one (30 and 30.0 parse, 30.7 does not)."""
-    if isinstance(value, (bool, str)):
+    """Convert one config field, raising IngestError when it is not a finite
+    number (JSON true, false, strings such as "30", NaN, Infinity and literals
+    such as 1e999 that overflow to inf are not) or, for kind=int, not a whole
+    one (30 and 30.0 parse, 30.7 does not)."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not math.isfinite(value)):
         raise IngestError(f"{what} must be a number, got {value!r}")
     try:
         number = kind(value)

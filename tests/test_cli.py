@@ -350,6 +350,41 @@ class TestExitCodes:
         assert main(["price", "--config", str(p)]) == 2
         assert f"{section}.{field} must be a number, got {shown}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, keys, literal", [
+        ("price", [], ("model", "t0"), "NaN"),
+        ("price", [], ("contract", "rate_r"), "NaN"),
+        ("price", [], ("model", "timechange", "a"), "Infinity"),
+        ("price", [], ("contract", "k1_strike"), "1e999"),
+        ("price", [], ("contract", "k2_strike"), "-Infinity"),
+        ("price", ["--l-mult", "nan"], (), None),
+        ("simulate", [], ("model", "t0"), "NaN"),
+        ("simulate", [], ("sim", "step"), "Infinity"),
+        ("density", [], ("model", "timechange", "mu1"), "NaN"),
+    ], ids=["price-t0-nan", "price-rate_r-nan", "price-a-inf", "price-k1_strike-1e999",
+            "price-k2_strike--inf", "price-l-mult-flag-nan", "simulate-t0-nan",
+            "simulate-step-inf", "density-mu1-nan"])
+    def test_non_finite_config_number_exit_2(self, tmp_path, capsys, command, flags, keys,
+                                             literal):
+        """JSON's NaN, Infinity and 1e999 (read as inf) are no numbers.  Before, a NaN
+        t0 or rate ended price in a solver error (exit 4), an infinite a in
+        RuntimeWarnings, an infinite strike in a null echoed price (exit 0), a NaN t0
+        in a simulate of nan paths (exit 0), a NaN mu1 in a density error that blamed
+        theta, and an infinite step (with a start_date) in one about whole days."""
+        cfg = {"model": json.loads(json.dumps(MODEL_CFG)), "contract": dict(CONTRACT_CFG),
+               "horizon": 3, "start_date": "2018-01-01", "sim": {"n_paths": 1, "seed": 1}}
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        if keys:
+            target[keys[-1]] = "@"
+        p, out = tmp_path / "cfg.json", tmp_path / "out"
+        p.write_text(json.dumps(cfg).replace('"@"', str(literal)))
+        assert main([command, "--config", str(p), "--out", str(out), *flags]) == 2
+        name, shown = (".".join(keys), repr(json.loads(literal))) if keys else ("cos.l_mult", "nan")
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and f"{name} must be a number, got {shown}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flags, edit, message", [
         ("price", [], {"cos": {"n1": 0}}, "term counts must be >= 1"),
         ("price", [], {"cos": {"b1": 10.0, "b2": 5.0}}, "need b1 < b2"),
@@ -711,10 +746,9 @@ class TestSimulate:
         assert labels == 2 * expected
         assert "2020-02-29" in labels
 
-    @pytest.mark.parametrize("step", [0.5, float("inf")])
+    @pytest.mark.parametrize("step", [0.5])
     def test_fractional_step_with_start_date_exit_2(self, tmp_path, capsys, step):
-        """Half-day steps would label several rows with the same date; an
-        infinite step is no whole number of days either."""
+        """Half-day steps would label several rows with the same date."""
         cfg = {"model": MODEL_CFG, "horizon": 3, "start_date": "2018-01-01",
                "sim": {"n_paths": 1, "seed": 1, "step": step}}
         p = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 from scipy import special, stats
 
 from helpers import fill_missing_loop
-from tempderiv import (DailySeries, DomainError, IngestError, data, ingest_csv,
+from tempderiv import (DailySeries, DomainError, IngestError, _normal, data, ingest_csv,
                        ks_normality, summary_stats)
 from tempderiv._normal import _kolmogorov_sf, _norm_cdf, _t_quantile, _t_tails
 
@@ -395,9 +395,10 @@ QUANTILE_PS = [0.5, 0.5 + 2.0**-40, 0.5001, 0.51, 0.6, 0.75, 0.9, 0.95, 0.975, 0
 
 
 class TestStudentT:
-    """Student's t law of the seasonal fit against SciPy's, to 1e-12 relative: the
-    report prints 10 digits.  dof = 40 puts a = dof/2 on the switch of
-    `_inv_beta_half` from a ratio of gammas to its series."""
+    """Student's t law of the seasonal fit against SciPy's and, at dof = 1 and 2,
+    against closed forms, to 1e-12 relative: the report prints 10 digits.
+    dof = 40 puts a = dof/2 on the switch of `_inv_beta_half` from a ratio of
+    gammas to its series."""
 
     @pytest.mark.parametrize("dof", STUDENT_DOFS)
     def test_tails_against_scipy(self, dof):
@@ -422,7 +423,7 @@ class TestStudentT:
         assert _t_tails(0.0, dof) == (1.0, 0.0) and _t_tails(-t[2000], dof) == tuple(got[2000])
         # the continued fraction runs on both sides of its switch
         switch = (0.5 * dof + 2.5) * y >= 2.0
-        assert dof == 1 or (np.any(switch & kept) and np.any(~switch))
+        assert np.any(switch & kept) and np.any(~switch)
 
     @pytest.mark.parametrize("dof", STUDENT_DOFS)
     def test_quantile_against_scipy(self, dof):
@@ -440,3 +441,39 @@ class TestStudentT:
             else:
                 want = special.stdtrit(dof, p)
                 assert abs(got - want) <= 1e-12 * want, (p, got, want)
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_quantile_closed_forms(self, dof):
+        """SciPy-free oracles, with q = 1 - p: tan(pi (p - 1/2)) at dof = 1, or
+        1/tan(pi q) above p = 3/4, and (2p - 1)/sqrt(2 p q) at dof = 2, up to
+        p = 1 - 2^-53, the largest double below 1."""
+        for p in QUANTILE_PS[1:] + [1.0 - 1e-12, 1.0 - 2.0**-53]:
+            q = 1.0 - p
+            if dof == 1:
+                want = math.tan(math.pi * (p - 0.5)) if q > 0.25 else 1.0 / math.tan(math.pi * q)
+            else:
+                want = (p - q) / math.sqrt(2.0 * p * q)
+            got = _t_quantile(p, dof)
+            assert abs(got - want) <= 1e-12 * want, (p, got, want)
+
+    def test_cauchy_tails_closed_form(self):
+        """At dof = 1 the two-sided tail is 2 atan(1/|t|)/pi and the central mass
+        2 atan(|t|)/pi, from t = 1e-8 to 1e300."""
+        t = np.geomspace(1e-8, 1e300, 3000)
+        got = np.array([_t_tails(v, 1) for v in t])
+        want = np.stack([np.arctan(1.0 / t), np.arctan(t)], axis=1) * (2.0 / np.pi)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_quantile_stops_well_below_the_step_cap(self, monkeypatch):
+        """Newton's method stops on its step test, never on the 100-step cap: counted
+        in `_t_tails` calls, the most is 54, at dof = 1 and p = 1 - 2^-53."""
+        tails = _normal._t_tails
+        calls = []
+        monkeypatch.setattr(_normal, "_t_tails", lambda t, dof: calls.append(t) or tails(t, dof))
+        counts = {}
+        for dof in STUDENT_DOFS:
+            for p in QUANTILE_PS + [1.0 - 2.0**-53] * (dof <= 2):
+                calls.clear()
+                _t_quantile(p, dof)
+                counts[dof, p] = len(calls)
+        assert max(counts.values()) <= 60, max(counts.items(), key=lambda kv: kv[1])
